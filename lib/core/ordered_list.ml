@@ -108,6 +108,8 @@ let check_invariants o =
   walk o.head (-1);
   !ok && !count = n
 
+let hash o = Array.fold_left (fun h v -> (h * 31) + v) (Array.length o.time) o.time land max_int
+
 (* Serialized as values plus the head-to-tail permutation; the links are
    rebuilt from the permutation on decode, so a snapshot roundtrip restores
    exactly the move-to-front order (which governs which prefix an acquire

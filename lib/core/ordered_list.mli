@@ -56,6 +56,9 @@ val check_invariants : t -> bool
 (** Structural sanity: the node chain is a permutation of all thread ids and
     forward/backward links agree.  For tests. *)
 
+val hash : t -> int
+(** Hash of every thread's value, for {!Snap.Enc.shared}. O(T). *)
+
 val encode : Snap.Enc.t -> t -> unit
 
 val decode : Snap.Dec.t -> size:int -> t

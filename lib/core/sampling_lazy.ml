@@ -183,62 +183,13 @@ let note_sampled d t = d.pending.(t) <- true
    releasing thread's clock, and the [shared] flags only make sense if the
    restored detector reproduces that physical sharing.  Lock entries are
    encoded as references to a thread clock or an earlier lock's entry and
-   inlined only when they alias neither. *)
-let tag_none = 0
-let tag_thread = 1
-let tag_lock = 2
-let tag_inline = 3
-
+   inlined only when they alias neither ({!Snap.Enc.shared}). *)
 let encode_lock_vcs enc d =
-  Array.iteri
-    (fun l vc ->
-      match vc with
-      | None -> Snap.Enc.int enc tag_none
-      | Some vc -> (
-        let rec thread_alias t =
-          if t >= Array.length d.clocks then None
-          else if d.clocks.(t) == vc then Some t
-          else thread_alias (t + 1)
-        in
-        let rec lock_alias l' =
-          if l' >= l then None
-          else
-            match d.lock_vc.(l') with
-            | Some vc' when vc' == vc -> Some l'
-            | _ -> lock_alias (l' + 1)
-        in
-        match thread_alias 0 with
-        | Some t ->
-          Snap.Enc.int enc tag_thread;
-          Snap.Enc.int enc t
-        | None -> (
-          match lock_alias 0 with
-          | Some l' ->
-            Snap.Enc.int enc tag_lock;
-            Snap.Enc.int enc l'
-          | None ->
-            Snap.Enc.int enc tag_inline;
-            Vc.encode enc vc)))
-    d.lock_vc
+  Snap.Enc.shared enc ~roots:d.clocks ~hash:Vc.hash d.lock_vc (Vc.encode enc)
 
 let decode_lock_vcs dec d ~size =
-  for l = 0 to Array.length d.lock_vc - 1 do
-    d.lock_vc.(l) <-
-      (match Snap.Dec.int dec with
-      | t when t = tag_none -> None
-      | t when t = tag_thread ->
-        let tid = Snap.Dec.int dec in
-        Snap.expect (tid >= 0 && tid < Array.length d.clocks) "lock clock thread out of range";
-        Some d.clocks.(tid)
-      | t when t = tag_lock ->
-        let l' = Snap.Dec.int dec in
-        Snap.expect (l' >= 0 && l' < l) "lock clock back-reference out of range";
-        (match d.lock_vc.(l') with
-        | Some _ as shared -> shared
-        | None -> raise (Snap.Corrupt "lock clock back-reference to empty slot"))
-      | t when t = tag_inline -> Some (Vc.decode dec ~size)
-      | t -> raise (Snap.Corrupt (Printf.sprintf "bad lock clock tag %d" t)))
-  done
+  Snap.Dec.shared dec ~what:"lock clock" ~roots:d.clocks d.lock_vc (fun () ->
+      Vc.decode dec ~size)
 
 let snapshot d =
   let enc = Snap.Enc.create () in

@@ -193,64 +193,15 @@ let note_sampled d t = d.pending.(t) <- true
    thread's list, and several locks may alias one list (or an old version a
    thread has since deep-copied away from).  Each lock's entry is encoded
    as a reference — to a thread's current list, or to an earlier lock's
-   entry — and only as an inline list when it aliases neither, so restore
-   rebuilds the exact physical sharing and the [shared] flags keep meaning
-   what they meant. *)
-let tag_none = 0
-let tag_thread = 1
-let tag_lock = 2
-let tag_inline = 3
-
+   entry — and only as an inline list when it aliases neither
+   ({!Snap.Enc.shared}), so restore rebuilds the exact physical sharing and
+   the [shared] flags keep meaning what they meant. *)
 let encode_lock_lists enc d =
-  Array.iteri
-    (fun l ol ->
-      match ol with
-      | None -> Snap.Enc.int enc tag_none
-      | Some ol -> (
-        let rec thread_alias t =
-          if t >= Array.length d.olists then None
-          else if d.olists.(t) == ol then Some t
-          else thread_alias (t + 1)
-        in
-        let rec lock_alias l' =
-          if l' >= l then None
-          else
-            match d.lock_ol.(l') with
-            | Some ol' when ol' == ol -> Some l'
-            | _ -> lock_alias (l' + 1)
-        in
-        match thread_alias 0 with
-        | Some t ->
-          Snap.Enc.int enc tag_thread;
-          Snap.Enc.int enc t
-        | None -> (
-          match lock_alias 0 with
-          | Some l' ->
-            Snap.Enc.int enc tag_lock;
-            Snap.Enc.int enc l'
-          | None ->
-            Snap.Enc.int enc tag_inline;
-            Ol.encode enc ol)))
-    d.lock_ol
+  Snap.Enc.shared enc ~roots:d.olists ~hash:Ol.hash d.lock_ol (Ol.encode enc)
 
 let decode_lock_lists dec d ~size =
-  for l = 0 to Array.length d.lock_ol - 1 do
-    d.lock_ol.(l) <-
-      (match Snap.Dec.int dec with
-      | t when t = tag_none -> None
-      | t when t = tag_thread ->
-        let tid = Snap.Dec.int dec in
-        Snap.expect (tid >= 0 && tid < Array.length d.olists) "lock list thread out of range";
-        Some d.olists.(tid)
-      | t when t = tag_lock ->
-        let l' = Snap.Dec.int dec in
-        Snap.expect (l' >= 0 && l' < l) "lock list back-reference out of range";
-        (match d.lock_ol.(l') with
-        | Some _ as shared -> shared
-        | None -> raise (Snap.Corrupt "lock list back-reference to empty slot"))
-      | t when t = tag_inline -> Some (Ol.decode dec ~size)
-      | t -> raise (Snap.Corrupt (Printf.sprintf "bad lock list tag %d" t)))
-  done
+  Snap.Dec.shared dec ~what:"lock list" ~roots:d.olists d.lock_ol (fun () ->
+      Ol.decode dec ~size)
 
 let snapshot d =
   let enc = Snap.Enc.create () in

@@ -20,17 +20,16 @@ module Enc = struct
 
   let create () = Buffer.create 256
 
+  let rec leb128 b n =
+    if n < 0x80 then Buffer.add_char b (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (0x80 lor (n land 0x7F)));
+      leb128 b (n lsr 7)
+    end
+
   (* zigzag-mapped LEB128, so small negative ints (the ubiquitous -1
      sentinels) stay one byte *)
-  let int b n =
-    let rec loop n =
-      if n < 0x80 then Buffer.add_char b (Char.chr n)
-      else begin
-        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7F)));
-        loop (n lsr 7)
-      end
-    in
-    loop ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+  let int b n = leb128 b ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
   let bool b v = int b (if v then 1 else 0)
 
@@ -55,6 +54,41 @@ module Enc = struct
   let list b f xs =
     int b (List.length xs);
     List.iter f xs
+
+  (* Each slot is matched against earlier values through a table keyed by
+     content hash and compared with [==]; only the first root or slot
+     holding a value enters the table, which is exactly the first thread /
+     lowest lock index the reference scan would pick. *)
+  let shared b ~roots ~hash slots inline =
+    let seen = Hashtbl.create 64 in
+    let find v h = List.find_opt (fun (v', _, _) -> v' == v) (Hashtbl.find_all seen h) in
+    Array.iteri
+      (fun t v ->
+        let h = hash v in
+        if find v h = None then Hashtbl.add seen h (v, 1, t))
+      roots;
+    Array.iteri
+      (fun l slot ->
+        match slot with
+        | None -> int b 0
+        | Some v -> (
+          let h = hash v in
+          match find v h with
+          | Some (_, tag, ix) ->
+            int b tag;
+            int b ix
+          | None ->
+            Hashtbl.add seen h (v, 2, l);
+            int b 3;
+            inline v))
+      slots
+
+  let length = Buffer.length
+
+  let drop b n =
+    let rest = Buffer.sub b n (Buffer.length b - n) in
+    Buffer.clear b;
+    Buffer.add_string b rest
 
   let to_snap = Buffer.contents
 end
@@ -128,6 +162,25 @@ module Dec = struct
     | n -> corrupt "bad option tag %d" n
 
   let list d f = List.init (length d) (fun _ -> f ())
+
+  let shared d ~what ~roots slots inline =
+    for l = 0 to Array.length slots - 1 do
+      slots.(l) <-
+        (match int d with
+        | 0 -> None
+        | 1 ->
+          let t = int d in
+          expect (t >= 0 && t < Array.length roots) (what ^ " thread out of range");
+          Some roots.(t)
+        | 2 -> (
+          let l' = int d in
+          expect (l' >= 0 && l' < l) (what ^ " back-reference out of range");
+          match slots.(l') with
+          | Some _ as v -> v
+          | None -> corrupt "%s back-reference to empty slot" what)
+        | 3 -> Some (inline ())
+        | t -> corrupt "bad %s tag %d" what t)
+    done
 
   let finish d = expect (remaining d = 0) "trailing bytes after snapshot"
 end

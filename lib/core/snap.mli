@@ -37,6 +37,26 @@ module Enc : sig
   val list : t -> ('a -> unit) -> 'a list -> unit
   (** Length-prefixed, elements in list order. *)
 
+  val shared :
+    t -> roots:'a array -> hash:('a -> int) -> 'a option array -> ('a -> unit) -> unit
+  (** [shared enc ~roots ~hash slots inline] writes [slots] so that decoding
+      rebuilds their physical sharing with [roots] and with each other.  A
+      slot physically equal ([==]) to a root is written as a reference to
+      the first such root (tag 1); else, one equal to an earlier slot as a
+      reference to the lowest such slot (tag 2); else inline through
+      [inline] (tag 3); [None] is tag 0.  [hash] must hash contents, so
+      physically equal values hash alike; lookups go through a table keyed
+      by it, making the encoding linear in the number of slots rather than
+      quadratic.  The engines' lazily shared lock clocks use this. *)
+
+  val length : t -> int
+  (** Bytes written so far. *)
+
+  val drop : t -> int -> unit
+  (** [drop enc n] discards the first [n] bytes written, keeping the
+      buffer's capacity — for logs that are appended to and trimmed from
+      the front. *)
+
   val to_snap : t -> string
 end
 
@@ -59,6 +79,15 @@ module Dec : sig
 
   val option : t -> (unit -> 'a) -> 'a option
   val list : t -> (unit -> 'a) -> 'a list
+
+  val shared : t -> what:string -> roots:'a array -> 'a option array -> (unit -> 'a) -> unit
+  (** Inverse of {!Enc.shared}: fills [slots] in place, resolving references
+      to the same physical [roots] and earlier slots, and decoding inline
+      values with the callback.  [what] names the slots in {!Corrupt}
+      messages. *)
+
+  val remaining : t -> int
+  (** Payload bytes not yet consumed. *)
 
   val finish : t -> unit
   (** Raise {!Corrupt} unless every payload byte has been consumed. *)

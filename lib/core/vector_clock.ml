@@ -39,6 +39,8 @@ let reset c = Array.fill c 0 (Array.length c) 0
 let to_array = Array.copy
 let of_array = Array.copy
 
+let hash (c : t) = Array.fold_left (fun h v -> (h * 31) + v) (Array.length c) c land max_int
+
 let encode enc (c : t) = Snap.Enc.int_array enc c
 
 let decode dec ~size:n : t =

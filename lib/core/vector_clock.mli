@@ -45,6 +45,9 @@ val to_array : t -> int array
 
 val of_array : int array -> t
 
+val hash : t -> int
+(** Hash of every entry, for {!Snap.Enc.shared}. O(n). *)
+
 val encode : Snap.Enc.t -> t -> unit
 
 val decode : Snap.Dec.t -> size:int -> t

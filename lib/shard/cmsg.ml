@@ -44,6 +44,35 @@ let op_of ~tag ~operand =
   | 7 -> Event.Acquire_load operand
   | _ -> raise (Snap.Corrupt "cluster message: unknown event op tag")
 
+(* One message: tag 0 + index, thread, op tag, operand for an event; tag 1
+   + thread for a mark.  Shared by the CBATCH payload and the supervisor's
+   per-shard byte backlog ({!Sharded}). *)
+let encode_ev enc i (e : Event.t) =
+  Snap.Enc.int enc 0;
+  Snap.Enc.int enc i;
+  Snap.Enc.int enc e.Event.thread;
+  Snap.Enc.int enc (op_tag e.Event.op);
+  Snap.Enc.int enc (op_operand e.Event.op)
+
+let encode_mark enc th =
+  Snap.Enc.int enc 1;
+  Snap.Enc.int enc th
+
+let decode_msg dec =
+  match Snap.Dec.int dec with
+  | 0 ->
+    let i = Snap.Dec.int dec in
+    let thread = Snap.Dec.int dec in
+    let tag = Snap.Dec.int dec in
+    let operand = Snap.Dec.int dec in
+    Snap.expect (i >= 0 && thread >= 0 && operand >= 0) "cluster batch: negative field";
+    Ev (i, { Event.thread; op = op_of ~tag ~operand })
+  | 1 ->
+    let th = Snap.Dec.int dec in
+    Snap.expect (th >= 0) "cluster batch: negative thread";
+    Mark th
+  | _ -> raise (Snap.Corrupt "cluster batch: unknown message tag")
+
 let encode ~nthreads ~nlocks ~nlocs msgs ~off ~len =
   let enc = Snap.Enc.create () in
   Snap.Enc.int enc nthreads;
@@ -52,15 +81,8 @@ let encode ~nthreads ~nlocks ~nlocs msgs ~off ~len =
   Snap.Enc.int enc len;
   for j = off to off + len - 1 do
     match msgs.(j) with
-    | Ev (i, e) ->
-      Snap.Enc.int enc 0;
-      Snap.Enc.int enc i;
-      Snap.Enc.int enc e.Event.thread;
-      Snap.Enc.int enc (op_tag e.Event.op);
-      Snap.Enc.int enc (op_operand e.Event.op)
-    | Mark th ->
-      Snap.Enc.int enc 1;
-      Snap.Enc.int enc th
+    | Ev (i, e) -> encode_ev enc i e
+    | Mark th -> encode_mark enc th
   done;
   Snap.Enc.to_snap enc
 
@@ -74,23 +96,7 @@ let decode payload =
       "cluster batch: bad universe";
     let n = Snap.Dec.int dec in
     Snap.expect (n >= 0) "cluster batch: negative message count";
-    let msgs =
-      Array.init n (fun _ ->
-          match Snap.Dec.int dec with
-          | 0 ->
-            let i = Snap.Dec.int dec in
-            let thread = Snap.Dec.int dec in
-            let tag = Snap.Dec.int dec in
-            let operand = Snap.Dec.int dec in
-            Snap.expect (i >= 0 && thread >= 0 && operand >= 0)
-              "cluster batch: negative field";
-            Ev (i, { Event.thread; op = op_of ~tag ~operand })
-          | 1 ->
-            let th = Snap.Dec.int dec in
-            Snap.expect (th >= 0) "cluster batch: negative thread";
-            Mark th
-          | _ -> raise (Snap.Corrupt "cluster batch: unknown message tag"))
-    in
+    let msgs = Array.init n (fun _ -> decode_msg dec) in
     Snap.Dec.finish dec;
     ((nthreads, nlocks, nlocs), msgs)
   with

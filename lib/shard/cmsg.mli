@@ -27,6 +27,18 @@ val op_of : tag:int -> operand:int -> Ft_trace.Event.op
 (** Inverse of {!op_tag}/{!op_operand}; raises {!Ft_core.Snap.Corrupt} on an
     unknown tag. *)
 
+val encode_ev : Ft_core.Snap.Enc.t -> int -> Ft_trace.Event.t -> unit
+(** Append one [Ev (i, e)] in the per-message format of a cluster batch
+    (about 8–9 bytes for a typical event) — also the format of a supervised
+    shard's byte backlog in {!Sharded}. *)
+
+val encode_mark : Ft_core.Snap.Enc.t -> Ft_trace.Event.tid -> unit
+(** Append one [Mark th] (2 bytes for a small thread id). *)
+
+val decode_msg : Ft_core.Snap.Dec.t -> msg
+(** Read one message written by {!encode_ev} or {!encode_mark}; raises
+    {!Ft_core.Snap.Corrupt} on malformed input. *)
+
 val encode :
   nthreads:int -> nlocks:int -> nlocs:int -> msg array -> off:int -> len:int -> string
 (** Encode the slice [\[off, off+len)] of a routed-message log. *)

@@ -254,6 +254,8 @@ type telemetry = {
   started_ns : int64;
   mutable ring_gauges : Registry.gauge array;    (* one per shard *)
   mutable shard_events : Registry.counter array; (* one per shard, mirrored *)
+  mutable restore_points : Registry.counter array; (* one per shard, mirrored *)
+  mutable backlog_bytes : Registry.gauge array;    (* one per shard, mirrored *)
   mutable det_fields : Registry.counter array;   (* Metrics.field_names order *)
 }
 
@@ -301,6 +303,8 @@ let make_telemetry () =
     started_ns = Clock.now_ns ();
     ring_gauges = [||];
     shard_events = [||];
+    restore_points = [||];
+    backlog_bytes = [||];
     det_fields = [||];
   }
 
@@ -317,6 +321,16 @@ let attach_shard_series tel ~shards =
       Array.init shards (fun k ->
           Registry.counter tel.reg "serve_shard_events_total"
             ~help:"Events routed to each shard (accesses to the owner, sync to all)"
+            ~labels:[ ("shard", string_of_int k) ]);
+    tel.restore_points <-
+      Array.init shards (fun k ->
+          Registry.counter tel.reg "racedet_supervisor_restore_points_total"
+            ~help:"Restore points the supervisor adopted per shard (answered requests and checkpoints)"
+            ~labels:[ ("shard", string_of_int k) ]);
+    tel.backlog_bytes <-
+      Array.init shards (fun k ->
+          Registry.gauge tel.reg "serve_supervisor_backlog_bytes"
+            ~help:"Encoded messages each shard's supervisor holds since its restore point"
             ~labels:[ ("shard", string_of_int k) ]);
     tel.det_fields <-
       Array.map
@@ -637,7 +651,14 @@ let refresh_cheap st =
     Array.iteri
       (fun k c ->
         if k < Array.length tel.shard_events then Registry.set_counter tel.shard_events.(k) c)
-      (Sharded.shard_event_counts det)
+      (Sharded.shard_event_counts det);
+    Array.iteri
+      (fun k (s : Sharded.supervision) ->
+        if k < Array.length tel.restore_points then begin
+          Registry.set_counter tel.restore_points.(k) s.Sharded.restore_points;
+          Registry.set tel.backlog_bytes.(k) s.Sharded.backlog_bytes
+        end)
+      (Sharded.supervision det)
 
 (* Full refresh: additionally flush the shards and mirror the merged
    detector metrics.  [Sharded.result] waits for the rings to drain, so this
@@ -658,6 +679,12 @@ let refresh_full st =
 
 let stats_json st result =
   let events = match st.det with Some det -> Sharded.events det | None -> 0 in
+  let per_shard f =
+    match st.det with
+    | None -> Json.Arr []
+    | Some det -> Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) (f det)))
+  in
+  let supervision f det = Array.map f (Sharded.supervision det) in
   Json.Obj
     [
       ("engine", Json.Str (Engine.name st.cfg.engine));
@@ -667,19 +694,10 @@ let stats_json st result =
       ("next_index", Json.Int st.expected);
       ("parked", Json.Int (Hashtbl.length st.parked));
       ("uptime_s", Json.Float (Clock.elapsed_s ~since:st.tel.started_ns));
-      ( "ring_occupancy",
-        match st.det with
-        | None -> Json.Arr []
-        | Some det ->
-          Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) (Sharded.ring_occupancy det)))
-      );
-      ( "shard_events",
-        match st.det with
-        | None -> Json.Arr []
-        | Some det ->
-          Json.Arr
-            (Array.to_list (Array.map (fun n -> Json.Int n) (Sharded.shard_event_counts det)))
-      );
+      ("ring_occupancy", per_shard Sharded.ring_occupancy);
+      ("shard_events", per_shard Sharded.shard_event_counts);
+      ("restore_points", per_shard (supervision (fun s -> s.Sharded.restore_points)));
+      ("backlog_bytes", per_shard (supervision (fun s -> s.Sharded.backlog_bytes)));
       ("telemetry", Registry.to_json st.tel.reg);
       ( "metrics",
         match result with

@@ -35,8 +35,9 @@
 
     [STATS] snapshots the daemon's telemetry ({!Ft_obs.Registry}): ingest
     counters (batches fed / parked / duplicate / resent, events), per-batch
-    ingest-latency histogram (p50/p90/p99/max), per-shard ring occupancy
-    and routed-event throughput, connection counts, and the merged detector
+    ingest-latency histogram (p50/p90/p99/max), per-shard ring occupancy,
+    routed-event throughput, supervisor restore points taken and byte
+    backlog size, connection counts, and the merged detector
     {!Ft_core.Metrics} — as Prometheus text exposition or as one JSON
     document.  Counters are monotone across successive queries; answering
     [STATS] flushes the shard rings (like [REPORT]) so the merged metrics
@@ -59,7 +60,8 @@
 
     The daemon's sharded detector runs {e supervised}
     ({!Sharded.create}[ ~supervise:true]): a shard worker that dies is
-    rebuilt from its last published snapshot and its backlog replayed, so
+    rebuilt from its supervisor restore point (a snapshot the worker took
+    on request, or the last checkpoint) and its byte backlog replayed, so
     verdicts are unaffected; a shard past its restart budget
     ([max_restarts]) fails the daemon fast with a non-zero exit, leaving
     the last good checkpoint set on disk for a replacement server to

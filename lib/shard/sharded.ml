@@ -10,6 +10,7 @@ module Fault = Ft_fault.Fault
 type msg =
   | Ev of int * Event.t
   | Mark of Event.tid  (* replicate a pending-bit transition: note_sampled *)
+  | Snapshot  (* supervised only: publish (count, snapshot) at this cut *)
   | Stop
 
 exception Shard_failed of string
@@ -43,9 +44,15 @@ let restored_inst (module D : Detector.S) config snap =
 
 (* Per-shard control block.  The router domain owns every mutable field
    except [fail] and [snap_slot], which the worker publishes through
-   atomics: [fail] when it dies or its handler raises, [snap_slot] with a
-   periodic (message-count, snapshot) pair that bounds how far a recovery
-   has to replay. *)
+   atomics: [fail] when it dies or its handler raises, [snap_slot] with the
+   (message-count, snapshot) pair a [Snapshot] request asked for.
+
+   Supervised, the router keeps a restore point — [restore_snap] (None: a
+   fresh instance) covering the shard's first [restore_count] messages —
+   and [backlog], every message since, in {!Cmsg}'s varint format.  Once
+   the backlog is as large as the restore point, the router pushes one
+   [Snapshot] request at the cut [requested = pushed] and, when the worker
+   answers, trims the backlog's first [request_off] bytes. *)
 type shard = {
   ring : msg Spsc.t;
   mutable inst : inst;
@@ -53,11 +60,13 @@ type shard = {
   fail : (string * bool) option Atomic.t;  (* reason, domain exited abruptly *)
   snap_slot : (int * Snap.t) option Atomic.t;
   mutable pushed : int;  (* messages ever routed to this shard (next seq) *)
-  mutable backlog : msg array;  (* supervised only: messages [bbase, pushed) *)
-  mutable blen : int;
-  mutable bbase : int;
+  backlog : Snap.Enc.t;  (* supervised only: messages [restore_count, pushed) *)
   mutable restore_count : int;  (* messages covered by [restore_snap] *)
   mutable restore_snap : Snap.t option;
+  mutable requested : int;  (* cut of the outstanding Snapshot request, or -1 *)
+  mutable request_off : int;  (* backlog bytes before that cut *)
+  mutable restore_points : int;  (* restore points adopted *)
+  mutable snapshot_heals : int;  (* heals that restored a snapshot *)
   mutable restarts : int;
   mutable dead : string option;  (* restart budget exhausted: fail-fast *)
 }
@@ -69,7 +78,6 @@ type t = {
   k : int;
   supervise : bool;
   max_restarts : int;
-  snapshot_every : int;
   shards : shard array;
   baseline : inst;  (* same engine, fed only the broadcast sync stream *)
   sampler_inst : Sampler.instance;
@@ -81,7 +89,6 @@ type t = {
 
 let ring_capacity = 1024
 let default_max_restarts = 8
-let default_snapshot_every = 2048
 
 (* Deterministic location → shard map (splitmix-style finalizer): stable
    across runs and platforms, so per-shard checkpoints stay valid. *)
@@ -101,12 +108,17 @@ let owner_of ~shards x =
    the join.  [start] is the global per-shard message count already applied to
    [inst] when this worker was spawned (0 for a fresh shard, the restore
    point after a recovery), so published snapshot counts stay globally
-   consistent across restarts. *)
-let worker sh inst ~supervise ~snapshot_every ~start idx () =
+   consistent across restarts.  A [Snapshot] request is not a message of the
+   stream: it neither counts nor passes the [shard.step] fault point, so
+   chaos schedules fire at the same messages whatever the requests. *)
+let worker sh inst ~start idx () =
   let ring = sh.ring in
   let failed = ref false in
   let crashed = ref false in
   let processed = ref start in
+  let step () =
+    Fault.point ~lane:idx ~supports:[ Fault.Exn; Fault.Crash_domain; Fault.Delay ] "shard.step"
+  in
   let rec loop spins =
     if not !crashed then
       match Spsc.peek ring with
@@ -120,15 +132,17 @@ let worker sh inst ~supervise ~snapshot_every ~start idx () =
       | Some msg ->
         if not !failed then begin
           try
-            Fault.point ~lane:idx
-              ~supports:[ Fault.Exn; Fault.Crash_domain; Fault.Delay ] "shard.step";
-            (match msg with
-            | Ev (i, e) -> inst.i_handle i e
-            | Mark th -> inst.i_note th
-            | Stop -> assert false);
-            incr processed;
-            if supervise && snapshot_every > 0 && !processed mod snapshot_every = 0
-            then Atomic.set sh.snap_slot (Some (!processed, inst.i_snapshot ()))
+            match msg with
+            | Ev (i, e) ->
+              step ();
+              inst.i_handle i e;
+              incr processed
+            | Mark th ->
+              step ();
+              inst.i_note th;
+              incr processed
+            | Snapshot -> Atomic.set sh.snap_slot (Some (!processed, inst.i_snapshot ()))
+            | Stop -> assert false
           with
           | Fault.Injected ({ Fault.kind = Fault.Crash_domain; _ } as inc) ->
             crashed := true;
@@ -148,41 +162,34 @@ let worker sh inst ~supervise ~snapshot_every ~start idx () =
 let spawn_shard t s =
   let sh = t.shards.(s) in
   let inst = sh.inst in
-  sh.domain <-
-    Some
-      (Domain.spawn
-         (worker sh inst ~supervise:t.supervise ~snapshot_every:t.snapshot_every
-            ~start:sh.restore_count s))
+  sh.domain <- Some (Domain.spawn (worker sh inst ~start:sh.restore_count s))
 
-(* --- router-side backlog (supervised mode only) -------------------------- *)
+(* --- router-side restore points (supervised mode only) ------------------- *)
 
-let backlog_push sh m =
-  if sh.blen = Array.length sh.backlog then begin
-    let a = Array.make (Stdlib.max 64 (2 * Array.length sh.backlog)) Stop in
-    Array.blit sh.backlog 0 a 0 sh.blen;
-    sh.backlog <- a
-  end;
-  sh.backlog.(sh.blen) <- m;
-  sh.blen <- sh.blen + 1
+let backlog_push sh = function
+  | Ev (i, e) -> Cmsg.encode_ev sh.backlog i e
+  | Mark th -> Cmsg.encode_mark sh.backlog th
+  | Snapshot | Stop -> assert false
 
-let backlog_get sh seq = sh.backlog.(seq - sh.bbase)
+let restore_bytes sh = match sh.restore_snap with None -> 0 | Some s -> String.length s
 
-(* Pick up the worker's latest published snapshot and drop the backlog
-   prefix it covers — the supervisor only ever replays from the newest
-   restore point, so older messages can go. *)
+(* [snap] covers the shard's first [count] messages, which are the backlog's
+   first [off] bytes: make it the restore point and drop those bytes — the
+   supervisor only ever replays from the newest restore point. *)
+let set_restore_point sh ~count ~off snap =
+  Snap.Enc.drop sh.backlog off;
+  sh.restore_count <- count;
+  sh.restore_snap <- Some snap;
+  sh.requested <- -1;
+  sh.restore_points <- sh.restore_points + 1
+
+(* Adopt the worker's answer to the outstanding request, if it is in. *)
 let adopt_snapshot sh =
-  match Atomic.get sh.snap_slot with
-  | Some (c, snap) when c > sh.restore_count ->
-    sh.restore_count <- c;
-    sh.restore_snap <- Some snap;
-    let drop = c - sh.bbase in
-    if drop > 0 then begin
-      let rest = sh.blen - drop in
-      Array.blit sh.backlog drop sh.backlog 0 rest;
-      sh.blen <- rest;
-      sh.bbase <- c
-    end
-  | _ -> ()
+  if sh.requested >= 0 then
+    match Atomic.get sh.snap_slot with
+    | Some (c, snap) when c = sh.requested ->
+      set_restore_point sh ~count:c ~off:sh.request_off snap
+    | _ -> ()
 
 let first_line s = match String.index_opt s '\n' with
   | None -> s
@@ -231,9 +238,13 @@ let rec heal t s =
       sh.dead <- Some diag;
       raise (Shard_failed diag)
     end;
+    (* a request the dead worker did not answer died with its ring *)
     adopt_snapshot sh;
+    sh.requested <- -1;
     (match sh.restore_snap with
-    | Some snap -> sh.inst <- restored_inst t.packed t.config snap
+    | Some snap ->
+      sh.inst <- restored_inst t.packed t.config snap;
+      sh.snapshot_heals <- sh.snapshot_heals + 1
     | None -> sh.inst <- fresh_inst t.packed t.config);
     Printf.eprintf
       "[supervisor] shard %d failed (%s); restart %d/%d, restored at message %d, \
@@ -241,23 +252,45 @@ let rec heal t s =
       s (first_line reason) sh.restarts t.max_restarts sh.restore_count
       (sh.pushed - sh.restore_count);
     spawn_shard t s;
-    let seq = ref sh.restore_count in
-    let live = ref true in
-    while !live && !seq < sh.pushed do
-      if Spsc.try_push sh.ring (backlog_get sh !seq) then incr seq
-      else if Atomic.get sh.fail <> None then live := false
-      else Domain.cpu_relax ()
-    done;
+    let dec = Snap.Dec.of_snap (Snap.Enc.to_snap sh.backlog) in
+    let next () =
+      match Cmsg.decode_msg dec with Cmsg.Ev (i, e) -> Ev (i, e) | Cmsg.Mark th -> Mark th
+    in
+    let rec replay m =
+      if Spsc.try_push sh.ring m then begin
+        if Snap.Dec.remaining dec > 0 then replay (next ())
+      end
+      else if Atomic.get sh.fail = None then begin
+        Domain.cpu_relax ();
+        replay m
+      end
+    in
+    if Snap.Dec.remaining dec > 0 then replay (next ());
     if Atomic.get sh.fail <> None then heal t s
 
 let check_dead sh =
   match sh.dead with Some diag -> raise (Shard_failed diag) | None -> ()
 
+(* Put [m] into shard [s]'s ring, or heal the shard if it fails meanwhile
+   (the healed replay delivers whatever the backlog holds). *)
+let rec deliver t s m =
+  let sh = t.shards.(s) in
+  if not (Spsc.try_push sh.ring m) then begin
+    if Atomic.get sh.fail <> None then heal t s
+    else begin
+      Domain.cpu_relax ();
+      deliver t s m
+    end
+  end
+
 (* Route one message to shard [s].  Failure-aware: a supervised push heals
    a failed shard first (the healed replay delivers [m], which is already
    in the backlog); an unsupervised push surfaces the failure only when the
    ring is full (a draining worker keeps it empty), preserving the old
-   fail-at-flush behavior. *)
+   fail-at-flush behavior.  A supervised push whose backlog has grown as
+   large as the restore point then requests the next one: the [Snapshot]
+   lands right behind message [pushed - 1], and the ring is FIFO, so the
+   worker answers with its state after exactly [pushed] messages. *)
 let push_msg t s m =
   let sh = t.shards.(s) in
   check_dead sh;
@@ -267,51 +300,51 @@ let push_msg t s m =
   end;
   sh.pushed <- sh.pushed + 1;
   Fault.point ~lane:s ~supports:[ Fault.Delay ] "spsc.push";
-  if t.supervise && Atomic.get sh.fail <> None then heal t s
-  else begin
-    let rec go () =
-      if not (Spsc.try_push sh.ring m) then begin
-        if Atomic.get sh.fail <> None then heal t s
-        else begin
-          Domain.cpu_relax ();
-          go ()
-        end
-      end
-    in
-    go ()
+  if t.supervise && Atomic.get sh.fail <> None then heal t s else deliver t s m;
+  if t.supervise && sh.requested < 0 && Snap.Enc.length sh.backlog >= restore_bytes sh
+  then begin
+    sh.requested <- sh.pushed;
+    sh.request_off <- Snap.Enc.length sh.backlog;
+    deliver t s Snapshot
   end
 
+(* [shard_snaps.(s)] is shard [s]'s starting state (None: fresh), and also
+   its first restore point under supervision. *)
 let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_restarts)
-    ?(snapshot_every = default_snapshot_every) config ~shard_insts ~baseline
-    ~sampler_inst ~pending ~nevents =
+    config ~shard_snaps ~baseline ~sampler_inst ~pending ~nevents =
+  let packed = Engine.detector engine in
   let t =
     {
       engine;
-      packed = Engine.detector engine;
+      packed;
       config;
       k;
       supervise;
       max_restarts;
-      snapshot_every;
       shards =
         Array.map
-          (fun inst ->
+          (fun snap ->
             {
               ring = Spsc.create ~capacity:ring_capacity ~dummy:Stop;
-              inst;
+              inst =
+                (match snap with
+                | None -> fresh_inst packed config
+                | Some s -> restored_inst packed config s);
               domain = None;
               fail = Atomic.make None;
               snap_slot = Atomic.make None;
               pushed = 0;
-              backlog = [||];
-              blen = 0;
-              bbase = 0;
+              backlog = Snap.Enc.create ();
               restore_count = 0;
-              restore_snap = None;
+              restore_snap = (if supervise then snap else None);
+              requested = -1;
+              request_off = 0;
+              restore_points = 0;
+              snapshot_heals = 0;
               restarts = 0;
               dead = None;
             })
-          shard_insts;
+          shard_snaps;
       baseline;
       sampler_inst;
       pending;
@@ -325,13 +358,11 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
   done;
   t
 
-let create ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every
-    (config : Detector.config) =
+let create ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config) =
   if k < 1 then invalid_arg "Sharded.create: shards must be positive";
-  let packed = Engine.detector engine in
-  build ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every config
-    ~shard_insts:(Array.init k (fun _ -> fresh_inst packed config))
-    ~baseline:(fresh_inst packed config)
+  build ~engine ~shards:k ?supervise ?max_restarts config
+    ~shard_snaps:(Array.make k None)
+    ~baseline:(fresh_inst (Engine.detector engine) config)
     ~sampler_inst:(Sampler.fresh config.Detector.sampler)
     ~pending:(Array.make config.Detector.nthreads false)
     ~nevents:0
@@ -408,6 +439,24 @@ let ring_occupancy t = Array.map (fun sh -> Spsc.length sh.ring) t.shards
 
 let restart_counts t = Array.map (fun sh -> sh.restarts) t.shards
 
+type supervision = {
+  restore_points : int;
+  restore_bytes : int;
+  backlog_bytes : int;
+  snapshot_heals : int;
+}
+
+let supervision t =
+  Array.map
+    (fun (sh : shard) ->
+      {
+        restore_points = sh.restore_points;
+        restore_bytes = restore_bytes sh;
+        backlog_bytes = Snap.Enc.length sh.backlog;
+        snapshot_heals = sh.snapshot_heals;
+      })
+    t.shards
+
 let restarts_total t = Array.fold_left (fun acc sh -> acc + sh.restarts) 0 t.shards
 
 (* Wait until every shard has fully processed everything routed so far,
@@ -429,7 +478,9 @@ let flush t =
             again := true
           end)
         t.shards
-    done
+    done;
+    (* drained rings have answered every request *)
+    Array.iter adopt_snapshot t.shards
   end
   else Array.iter check_dead t.shards
 
@@ -492,9 +543,17 @@ let stop t =
         t.shards
   end
 
+(* Under supervision each checkpoint snapshot doubles as the shard's restore
+   point, so a checkpointing daemon never serializes the same state twice. *)
 let shard_snapshots t =
   flush t;
-  Array.map (fun sh -> sh.inst.i_snapshot ()) t.shards
+  Array.map
+    (fun sh ->
+      let snap = sh.inst.i_snapshot () in
+      if t.supervise then
+        set_restore_point sh ~count:sh.pushed ~off:(Snap.Enc.length sh.backlog) snap;
+      snap)
+    t.shards
 
 let router_snapshot t =
   flush t;
@@ -506,8 +565,8 @@ let router_snapshot t =
   Snap.Enc.string enc (t.baseline.i_snapshot ());
   Snap.Enc.to_snap enc
 
-let restore ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every
-    (config : Detector.config) ~router shard_snaps =
+let restore ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config) ~router
+    shard_snaps =
   if k < 1 then invalid_arg "Sharded.restore: shards must be positive";
   Snap.expect
     (Array.length shard_snaps = k)
@@ -522,8 +581,7 @@ let restore ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every
   sampler_inst.Sampler.load dec;
   let base_snap = Snap.Dec.string dec in
   Snap.Dec.finish dec;
-  let packed = Engine.detector engine in
-  build ~engine ~shards:k ?supervise ?max_restarts ?snapshot_every config
-    ~shard_insts:(Array.map (fun s -> restored_inst packed config s) shard_snaps)
-    ~baseline:(restored_inst packed config base_snap)
+  build ~engine ~shards:k ?supervise ?max_restarts config
+    ~shard_snaps:(Array.map Option.some shard_snaps)
+    ~baseline:(restored_inst (Engine.detector engine) config base_snap)
     ~sampler_inst ~pending ~nevents

@@ -25,23 +25,51 @@
 
     {2 Supervision}
 
-    With [~supervise:true] the router doubles as a {e supervisor}: every
-    message routed to a shard is also appended to a router-side backlog, and
-    each worker periodically publishes a [(count, snapshot)] pair through an
-    atomic slot.  When a worker dies — its handler raised, or an injected
-    {!Ft_fault.Fault.Crash_domain} killed the domain mid-message — the router
-    joins the corpse, rebuilds the shard's engine from the latest published
-    snapshot, replays the backlog suffix through a fresh domain, and carries
-    on.  Because replay is exact (same messages, same order), the healed
-    shard reaches precisely the state an unfaulted run would have: race
-    verdicts and metrics are unaffected, which the chaos suite checks
-    byte-for-byte against fault-free runs.  Restarts are bounded per shard
+    With [~supervise:true] the router doubles as a {e supervisor}.  Per
+    shard it keeps a {e restore point} — an engine snapshot covering the
+    shard's first [c] messages, or the fresh instance, which counts as 0
+    bytes — and a {e byte backlog}: every message routed since, in
+    {!Cmsg}'s varint format (about 8–9 bytes per event, 2 per mark).
+
+    {b Requests at a cut.}  Once the backlog is as large as the restore
+    point, the router pushes a [Snapshot] request into the shard's ring
+    right behind message [c' - 1], where [c'] is the shard's message count.
+    The ring is FIFO, so the worker meets the request after applying
+    exactly [c'] messages and before any later one; it publishes
+    [(c', snapshot)] through an atomic slot.  The router adopts that pair as
+    the new restore point and drops the backlog bytes it covers (their
+    length was noted at the cut).  Requests are not messages of the stream:
+    they are not counted and never pass the [shard.step] fault point, so a
+    seeded chaos schedule fires at the same messages whatever the requests.
+
+    {b Cost and memory.}  A snapshot of [S] bytes is paid for by the [S]
+    backlog bytes routed since the previous one, so restore points cost
+    amortized O(1) work per message however large the state grows.  The
+    backlog never exceeds its restore point's size plus one ring of
+    messages (those routed while a request is in flight).  No knob.
+
+    {b Checkpoints.}  {!shard_snapshots} snapshots every shard anyway; each
+    of those snapshots becomes the shard's restore point (empty backlog,
+    request dropped), so a checkpointing daemon never serializes the same
+    state twice.  A {!restore}d detector starts from its checkpoint
+    snapshots as restore points.
+
+    {b Healing.}  When a worker dies — its handler raised, or an injected
+    {!Ft_fault.Fault.Crash_domain} killed the domain mid-message — the
+    router joins the corpse, adopts a snapshot the worker answered before
+    dying, drops any unanswered request, rebuilds the shard's engine from
+    the restore point, decodes the backlog and replays it through a fresh
+    domain.  A worker whose handler has already raised ignores requests.
+    Because replay is exact (same messages, same order), the healed shard
+    reaches precisely the state an unfaulted run would have: race verdicts
+    and metrics are unaffected, which the chaos suite checks byte-for-byte
+    against fault-free runs.  Restarts are bounded per shard
     ([?max_restarts], default 8); past the budget the shard is marked dead
     and every subsequent operation raises {!Shard_failed} — fail fast rather
     than loop forever on a deterministic fault.
 
     Without supervision (the default) behavior is exactly the pre-supervisor
-    one — no backlog, no snapshot publishing, worker failures surface as
+    one — no backlog, no snapshot requests, worker failures surface as
     [Failure] from {!flush}/{!result}/{!stop} — so existing callers pay
     nothing. *)
 
@@ -60,15 +88,12 @@ val create :
   shards:int ->
   ?supervise:bool ->
   ?max_restarts:int ->
-  ?snapshot_every:int ->
   Ft_core.Detector.config ->
   t
 (** Spawn [shards] worker domains (K ≥ 1).  Every sharded detector must be
     {!stop}ped, or its domains leak.  [?supervise] (default [false]) enables
     self-healing as described above; [?max_restarts] (default 8) is the
-    per-shard restart budget; [?snapshot_every] (default 2048) is how many
-    messages a supervised worker processes between published recovery
-    snapshots — smaller means cheaper replays and more snapshot overhead. *)
+    per-shard restart budget. *)
 
 val handle : t -> int -> Ft_trace.Event.t -> unit
 (** Route event [i].  Indices must be fed in increasing order, as with
@@ -104,6 +129,22 @@ val restart_counts : t -> int array
 
 val restarts_total : t -> int
 
+type supervision = {
+  restore_points : int;  (** restore points adopted: answered requests and checkpoints *)
+  restore_bytes : int;  (** its snapshot's size (0 for a fresh instance) *)
+  backlog_bytes : int;  (** encoded messages routed since it *)
+  snapshot_heals : int;  (** heals that restored a snapshot rather than a fresh instance *)
+}
+
+val supervision : t -> supervision array
+(** Per-shard restore-point state (all zeros when unsupervised) — the
+    [racedet_supervisor_restore_points_total] and
+    [serve_supervisor_backlog_bytes] series.  Router-domain mirrors: reading
+    them never waits for a worker. *)
+
+val ring_capacity : int
+(** Messages each shard's ring holds. *)
+
 val flush : t -> unit
 (** Wait until every shard has fully processed everything routed so far.
     Unsupervised: re-raises (as [Failure]) the first exception any shard
@@ -134,7 +175,8 @@ val stop : t -> unit
     ensemble; shard count and universe must match the snapshots. *)
 
 val shard_snapshots : t -> Ft_core.Snap.t array
-(** Flushes first; index [k] is shard [k]'s engine snapshot. *)
+(** Flushes first; index [k] is shard [k]'s engine snapshot.  Supervised,
+    each snapshot also becomes its shard's restore point. *)
 
 val router_snapshot : t -> Ft_core.Snap.t
 
@@ -143,7 +185,6 @@ val restore :
   shards:int ->
   ?supervise:bool ->
   ?max_restarts:int ->
-  ?snapshot_every:int ->
   Ft_core.Detector.config ->
   router:Ft_core.Snap.t ->
   Ft_core.Snap.t array ->

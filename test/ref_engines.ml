@@ -1,8 +1,10 @@
 (* Seed (pre-flat-state) engine implementations, vendored verbatim from the
    tree as of the hot-path overhaul so the byte-identity grid can compare
    the rebuilt engines against the originals they must not diverge from.
-   Only [create]/[handle]/[result] are exercised; the vendored code is kept
-   whole to avoid editing what it is meant to witness.  Do not "modernize"
+   Only [create]/[handle]/[result] are exercised — plus SO's and SL's
+   quadratic lock-sharing encoders, the reference the linear
+   [Snap.Enc.shared] is checked against (test_checkpoint); the vendored code
+   is kept whole to avoid editing what it is meant to witness.  Do not "modernize"
    this file — its value is that it does NOT track lib/core. *)
 
 module Vector_clock = Ft_core.Vector_clock

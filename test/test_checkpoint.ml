@@ -309,6 +309,94 @@ let test_ol_snapshot_roundtrip_order () =
     Alcotest.(check bool) "invariants" true (Ol.check_invariants o')
   done
 
+(* --- lock-sharing encoding ------------------------------------------------- *)
+
+(* SO and SL snapshots encode their lazily shared lock clocks through the
+   linear [Snap.Enc.shared].  On a trace with thousands of locks, each
+   engine's snapshot must start with exactly the bytes the quadratic
+   reference scan (the vendored engines' [encode_lock_lists] /
+   [encode_lock_vcs] in Ref_engines) writes for the same state, and must
+   roundtrip through restore. *)
+let many_locks_trace =
+  lazy
+    (Trace_gen.random (Prng.create ~seed:2025)
+       {
+         Trace_gen.nthreads = 8;
+         nlocks = 2500;
+         nlocs = 64;
+         length = 40_000;
+         atomics = true;
+         forkjoin = true;
+       })
+
+let encoded f =
+  let enc = Snap.Enc.create () in
+  f enc;
+  Snap.Enc.to_snap enc
+
+let check_shared_prefix name (module D : Detector.S) ~reference =
+  let trace = Lazy.force many_locks_trace in
+  let config =
+    {
+      Detector.nthreads = trace.Trace.nthreads;
+      nlocks = trace.Trace.nlocks;
+      nlocs = trace.Trace.nlocs;
+      clock_size = trace.Trace.nthreads;
+      sampler = Sampler.bernoulli ~rate:0.5 ~seed:3;
+    }
+  in
+  let d = D.create config in
+  Trace.iteri (D.handle d) trace;
+  let prefix, locks = reference config trace in
+  Alcotest.(check bool) (name ^ ": ≥2000 locks hold a clock") true (locks >= 2000);
+  let snap = D.snapshot d in
+  Alcotest.(check bool)
+    (name ^ ": snapshot bytes through the lock arrays equal the reference encoder's")
+    true
+    (String.starts_with ~prefix snap);
+  Alcotest.(check bool) (name ^ ": snapshot roundtrips") true
+    (String.equal snap (D.snapshot (D.restore config snap)))
+
+let test_lock_sharing_encoding () =
+  let so config trace =
+    let module R = Ref_engines.Sampling_ordered_list in
+    let d = R.create config in
+    Trace.iteri (R.handle d) trace;
+    ( encoded (fun enc ->
+          d.R.sample.Sampler.save enc;
+          Array.iter (Ol.encode enc) d.R.olists;
+          Snap.Enc.int_array enc d.R.own;
+          Array.iter (Ft_core.Vector_clock.encode enc) d.R.uclocks;
+          Snap.Enc.int_array enc d.R.epochs;
+          Snap.Enc.bool_array enc d.R.pending;
+          Snap.Enc.bool_array enc d.R.shared;
+          R.encode_lock_lists enc d;
+          Snap.Enc.int_array enc d.R.lock_own;
+          Snap.Enc.int_array enc d.R.lock_lr;
+          Snap.Enc.int_array enc d.R.lock_u),
+      Array.fold_left (fun n l -> if l = None then n else n + 1) 0 d.R.lock_ol )
+  in
+  let sl config trace =
+    let module R = Ref_engines.Sampling_lazy in
+    let d = R.create config in
+    Trace.iteri (R.handle d) trace;
+    ( encoded (fun enc ->
+          d.R.sample.Sampler.save enc;
+          Array.iter (Ft_core.Vector_clock.encode enc) d.R.clocks;
+          Snap.Enc.int_array enc d.R.own;
+          Array.iter (Ft_core.Vector_clock.encode enc) d.R.uclocks;
+          Snap.Enc.int_array enc d.R.epochs;
+          Snap.Enc.bool_array enc d.R.pending;
+          Snap.Enc.bool_array enc d.R.shared;
+          R.encode_lock_vcs enc d;
+          Snap.Enc.int_array enc d.R.lock_own;
+          Snap.Enc.int_array enc d.R.lock_lr;
+          Snap.Enc.int_array enc d.R.lock_u),
+      Array.fold_left (fun n l -> if l = None then n else n + 1) 0 d.R.lock_vc )
+  in
+  check_shared_prefix "so" (Engine.detector Engine.So) ~reference:so;
+  check_shared_prefix "sl" (Engine.detector Engine.Sl) ~reference:sl
+
 (* --- metrics field-drift guard -------------------------------------------- *)
 
 (* The record is all-int, so its heap block has one field per counter; any
@@ -531,6 +619,8 @@ let () =
           Alcotest.test_case "deep copy preserves order" `Quick test_ol_deep_copy_preserves_order;
           Alcotest.test_case "deep copy does not alias" `Quick test_ol_deep_copy_does_not_alias;
           Alcotest.test_case "snapshot restores order" `Quick test_ol_snapshot_roundtrip_order;
+          Alcotest.test_case "lock sharing: linear encoder ≡ reference, ≥2000 locks" `Quick
+            test_lock_sharing_encoding;
         ] );
       ( "metrics guard",
         [

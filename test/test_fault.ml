@@ -151,11 +151,19 @@ let run_unsharded id config trace =
   Trace.iteri (fun i e -> D.handle d i e) trace;
   D.result d
 
-let run_supervised ?(max_restarts = 16) ?snapshot_every id ~shards config trace =
-  let sh = Sharded.create ~engine:id ~shards ~supervise:true ~max_restarts ?snapshot_every config in
+(* The result, the restarts and how many of them restored a published
+   snapshot rather than a fresh instance. *)
+let run_supervised ?(max_restarts = 16) id ~shards config trace =
+  let sh = Sharded.create ~engine:id ~shards ~supervise:true ~max_restarts config in
   Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
   Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-  (Sharded.result sh, Sharded.restarts_total sh)
+  let result = Sharded.result sh in
+  let snapshot_heals =
+    Array.fold_left
+      (fun acc (s : Sharded.supervision) -> acc + s.Sharded.snapshot_heals)
+      0 (Sharded.supervision sh)
+  in
+  (result, Sharded.restarts_total sh, snapshot_heals)
 
 let same_result ~events a b =
   a.Detector.races = b.Detector.races
@@ -163,8 +171,9 @@ let same_result ~events a b =
   && String.equal (Serve.report_text ~events a) (Serve.report_text ~events b)
 
 (* Fault schedules × engines × samplers × K: every chaos run must end with
-   state byte-identical to the fault-free run.  Small snapshot_every so
-   recoveries exercise the restore-then-replay path, not just full replays. *)
+   state byte-identical to the fault-free run, and recoveries must exercise
+   the restore-then-replay path, not just full replays from a fresh
+   instance. *)
 let test_chaos_grid () =
   with_disarm @@ fun () ->
   let trace = Lazy.force chaos_trace in
@@ -177,7 +186,7 @@ let test_chaos_grid () =
       ("adaptive", Sampler.adaptive ~base_rate:4);
     ]
   in
-  let total_fired = ref 0 and total_restarts = ref 0 in
+  let total_fired = ref 0 and total_restarts = ref 0 and total_snapshot_heals = ref 0 in
   let cell = ref 0 in
   List.iter
     (fun id ->
@@ -199,9 +208,10 @@ let test_chaos_grid () =
                   max_fires = Some 8;
                   delay_s = 0.0002;
                 };
-              let got, restarts = run_supervised id ~shards:k ~snapshot_every:128 config trace in
+              let got, restarts, snapshot_heals = run_supervised id ~shards:k config trace in
               total_fired := !total_fired + Fault.fired ();
               total_restarts := !total_restarts + restarts;
+              total_snapshot_heals := !total_snapshot_heals + snapshot_heals;
               Fault.disarm ();
               if not (same_result ~events expected got) then
                 Alcotest.failf "chaos diverged: %s/%s K=%d seed=%d" (Engine.name id) sname
@@ -210,11 +220,15 @@ let test_chaos_grid () =
         samplers)
     engines;
   Alcotest.(check bool) "the sweep injected faults" true (!total_fired > 0);
-  Alcotest.(check bool) "some faults killed workers" true (!total_restarts > 0)
+  Alcotest.(check bool) "some faults killed workers" true (!total_restarts > 0);
+  Alcotest.(check bool) "some heals restored a published snapshot" true
+    (!total_snapshot_heals > 0)
 
 (* Satellite property: killing one random shard at one random message cut,
    for a random engine × sampler × K, yields races and merged metrics
-   identical to the unfaulted run. *)
+   identical to the unfaulted run.  The shard's first request lands right
+   behind its first message, so from the second message on every heal
+   restores a published snapshot. *)
 let kill_samplers =
   [
     Sampler.all;
@@ -263,9 +277,44 @@ let kill_one_shard_test =
       let expected = run_unsharded id config trace in
       Fault.arm_exact ~lane:c.lane ~point:"shard.step" ~hit:c.cut
         (if c.crash then Fault.Crash_domain else Fault.Exn);
-      let got, _ = run_supervised id ~shards:c.k ~snapshot_every:64 config trace in
+      let got, restarts, snapshot_heals = run_supervised id ~shards:c.k config trace in
       Fault.disarm ();
-      same_result ~events:(Trace.length trace) expected got)
+      same_result ~events:(Trace.length trace) expected got
+      && (c.cut < 2 || snapshot_heals = restarts))
+
+(* A resumed detector's first restore points are its checkpoint snapshots:
+   a shard killed at its first message after the resume heals from the
+   checkpoint, not from a fresh instance that never saw the prefix. *)
+let test_resumed_shard_heals_from_checkpoint () =
+  with_disarm @@ fun () ->
+  let trace = Lazy.force chaos_trace in
+  let n = Trace.length trace in
+  List.iter
+    (fun id ->
+      let config = config_for trace (Sampler.bernoulli ~rate:0.3 ~seed:11) in
+      let expected = run_unsharded id config trace in
+      let first = Sharded.create ~engine:id ~shards:2 config in
+      for i = 0 to (n / 2) - 1 do
+        Sharded.handle first i (Trace.get trace i)
+      done;
+      let snaps = Sharded.shard_snapshots first in
+      let router = Sharded.router_snapshot first in
+      Sharded.stop first;
+      let sh = Sharded.restore ~engine:id ~shards:2 ~supervise:true config ~router snaps in
+      Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
+      Fault.arm_exact ~lane:0 ~point:"shard.step" ~hit:1 Fault.Crash_domain;
+      for i = n / 2 to n - 1 do
+        Sharded.handle sh i (Trace.get trace i)
+      done;
+      let got = Sharded.result sh in
+      Fault.disarm ();
+      Alcotest.(check int) (Engine.name id ^ ": one heal") 1 (Sharded.restarts_total sh);
+      Alcotest.(check int)
+        (Engine.name id ^ ": it restored the checkpoint")
+        1 (Sharded.supervision sh).(0).Sharded.snapshot_heals;
+      if not (same_result ~events:n expected got) then
+        Alcotest.failf "%s: resumed shard healed into a different state" (Engine.name id))
+    [ Engine.So; Engine.Fasttrack ]
 
 let test_restart_budget_fails_fast () =
   with_disarm @@ fun () ->
@@ -574,6 +623,8 @@ let () =
           Alcotest.test_case "chaos grid: schedules × engines × samplers × K" `Quick
             test_chaos_grid;
           QCheck_alcotest.to_alcotest kill_one_shard_test;
+          Alcotest.test_case "resumed shard heals from its checkpoint" `Quick
+            test_resumed_shard_heals_from_checkpoint;
           Alcotest.test_case "restart budget fails fast" `Quick
             test_restart_budget_fails_fast;
         ] );

@@ -427,6 +427,8 @@ let test_stats_during_ingestion () =
         "serve_events_ingested_total";
         "serve_batch_ingest_ns_bucket{le=";
         "serve_shard_ring_occupancy{shard=\"0\"}";
+        "racedet_supervisor_restore_points_total{shard=\"2\"}";
+        "serve_supervisor_backlog_bytes{shard=\"2\"}";
       ];
     (* JSON: parseable, counters monotone across successive queries *)
     let text = get_ok "fetch_stats json" (Serve.fetch_stats c ~format:`Json) in
@@ -464,6 +466,15 @@ let test_stats_during_ingestion () =
     expected_result.Ft_core.Detector.metrics.Ft_core.Metrics.events
     (member_int [ "metrics"; "events" ] doc);
   Alcotest.(check int) "no batches left parked" 0 (member_int [ "parked" ] doc);
+  let per_shard key =
+    match Json.member key doc with
+    | Some (Json.Arr xs) -> List.map (fun x -> Option.get (Json.to_int x)) xs
+    | _ -> Alcotest.failf "stats JSON is missing the %s array" key
+  in
+  Alcotest.(check bool) "every shard adopted a restore point" true
+    (let rp = per_shard "restore_points" in
+     List.length rp = 3 && List.for_all (fun n -> n > 0) rp);
+  Alcotest.(check int) "one backlog size per shard" 3 (List.length (per_shard "backlog_bytes"));
   (* STATS instrumentation must leave the report byte-identical *)
   let report = get_ok "fetch_report" (Serve.fetch_report c) in
   Alcotest.(check string) "report unchanged by telemetry" expected_report report;

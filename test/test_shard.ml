@@ -9,6 +9,8 @@
      fork/join) lands on every shard while the racy accesses live on
      specific other shards, and pending-bit marks cross shard boundaries;
    - sharded snapshot/restore mid-trace reproduces the uninterrupted run;
+   - a long supervised run keeps its byte backlog within its restore point
+     plus one ring of messages;
    - Metrics.merge_shards: the Σ−(K−1)·baseline contract holds pointwise
      over the full field array, and K=1 is the identity;
    - the SPSC ring delivers in order under backpressure. *)
@@ -341,6 +343,44 @@ let test_restore_rejects_wrong_k () =
     Sharded.stop sh';
     Alcotest.fail "restore accepted a mismatched shard count")
 
+(* --- supervisor restore points ------------------------------------------------ *)
+
+(* A long supervised run: restore points are requested as the byte backlog
+   grows, the backlog never holds more than its restore point plus one ring
+   of messages, and the report is byte-identical to the plain engine's. *)
+let test_supervised_backlog_bound () =
+  let trace =
+    Ft_workloads.Db_sim.generate
+      (Option.get (Ft_workloads.Db_sim.profile "tpcc"))
+      ~seed:5 ~target_events:100_000
+  in
+  let n = Trace.length trace in
+  let sampler = Sampler.bernoulli ~rate:0.1 ~seed:3 in
+  let expected = Engine.run Engine.So ~sampler trace in
+  let sh = Sharded.create ~engine:Engine.So ~shards:1 ~supervise:true (config_for trace sampler) in
+  Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
+  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
+  Sharded.flush sh;
+  let s = (Sharded.supervision sh).(0) in
+  (* the widest message this trace encodes to, times the ring's slots *)
+  let widest = ref 0 in
+  Trace.iteri
+    (fun i e ->
+      let enc = Ft_core.Snap.Enc.create () in
+      Ft_shard.Cmsg.encode_ev enc i e;
+      widest := Stdlib.max !widest (Ft_core.Snap.Enc.length enc))
+    trace;
+  Alcotest.(check bool) "≥100k events" true (n >= 100_000);
+  Alcotest.(check bool) "restore points were taken" true (s.Sharded.restore_points > 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "backlog %d B ≤ restore point %d B + one ring (%d × %d B)"
+       s.Sharded.backlog_bytes s.Sharded.restore_bytes Sharded.ring_capacity !widest)
+    true
+    (s.Sharded.backlog_bytes <= s.Sharded.restore_bytes + (Sharded.ring_capacity * !widest));
+  Alcotest.(check string) "report ≡ Engine.run"
+    (Serve.report_text ~events:n expected)
+    (Serve.report_text ~events:n (Sharded.result sh))
+
 (* --- metrics merge contract -------------------------------------------------- *)
 
 let metrics_of_array a = Option.get (Metrics.of_array a)
@@ -434,6 +474,8 @@ let () =
           Alcotest.test_case "sharded restore ≡ uninterrupted" `Quick
             test_sharded_snapshot_restore;
           Alcotest.test_case "wrong K rejected" `Quick test_restore_rejects_wrong_k;
+          Alcotest.test_case "supervised backlog ≤ restore point + one ring" `Quick
+            test_supervised_backlog_bound;
         ] );
       ( "metrics merge",
         [
