@@ -460,8 +460,8 @@ let serve_cmd =
   in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR"
-           ~doc:"Persist per-shard .ftc checkpoints into DIR after every ingested \
-                 batch and on shutdown.")
+           ~doc:"Persist the checkpoint set (DIR/set.ftc, every shard in one \
+                 atomic file) after every ingested batch and on shutdown.")
   in
   let resume =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR"
@@ -782,8 +782,8 @@ let route_cmd =
   in
   let no_checkpoint =
     Arg.(value & flag & info [ "no-checkpoint" ]
-           ~doc:"Disable per-batch worker checkpoints. Crash recovery then \
-                 replays the worker's entire routed log — slower, still exact.")
+           ~doc:"Disable worker and router-state checkpoints. Crash recovery \
+                 then replays the worker's entire routed log — slower, still exact.")
   in
   let metrics_json =
     Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE"
@@ -814,8 +814,10 @@ let route_cmd =
   in
   let state_every =
     Arg.(value & opt int Router.default_state_every & info [ "state-every" ] ~docv:"N"
-           ~doc:"Client batches between router-state checkpoints (0 disables \
-                 them; --resume then replays the whole WAL).")
+           ~doc:"Any positive N turns router-state checkpoints on: one is \
+                 written whenever the WAL has grown by the previous one's size, \
+                 so --resume replays at most about one checkpoint's worth of \
+                 WAL. 0 disables them; --resume then replays the whole WAL.")
   in
   let heartbeat =
     Arg.(value & opt (some float) None & info [ "heartbeat" ] ~docv:"SECONDS"

@@ -31,16 +31,20 @@ module Fault = Ft_fault.Fault
      transitions forwarded as [Mark] — and keeps its own sync-only
      baseline, so [Metrics.merge_shards ~sync_baseline] over the workers'
      partial results telescopes to the unsharded engine's counters;
-   - workers checkpoint each CBATCH {e before} acknowledging it, so a
-     worker's [SEQ] is a durable lower bound on its stream position and a
-     crashed worker is recovered by respawn → [SEQ] → replay of the
-     unacknowledged log suffix;
+   - workers checkpoint by size — once the CBATCH bytes applied since
+     their last set reach that set's snapshot bytes — and report the set's
+     cut in every ack ([OK <total> <durable>]), so a crashed worker is
+     recovered by respawn → [SEQ] (= that cut) → replay of the log suffix
+     since it, about one set's worth of bytes: O(state);
    - the router appends every client batch to a {!Wal} and fsyncs it
      {e before} acking, so a SIGKILLed router is recovered by
      [--resume]: replay the WAL (or a router-state checkpoint plus the
      WAL tail) through the same routing algebra, which deterministically
      rebuilds the sampler mirror, pending bits, baseline and every
-     worker's log — then align each worker at its own durable [SEQ].
+     worker's log — then align each worker at its own durable [SEQ].  The
+     state checkpoint follows the same size rule against WAL growth and
+     keeps each worker's log from its durable cut, so that [SEQ] lands
+     inside the retained log.
 
    CBATCH sends are pipelined: each worker has an in-flight window of
    unacked CBATCHes ([config.window]); acks are drained opportunistically
@@ -68,7 +72,7 @@ type config = {
   clock_size : int option;
   dir : string;  (* run directory: worker sockets, ready/pid files, checkpoints, WAL *)
   worker_tcp : bool;  (* workers listen on 127.0.0.1 ephemeral TCP ports *)
-  checkpoint : bool;  (* workers checkpoint every CBATCH (ack ⇒ durable) *)
+  checkpoint : bool;  (* size-driven worker and router-state checkpoints *)
   max_parked : int;
   backlog : int;
   ready_file : string option;
@@ -79,7 +83,7 @@ type config = {
   window : int;  (* per-worker in-flight CBATCH window *)
   wal : bool;  (* append+fsync every batch before acking it *)
   resume : bool;  (* recover a previous session from dir's WAL *)
-  state_every : int;  (* batches between router-state checkpoints; 0 = off *)
+  state_every : int;  (* > 0: size-driven router-state checkpoints; 0 = off *)
 }
 
 let default_max_respawns = 8
@@ -98,6 +102,8 @@ type worker = {
   mutable conn : Evloop.conn option;  (* the same fd, framed for async acks *)
   mutable acked : int;  (* messages the worker has durably acknowledged *)
   mutable pushed : int;  (* messages written to the socket (≥ acked) *)
+  mutable durable : int;  (* cut of the worker's newest checkpoint set, as its acks report *)
+  mutable resumed_at : int;  (* SEQ at the latest respawn/resume alignment *)
   inflight : int Queue.t;  (* end-seq of each unacked CBATCH, send order *)
   mutable log : Cmsg.msg array;  (* retained routed history: [lbase, lbase+llen) *)
   mutable llen : int;
@@ -116,6 +122,8 @@ let make_worker id =
     conn = None;
     acked = 0;
     pushed = 0;
+    durable = 0;
+    resumed_at = 0;
     inflight = Queue.create ();
     log = [||];
     llen = 0;
@@ -147,6 +155,9 @@ type telemetry = {
   wal_appends_total : Registry.counter;
   wal_bytes_total : Registry.counter;
   replayed_total : Registry.counter;  (* messages re-sent after crash/resume *)
+  log_rebuilds_total : Registry.counter;  (* expand_logs calls *)
+  state_checkpoints_total : Registry.counter;
+  state_checkpoint_bytes_total : Registry.counter;
   resizes_total : Registry.counter;
   handoff_bytes_total : Registry.counter;  (* CBATCH bytes streamed during a resize *)
   conns_active : Registry.gauge;
@@ -198,6 +209,15 @@ let make_telemetry ~workers =
     replayed_total =
       Registry.counter reg "router_replayed_messages_total"
         ~help:"Log messages re-sent to workers after a crash, migration or resume";
+    log_rebuilds_total =
+      Registry.counter reg "router_log_rebuilds_total"
+        ~help:"Full per-worker log rebuilds because a worker's SEQ fell behind the retained log";
+    state_checkpoints_total =
+      Registry.counter reg "router_state_checkpoints_total"
+        ~help:"Router-state checkpoints written";
+    state_checkpoint_bytes_total =
+      Registry.counter reg "router_state_checkpoint_bytes_total"
+        ~help:"Snapshot bytes in the router-state checkpoints written";
     resizes_total =
       Registry.counter reg "router_resizes_total" ~help:"Completed RESIZE operations";
     handoff_bytes_total =
@@ -232,7 +252,8 @@ type state = {
   mutable workers : worker array;
   mutable epoch : int;  (* bumped on every resize: fresh checkpoint dirs *)
   mutable wal : Wal.t option;
-  mutable batches_since_ckpt : int;
+  mutable state_off : int;  (* WAL offset the newest state checkpoint is anchored at *)
+  mutable state_bytes : int;  (* that checkpoint's snapshot bytes *)
   mutable resizing : bool;  (* counts pump bytes as resize handoff *)
   mutable parent_fds : Unix.file_descr list;  (* closed in forked children *)
   mutable universe : (int * int * int) option;
@@ -300,12 +321,8 @@ let spawn_worker st w ~resume =
       sampler = st.cfg.sampler;
       clock_size = st.cfg.clock_size;
       checkpoint_dir = ckpt;
-      (* The WAL makes acked client batches durable; worker checkpoints
-         only bound the post-crash replay, so amortize their fsyncs over
-         the in-flight window instead of paying one per CBATCH in every
-         worker at once (capped so a huge window cannot push the replay
-         bound arbitrarily far). *)
-      checkpoint_every = Stdlib.min 32 (Stdlib.max 1 st.cfg.window);
+      (* BATCH-mode only: a CBATCH worker checkpoints by size (Serve) *)
+      checkpoint_every = Serve.default_checkpoint_every;
       resume_dir = (if resume then ckpt else None);
       max_parked = Serve.default_max_parked;
       backlog = Serve.default_backlog;
@@ -535,6 +552,7 @@ let rebuild_logs st ~ring ~nworkers =
 (* Re-materialize full logs (lbase = 0) for the current ring — the escape
    hatch when a worker's durable SEQ fell behind the retained suffix. *)
 let expand_logs st =
+  Registry.incr st.tel.log_rebuilds_total;
   let nworkers = Array.length st.workers in
   let logs, lens = rebuild_logs st ~ring:st.ring ~nworkers in
   Array.iteri
@@ -548,18 +566,33 @@ let expand_logs st =
       w.lbase <- 0)
     st.workers
 
+(* A (re)spawned worker resumed from its newest checkpoint set (or started
+   fresh), so its SEQ is both its stream position and its durable cut:
+   replay the log from there.  A SEQ behind even the retained log suffix
+   re-materializes full logs out of the WAL. *)
+let realign st w seq =
+  w.resumed_at <- seq;
+  if seq < w.lbase then expand_logs st;
+  let pos = Stdlib.min seq (total w) in
+  Registry.add st.tel.replayed_total (total w - pos);
+  w.acked <- pos;
+  w.pushed <- pos;
+  w.durable <- pos
+
 (* --- pipelined sends, recovery and migration ------------------------------- *)
 
 exception Worker_suspect of string
 
-(* One "OK <total>" per in-flight CBATCH, in send order; anything else —
-   an ERR, an unsolicited line, a reply regressing below the window we
-   sent — marks the worker suspect and recovery takes over. *)
+(* One "OK <total> <durable>" per in-flight CBATCH, in send order; anything
+   else — an ERR, an unsolicited line, a reply regressing below the window
+   we sent — marks the worker suspect and recovery takes over. *)
 let ack_line w line =
   match String.split_on_char ' ' (String.trim line) with
-  | [ "OK"; t ] -> (
-    match (int_of_string_opt t, Queue.take_opt w.inflight) with
-    | Some v, Some endseq when v >= endseq -> w.acked <- endseq
+  | [ "OK"; t; d ] -> (
+    match (int_of_string_opt t, int_of_string_opt d, Queue.take_opt w.inflight) with
+    | Some v, Some dur, Some endseq when v >= endseq && dur >= 0 && dur <= v ->
+      w.acked <- endseq;
+      w.durable <- dur
     | _ -> raise (Worker_suspect (Printf.sprintf "worker %d: unexpected ack %S" w.id line)))
   | _ -> raise (Worker_suspect (Printf.sprintf "worker %d: %S instead of an ack" w.id line))
 
@@ -623,9 +656,8 @@ let rec pump ?(drain = false) st w =
 
 (* Crash recovery: whatever state the worker is in, kill it, respawn it
    against its checkpoint directory, ask where its durable stream stands
-   and replay the rest of the log.  Checkpoint-before-ack on the worker
-   side makes SEQ a durable lower bound; a SEQ behind even the retained
-   log suffix re-materializes full logs out of the WAL. *)
+   and replay the rest of the log.  The worker's size-driven cadence
+   bounds that replay to about one checkpoint set's worth of bytes. *)
 and recover_worker ?(drain = false) st w =
   close_worker_fd st w;
   reap_worker w;
@@ -640,12 +672,7 @@ and recover_worker ?(drain = false) st w =
     w.respawns w.gen;
   spawn_worker st w ~resume:true;
   (match Serve.fetch_seq w.fd with
-  | Ok seq ->
-    if seq < w.lbase then expand_logs st;
-    let pos = Stdlib.min seq (total w) in
-    Registry.add st.tel.replayed_total (total w - pos);
-    w.acked <- pos;
-    w.pushed <- pos
+  | Ok seq -> realign st w seq
   | Error msg ->
     Printf.eprintf "racedet route: worker %d SEQ after respawn failed (%s)\n%!" w.id msg;
     recover_worker ~drain st w);
@@ -670,11 +697,7 @@ let migrate_worker st w =
   spawn_worker st w ~resume:true;
   (match Serve.fetch_seq w.fd with
   | Ok seq ->
-    if seq < w.lbase then expand_logs st;
-    let pos = Stdlib.min seq (total w) in
-    Registry.add st.tel.replayed_total (total w - pos);
-    w.acked <- pos;
-    w.pushed <- pos;
+    realign st w seq;
     pump ~drain:true st w
   | Error msg ->
     Printf.eprintf "racedet route: worker %d SEQ after migration failed (%s)\n%!" w.id msg;
@@ -768,13 +791,14 @@ let ensure_cluster st ((nthreads, nlocks, nlocs) as u) =
     init_universe st u ~snap:None;
     Ok ()
 
-(* Periodic router-state checkpoint: everything replay would otherwise
-   recompute from the whole WAL — sampler mirror, pending bits, baseline
-   snapshot, and each worker's acked high-water mark plus unacked log
-   suffix — anchored at the current WAL offset so resume only replays the
-   tail.  Only taken when nothing is parked: a parked batch lives in the
-   WAL prefix a tail-replay would skip.  Failure is a warning, never an
-   error — the WAL alone is always sufficient. *)
+(* Router-state checkpoint: everything replay would otherwise recompute
+   from the whole WAL — sampler mirror, pending bits, baseline snapshot,
+   and each worker's log suffix from its durable cut (its newest checkpoint
+   set, which is where a resumed worker's SEQ lands) — anchored at the
+   current WAL offset so resume only replays the tail.  Only taken when
+   nothing is parked: a parked batch lives in the WAL prefix a tail-replay
+   would skip.  Failure is a warning, never an error — the WAL alone is
+   always sufficient. *)
 let write_state_checkpoint st =
   match (st.universe, st.baseline, st.sampler_inst, st.wal) with
   | Some ((nthreads, nlocks, nlocs) as _u), Some b, Some inst, Some wal
@@ -789,11 +813,13 @@ let write_state_checkpoint st =
       Snap.Enc.string enc (b.b_snapshot ());
       Array.iter
         (fun w ->
-          Snap.Enc.int enc w.acked;
+          (* [lbase] is itself an older durable cut of this worker *)
+          let cut = Stdlib.max w.lbase w.durable in
+          Snap.Enc.int enc cut;
           Snap.Enc.int enc (total w);
           Snap.Enc.string enc
-            (Cmsg.encode ~nthreads ~nlocks ~nlocs w.log ~off:(w.acked - w.lbase)
-               ~len:(total w - w.acked)))
+            (Cmsg.encode ~nthreads ~nlocks ~nlocs w.log ~off:(cut - w.lbase)
+               ~len:(total w - cut)))
         st.workers;
       let meta =
         {
@@ -807,23 +833,26 @@ let write_state_checkpoint st =
           byte_offset = Wal.offset wal;
         }
       in
-      Checkpoint.save (state_ckpt_path st.cfg.dir)
-        { Checkpoint.meta; detector = Snap.Enc.to_snap enc }
+      let snap = Snap.Enc.to_snap enc in
+      Checkpoint.save (state_ckpt_path st.cfg.dir) { Checkpoint.meta; detector = snap };
+      st.state_off <- Wal.offset wal;
+      st.state_bytes <- String.length snap;
+      Registry.incr st.tel.state_checkpoints_total;
+      Registry.add st.tel.state_checkpoint_bytes_total (String.length snap)
     with e ->
       Printf.eprintf "racedet route: state checkpoint failed (%s); WAL still authoritative\n%!"
         (Printexc.to_string e))
   | _ -> ()
 
+(* Size-driven cadence: checkpoint once the WAL has grown by at least the
+   newest checkpoint's size since it was anchored.  Checkpoint work is then
+   amortized O(1) per WAL byte, and a resume replays at most about one
+   checkpoint's worth of WAL tail. *)
 let maybe_state_checkpoint st =
-  st.batches_since_ckpt <- st.batches_since_ckpt + 1;
-  if
-    st.cfg.state_every > 0 && st.cfg.checkpoint && st.wal <> None
-    && st.batches_since_ckpt >= st.cfg.state_every
-    && Hashtbl.length st.parked = 0
-  then begin
-    write_state_checkpoint st;
-    st.batches_since_ckpt <- 0
-  end
+  match st.wal with
+  | Some wal when st.cfg.state_every > 0 && Wal.offset wal - st.state_off >= st.state_bytes ->
+    write_state_checkpoint st
+  | _ -> ()
 
 (* --- resume ----------------------------------------------------------------- *)
 
@@ -870,15 +899,15 @@ let try_restore_state st ~k_final =
           let base_snap = Snap.Dec.string dec in
           let per_worker =
             Array.init k (fun _ ->
-                let acked = Snap.Dec.int dec in
+                let cut = Snap.Dec.int dec in
                 let tot = Snap.Dec.int dec in
                 let blob = Snap.Dec.string dec in
                 match Cmsg.decode blob with
                 | Ok (u', msgs) ->
                   Snap.expect (u' = u) "state checkpoint worker universe";
-                  Snap.expect (Array.length msgs = tot - acked)
+                  Snap.expect (Array.length msgs = tot - cut)
                     "state checkpoint worker suffix length";
-                  (acked, tot, msgs)
+                  (cut, tot, msgs)
                 | Error msg -> raise (Snap.Corrupt msg))
           in
           Snap.Dec.finish dec;
@@ -891,13 +920,16 @@ let try_restore_state st ~k_final =
           st.expected <- meta.Checkpoint.next_index;
           Array.iteri
             (fun i w ->
-              let acked, tot, msgs = per_worker.(i) in
-              w.lbase <- acked;
+              let cut, tot, msgs = per_worker.(i) in
+              w.lbase <- cut;
               w.log <- msgs;
-              w.llen <- tot - acked;
-              w.acked <- acked;
-              w.pushed <- acked)
+              w.llen <- tot - cut;
+              w.acked <- cut;
+              w.pushed <- cut;
+              w.durable <- cut)
             st.workers;
+          st.state_off <- meta.Checkpoint.byte_offset;
+          st.state_bytes <- String.length payload;
           Some meta.Checkpoint.byte_offset
         with Snap.Corrupt msg ->
           Printf.eprintf "racedet route: ignoring state checkpoint (%s)\n%!" msg;
@@ -1009,12 +1041,7 @@ let resume_session st =
    durable stream stands and replay only what it is missing. *)
 let align_worker st w =
   match Serve.fetch_seq w.fd with
-  | Ok seq ->
-    if seq < w.lbase then expand_logs st;
-    let pos = Stdlib.min seq (total w) in
-    Registry.add st.tel.replayed_total (total w - pos);
-    w.acked <- pos;
-    w.pushed <- pos
+  | Ok seq -> realign st w seq
   | Error msg ->
     Printf.eprintf "racedet route: worker %d SEQ at resume failed (%s)\n%!" w.id msg;
     recover_worker st w
@@ -1073,7 +1100,7 @@ let resize_cluster st delta =
         st.resizing <- false;
         raise e);
       Registry.incr st.tel.resizes_total;
-      st.batches_since_ckpt <- 0;
+      (* a Resize record past the anchor forces a full replay: re-anchor *)
       write_state_checkpoint st;
       Ok k_new
 
@@ -1148,6 +1175,8 @@ let stats_json st =
         Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.pushed) st.workers)) );
       ( "worker_respawns",
         Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.respawns) st.workers)) );
+      ( "worker_resumed_at",
+        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.resumed_at) st.workers)) );
       ("telemetry", Registry.to_json st.tel.reg)
     ]
 
@@ -1308,7 +1337,8 @@ let run (cfg : config) =
       workers = Array.init cfg.workers make_worker;
       epoch = 0;
       wal = None;
-      batches_since_ckpt = 0;
+      state_off = 0;
+      state_bytes = 0;
       resizing = false;
       parent_fds = [];
       universe = None;
@@ -1371,18 +1401,15 @@ let run (cfg : config) =
   in
   if st.stop_reason <> "" then
     Printf.eprintf "racedet route: shutting down (%s)\n%!" st.stop_reason;
-  (* Graceful drain: every routed message durable on its worker, a final
-     router-state checkpoint, then SHUTDOWN each worker so it writes its
-     final checkpoint set. *)
+  (* Graceful drain: every routed message acked by its worker, then
+     SHUTDOWN each worker so it writes its final checkpoint set.  No extra
+     router-state checkpoint: the newest size-driven one already bounds a
+     resume's WAL tail. *)
   (match st.failed with
   | Some _ -> ()
   | None -> (
     try
-      if st.universe <> None then begin
-        flush_workers ~drain:true st;
-        st.batches_since_ckpt <- 0;
-        write_state_checkpoint st
-      end;
+      if st.universe <> None then flush_workers ~drain:true st;
       Array.iter
         (fun w ->
           (match Serve.shutdown w.fd with Ok () | Error _ -> ());

@@ -13,9 +13,11 @@
 
     {b Durability} (DESIGN.md §6f): every client batch is appended to a
     routed-event {!Wal} and fsynced {e before} it is acknowledged, and the
-    router periodically checkpoints its own state (sampler mirror, pending
-    bits, baseline snapshot, per-worker acked marks + unacked log
-    suffixes) into [dir/router-state.ftc].  A router SIGKILLed mid-ingest
+    router checkpoints its own state (sampler mirror, pending bits,
+    baseline snapshot, each worker's log suffix from its reported durable
+    cut) into [dir/router-state.ftc] whenever the WAL has grown by the
+    previous checkpoint's size — amortized O(1) work per WAL byte, and a
+    resume replays at most about one checkpoint's worth of WAL tail.  A router SIGKILLed mid-ingest
     is recovered by [--resume]: replay the checkpoint + WAL tail (or the
     whole WAL) through the same routing algebra, respawn the workers
     against their own checkpoint directories, align each at its durable
@@ -37,9 +39,11 @@
     are byte-identical across a resize at any cut.
 
     Worker death and migration reuse the [.ftc] checkpoint machinery
-    end-to-end: workers checkpoint every acknowledged CBATCH, the router
-    keeps each worker's routed-message log, and recovery is respawn →
-    resume from checkpoint → [SEQ] → replay of the unacknowledged suffix.
+    end-to-end: workers checkpoint by size (once the CBATCH bytes applied
+    since their last set reach that set's size) and report the set's cut
+    in every ack, the router keeps each worker's routed-message log, and
+    recovery is respawn → resume from checkpoint → [SEQ] → replay of the
+    suffix since that checkpoint, bounded by about one set's bytes.
     Chaos points [cluster.worker_crash], [cluster.migrate], [router.send]
     (per worker, [lane] = worker id), [router.wal_write], [router.crash]
     (simulates a router SIGKILL on the durability edge) and
@@ -66,9 +70,9 @@ type config = {
           [router.wal] and [router-state.ftc] *)
   worker_tcp : bool;  (** workers listen on 127.0.0.1 ephemeral TCP ports *)
   checkpoint : bool;
-      (** workers checkpoint every CBATCH before acknowledging it, and the
-          router writes periodic state checkpoints; off, recovery degrades
-          to full-log / full-WAL replays (slower, still exact) *)
+      (** workers write size-driven checkpoint sets, and the router writes
+          size-driven state checkpoints; off, recovery degrades to
+          full-log / full-WAL replays (slower, still exact) *)
   max_parked : int;
   backlog : int;
   ready_file : string option;
@@ -92,9 +96,10 @@ type config = {
       (** recover the previous session from [dir]'s WAL (and state
           checkpoint); requires [wal] *)
   state_every : int;
-      (** client batches between router-state checkpoints
-          ({!default_state_every}); 0 disables them (resume replays the
-          whole WAL) *)
+      (** any positive value ({!default_state_every}) turns router-state
+          checkpoints on — written whenever the WAL has grown by the
+          previous checkpoint's size since it was anchored; 0 disables them
+          (resume replays the whole WAL) *)
 }
 
 val default_max_respawns : int
@@ -103,8 +108,8 @@ val default_state_every : int
 
 val run : config -> unit
 (** Serve until [SHUTDOWN]/[SIGTERM]/[SIGINT]; drains the in-flight
-    windows, writes a final router-state checkpoint and tears down workers
-    gracefully (each writes its final checkpoint set).  Blocking; forks
+    windows and tears down workers gracefully (each writes its final
+    checkpoint set).  Blocking; forks
     worker processes — call from a process that has spawned no domains.
     Raises [Failure] after cleanup when a worker exhausted its respawn
     budget. *)

@@ -137,7 +137,7 @@ type config = {
   sampler : Sampler.t;
   clock_size : int option;
   checkpoint_dir : string option;
-  checkpoint_every : int;  (* ingested batches between checkpoint sets; 1 = every batch *)
+  checkpoint_every : int;  (* BATCH mode: ingested batches between checkpoint sets *)
   resume_dir : string option;
   max_parked : int;
   backlog : int;
@@ -247,6 +247,8 @@ type telemetry = {
   uptime : Registry.gauge;
   stats_total : Registry.counter;
   checkpoints_total : Registry.counter;
+  checkpoint_bytes_total : Registry.counter;
+  cbatch_bytes_total : Registry.counter;
   faults_injected : Registry.counter;
   shard_restarts : Registry.counter;
   checkpoint_failures : Registry.counter;
@@ -288,6 +290,12 @@ let make_telemetry () =
       Registry.counter reg "serve_stats_queries_total" ~help:"STATS commands answered";
     checkpoints_total =
       Registry.counter reg "serve_checkpoints_total" ~help:"Checkpoint sets written";
+    checkpoint_bytes_total =
+      Registry.counter reg "serve_checkpoint_bytes_total"
+        ~help:"Snapshot bytes in the checkpoint sets written";
+    cbatch_bytes_total =
+      Registry.counter reg "serve_cbatch_applied_bytes_total"
+        ~help:"CBATCH payload bytes newly applied (resent prefixes count 0)";
     faults_injected =
       Registry.counter reg "racedet_faults_injected"
         ~help:"Faults fired by the armed chaos schedule (0 when disarmed)";
@@ -351,15 +359,28 @@ type state = {
   mutable clock_size : int;
   mutable expected : int;  (* next stream position: events (BATCH) or messages (CBATCH) *)
   mutable mode : [ `Batch | `Cluster ] option;  (* fixed by the first ingested batch *)
-  mutable since_ckpt : int;  (* ingested batches since the last checkpoint set *)
+  mutable since_ckpt : int;  (* BATCH mode: ingested batches since the last checkpoint set *)
+  mutable applied_since_ckpt : int;  (* CBATCH mode: payload bytes applied since then *)
+  mutable ckpt_bytes : int;  (* snapshot bytes of the newest set, written or resumed from *)
+  mutable durable : int;  (* stream position of the newest consistent set on disk *)
   parked : (int, Trace.t) Hashtbl.t;
   mutable quit : bool;
   mutable stop_reason : string;  (* what ended the serve loop, for the log *)
   mutable failed : string option;  (* fail-fast diagnostic: exit non-zero *)
 }
 
-let shard_file dir k = Filename.concat dir (Printf.sprintf "shard-%d.ftc" k)
-let router_file dir = Filename.concat dir "router.ftc"
+(* A checkpoint set is one file: the router snapshot and every shard's in
+   one checksummed container, written atomically (write-fsync-rename).  A
+   crash or a faulted write mid-set therefore leaves the previous set whole,
+   so the durable cut a cluster worker reports never moves backwards. *)
+let set_file dir = Filename.concat dir "set.ftc"
+
+let encode_set ~router snaps =
+  let enc = Snap.Enc.create () in
+  Snap.Enc.string enc router;
+  Snap.Enc.int enc (Array.length snaps);
+  Array.iter (Snap.Enc.string enc) snaps;
+  Snap.Enc.to_snap enc
 
 let write_checkpoint st =
   match (st.cfg.checkpoint_dir, st.det, st.universe) with
@@ -376,34 +397,26 @@ let write_checkpoint st =
         byte_offset = -1;
       }
     in
-    (* A faulted write leaves a mixed checkpoint set on disk, but each file
-       is individually atomic (write-fsync-rename) and [try_resume] rejects
-       any metadata disagreement between them, degrading to a fresh start —
-       so an abandoned set can never produce a wrong resume, only a slower
-       one.  Log it, count it, keep serving. *)
+    (* A faulted write leaves the previous set on disk: log it, count it,
+       keep serving (and keep reporting the previous cut). *)
     try
-      Array.iteri
-        (fun k snap ->
-          Checkpoint.save (shard_file dir k) { Checkpoint.meta; detector = snap })
-        (Sharded.shard_snapshots det);
-      Checkpoint.save (router_file dir)
-        { Checkpoint.meta; detector = Sharded.router_snapshot det };
-      Registry.incr st.tel.checkpoints_total
+      let snaps = Sharded.shard_snapshots det in
+      let set = encode_set ~router:(Sharded.router_snapshot det) snaps in
+      Checkpoint.save (set_file dir) { Checkpoint.meta; detector = set };
+      let bytes = String.length set in
+      Registry.incr st.tel.checkpoints_total;
+      Registry.add st.tel.checkpoint_bytes_total bytes;
+      st.ckpt_bytes <- bytes;
+      st.applied_since_ckpt <- 0;
+      st.durable <- st.expected
     with Fault.Injected _ as e ->
       Registry.incr st.tel.checkpoint_failures;
       Printf.eprintf "racedet serve: checkpoint write faulted (%s); continuing\n%!"
         (Printexc.to_string e))
   | _ -> ()
 
-(* The per-batch checkpoint cadence: a standalone daemon checkpoints every
-   ingested batch (ack ⇒ durable, [default_checkpoint_every]); a cluster
-   worker is spawned with a larger [checkpoint_every] because the router's
-   WAL already makes every acknowledged client batch durable — the worker
-   checkpoint is then only a recovery-speed bound (the router replays the
-   suffix since the worker's last checkpoint from its routed log), and
-   fsyncing every CBATCH in K processes at once turns the disk into the
-   cluster's bottleneck.  The final checkpoint on shutdown/SIGTERM is
-   unconditional either way. *)
+(* BATCH mode checkpoints every [checkpoint_every] ingested batches: the
+   standalone default of 1 makes an acknowledged batch durable. *)
 let maybe_checkpoint st =
   st.since_ckpt <- st.since_ckpt + 1;
   if st.since_ckpt >= Stdlib.max 1 st.cfg.checkpoint_every then begin
@@ -411,18 +424,31 @@ let maybe_checkpoint st =
     write_checkpoint st
   end
 
+(* CBATCH mode checkpoints by size: once the payload bytes newly applied
+   since the last set reach that set's snapshot bytes.  The router's WAL
+   already makes every acknowledged client batch durable, so a worker
+   checkpoint only bounds post-crash replay — to one set's worth of bytes —
+   and snapshot work stays amortized O(1) per routed byte.  A fresh worker
+   (no set yet) checkpoints after its first batch. *)
+let maybe_checkpoint_bytes st applied =
+  if applied > 0 then begin
+    st.applied_since_ckpt <- st.applied_since_ckpt + applied;
+    Registry.add st.tel.cbatch_bytes_total applied;
+    if st.applied_since_ckpt >= st.ckpt_bytes then write_checkpoint st
+  end
+
 (* Resume from a checkpoint directory.  Any inconsistency (missing file,
-   checksum failure, metadata drift between the per-shard files) degrades to
-   a logged fresh start — clients resend idempotently, so the result is
-   still exact. *)
+   checksum failure, a shard count other than [cfg.shards]) degrades to a
+   logged fresh start — clients resend idempotently, so the result is still
+   exact. *)
 let try_resume (cfg : config) =
   match cfg.resume_dir with
   | None -> None
   | Some dir ->
     let ( let* ) = Result.bind in
     let outcome =
-      let* router_cp = Checkpoint.load (router_file dir) in
-      let meta = router_cp.Checkpoint.meta in
+      let* cp = Checkpoint.load (set_file dir) in
+      let meta = cp.Checkpoint.meta in
       let* () =
         if meta.Checkpoint.engine = cfg.engine then Ok ()
         else Error "checkpoint engine differs from --engine"
@@ -430,16 +456,6 @@ let try_resume (cfg : config) =
       let* () =
         if meta.Checkpoint.sampler = Sampler.name cfg.sampler then Ok ()
         else Error "checkpoint sampler differs from the configured sampler"
-      in
-      let* shard_cps =
-        let rec load k acc =
-          if k = cfg.shards then Ok (List.rev acc)
-          else
-            let* cp = Checkpoint.load (shard_file dir k) in
-            if cp.Checkpoint.meta = meta then load (k + 1) (cp :: acc)
-            else Error (Printf.sprintf "shard-%d.ftc metadata disagrees with router.ftc" k)
-        in
-        load 0 []
       in
       let config =
         {
@@ -451,12 +467,16 @@ let try_resume (cfg : config) =
         }
       in
       match
+        let dec = Snap.Dec.of_snap cp.Checkpoint.detector in
+        let router = Snap.Dec.string dec in
+        let k = Snap.Dec.int dec in
+        Snap.expect (k = cfg.shards) "checkpoint shard count differs from --shards";
+        let snaps = Array.init k (fun _ -> Snap.Dec.string dec) in
+        Snap.Dec.finish dec;
         Sharded.restore ~engine:cfg.engine ~shards:cfg.shards ~supervise:true
-          ~max_restarts:cfg.max_restarts config
-          ~router:router_cp.Checkpoint.detector
-          (Array.of_list (List.map (fun cp -> cp.Checkpoint.detector) shard_cps))
+          ~max_restarts:cfg.max_restarts config ~router snaps
       with
-      | det -> Ok (det, meta)
+      | det -> Ok (det, meta, String.length cp.Checkpoint.detector)
       | exception Snap.Corrupt msg -> Error msg
     in
     (match outcome with
@@ -615,8 +635,9 @@ let handle_cbatch st conn seq payload =
               | Cmsg.Mark th -> Sharded.note_sampled det th
             done;
             st.expected <- Stdlib.max st.expected (seq + n);
-            maybe_checkpoint st;
             let ingested = st.expected - before in
+            maybe_checkpoint_bytes st
+              (if n = 0 then 0 else String.length payload * ingested / n);
             let tel = st.tel in
             if ingested = 0 then Registry.incr tel.duplicate_total
             else begin
@@ -626,7 +647,7 @@ let handle_cbatch st conn seq payload =
             end;
             Histogram.observe tel.ingest_ns
               (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
-            reply conn (Printf.sprintf "OK %d\n" st.expected)
+            reply conn (Printf.sprintf "OK %d %d\n" st.expected st.durable)
           end
         with
         | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
@@ -820,6 +841,9 @@ let run cfg =
       expected = 0;
       mode = None;
       since_ckpt = 0;
+      applied_since_ckpt = 0;
+      ckpt_bytes = 0;
+      durable = 0;
       parked = Hashtbl.create 16;
       quit = false;
       stop_reason = "";
@@ -840,12 +864,14 @@ let run cfg =
   Sys.set_signal Sys.sigint (on_signal "SIGINT");
   (match try_resume cfg with
   | None -> ()
-  | Some (det, meta) ->
+  | Some (det, meta, bytes) ->
     st.det <- Some det;
     st.universe <-
       Some (meta.Checkpoint.nthreads, meta.Checkpoint.nlocks, meta.Checkpoint.nlocs);
     st.clock_size <- meta.Checkpoint.clock_size;
     st.expected <- meta.Checkpoint.next_index;
+    st.durable <- st.expected;
+    st.ckpt_bytes <- bytes;
     attach_shard_series st.tel ~shards:cfg.shards;
     Printf.eprintf "racedet serve: resumed at event %d\n%!" st.expected);
   let last_beat = ref (Clock.now_ns ()) in
@@ -973,7 +999,7 @@ let expect_ok ~deadline_at fd =
   | Error _ as e -> e
   | Ok line -> (
     match String.split_on_char ' ' line with
-    | [ "OK"; total ] -> (
+    | [ "OK"; total ] | [ "OK"; total; _ ] -> (
       match int_of_string_opt total with
       | Some t -> Ok t
       | None -> Error ("malformed reply: " ^ line))

@@ -6,8 +6,8 @@
 
     {v
     client → server                      server → client
-    BATCH <base> <nbytes>\n  <.ftb blob> OK <total>\n   |  ERR <reason>\n
-    CBATCH <seq> <nbytes>\n  <cluster>   OK <total>\n   |  ERR <reason>\n
+    BATCH <base> <nbytes>\n  <.ftb blob> OK <total>\n            |  ERR <reason>\n
+    CBATCH <seq> <nbytes>\n  <cluster>   OK <total> <durable>\n  |  ERR <reason>\n
     REPORT\n                             REPORT <nbytes>\n <report text>
     RESULT\n                             RESULT <nbytes>\n <partial result>
     SEQ\n                                SEQ <n>\n
@@ -31,7 +31,10 @@
     speaks either [BATCH] or [CBATCH], fixed by the first ingested batch;
     mixing them is refused.  [CBATCH] does not park — the router is the
     only client and sends in order — but resent prefixes are skipped
-    idempotently, which is what makes post-recovery replay exact.
+    idempotently, which is what makes post-recovery replay exact.  A
+    [CBATCH] ack also reports the worker's durable cut [<durable>]: the
+    stream position of its newest whole checkpoint set (0 without one),
+    which is where a respawned worker's [SEQ] will land.
 
     [STATS] snapshots the daemon's telemetry ({!Ft_obs.Registry}): ingest
     counters (batches fed / parked / duplicate / resent, events), per-batch
@@ -45,16 +48,21 @@
     and command boundaries and never touches the per-event detection loop,
     so [REPORT] output stays byte-identical to [racedet analyze].
 
-    With a checkpoint directory the server persists, after every ingested
-    batch {e before acknowledging it} and on shutdown, one [.ftc] per shard
-    ([shard-<k>.ftc]) plus [router.ftc] (pending bits, router sampler
-    state, sync-only baseline) — the {!Ft_snapshot.Checkpoint} container,
-    so each file is individually checksummed and written atomically.
-    Checkpoint-before-OK means an acknowledged batch is durable, which is
-    the invariant the cluster router's recovery protocol builds on.  A
-    restarted server pointed at the directory resumes exactly; if the set
-    is missing or inconsistent it logs the reason and starts fresh, which
-    is still correct because clients resend idempotently.
+    With a checkpoint directory the server persists checkpoint sets: one
+    file, [set.ftc], holding every shard's snapshot plus the router's
+    (pending bits, router sampler state, sync-only baseline) in the
+    {!Ft_snapshot.Checkpoint} container — checksummed and written
+    atomically, so a crash mid-write leaves the previous set whole.  In [BATCH] mode a set is written
+    every [checkpoint_every] ingested batches {e before acknowledging}
+    (default 1: an acknowledged batch is durable).  In [CBATCH] mode the
+    cadence is size-driven: a set is written once the payload bytes newly
+    applied since the last set reach that set's snapshot bytes, so
+    snapshot work is amortized O(1) per routed byte and a crash loses at
+    most about one set's worth of stream, which the router replays from
+    its log.  Both modes write a final set on shutdown.  A restarted
+    server pointed at the directory resumes exactly; if the set is missing
+    or inconsistent it logs the reason and starts fresh, which is still
+    correct because clients resend idempotently.
 
     {2 Robustness}
 
@@ -116,13 +124,12 @@ type config = {
   clock_size : int option;  (** default: the batch universe's thread count *)
   checkpoint_dir : string option;
   checkpoint_every : int;
-      (** ingested batches between checkpoint sets
+      (** [BATCH] mode only: ingested batches between checkpoint sets
           ({!default_checkpoint_every} = 1: every batch, ack ⇒ durable — the
-          standalone-daemon contract).  A cluster worker is spawned with its
-          router's window here: the router's WAL already makes acknowledged
-          client batches durable, so the worker checkpoint is only a bound
-          on post-crash replay, and per-CBATCH fsyncs across K workers
-          would serialize the whole cluster on the disk.  The shutdown
+          standalone-daemon contract).  A [CBATCH] session (cluster worker)
+          ignores it and checkpoints by size: the router's WAL already
+          makes acknowledged client batches durable, so the worker
+          checkpoint is only a bound on post-crash replay.  The shutdown
           checkpoint is unconditional regardless. *)
   resume_dir : string option;
   max_parked : int;  (** bound on batches parked for reordering *)
@@ -210,11 +217,13 @@ val send_batch :
 val send_cbatch :
   ?deadline_s:float -> Unix.file_descr -> seq:int -> string -> (int, string) result
 (** Send an already-encoded {!Cmsg} cluster batch; [Ok total] echoes the
-    worker's message count ([seq + messages] once ingested). *)
+    worker's message count ([seq + messages] once ingested).  The ack's
+    durable cut is read by the router's asynchronous ack pump, not here. *)
 
 val send_cbatch_nowait : Unix.file_descr -> seq:int -> string -> unit
-(** The write half of {!send_cbatch} only — the ack is collected
-    asynchronously (the router's pipelined in-flight window).  Raises
+(** The write half of {!send_cbatch} only — the [OK <total> <durable>]
+    ack is collected asynchronously (the router's pipelined in-flight
+    window).  Raises
     [Unix.Unix_error] on write failure instead of returning [Error]: the
     caller owns worker recovery. *)
 

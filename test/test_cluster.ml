@@ -10,6 +10,9 @@
      SEQ + log replay — with checkpointing on and off;
    - QCheck property: a single MIGRATE at a random cut point, of a random
      worker, preserves REPORT bytes;
+   - the size-driven checkpoint cadence: checkpoint bytes amortize against
+     routed bytes, and a worker kill or router SIGKILL replays at most
+     about one checkpoint's worth;
    - Chash units: determinism, coverage, rough balance, K→K+1 stability.
 
    The router forks worker processes and spawns no domains itself; this
@@ -636,6 +639,207 @@ let test_ready_file_staleness () =
   Serve.close fd;
   reap pid_c
 
+(* --- size-driven checkpoint cadence ------------------------------------------- *)
+
+module Json = Ft_obs.Json
+module Db_sim = Ft_workloads.Db_sim
+
+let db_trace profile ~events =
+  Db_sim.generate (Option.get (Db_sim.profile profile)) ~seed:7 ~target_events:events
+
+let json_num j path =
+  let rec go j = function
+    | [] -> (
+      match Json.to_float j with
+      | Some v -> v
+      | None -> Alcotest.failf "%s is not a number" (String.concat "." path))
+    | k :: rest -> (
+      match Json.member k j with
+      | Some v -> go v rest
+      | None -> Alcotest.failf "no %s in the STATS document" (String.concat "." path))
+  in
+  go j path
+
+let json_ints j key =
+  match Json.member key j with
+  | Some (Json.Arr xs) -> List.map (fun x -> Option.get (Json.to_int x)) xs
+  | _ -> Alcotest.failf "no %s array in the STATS document" key
+
+let fetch_stats_json fd =
+  get_ok "parse STATS"
+    (Json.parse (get_ok "fetch_stats" (Serve.fetch_stats ~deadline_s:60.0 ~format:`Json fd)))
+
+(* A worker's STATS, straight from its own socket (the router is not its
+   only possible client). *)
+let worker_stats ~run ~k ~gen =
+  let sock = Filename.concat run (Printf.sprintf "worker-%d-g%d.sock" k gen) in
+  let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path sock) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) (fun () -> fetch_stats_json fd)
+
+(* Bytes of the .ftc files in a checkpoint directory: one whole set. *)
+let set_bytes dir =
+  Array.fold_left
+    (fun n f ->
+      if Filename.check_suffix f ".ftc" then n + (Unix.stat (Filename.concat dir f)).Unix.st_size
+      else n)
+    0 (Sys.readdir dir)
+
+let ckpt_dir run k = Filename.concat run (Printf.sprintf "ckpt-%d" k)
+
+(* SIGKILLing a router orphans its workers; a test that fails before a
+   resumed router reaps them kills them by pid file instead. *)
+let reaping_workers run f =
+  try f ()
+  with e ->
+    (try
+       Array.iter
+         (fun name ->
+           if Filename.check_suffix name ".pid" then
+             match
+               int_of_string_opt
+                 (String.trim
+                    (In_channel.with_open_bin (Filename.concat run name) In_channel.input_all))
+             with
+             | Some wpid -> ( try Unix.kill wpid Sys.sigkill with Unix.Unix_error _ -> ())
+             | None -> ())
+         (Sys.readdir run)
+     with Sys_error _ -> ());
+    raise e
+
+(* Checkpoint work is amortized O(1) per routed byte.  A worker writes a
+   set once the CBATCH bytes applied since its last set reach that set's
+   size, so every set but the newest is paid for by applied bytes; the
+   router does the same against WAL growth.  (A fixed every-N-batches
+   cadence rewrites the whole snapshot N batches apart regardless of how
+   little arrived, and breaks both bounds on this trace.) *)
+let test_checkpoint_amortization () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.1 ~seed:7 in
+  let trace = db_trace "tpcc" ~events:100_000 in
+  let socket = Filename.concat dir "route.sock" in
+  let metrics = Filename.concat dir "router.json" in
+  let cfg =
+    {
+      (router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir
+         (Serve.Unix_path socket))
+      with
+      Router.metrics_json = Some metrics;
+    }
+  in
+  let run = cfg.Router.dir in
+  let pid = start_router cfg in
+  let workers =
+    Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+    let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+    Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+    List.iter
+      (fun (base, sub) ->
+        ignore (get_ok "send_batch" (Serve.send_batch ~deadline_s:60.0 fd ~base sub)))
+      (slices trace ~batch:512);
+    let report = get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd) in
+    Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace) report;
+    (* REPORT drained every window; the shutdown set is measured on disk *)
+    let ws = List.init 2 (fun k -> worker_stats ~run ~k ~gen:0) in
+    get_ok "shutdown" (Serve.shutdown fd);
+    reap pid;
+    ws
+  in
+  List.iteri
+    (fun k j ->
+      let written = json_num j [ "telemetry"; "serve_checkpoint_bytes_total" ] in
+      let applied = json_num j [ "telemetry"; "serve_cbatch_applied_bytes_total" ] in
+      let final = float_of_int (set_bytes (ckpt_dir run k)) in
+      Printf.printf "worker %d: %.0f sets, %.0f checkpoint bytes, %.0f applied, %.0f final set\n%!" k
+        (json_num j [ "telemetry"; "serve_checkpoints_total" ])
+        written applied final;
+      Alcotest.(check bool) (Printf.sprintf "worker %d wrote a checkpoint" k) true (written > 0.0);
+      if written > (2.0 *. applied) +. final then
+        Alcotest.failf "worker %d: %.0f checkpoint bytes > 2 × %.0f applied + %.0f final set" k
+          written applied final)
+    workers;
+  let r = get_ok "parse metrics" (Json.parse (In_channel.with_open_bin metrics In_channel.input_all)) in
+  let state = json_num r [ "telemetry"; "router_state_checkpoint_bytes_total" ] in
+  let wal = json_num r [ "telemetry"; "router_wal_bytes_total" ] in
+  let last = float_of_int (Unix.stat (Filename.concat run "router-state.ftc")).Unix.st_size in
+  Alcotest.(check bool) "router wrote a state checkpoint" true (state > 0.0);
+  if state > wal +. last then
+    Alcotest.failf "router: %.0f state-checkpoint bytes > %.0f WAL + %.0f newest checkpoint" state
+      wal last
+
+(* Replay after a crash is bounded by one checkpoint, not by the session.
+   Phase 1 kills worker 1 two thirds of the way in: it must come back from
+   a mid-session set (SEQ > 0) and replay no more messages than that set
+   has bytes.  Phase 2 SIGKILLs the router itself and resumes it: every
+   worker's SEQ lands inside the log the state checkpoint retained (no
+   rebuild from the WAL), the replay is again bounded by the workers'
+   sets, and the REPORT is byte-identical. *)
+let test_recovery_bound () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.1 ~seed:7 in
+  let trace = db_trace "smallbank" ~events:60_000 in
+  let batches = slices trace ~batch:512 in
+  let nb = List.length batches in
+  let socket = Filename.concat dir "route.sock" in
+  let cfg =
+    router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir (Serve.Unix_path socket)
+  in
+  let run = cfg.Router.dir in
+  let send fd (base, sub) =
+    ignore (get_ok "send_batch" (Serve.send_batch ~deadline_s:60.0 fd ~base sub))
+  in
+  let arm () =
+    Fault.arm_exact ~lane:1 ~point:"cluster.worker_crash" ~hit:(2 * nb / 3) Fault.Exn
+  in
+  reaping_workers run @@ fun () ->
+  let pid = start_router ~arm cfg in
+  (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+   let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+   List.iteri (fun i b -> if i < 5 * nb / 6 then send fd b) batches;
+   let j = fetch_stats_json fd in
+   Alcotest.(check (float 0.0)) "worker 1 respawned once" 1.0
+     (json_num j [ "telemetry"; "router_worker_respawns_total" ]);
+   let seq1 = List.nth (json_ints j "worker_resumed_at") 1 in
+   Alcotest.(check bool)
+     (Printf.sprintf "respawned worker resumed mid-session (SEQ %d)" seq1)
+     true (seq1 > 0);
+   let replayed = json_num j [ "telemetry"; "router_replayed_messages_total" ] in
+   let set1 = set_bytes (ckpt_dir run 1) in
+   Printf.printf "worker kill: SEQ %d, %.0f messages replayed, %d-byte set\n%!" seq1 replayed set1;
+   if replayed > float_of_int set1 then
+     Alcotest.failf "worker kill replayed %.0f messages > %d bytes of its checkpoint set"
+       replayed set1;
+   let w0 = worker_stats ~run ~k:0 ~gen:0 in
+   let sets = json_num w0 [ "telemetry"; "serve_checkpoints_total" ] in
+   Printf.printf "worker 0: %.0f sets\n%!" sets;
+   if sets < 3.0 then Alcotest.failf "worker 0 wrote only %.0f checkpoint sets" sets);
+  (* the orphaned workers finish what is already in their sockets before
+     the resumed router replaces them *)
+  Unix.sleepf 0.5;
+  let pid = start_router { cfg with Router.resume = true } in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  let j = fetch_stats_json fd in
+  Alcotest.(check (float 0.0)) "no full-log rebuild on resume" 0.0
+    (json_num j [ "telemetry"; "router_log_rebuilds_total" ]);
+  List.iteri
+    (fun k seq ->
+      Alcotest.(check bool) (Printf.sprintf "worker %d resumed at SEQ %d > 0" k seq) true (seq > 0))
+    (json_ints j "worker_resumed_at");
+  let replayed = json_num j [ "telemetry"; "router_replayed_messages_total" ] in
+  let sets = set_bytes (ckpt_dir run 0) + set_bytes (ckpt_dir run 1) in
+  Printf.printf "resume: %.0f messages replayed, %d bytes of sets\n%!" replayed sets;
+  if replayed > float_of_int sets then
+    Alcotest.failf "resume replayed %.0f messages > %d bytes of the workers' sets" replayed sets;
+  List.iter (send fd) batches;
+  let report = get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd) in
+  Alcotest.(check string) "worker kill + router SIGKILL + resume ≡ analyze"
+    (expected_report ~engine ~sampler trace)
+    report;
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid
+
 (* --- Chash units -------------------------------------------------------------- *)
 
 let test_chash () =
@@ -698,6 +902,13 @@ let () =
           QCheck_alcotest.to_alcotest router_kill_property;
           Alcotest.test_case "WAL truncation + bit-flip fuzz at every byte" `Quick
             test_wal_fuzz;
+        ] );
+      ( "cadence",
+        [
+          Alcotest.test_case "checkpoint bytes amortize against routed bytes" `Quick
+            test_checkpoint_amortization;
+          Alcotest.test_case "worker kill + router SIGKILL replay ≤ one checkpoint" `Quick
+            test_recovery_bound;
         ] );
       ( "availability",
         [

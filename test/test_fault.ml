@@ -541,7 +541,7 @@ let test_sigterm_graceful_then_resume () =
   Alcotest.(check bool) "metrics dump written on SIGTERM" true (Sys.file_exists metrics_json);
   Alcotest.(check bool)
     "final checkpoint set written on SIGTERM" true
-    (Sys.file_exists (Filename.concat ckpt "router.ftc"));
+    (Sys.file_exists (Filename.concat ckpt "set.ftc"));
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   (* successor: resume, blindly resend everything, expect the exact report *)
   let pid =

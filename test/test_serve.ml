@@ -6,7 +6,7 @@
    - idempotent resends, duplicate batches, universe mismatches, malformed
      payloads and unknown commands answer without corrupting the session;
    - crash-mid-stream: SIGKILL the daemon between batches, restart it from
-     the per-shard .ftc checkpoints, blindly resend everything — the final
+     its .ftc checkpoint set, blindly resend everything — the final
      report still matches the uninterrupted analysis.
 
    The daemon runs in a forked child (it spawns shard domains; the parent
@@ -300,7 +300,7 @@ let test_resume_with_corrupt_checkpoint_starts_fresh () =
   let ckpt = Filename.concat dir "ckpt" in
   Unix.mkdir ckpt 0o700;
   Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
-  Out_channel.with_open_bin (Filename.concat ckpt "router.ftc") (fun oc ->
+  Out_channel.with_open_bin (Filename.concat ckpt "set.ftc") (fun oc ->
       Out_channel.output_string oc "FTCKgarbage");
   let pid = start_server ~engine ~shards:2 ~sampler ~resume_dir:ckpt socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
