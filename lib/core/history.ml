@@ -28,19 +28,26 @@
      write to the location.
    - wcache: both write-side checks were clean, and the write history
      already equals [C_t[t ↦ e]].  Killed by any read that changes the read
-     history and by any other write. *)
+     history and by any other write.
+
+   The eight per-location arrays start small and double on demand, up to
+   the highest location recorded so far (never past [nlocs]); a location
+   beyond the current capacity has an empty history and cold caches, just
+   as a never-touched one inside it.  A trace that touches a few locations
+   of a large universe then pays for those only, at set-up and in memory. *)
 
 type t = {
   clock_size : int;
-  write : int array array;  (* C_x^w; [||] = none *)
-  windex : int array;       (* trace index behind C_x^w *)
-  read : int array array;   (* C_x^r; [||] = none *)
-  rindex : int array array; (* per-thread trace indices behind C_x^r *)
-  tver : int array;         (* per-thread version, bumped at sync points *)
-  rcache : int array;       (* same-epoch key of the last clean read, 0 = none *)
-  rcache_ver : int array;
-  wcache : int array;       (* same-epoch key of the last clean write, 0 = none *)
-  wcache_ver : int array;
+  nlocs : int;
+  mutable write : int array array;  (* C_x^w; [||] = none *)
+  mutable windex : int array;       (* trace index behind C_x^w *)
+  mutable read : int array array;   (* C_x^r; [||] = none *)
+  mutable rindex : int array array; (* per-thread trace indices behind C_x^r *)
+  tver : int array;                 (* per-thread version, bumped at sync points *)
+  mutable rcache : int array;       (* same-epoch key of the last clean read, 0 = none *)
+  mutable rcache_ver : int array;
+  mutable wcache : int array;       (* same-epoch key of the last clean write, 0 = none *)
+  mutable wcache_ver : int array;
 }
 
 (* Unique per (epoch, tid) given tid < 2^16 — the same packing Epoch uses.
@@ -49,10 +56,14 @@ type t = {
    version guard starts below any live [tver]. *)
 let skey ~tid ~epoch = (epoch lsl 16) lor tid
 
+let initial_capacity = 64
+
 let create ~nlocs ~clock_size =
-  let n = Stdlib.max 1 nlocs in
+  let nlocs = Stdlib.max 1 nlocs in
+  let n = Stdlib.min nlocs initial_capacity in
   {
     clock_size;
+    nlocs;
     write = Array.make n [||];
     windex = Array.make n (-1);
     read = Array.make n [||];
@@ -64,17 +75,45 @@ let create ~nlocs ~clock_size =
     wcache_ver = Array.make n 0;
   }
 
+let capacity t = Array.length t.windex
+
+(* Make room for location [x]; one past [nlocs] still fails the bounds
+   check, as the fixed-size arrays did. *)
+let grow t x =
+  let cap = capacity t in
+  if x >= cap then begin
+    let n = Stdlib.min t.nlocs (Stdlib.max (x + 1) (2 * cap)) in
+    let ext a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.write <- ext t.write [||];
+    t.windex <- ext t.windex (-1);
+    t.read <- ext t.read [||];
+    t.rindex <- ext t.rindex [||];
+    t.rcache <- ext t.rcache 0;
+    t.rcache_ver <- ext t.rcache_ver 0;
+    t.wcache <- ext t.wcache 0;
+    t.wcache_ver <- ext t.wcache_ver 0
+  end
+
+let write_of t x = if x < capacity t then t.write.(x) else [||]
+let read_of t x = if x < capacity t then t.read.(x) else [||]
+
 let bump t tid = t.tver.(tid) <- t.tver.(tid) + 1
 
 let read_hit t x ~tid ~epoch ~index =
-  t.rcache.(x) = skey ~tid ~epoch
+  x < capacity t
+  && t.rcache.(x) = skey ~tid ~epoch
   && t.rcache_ver.(x) = t.tver.(tid)
   &&
   (t.rindex.(x).(tid) <- index;
    true)
 
 let write_hit t x ~tid ~epoch ~index =
-  t.wcache.(x) = skey ~tid ~epoch
+  x < capacity t
+  && t.wcache.(x) = skey ~tid ~epoch
   && t.wcache_ver.(x) = t.tver.(tid)
   &&
   (t.windex.(x) <- index;
@@ -84,7 +123,7 @@ let write_hit t x ~tid ~epoch ~index =
    it as a closure — one comparison per entry, no allocation. *)
 
 let stale_write t x clock ~tid ~epoch =
-  let h = t.write.(x) in
+  let h = write_of t x in
   let n = Array.length h in
   let rec loop i =
     if i >= n then -1
@@ -95,7 +134,7 @@ let stale_write t x clock ~tid ~epoch =
   loop 0
 
 let stale_read t x clock ~tid ~epoch =
-  let h = t.read.(x) in
+  let h = read_of t x in
   let n = Array.length h in
   let rec loop i =
     if i >= n then -1
@@ -110,7 +149,7 @@ let stale_read t x clock ~tid ~epoch =
    branch from the hottest loops. *)
 
 let stale_write_plain t x clock =
-  let h = t.write.(x) in
+  let h = write_of t x in
   let n = Array.length h in
   let rec loop i =
     if i >= n then -1
@@ -120,7 +159,7 @@ let stale_write_plain t x clock =
   loop 0
 
 let stale_read_plain t x clock =
-  let h = t.read.(x) in
+  let h = read_of t x in
   let n = Array.length h in
   let rec loop i =
     if i >= n then -1
@@ -130,7 +169,7 @@ let stale_read_plain t x clock =
   loop 0
 
 let stale_both_plain t x clock =
-  let hr = t.read.(x) and hw = t.write.(x) in
+  let hr = read_of t x and hw = write_of t x in
   if Array.length hr = 0 then (-1, stale_write_plain t x clock)
   else if Array.length hw = 0 then (stale_read_plain t x clock, -1)
   else begin
@@ -158,7 +197,7 @@ let stale_both_plain t x clock =
    stale read entry, [pw] the location's write index if {e any} write entry
    is stale.  Early-exits once both are resolved. *)
 let stale_both t x clock ~tid ~epoch =
-  let hr = t.read.(x) and hw = t.write.(x) in
+  let hr = read_of t x and hw = write_of t x in
   if Array.length hr = 0 then (-1, stale_write t x clock ~tid ~epoch)
   else if Array.length hw = 0 then (stale_read t x clock ~tid ~epoch, -1)
   else begin
@@ -180,7 +219,7 @@ let stale_both t x clock ~tid ~epoch =
   end
 
 let ol_stale_write t x olist ~tid ~epoch =
-  let h = t.write.(x) in
+  let h = write_of t x in
   let n = Array.length h in
   let rec loop i =
     if i >= n then -1
@@ -191,7 +230,7 @@ let ol_stale_write t x olist ~tid ~epoch =
   loop 0
 
 let ol_stale_read t x olist ~tid ~epoch =
-  let h = t.read.(x) in
+  let h = read_of t x in
   let n = Array.length h in
   let rec loop i =
     if i >= n then -1
@@ -202,7 +241,7 @@ let ol_stale_read t x olist ~tid ~epoch =
   loop 0
 
 let ol_stale_both t x olist ~tid ~epoch =
-  let hr = t.read.(x) and hw = t.write.(x) in
+  let hr = read_of t x and hw = write_of t x in
   if Array.length hr = 0 then (-1, ol_stale_write t x olist ~tid ~epoch)
   else if Array.length hw = 0 then (ol_stale_read t x olist ~tid ~epoch, -1)
   else begin
@@ -224,6 +263,7 @@ let ol_stale_both t x olist ~tid ~epoch =
   end
 
 let write_clock t x =
+  grow t x;
   let h = t.write.(x) in
   if Array.length h > 0 then h
   else begin
@@ -253,7 +293,7 @@ let record_write_vc t x clock ~tid ~epoch ~index ~clean =
 
 let record_write_ol t x olist ~tid ~epoch ~index ~clean =
   let h = write_clock t x in
-  Ordered_list.iter olist (fun tid' time -> Array.unsafe_set h tid' time);
+  Ordered_list.values_into olist h;
   Array.unsafe_set h tid epoch;
   t.windex.(x) <- index;
   let k = skey ~tid ~epoch in
@@ -268,6 +308,7 @@ let record_write_ol t x olist ~tid ~epoch ~index ~clean =
   end
 
 let record_read t x ~tid ~epoch ~index ~clean =
+  grow t x;
   let r =
     let r = t.read.(x) in
     if Array.length r > 0 then r
@@ -293,34 +334,43 @@ let record_read t x ~tid ~epoch ~index ~clean =
 (* The codec carries the caches and version counters too: a restored run
    must count same_epoch_hits (and skip exactly the same work) as the
    uninterrupted run — the checkpoint-equivalence suite diffs the full
-   metrics JSON, not just verdicts. *)
+   metrics JSON, not just verdicts.  It always spells out all [nlocs]
+   locations, whatever the current capacity, so the bytes do not depend on
+   how far the arrays have grown. *)
 let encode enc t =
-  let n = Array.length t.write in
+  let n = t.nlocs in
   Snap.Enc.int enc n;
   for x = 0 to n - 1 do
-    (if Array.length t.write.(x) = 0 then Snap.Enc.int enc 0
+    let w = write_of t x and r = read_of t x in
+    (if Array.length w = 0 then Snap.Enc.int enc 0
      else begin
        Snap.Enc.int enc 1;
-       Snap.Enc.int_array enc t.write.(x)
+       Snap.Enc.int_array enc w
      end);
-    Snap.Enc.int enc t.windex.(x);
-    if Array.length t.read.(x) = 0 then Snap.Enc.int enc 0
+    Snap.Enc.int enc (if x < capacity t then t.windex.(x) else -1);
+    if Array.length r = 0 then Snap.Enc.int enc 0
     else begin
       Snap.Enc.int enc 1;
-      Snap.Enc.int_array enc t.read.(x);
+      Snap.Enc.int_array enc r;
       Snap.Enc.int_array enc t.rindex.(x)
     end
   done;
   Snap.Enc.int_array enc t.tver;
-  Snap.Enc.int_array enc t.rcache;
-  Snap.Enc.int_array enc t.rcache_ver;
-  Snap.Enc.int_array enc t.wcache;
-  Snap.Enc.int_array enc t.wcache_ver
+  let per_loc a =
+    Snap.Enc.int enc n;
+    for x = 0 to n - 1 do
+      Snap.Enc.int enc (if x < capacity t then a.(x) else 0)
+    done
+  in
+  per_loc t.rcache;
+  per_loc t.rcache_ver;
+  per_loc t.wcache;
+  per_loc t.wcache_ver
 
 let decode dec ~nlocs ~clock_size =
   let stored = Snap.Dec.int dec in
   let t = create ~nlocs ~clock_size in
-  Snap.expect (stored = Array.length t.write) "history location count mismatch";
+  Snap.expect (stored = t.nlocs) "history location count mismatch";
   let clock_entries a =
     Snap.expect (Array.length a = clock_size) "history clock width mismatch";
     Array.iter (fun v -> Snap.expect (v >= 0) "negative history entry") a;
@@ -329,23 +379,43 @@ let decode dec ~nlocs ~clock_size =
   for x = 0 to stored - 1 do
     (match Snap.Dec.int dec with
     | 0 -> ()
-    | 1 -> t.write.(x) <- clock_entries (Snap.Dec.int_array dec)
+    | 1 ->
+      grow t x;
+      t.write.(x) <- clock_entries (Snap.Dec.int_array dec)
     | n -> raise (Snap.Corrupt (Printf.sprintf "bad history tag %d" n)));
-    t.windex.(x) <- Snap.Dec.int dec;
+    (match Snap.Dec.int dec with
+    | -1 -> ()
+    | i ->
+      grow t x;
+      t.windex.(x) <- i);
     match Snap.Dec.int dec with
     | 0 -> ()
     | 1 ->
+      grow t x;
       t.read.(x) <- clock_entries (Snap.Dec.int_array dec);
       t.rindex.(x) <- Snap.Dec.int_array_n dec clock_size
     | n -> raise (Snap.Corrupt (Printf.sprintf "bad history tag %d" n))
   done;
-  let into ~len dst =
-    let a = Snap.Dec.int_array_n dec len in
-    Array.blit a 0 dst 0 len
+  let tver = Snap.Dec.int_array_n dec clock_size in
+  Array.blit tver 0 t.tver 0 clock_size;
+  (* the caches are 0 past the last location ever recorded; grow over any
+     nonzero entry all the same, so that decoding stays exact on any input *)
+  let per_loc () =
+    let a = Snap.Dec.int_array_n dec stored in
+    let last = ref (stored - 1) in
+    while !last >= 0 && a.(!last) = 0 do
+      decr last
+    done;
+    if !last >= 0 then grow t !last;
+    a
   in
-  into ~len:clock_size t.tver;
-  into ~len:stored t.rcache;
-  into ~len:stored t.rcache_ver;
-  into ~len:stored t.wcache;
-  into ~len:stored t.wcache_ver;
+  let rcache = per_loc () in
+  let rcache_ver = per_loc () in
+  let wcache = per_loc () in
+  let wcache_ver = per_loc () in
+  let into a dst = Array.blit a 0 dst 0 (capacity t) in
+  into rcache t.rcache;
+  into rcache_ver t.rcache_ver;
+  into wcache t.wcache;
+  into wcache_ver t.wcache_ver;
   t

@@ -6,7 +6,9 @@
     last recorded write) and the read history [C_x^r] (per-thread local time
     of the last recorded read), lazily allocated on first touch, together
     with the trace indices of the events behind the entries so that race
-    reports can name the concrete earlier access.
+    reports can name the concrete earlier access.  The per-location tables
+    themselves grow by doubling up to the highest location recorded, so
+    {!create} costs O(clock_size), not O(nlocs).
 
     The race checks compare a history against the *current event's*
     timestamp, which for the sampling detectors is the thread clock with its

@@ -1,9 +1,17 @@
 (* Node [i] is thread [i]'s entry.  The doubly linked list is intrusive and
    packed: [links.(i)] holds both sibling pointers, biased by one so that
-   "none" (-1) encodes as 0 — a deep copy is then just two array blits,
-   which matters because Algorithm 4 trades per-release O(T) copies for
-   occasional deep copies and their constant factor shows up directly in
-   the latency experiments. *)
+   "none" (-1) encodes as 0.
+
+   The watermark [hi] bounds the part of the list that was ever reordered:
+   the first [hi] positions hold exactly the nodes [0, hi), and every node
+   [j >= hi] still sits at position [j] with time 0, as {!create} left it.
+   Moving node [k] to the head keeps this true once [hi > k]: the nodes
+   [0, k] then fill the first [k + 1] positions and the rest keep their
+   places.  Two lists can therefore differ only in nodes [0, max hi hi'] —
+   the last one included, as its [prev] link names whichever node ends
+   the reordered prefix — which is all {!copy_into} writes.  With T
+   threads in a wider clock (TSan's 256 entries, §6.2.6) a copy touches
+   T + 1 nodes. *)
 
 let bits = 21
 let mask = (1 lsl bits) - 1
@@ -13,6 +21,8 @@ type t = {
   links : int array;  (* (prev+1) lsl bits lor (next+1) *)
   mutable head : int;
   mutable tail : int;
+  mutable hi : int;   (* nodes >= hi are untouched; see above *)
+  mutable refs : int; (* owner-maintained reference count *)
 }
 
 let prev_of o i = ((o.links.(i) lsr bits) land mask) - 1
@@ -24,7 +34,9 @@ let set_next o i next = o.links.(i) <- (o.links.(i) land (mask lsl bits)) lor ((
 
 let create n =
   assert (n > 0 && n <= mask);
-  let o = { time = Array.make n 0; links = Array.make n 0; head = 0; tail = n - 1 } in
+  let o =
+    { time = Array.make n 0; links = Array.make n 0; head = 0; tail = n - 1; hi = 0; refs = 0 }
+  in
   for i = 0 to n - 1 do
     set_links o i ~prev:(i - 1) ~next:(if i = n - 1 then -1 else i + 1)
   done;
@@ -35,6 +47,7 @@ let size o = Array.length o.time
 let get o tid = Array.unsafe_get o.time tid
 
 let move_to_front o tid =
+  if tid >= o.hi then o.hi <- tid + 1;
   if o.head <> tid then begin
     let p = prev_of o tid and n = next_of o tid in
     (* unlink *)
@@ -55,7 +68,31 @@ let increment o tid k =
   move_to_front o tid
 
 let deep_copy o =
-  { time = Array.copy o.time; links = Array.copy o.links; head = o.head; tail = o.tail }
+  { o with time = Array.copy o.time; links = Array.copy o.links; refs = 0 }
+
+(* Plain int loops rather than [Array.blit]: a recycled [into] lives in the
+   major heap, where [Array.blit] goes through the write barrier for every
+   element. *)
+let copy_into ~into src =
+  assert (size into = size src);
+  let last = Stdlib.min (size src - 1) (Stdlib.max src.hi into.hi) in
+  let st = src.time and sl = src.links and dt = into.time and dl = into.links in
+  for i = 0 to last do
+    Array.unsafe_set dt i (Array.unsafe_get st i);
+    Array.unsafe_set dl i (Array.unsafe_get sl i)
+  done;
+  into.head <- src.head;
+  into.tail <- src.tail;
+  into.hi <- src.hi
+
+let values_into o dst =
+  let t = o.time in
+  for i = 0 to Array.length t - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get t i)
+  done
+
+let refs o = o.refs
+let set_refs o r = o.refs <- r
 
 let iter_prefix o d f =
   let rec loop node remaining =
@@ -91,21 +128,23 @@ let order o =
 let check_invariants o =
   let n = size o in
   let seen = Array.make n false in
-  let ok = ref true in
+  let ok = ref (o.hi >= 0 && o.hi <= n) in
   let count = ref 0 in
-  let rec walk node prev_node =
+  let rec walk node prev_node pos =
     if node >= 0 then begin
       if seen.(node) then ok := false
       else begin
         seen.(node) <- true;
         incr count;
         if prev_of o node <> prev_node then ok := false;
-        walk (next_of o node) node
+        (* the watermark: untouched nodes keep their place and time 0 *)
+        if (node >= o.hi || pos >= o.hi) && (node <> pos || o.time.(node) <> 0) then ok := false;
+        walk (next_of o node) node (pos + 1)
       end
     end
     else if prev_node <> o.tail then ok := false
   in
-  walk o.head (-1);
+  walk o.head (-1) 0;
   !ok && !count = n
 
 let hash o = Array.fold_left (fun h v -> (h * 31) + v) (Array.length o.time) o.time land max_int
@@ -113,7 +152,8 @@ let hash o = Array.fold_left (fun h v -> (h * 31) + v) (Array.length o.time) o.t
 (* Serialized as values plus the head-to-tail permutation; the links are
    rebuilt from the permutation on decode, so a snapshot roundtrip restores
    exactly the move-to-front order (which governs which prefix an acquire
-   traverses — Alg 4, line 10). *)
+   traverses — Alg 4, line 10).  The watermark is not serialized: decode
+   recomputes the least one the restored list satisfies. *)
 let encode enc o =
   Snap.Enc.int_array enc o.time;
   let ord = Array.make (size o) 0 in
@@ -133,7 +173,11 @@ let decode dec ~size:n =
       Snap.expect (tid >= 0 && tid < n && not seen.(tid)) "ordered-list order not a permutation";
       seen.(tid) <- true)
     ord;
-  let o = { time; links = Array.make n 0; head = ord.(0); tail = ord.(n - 1) } in
+  let hi = ref n in
+  while !hi > 0 && ord.(!hi - 1) = !hi - 1 && time.(!hi - 1) = 0 do
+    decr hi
+  done;
+  let o = { time; links = Array.make n 0; head = ord.(0); tail = ord.(n - 1); hi = !hi; refs = 0 } in
   for k = 0 to n - 1 do
     set_links o ord.(k)
       ~prev:(if k = 0 then -1 else ord.(k - 1))

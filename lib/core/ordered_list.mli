@@ -8,10 +8,18 @@
     [d]-prefix instead of the whole vector (Alg 4, line 10).
 
     Representation: each thread owns exactly one node, so nodes are indexed
-    by thread id and the list is three int arrays plus a head index.  A deep
-    copy is O(T) and preserves the recency order; a shallow copy is O(1)
-    reference sharing, resolved lazily by the detector (the [shared] flag
-    lives in the detector, not here). *)
+    by thread id and the list is two int arrays plus head and tail indices.
+    A shallow copy is O(1) reference sharing, resolved lazily by the
+    detector (the [shared] flag lives in the detector, not here).
+
+    A deep copy preserves the recency order and costs O(hi), not O(T): each
+    list keeps a watermark [hi], one past the highest node ever moved to
+    the head, and every node at or above it still has time 0 and its
+    initial place.  {!copy_into} writes only nodes [0, max hi hi'] of a
+    list that already exists, so a detector that recycles its unreferenced
+    lists (SO keeps a free stack, counted with {!refs}) copies without
+    allocating and in time proportional to the threads that ever ran, not
+    to the clock width. *)
 
 type t
 
@@ -33,6 +41,22 @@ val increment : t -> int -> int -> unit
 val deep_copy : t -> t
 (** Fresh structure with identical values *and identical order*. O(T). *)
 
+val copy_into : into:t -> t -> unit
+(** [copy_into ~into src] makes [into] equal to [src] — values, order and
+    watermark — writing only the nodes below both watermarks and the one
+    at the higher of them.  Allocates nothing.  Both lists must have the
+    same size.  The reference count of [into] is left alone. *)
+
+val values_into : t -> int array -> unit
+(** [values_into o dst] writes thread [i]'s value to [dst.(i)] for every
+    [i], in index order.  [dst] must be at least [size o] long.  O(T). *)
+
+val refs : t -> int
+val set_refs : t -> int -> unit
+(** A reference count for the list's owner to maintain; [0] after
+    {!create}, {!deep_copy} and {!decode}.  Nothing in this module reads
+    it. *)
+
 val iter_prefix : t -> int -> (int -> int -> unit) -> unit
 (** [iter_prefix o d f] applies [f tid time] to the first [min d T] nodes,
     head first — the [O_ℓ[0:d]] traversal of Alg 4. *)
@@ -53,8 +77,9 @@ val order : t -> int list
 (** Thread ids from head to tail (tests and pretty-printing). *)
 
 val check_invariants : t -> bool
-(** Structural sanity: the node chain is a permutation of all thread ids and
-    forward/backward links agree.  For tests. *)
+(** Structural sanity: the node chain is a permutation of all thread ids,
+    forward/backward links agree, and every node at or above the watermark
+    sits at its own index with time 0.  For tests. *)
 
 val hash : t -> int
 (** Hash of every thread's value, for {!Snap.Enc.shared}. O(T). *)
@@ -63,7 +88,8 @@ val encode : Snap.Enc.t -> t -> unit
 
 val decode : Snap.Dec.t -> size:int -> t
 (** Rebuilds the list from its values and head-to-tail permutation; the
-    recency order is restored exactly.  Raises [Snap.Corrupt] on length
+    recency order is restored exactly, and the watermark is recomputed as
+    the least one the restored list satisfies.  Raises [Snap.Corrupt] on length
     mismatch, negative entries, or a non-permutation order. *)
 
 val pp : Format.formatter -> t -> unit

@@ -14,6 +14,9 @@ type t = {
   pending : bool array;
   shared : bool array;           (* shared_t: some lock references O_t *)
   lock_ol : Ol.t option array;   (* O_ℓ: shared reference *)
+  pool : Ol.t array;             (* free stack of unreferenced lists *)
+  mutable pooled : int;
+  mutable allocated : int;       (* lists ever created, pooled or alive *)
   lock_own : int array;          (* releaser's own component at release time *)
   lock_lr : int array;           (* LR_ℓ, -1 = NIL *)
   lock_u : int array;            (* U_ℓ scalar *)
@@ -24,19 +27,37 @@ type t = {
 
 let name = "so"
 
+(* List recycling.  Every list counts its references ({!Ol.refs}): the
+   thread that owns it, plus every lock whose [lock_ol] points at it.  A
+   list whose count drops to 0 is unreachable from the detector state, so
+   it goes onto the free stack and the next lazy copy overwrites it in
+   place ({!Ol.copy_into}) instead of allocating.  A lazy copy allocates
+   only when the stack is empty and a lock still holds the list it copies
+   from, so at most [clock_size + nlocks] lists are ever created
+   ({!check_pool}). *)
+
 let create (cfg : Detector.config) =
   let n = cfg.Detector.clock_size in
   let nlocks = Stdlib.max 1 cfg.Detector.nlocks in
+  let olists =
+    Array.init n (fun _ ->
+        let o = Ol.create n in
+        Ol.set_refs o 1;
+        o)
+  in
   {
     nthreads = n;
     sample = Sampler.fresh cfg.Detector.sampler;
-    olists = Array.init n (fun _ -> Ol.create n);
+    olists;
     own = Array.make n 0;
     uclocks = Array.init n (fun _ -> Vc.create n);
     epochs = Array.make n 1;
     pending = Array.make n false;
     shared = Array.make n false;
     lock_ol = Array.make nlocks None;
+    pool = Array.make (n + nlocks) olists.(0);
+    pooled = 0;
+    allocated = n;
     lock_own = Array.make nlocks 0;
     lock_lr = Array.make nlocks (-1);
     lock_u = Array.make nlocks 0;
@@ -50,10 +71,39 @@ let declare d index tid x ~with_write ~with_read ~prior =
   let prior = if prior < 0 then None else Some prior in
   d.races <- Race.make ~index ~thread:tid ~loc:x ~with_write ~with_read ?prior () :: d.races
 
-(* Ensure thread [t] owns its list before mutating it (lazy copy). *)
+let retain o = Ol.set_refs o (Ol.refs o + 1)
+
+let drop d o =
+  let r = Ol.refs o - 1 in
+  Ol.set_refs o r;
+  if r = 0 then begin
+    d.pool.(d.pooled) <- o;
+    d.pooled <- d.pooled + 1
+  end
+
+(* Ensure thread [t] owns its list before mutating it (lazy copy).  When no
+   lock refers to the list any more (every lock it was released to has
+   been released again since), the thread is its only holder and keeping
+   it is already a private copy with the same values and order. *)
 let touch_olist d t =
   if d.shared.(t) then begin
-    d.olists.(t) <- Ol.deep_copy d.olists.(t);
+    let src = d.olists.(t) in
+    if Ol.refs src > 1 then begin
+      let dst =
+        if d.pooled > 0 then begin
+          d.pooled <- d.pooled - 1;
+          d.pool.(d.pooled)
+        end
+        else begin
+          d.allocated <- d.allocated + 1;
+          Ol.create d.nthreads
+        end
+      in
+      Ol.copy_into ~into:dst src;
+      Ol.set_refs dst 1;
+      drop d src;
+      d.olists.(t) <- dst
+    end;
     d.shared.(t) <- false;
     d.metrics.Metrics.deep_copies <- d.metrics.Metrics.deep_copies + 1;
     d.metrics.Metrics.vc_full_ops <- d.metrics.Metrics.vc_full_ops + 1
@@ -144,7 +194,10 @@ let handle d index (e : E.t) =
   | E.Release l | E.Release_store l ->
     m.Metrics.releases <- m.Metrics.releases + 1;
     flush_pending d t;
-    d.lock_ol.(l) <- Some d.olists.(t);
+    let o = d.olists.(t) in
+    retain o;
+    (match d.lock_ol.(l) with Some old -> drop d old | None -> ());
+    d.lock_ol.(l) <- Some o;
     d.lock_own.(l) <- d.own.(t);
     d.lock_lr.(l) <- t;
     d.lock_u.(l) <- Vc.get d.uclocks.(t) t;
@@ -183,6 +236,17 @@ let result d =
   { Detector.engine = name; races = List.rev d.races; metrics = d.metrics }
 
 let races_rev d = d.races
+
+let check_pool d =
+  let held = Array.to_list d.olists @ List.filter_map Fun.id (Array.to_list d.lock_ol) in
+  let pooled = Array.sub d.pool 0 d.pooled in
+  let pooled_free = Array.for_all (fun o -> Ol.refs o = 0) pooled in
+  (* count the references down to 0 and back: a list pooled while held, or
+     miscounted, ends below or above 0 *)
+  List.iter (fun o -> Ol.set_refs o (Ol.refs o - 1)) held;
+  let exact = List.for_all (fun o -> Ol.refs o = 0) held in
+  List.iter retain held;
+  pooled_free && exact && d.allocated <= d.nthreads + Array.length d.lock_ol
 
 (* Sharding hook: the thread-local half of a sampled access.  Idempotent
    until the next flush, exactly like the bit it sets. *)
@@ -241,6 +305,14 @@ let restore (cfg : Detector.config) s =
   let shared = Snap.Dec.bool_array_n dec n in
   Array.blit shared 0 d.shared 0 n;
   decode_lock_lists dec d ~size:n;
+  (* the restored lists are fresh: count the physical sharing just rebuilt *)
+  d.allocated <- 0;
+  let hold o =
+    if Ol.refs o = 0 then d.allocated <- d.allocated + 1;
+    retain o
+  in
+  Array.iter hold d.olists;
+  Array.iter (Option.iter hold) d.lock_ol;
   let nlocks = Array.length d.lock_own in
   let lock_own = Snap.Dec.int_array_n dec nlocks in
   Array.blit lock_own 0 d.lock_own 0 nlocks;

@@ -18,3 +18,9 @@
     special case: lock state is a snapshot reference, never joined into. *)
 
 include Detector.S
+
+val check_pool : t -> bool
+(** The list-recycling invariants, for tests: every list's reference count
+    equals the number of threads and locks holding it, no list on the free
+    stack is held, and at most [clock_size + nlocks] lists were ever
+    created.  O(clock_size + nlocks). *)

@@ -309,6 +309,44 @@ let test_ol_snapshot_roundtrip_order () =
     Alcotest.(check bool) "invariants" true (Ol.check_invariants o')
   done
 
+(* At TSan's 256-entry clocks SO recycles its lists and copies only their
+   reordered prefix; a restore recomputes the watermarks and rebuilds the
+   reference counts from the decoded sharing.  A run snapshotted at random
+   cuts of a server trace and continued must still match the uninterrupted
+   one: same REPORT bytes, same metrics. *)
+let test_padded_cut_equivalence () =
+  let trace =
+    Ft_workloads.Db_sim.generate
+      (Option.get (Ft_workloads.Db_sim.profile "tpcc"))
+      ~seed:11 ~target_events:40_000
+  in
+  let events = Trace.length trace in
+  let prng = Prng.create ~seed:256 in
+  List.iter
+    (fun id ->
+      let config =
+        {
+          Detector.nthreads = trace.Trace.nthreads;
+          nlocks = trace.Trace.nlocks;
+          nlocs = trace.Trace.nlocs;
+          clock_size = 256;
+          sampler = Sampler.bernoulli ~rate:0.1 ~seed:5;
+        }
+      in
+      let full = run_full id config trace in
+      for _ = 1 to 2 do
+        let cut = 1 + Prng.int prng (events - 1) in
+        let what = Printf.sprintf "%s T=256 cut %d" (Engine.name id) cut in
+        let resumed = run_cut id config trace ~cut in
+        Alcotest.(check string) (what ^ ": REPORT")
+          (Ft_shard.Serve.report_text ~events full)
+          (Ft_shard.Serve.report_text ~events resumed);
+        Alcotest.(check (array int)) (what ^ ": metrics")
+          (Metrics.to_array full.Detector.metrics)
+          (Metrics.to_array resumed.Detector.metrics)
+      done)
+    [ Engine.St; Engine.Su; Engine.So ]
+
 (* --- lock-sharing encoding ------------------------------------------------- *)
 
 (* SO and SL snapshots encode their lazily shared lock clocks through the
@@ -619,6 +657,8 @@ let () =
           Alcotest.test_case "deep copy preserves order" `Quick test_ol_deep_copy_preserves_order;
           Alcotest.test_case "deep copy does not alias" `Quick test_ol_deep_copy_does_not_alias;
           Alcotest.test_case "snapshot restores order" `Quick test_ol_snapshot_roundtrip_order;
+          Alcotest.test_case "T=256 tpcc: random cuts ≡ straight run" `Slow
+            test_padded_cut_equivalence;
           Alcotest.test_case "lock sharing: linear encoder ≡ reference, ≥2000 locks" `Quick
             test_lock_sharing_encoding;
         ] );

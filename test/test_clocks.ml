@@ -204,6 +204,80 @@ let qcheck_ol_prefix_covers_recent =
       Ol.iter_prefix o d (fun tid _ -> prefix := tid :: !prefix);
       List.for_all (fun t -> List.mem t !prefix) last_d)
 
+(* [copy_into] writes only the nodes below the two watermarks (and the one
+   at the higher of them), so it must agree with a full [deep_copy] whatever
+   either list went through — including a list rebuilt by [decode], whose
+   watermark is recomputed rather than carried over. *)
+type ol_case = {
+  n : int;
+  src_ops : (int * int) list;   (* (thread, value); value < 0 = increment *)
+  dst_ops : (int * int) list;
+  src_decoded : bool;
+  dst_decoded : bool;
+  after : (int * int) list;     (* applied to the copy and the deep copy *)
+  depth : int;
+}
+
+let ol_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 64 in
+    let op = pair (int_bound (n - 1)) (int_range (-5) 50) in
+    let ops = list_size (int_bound 80) op in
+    let* src_ops = ops and* dst_ops = ops and* after = list_size (int_bound 20) op in
+    let* src_decoded = bool and* dst_decoded = bool and* depth = int_bound (n + 1) in
+    return { n; src_ops; dst_ops; src_decoded; dst_decoded; after; depth })
+
+let print_ol_case c =
+  let ops l = String.concat ";" (List.map (fun (t, v) -> Printf.sprintf "%d:%d" t v) l) in
+  Printf.sprintf "n=%d src=[%s]%s dst=[%s]%s after=[%s] d=%d" c.n (ops c.src_ops)
+    (if c.src_decoded then " (decoded)" else "")
+    (ops c.dst_ops)
+    (if c.dst_decoded then " (decoded)" else "")
+    (ops c.after) c.depth
+
+let apply_ops o = List.iter (fun (t, v) -> if v < 0 then Ol.increment o t (-v) else Ol.set o t v)
+
+let roundtrip o =
+  let enc = Ft_core.Snap.Enc.create () in
+  Ol.encode enc o;
+  Ol.decode (Ft_core.Snap.Dec.of_snap (Ft_core.Snap.Enc.to_snap enc)) ~size:(Ol.size o)
+
+let build n ops ~decoded =
+  let o = Ol.create n in
+  apply_ops o ops;
+  if decoded then roundtrip o else o
+
+let same_list a b =
+  let n = Ol.size a in
+  Ol.size b = n
+  && List.for_all (fun t -> Ol.get a t = Ol.get b t) (List.init n Fun.id)
+  && Ol.order a = Ol.order b
+
+let prefix o d =
+  let acc = ref [] in
+  Ol.iter_prefix o d (fun t v -> acc := (t, v) :: !acc);
+  List.rev !acc
+
+let prop_copy_into_is_deep_copy c =
+  let src = build c.n c.src_ops ~decoded:c.src_decoded in
+  let into = build c.n c.dst_ops ~decoded:c.dst_decoded in
+  let reference = Ol.deep_copy src in
+  Ol.copy_into ~into src;
+  let copied_ok =
+    same_list into reference && Ol.check_invariants into && Ol.check_invariants reference
+  in
+  apply_ops into c.after;
+  apply_ops reference c.after;
+  copied_ok
+  && same_list into reference
+  && Ol.check_invariants into
+  && prefix into c.depth = prefix reference c.depth
+
+let qcheck_ol_copy_into =
+  QCheck.Test.make ~name:"copy_into ≡ deep_copy, decoded lists included" ~count:500
+    (QCheck.make ~print:print_ol_case ol_case_gen)
+    prop_copy_into_is_deep_copy
+
 let () =
   Alcotest.run "clocks"
     [
@@ -234,6 +308,7 @@ let () =
           Alcotest.test_case "single node" `Quick test_ol_single_node;
         ] );
       ( "ordered_list_properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_ol_model; qcheck_ol_prefix_covers_recent ]
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_ol_model; qcheck_ol_prefix_covers_recent; qcheck_ol_copy_into ]
       );
     ]

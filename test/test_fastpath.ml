@@ -13,9 +13,10 @@
    - the SoA batch decoder: equality with the per-event reader, exact
      per-event byte offsets (the --resume seek contract), hostile input;
    - the byte-identity grid: the rebuilt engines vs the seed engines
-     vendored in Ref_engines, across engines × samplers × shard counts —
-     races, reports, and every counter except the purely additive
-     same_epoch_hits must match exactly;
+     vendored in Ref_engines, across engines × samplers × shard counts, and
+     padded clocks for ST/SU/SO — races, reports, and every counter except
+     the purely additive same_epoch_hits must match exactly; SO's list pool
+     keeps exact reference counts within its bound;
    - the --racy-fastpath gate: pinned verdict divergence, the
      first-race-per-location oracle, and snapshot/restore of the gate. *)
 
@@ -402,6 +403,13 @@ let run_sharded id ~shards config trace =
   Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
   Sharded.result sh
 
+(* The sampling engines also run at a padded clock (64 entries for 4
+   threads), where SO's lazy copies recycle lists and write only their
+   reordered prefix: the untouched padding must behave exactly like the
+   seed engines' full copies. *)
+let grid_clock_sizes id ~nthreads =
+  match id with Engine.St | Engine.Su | Engine.So -> [ nthreads; 64 ] | _ -> [ nthreads ]
+
 let test_byte_identity_grid () =
   let hits = ref 0 in
   List.iter
@@ -413,32 +421,111 @@ let test_byte_identity_grid () =
         (fun id ->
           List.iter
             (fun (sname, sampler) ->
-              let reference = Ref_engines.run id ~sampler trace in
-              let what k =
-                Printf.sprintf "%s × %s × K=%d (seed %d)" (Engine.name id) sname k seed
-              in
-              let flat = Engine.run id ~sampler trace in
-              same_verdict ~events ~what:(what 1) flat reference;
-              hits := !hits + flat.Detector.metrics.Metrics.same_epoch_hits;
-              let config =
-                {
-                  Detector.nthreads = trace.Trace.nthreads;
-                  nlocks = trace.Trace.nlocks;
-                  nlocs = trace.Trace.nlocs;
-                  clock_size = trace.Trace.nthreads;
-                  sampler;
-                }
-              in
               List.iter
-                (fun k ->
-                  same_verdict ~events ~what:(what k)
-                    (run_sharded id ~shards:k config trace)
-                    reference)
-                [ 2; 4 ])
+                (fun clock_size ->
+                  let reference = Ref_engines.run id ~sampler ~clock_size trace in
+                  let what k =
+                    Printf.sprintf "%s × %s × T=%d × K=%d (seed %d)" (Engine.name id) sname
+                      clock_size k seed
+                  in
+                  let flat = Engine.run id ~sampler ~clock_size trace in
+                  same_verdict ~events ~what:(what 1) flat reference;
+                  hits := !hits + flat.Detector.metrics.Metrics.same_epoch_hits;
+                  let config =
+                    {
+                      Detector.nthreads = trace.Trace.nthreads;
+                      nlocks = trace.Trace.nlocks;
+                      nlocs = trace.Trace.nlocs;
+                      clock_size;
+                      sampler;
+                    }
+                  in
+                  List.iter
+                    (fun k ->
+                      same_verdict ~events ~what:(what k)
+                        (run_sharded id ~shards:k config trace)
+                        reference)
+                    [ 2; 4 ])
+                (grid_clock_sizes id ~nthreads:trace.Trace.nthreads))
             (grid_samplers ()))
         grid_engines)
     [ 77; 1234 ];
   Alcotest.(check bool) "the fast path actually fired across the grid" true (!hits > 0)
+
+(* SO's list recycling keeps exact reference counts and a bounded pool:
+   after every event of small random traces, where few locks make the
+   [clock_size + nlocks] bound tight, and on a sync-heavy server trace at
+   TSan's 256-entry clocks. *)
+let test_so_pool_bounded () =
+  let module So = Ft_core.Sampling_ordered_list in
+  List.iter
+    (fun seed ->
+      let trace = gen_trace ~seed ~length:800 in
+      List.iter
+        (fun (sname, sampler) ->
+          let d =
+            So.create
+              {
+                Detector.nthreads = trace.Trace.nthreads;
+                nlocks = trace.Trace.nlocks;
+                nlocs = trace.Trace.nlocs;
+                clock_size = 8;
+                sampler;
+              }
+          in
+          Trace.iteri
+            (fun i e ->
+              So.handle d i e;
+              if not (So.check_pool d) then
+                Alcotest.failf "pool invariants broken at event %d (seed %d, %s)" i seed sname)
+            trace)
+        (grid_samplers ()))
+    [ 77; 1234; 5; 6 ];
+  (* the tight case: the only lock holds a list no thread holds (t1 copied
+     away from it at the join, the fourth list of a bound of four), the
+     pool is empty, and t0's list is still flagged shared though no lock
+     refers to it any more — t0 must keep it, not allocate a fifth *)
+  let e t op = Event.mk t op in
+  let d =
+    So.create { Detector.nthreads = 3; nlocks = 1; nlocs = 1; clock_size = 3; sampler = Sampler.all }
+  in
+  List.iteri
+    (fun i ev ->
+      So.handle d i ev;
+      if not (So.check_pool d) then Alcotest.failf "pool invariants broken at crafted event %d" i)
+    Event.
+      [
+        e 0 (Write 0); e 0 (Release 0); e 1 (Acquire 0); e 1 (Write 0); e 1 (Release 0);
+        e 2 (Write 0); e 1 (Join 2); e 0 (Acquire 0);
+      ];
+  Alcotest.(check int) "both lazy copies counted" 2
+    (So.result d).Detector.metrics.Metrics.deep_copies;
+  let trace =
+    Ft_workloads.Db_sim.generate
+      (Option.get (Ft_workloads.Db_sim.profile "tpcc"))
+      ~seed:3 ~target_events:200_000
+  in
+  let config =
+    {
+      Detector.nthreads = trace.Trace.nthreads;
+      nlocks = trace.Trace.nlocks;
+      nlocs = trace.Trace.nlocs;
+      clock_size = 256;
+      sampler = Sampler.bernoulli ~rate:0.03 ~seed:7;
+    }
+  in
+  let d = So.create config in
+  Trace.iteri
+    (fun i e ->
+      So.handle d i e;
+      if i mod 10_000 = 0 && not (So.check_pool d) then
+        Alcotest.failf "pool invariants broken after event %d" i)
+    trace;
+  Alcotest.(check bool) "pool invariants at the end" true (So.check_pool d);
+  let m = (So.result d).Detector.metrics in
+  Alcotest.(check bool) "lazy copies happened" true (m.Metrics.deep_copies > 1_000);
+  Alcotest.(check bool) "pool invariants after restore" true
+    (So.check_pool (So.restore config (So.snapshot d)))
 
 (* --- --racy-fastpath -------------------------------------------------------- *)
 
@@ -561,6 +648,8 @@ let () =
         [
           Alcotest.test_case "flat vs seed engines × samplers × K" `Slow
             test_byte_identity_grid;
+          Alcotest.test_case "so list pool: exact counts, bounded, T=256 tpcc" `Slow
+            test_so_pool_bounded;
         ] );
       ( "racy_fastpath",
         [
