@@ -39,6 +39,10 @@ module type S = sig
   val result : t -> result
   val races_rev : t -> Race.t list
   val note_sampled : t -> Ft_trace.Event.tid -> unit
+  val view_size : config -> int
+  val view_version : t -> Ft_trace.Event.tid -> int
+  val export_view : t -> Ft_trace.Event.tid -> int array -> unit
+  val import_view : t -> Ft_trace.Event.tid -> int array -> int array -> unit
   val snapshot : t -> Snap.t
   val restore : config -> Snap.t -> t
 end
@@ -113,6 +117,10 @@ module Noop = struct
   let result (_ : t) = { engine = name; races = []; metrics = Metrics.create () }
   let races_rev (_ : t) = []
   let note_sampled (_ : t) (_ : Ft_trace.Event.tid) = ()
+  let view_size (_ : config) = 0
+  let view_version (_ : t) (_ : Ft_trace.Event.tid) = 0
+  let export_view (_ : t) (_ : Ft_trace.Event.tid) (_ : int array) = ()
+  let import_view (_ : t) (_ : Ft_trace.Event.tid) (_ : int array) (_ : int array) = ()
 
   let snapshot d =
     let enc = Snap.Enc.create () in

@@ -58,11 +58,43 @@ module type S = sig
       pending bit, so the next release/fork/join flushes the local epoch
       exactly as if the access had been handled; for engines whose access
       handlers only touch per-location state (DJIT+, FastTrack, the lockset
-      baseline) it is a no-op.  This is the hook location sharding rests on:
-      a shard that never sees another shard's accesses still evolves the
-      same clocks, provided the router forwards one [note_sampled] per
-      pending-bit transition (the bit is idempotent until the next flush).
+      baseline) it is a no-op.  This is the hook a sync-only instance rests
+      on: fed every sync event plus one [note_sampled] per sampled access
+      (the bit is idempotent until the next flush), it evolves exactly the
+      clocks of the full run without seeing a single access — the sharded
+      detector's front, and a cluster worker replaying router marks.
       Never called by single-stream runners. *)
+
+  (** {2 Views}
+
+      A thread's {e view} is everything an access handler reads about the
+      accessing thread: its timestamp with the own entry replaced by the
+      current epoch — [C_t[t ↦ e_t]], the bound every race check compares
+      a location's history against — or, for the lockset baseline, the set
+      of locks it holds.  An access handler reads only the location's
+      state and the view, so an instance fed nothing but accesses (with
+      {!Sampler.all}) checks them exactly as the full engine would, once
+      it is told each view change.  This is the hook the sharded detector's
+      checkers rest on ([Ft_shard.Sharded]). *)
+
+  val view_size : config -> int
+  (** Entries of a view: [clock_size], or [nlocks] for the lockset
+      baseline (one 0/1 entry per lock). *)
+
+  val view_version : t -> Ft_trace.Event.tid -> int
+  (** Changes whenever the thread's view may have changed — only sync
+      handlers move it — and, for the engines with a same-epoch cache,
+      whenever the thread's cache entries were invalidated.  O(1). *)
+
+  val export_view : t -> Ft_trace.Event.tid -> int array -> unit
+  (** [export_view d t buf] writes thread [t]'s view into [buf.(0 ..
+      view_size - 1)]. *)
+
+  val import_view : t -> Ft_trace.Event.tid -> int array -> int array -> unit
+  (** [import_view d t idx vals] sets view entry [idx.(j)] to [vals.(j)]
+      for every [j] and invalidates the thread's same-epoch cache entries,
+      as the sync handler that moved the exporter's version did.  Called
+      on checkers, which handle no sync events. *)
 
   val snapshot : t -> Snap.t
   (** Serialize the complete detector state — clocks, epochs, access

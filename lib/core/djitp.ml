@@ -115,6 +115,16 @@ let races_rev d = d.races
 (* Accesses never touch thread clocks here, so sharding needs no replay. *)
 let note_sampled (_ : t) (_ : int) = ()
 
+(* The view is C_t itself: its own entry is the epoch, and every handler
+   that moves it bumps the history version. *)
+let view_size (cfg : Detector.config) = cfg.Detector.clock_size
+let view_version d t = History.version d.history t
+let export_view d t buf = Vc.blit_into d.clocks.(t) buf
+
+let import_view d t idx vals =
+  Array.iteri (fun j i -> Vc.set d.clocks.(t) i vals.(j)) idx;
+  History.bump d.history t
+
 let snapshot d =
   let enc = Snap.Enc.create () in
   Array.iter (Vc.encode enc) d.clocks;

@@ -48,6 +48,10 @@ let detector ?(racy_fastpath = false) id =
 
 let sampling_engines = [ St; Su; So; O1; O1u ]
 
+let honours_sampler = function
+  | Djit | Fasttrack | Fasttrack_tc -> false
+  | St | Su | So | Sl | Sn | O1 | O1u | Eraser -> true
+
 let run id ?racy_fastpath ?sampler ?clock_size ?limit trace =
   Detector.run (detector ?racy_fastpath id) ?sampler ?clock_size ?limit trace
 

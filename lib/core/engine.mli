@@ -31,6 +31,12 @@ val detector : ?racy_fastpath:bool -> id -> Detector.packed
 val sampling_engines : id list
 (** [St; Su; So; O1; O1u] — the engines that honour the sampler. *)
 
+val honours_sampler : id -> bool
+(** Does the engine check only the accesses its sampler selects?  Every
+    engine but DJIT+ and the two FastTracks, which check every access
+    whatever the sampler — the ablations and the lockset baseline
+    included, which is why this is not membership of {!sampling_engines}. *)
+
 val run :
   id ->
   ?racy_fastpath:bool ->

@@ -20,6 +20,7 @@ module Vc = Vector_clock
 type t = {
   nthreads : int;
   clocks : Vc.t array;
+  vers : int array;                    (* per-thread view version *)
   lock_clocks : Vc.t option array;
   writes : Epoch.t array;              (* W_x *)
   w_index : int array;                 (* trace index behind W_x *)
@@ -53,6 +54,7 @@ let create (cfg : Detector.config) =
   {
     nthreads = cfg.Detector.clock_size;
     clocks;
+    vers = Array.make cfg.Detector.clock_size 0;
     lock_clocks = Array.make (Stdlib.max 1 cfg.Detector.nlocks) None;
     writes = Array.make nlocs Epoch.none;
     w_index = Array.make nlocs (-1);
@@ -103,6 +105,9 @@ let lock_clock d l =
     let c = Vc.create d.nthreads in
     d.lock_clocks.(l) <- Some c;
     c
+
+(* Thread [t]'s clock is about to move: a new view version. *)
+let moved d t = d.vers.(t) <- d.vers.(t) + 1
 
 let handle d index (e : E.t) =
   let m = d.metrics in
@@ -198,22 +203,27 @@ let handle d index (e : E.t) =
     | None -> ()
     | Some cl ->
       m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
+      moved d t;
       Vc.join ~into:ct cl)
   | E.Release l | E.Release_store l ->
     m.Metrics.releases <- m.Metrics.releases + 1;
     m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
     m.Metrics.releases_processed <- m.Metrics.releases_processed + 1;
     Vc.copy_into ~into:(lock_clock d l) ct;
+    moved d t;
     Vc.inc ct t
   | E.Fork u ->
     m.Metrics.releases <- m.Metrics.releases + 1;
     m.Metrics.releases_processed <- m.Metrics.releases_processed + 1;
     m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
+    moved d u;
     Vc.join ~into:d.clocks.(u) ct;
+    moved d t;
     Vc.inc ct t
   | E.Join u ->
     m.Metrics.acquires <- m.Metrics.acquires + 1;
     m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
+    moved d t;
     Vc.join ~into:ct d.clocks.(u)
 
 let result d =
@@ -224,12 +234,22 @@ let races_rev d = d.races
 (* Accesses never touch thread clocks here, so sharding needs no replay. *)
 let note_sampled (_ : t) (_ : int) = ()
 
+(* The view is C_t, whose own entry is the epoch. *)
+let view_size (cfg : Detector.config) = cfg.Detector.clock_size
+let view_version d t = d.vers.(t)
+let export_view d t buf = Vc.blit_into d.clocks.(t) buf
+
+let import_view d t idx vals =
+  Array.iteri (fun j i -> Vc.set d.clocks.(t) i vals.(j)) idx;
+  moved d t
+
 (* Shared-mode entries are written in ascending location order so equal
    detector states encode to equal bytes regardless of the table's probe
    history. *)
 let snapshot d =
   let enc = Snap.Enc.create () in
   Array.iter (Vc.encode enc) d.clocks;
+  Snap.Enc.int_array enc d.vers;
   Array.iter (fun c -> Snap.Enc.option enc (Vc.encode enc) c) d.lock_clocks;
   Array.iter (Epoch.encode enc) d.writes;
   Snap.Enc.int_array enc d.w_index;
@@ -256,6 +276,7 @@ let restore (cfg : Detector.config) s =
   for t = 0 to Array.length d.clocks - 1 do
     d.clocks.(t) <- Vc.decode dec ~size:n
   done;
+  Array.blit (Snap.Dec.int_array_n dec n) 0 d.vers 0 n;
   for l = 0 to Array.length d.lock_clocks - 1 do
     d.lock_clocks.(l) <- Snap.Dec.option dec (fun () -> Vc.decode dec ~size:n)
   done;

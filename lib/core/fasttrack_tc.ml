@@ -12,6 +12,7 @@ type read_state = {
 type t = {
   csize : int;
   clocks : Tc.t array;
+  vers : int array;  (* per-thread view version *)
   lock_clocks : Tc.t option array;
   writes : Epoch.t array;
   w_index : int array;
@@ -33,6 +34,7 @@ let create (cfg : Detector.config) =
   {
     csize = n;
     clocks;
+    vers = Array.make n 0;
     lock_clocks = Array.make (Stdlib.max 1 cfg.Detector.nlocks) None;
     writes = Array.make (Stdlib.max 1 cfg.Detector.nlocs) Epoch.none;
     w_index = Array.make (Stdlib.max 1 cfg.Detector.nlocs) (-1);
@@ -64,6 +66,9 @@ let lock_clock d l =
     let tc = Tc.create d.csize ~owner:0 in
     d.lock_clocks.(l) <- Some tc;
     tc
+
+(* Thread [t]'s clock is about to move: a new view version. *)
+let moved d t = d.vers.(t) <- d.vers.(t) + 1
 
 let handle d index (e : E.t) =
   let m = d.metrics in
@@ -145,6 +150,7 @@ let handle d index (e : E.t) =
     (match d.lock_clocks.(l) with
     | None -> m.Metrics.acquires_skipped <- m.Metrics.acquires_skipped + 1
     | Some ltc ->
+      moved d t;
       let changed = Tc.join_count ~into:ct ltc in
       m.Metrics.entries_traversed <- m.Metrics.entries_traversed + changed;
       if changed = 0 then m.Metrics.acquires_skipped <- m.Metrics.acquires_skipped + 1
@@ -156,6 +162,7 @@ let handle d index (e : E.t) =
       m.Metrics.releases_processed <- m.Metrics.releases_processed + 1;
       Tc.monotone_copy ~into:ltc ct
     end;
+    moved d t;
     Tc.inc ct 1
   | E.Release_store l ->
     (* without a preceding acquire, the lock clock need not be ⊑ the
@@ -163,16 +170,20 @@ let handle d index (e : E.t) =
     m.Metrics.releases <- m.Metrics.releases + 1;
     m.Metrics.releases_processed <- m.Metrics.releases_processed + 1;
     Tc.force_copy ~into:(lock_clock d l) ct;
+    moved d t;
     Tc.inc ct 1
   | E.Fork u ->
     m.Metrics.releases <- m.Metrics.releases + 1;
     m.Metrics.releases_processed <- m.Metrics.releases_processed + 1;
     m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
+    moved d u;
     Tc.join ~into:d.clocks.(u) ct;
+    moved d t;
     Tc.inc ct 1
   | E.Join u ->
     m.Metrics.acquires <- m.Metrics.acquires + 1;
     m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
+    moved d t;
     Tc.join ~into:ct d.clocks.(u)
 
 let result d =
@@ -182,6 +193,20 @@ let races_rev d = d.races
 
 (* Accesses never touch thread clocks here, so sharding needs no replay. *)
 let note_sampled (_ : t) (_ : int) = ()
+
+(* The view is C_t, whose own entry is the epoch; views only grow. *)
+let view_size (cfg : Detector.config) = cfg.Detector.clock_size
+let view_version d t = d.vers.(t)
+
+let export_view d t buf =
+  let ct = d.clocks.(t) in
+  for i = 0 to d.csize - 1 do
+    buf.(i) <- Tc.get ct i
+  done
+
+let import_view d t idx vals =
+  Array.iteri (fun j i -> Tc.raise_entry d.clocks.(t) i vals.(j)) idx;
+  moved d t
 
 let encode_read_state enc (r : read_state) =
   Epoch.encode enc r.repoch;
@@ -207,6 +232,7 @@ let decode_read_state dec ~size =
 let snapshot d =
   let enc = Snap.Enc.create () in
   Array.iter (Tc.encode enc) d.clocks;
+  Snap.Enc.int_array enc d.vers;
   Array.iter (fun c -> Snap.Enc.option enc (Tc.encode enc) c) d.lock_clocks;
   Array.iter (Epoch.encode enc) d.writes;
   Snap.Enc.int_array enc d.w_index;
@@ -222,6 +248,7 @@ let restore (cfg : Detector.config) s =
   for t = 0 to Array.length d.clocks - 1 do
     d.clocks.(t) <- Tc.decode dec ~size:n
   done;
+  Array.blit (Snap.Dec.int_array_n dec n) 0 d.vers 0 n;
   for l = 0 to Array.length d.lock_clocks - 1 do
     d.lock_clocks.(l) <- Snap.Dec.option dec (fun () -> Tc.decode dec ~size:n)
   done;

@@ -102,6 +102,7 @@ let write_of t x = if x < capacity t then t.write.(x) else [||]
 let read_of t x = if x < capacity t then t.read.(x) else [||]
 
 let bump t tid = t.tver.(tid) <- t.tver.(tid) + 1
+let version t tid = t.tver.(tid)
 
 let read_hit t x ~tid ~epoch ~index =
   x < capacity t

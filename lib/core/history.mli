@@ -42,6 +42,9 @@ val bump : t -> int -> unit
 (** [bump t tid]: thread [tid]'s clock (or local epoch binding) is about to
     change; invalidate its cache entries.  O(1). *)
 
+val version : t -> int -> int
+(** Thread [tid]'s version: the number of {!bump}s so far, plus one. *)
+
 val read_hit : t -> Ft_trace.Event.loc -> tid:int -> epoch:int -> index:int -> bool
 (** O(1) same-epoch fast path for a read: [true] iff the last clean read
     check on this location was [(tid, epoch)] and still valid, in which case

@@ -11,6 +11,7 @@ type loc_state =
 type t = {
   sample : Sampler.instance;
   held : IntSet.t array;      (* locks held per thread *)
+  vers : int array;           (* per-thread view version: held-set changes *)
   states : loc_state array;
   write_index : int array;    (* last write per location, for the report *)
   metrics : Metrics.t;
@@ -23,6 +24,7 @@ let create (cfg : Detector.config) =
   {
     sample = Sampler.fresh cfg.Detector.sampler;
     held = Array.make cfg.Detector.clock_size IntSet.empty;
+    vers = Array.make cfg.Detector.clock_size 0;
     states = Array.make (Stdlib.max 1 cfg.Detector.nlocs) Virgin;
     write_index = Array.make (Stdlib.max 1 cfg.Detector.nlocs) (-1);
     metrics = Metrics.create ();
@@ -83,9 +85,11 @@ let handle d index (e : E.t) =
     end
   | E.Acquire l | E.Acquire_load l ->
     m.Metrics.acquires <- m.Metrics.acquires + 1;
+    d.vers.(t) <- d.vers.(t) + 1;
     d.held.(t) <- IntSet.add l d.held.(t)
   | E.Release l | E.Release_store l ->
     m.Metrics.releases <- m.Metrics.releases + 1;
+    d.vers.(t) <- d.vers.(t) + 1;
     d.held.(t) <- IntSet.remove l d.held.(t)
   | E.Fork _ | E.Join _ ->
     (* Eraser has no notion of happens-before: fork/join are invisible,
@@ -99,6 +103,21 @@ let races_rev d = d.races
 
 (* Accesses never touch the held-lock state, so sharding needs no replay. *)
 let note_sampled (_ : t) (_ : int) = ()
+
+(* The view is the held-lock set as a 0/1 bitmap over the locks. *)
+let view_size (cfg : Detector.config) = Stdlib.max 1 cfg.Detector.nlocks
+let view_version d t = d.vers.(t)
+
+let export_view d t buf =
+  Array.fill buf 0 (Array.length buf) 0;
+  IntSet.iter (fun l -> buf.(l) <- 1) d.held.(t)
+
+let import_view d t idx vals =
+  Array.iteri
+    (fun j l ->
+      d.held.(t) <- (if vals.(j) <> 0 then IntSet.add l else IntSet.remove l) d.held.(t))
+    idx;
+  d.vers.(t) <- d.vers.(t) + 1
 
 let encode_set enc s = Snap.Enc.list enc (Snap.Enc.int enc) (IntSet.elements s)
 
@@ -136,6 +155,7 @@ let snapshot d =
   let enc = Snap.Enc.create () in
   d.sample.Sampler.save enc;
   Array.iter (encode_set enc) d.held;
+  Snap.Enc.int_array enc d.vers;
   Array.iter (encode_state enc) d.states;
   Snap.Enc.int_array enc d.write_index;
   Metrics.encode enc d.metrics;
@@ -149,6 +169,8 @@ let restore (cfg : Detector.config) s =
   for t = 0 to Array.length d.held - 1 do
     d.held.(t) <- decode_set dec
   done;
+  let n = Array.length d.vers in
+  Array.blit (Snap.Dec.int_array_n dec n) 0 d.vers 0 n;
   for x = 0 to Array.length d.states - 1 do
     d.states.(x) <- decode_state dec
   done;

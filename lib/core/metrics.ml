@@ -150,9 +150,9 @@ let add ~into m =
   into.races <- into.races + m.races;
   into.same_epoch_hits <- into.same_epoch_hits + m.same_epoch_hits
 
-(* Sharded runs replicate every sync event to all K shards, so sync-side
-   counters are counted K times while access-side counters (owner shard
-   only) are counted once.  A sync-only baseline instance — same engine,
+(* The cluster router replicates every sync event to all K workers, so
+   sync-side counters are counted K times while access-side counters
+   (owner worker only) are counted once.  A sync-only baseline instance — same engine,
    fed exactly the replicated stream — counts precisely the duplicated
    work, so the exact merged counters are Σ shards − (K−1)·baseline,
    computed over [to_array] so a new field is covered (and exercised by the

@@ -63,12 +63,14 @@ val decode : Snap.Dec.t -> t
     mismatch. *)
 
 val add : into:t -> t -> unit
-(** Pointwise accumulation, for aggregating repeated runs. *)
+(** Pointwise accumulation: repeated runs, or the parts of one sharded run
+    that did disjoint work (front, checkers, tally). *)
 
 val merge_shards : sync_baseline:t -> t array -> t
-(** Exact counters of the equivalent unsharded run, from per-shard counters.
+(** Exact counters of the equivalent unsharded run, from per-worker
+    counters of the cluster router, which broadcasts sync events.
 
-    Contract: each of the K shards saw every sync event (broadcast) but only
+    Contract: each of the K workers saw every sync event (broadcast) but only
     its own accesses, so access-side counters sum exactly while sync-side
     work was performed K times; [sync_baseline] is the counter set of a
     detector fed only the broadcast sync stream (no accesses) and therefore

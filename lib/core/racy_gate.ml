@@ -42,6 +42,10 @@ module Make (D : Detector.S) : Detector.S = struct
   let result d = D.result d.inner
   let races_rev d = D.races_rev d.inner
   let note_sampled d t = D.note_sampled d.inner t
+  let view_size = D.view_size
+  let view_version d t = D.view_version d.inner t
+  let export_view d t buf = D.export_view d.inner t buf
+  let import_view d t idx vals = D.import_view d.inner t idx vals
   let snapshot d = D.snapshot d.inner
 
   let restore cfg s =

@@ -179,6 +179,25 @@ let races_rev d = d.races
    until the next flush, exactly like the bit it sets. *)
 let note_sampled d t = d.pending.(t) <- true
 
+(* The view is C_t[t ↦ e_t]; see {!Sampling_naive}. *)
+let view_size (cfg : Detector.config) = cfg.Detector.clock_size
+let view_version d t = History.version d.history t + d.epochs.(t)
+
+let export_view d t buf =
+  Vc.blit_into d.clocks.(t) buf;
+  buf.(t) <- d.epochs.(t)
+
+let import_view d t idx vals =
+  Array.iteri
+    (fun j i ->
+      if i = t then d.epochs.(t) <- vals.(j)
+      else begin
+        touch_clock d t;
+        Vc.set d.clocks.(t) i vals.(j)
+      end)
+    idx;
+  History.bump d.history t
+
 (* Like the ordered-list engine, releases publish a *reference* to the
    releasing thread's clock, and the [shared] flags only make sense if the
    restored detector reproduces that physical sharing.  Lock entries are

@@ -33,6 +33,7 @@ type t = {
   clocks : Vc.t array;           (* C_t, initialized to ⊥ *)
   uclocks : Vc.t array;          (* U_t; unused (length 0 clocks) without the policy *)
   epochs : int array;            (* e_t *)
+  vers : int array;              (* per-thread view version *)
   pending : bool array;          (* sampled event since the last flush? *)
   lock_clocks : Vc.t option array;   (* C_ℓ *)
   lock_uclocks : Vc.t option array;  (* U_ℓ *)
@@ -67,6 +68,7 @@ let create (cfg : Detector.config) =
     uclocks =
       (if Policy.uclock then Array.init n (fun _ -> Vc.create n) else [||]);
     epochs = Array.make n 1;
+    vers = Array.make n 0;
     pending = Array.make n false;
     lock_clocks = Array.make nlocks None;
     lock_uclocks = Array.make nlocks None;
@@ -125,8 +127,12 @@ let lock_clock d l =
     d.lock_clocks.(l) <- Some c;
     c
 
+(* Thread [t]'s clock or epoch is about to move: a new view version. *)
+let moved d t = d.vers.(t) <- d.vers.(t) + 1
+
 let flush_pending d t =
   if d.pending.(t) then begin
+    moved d t;
     Vc.set d.clocks.(t) t d.epochs.(t);
     if Policy.uclock then Vc.inc d.uclocks.(t) t;
     d.epochs.(t) <- d.epochs.(t) + 1;
@@ -146,6 +152,7 @@ let publish d t l =
   | None -> d.lock_uclocks.(l) <- Some (Vc.copy d.uclocks.(t))
 
 let absorb d t ~src_c ~src_u =
+  moved d t;
   let m = d.metrics in
   m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 2;
   let ut = d.uclocks.(t) and ct = d.clocks.(t) in
@@ -278,6 +285,7 @@ let handle d index (e : E.t) =
       | None -> ()
       | Some cl ->
         m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
+        moved d t;
         Vc.join ~into:ct cl)
   | E.Release l ->
     m.Metrics.releases <- m.Metrics.releases + 1;
@@ -311,6 +319,7 @@ let handle d index (e : E.t) =
   | E.Fork u ->
     m.Metrics.releases <- m.Metrics.releases + 1;
     flush_pending d t;
+    moved d u;
     if Policy.uclock then begin
       m.Metrics.releases_processed <- m.Metrics.releases_processed + 1;
       m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 2;
@@ -331,6 +340,7 @@ let handle d index (e : E.t) =
       absorb d t ~src_c:d.clocks.(u) ~src_u:d.uclocks.(u)
     else begin
       m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
+      moved d t;
       Vc.join ~into:ct d.clocks.(u)
     end
 
@@ -343,6 +353,21 @@ let races_rev d = d.races
    until the next flush, exactly like the bit it sets. *)
 let note_sampled d t = d.pending.(t) <- true
 
+(* The view is C_t[t ↦ e_t]: the clock's own entry holds only the last
+   flushed epoch. *)
+let view_size (cfg : Detector.config) = cfg.Detector.clock_size
+let view_version d t = d.vers.(t)
+
+let export_view d t buf =
+  Vc.blit_into d.clocks.(t) buf;
+  buf.(t) <- d.epochs.(t)
+
+let import_view d t idx vals =
+  Array.iteri
+    (fun j i -> if i = t then d.epochs.(t) <- vals.(j) else Vc.set d.clocks.(t) i vals.(j))
+    idx;
+  moved d t
+
 (* Shared-mode entries are written in ascending location order so equal
    detector states encode to equal bytes regardless of the table's probe
    history. *)
@@ -352,6 +377,7 @@ let snapshot d =
   Array.iter (Vc.encode enc) d.clocks;
   if Policy.uclock then Array.iter (Vc.encode enc) d.uclocks;
   Snap.Enc.int_array enc d.epochs;
+  Snap.Enc.int_array enc d.vers;
   Snap.Enc.bool_array enc d.pending;
   Array.iter (fun c -> Snap.Enc.option enc (Vc.encode enc) c) d.lock_clocks;
   if Policy.uclock then begin
@@ -390,6 +416,7 @@ let restore (cfg : Detector.config) s =
     done;
   let epochs = Snap.Dec.int_array_n dec n in
   Array.blit epochs 0 d.epochs 0 n;
+  Array.blit (Snap.Dec.int_array_n dec n) 0 d.vers 0 n;
   let pending = Snap.Dec.bool_array_n dec n in
   Array.blit pending 0 d.pending 0 n;
   for l = 0 to Array.length d.lock_clocks - 1 do

@@ -252,6 +252,26 @@ let check_pool d =
    until the next flush, exactly like the bit it sets. *)
 let note_sampled d t = d.pending.(t) <- true
 
+(* The view is O_t[t ↦ e_t] (the list's own node is stale anyway); see
+   {!Sampling_naive} for the version. *)
+let view_size (cfg : Detector.config) = cfg.Detector.clock_size
+let view_version d t = History.version d.history t + d.epochs.(t)
+
+let export_view d t buf =
+  Ol.values_into d.olists.(t) buf;
+  buf.(t) <- d.epochs.(t)
+
+let import_view d t idx vals =
+  Array.iteri
+    (fun j i ->
+      if i = t then d.epochs.(t) <- vals.(j)
+      else begin
+        touch_olist d t;
+        Ol.set d.olists.(t) i vals.(j)
+      end)
+    idx;
+  History.bump d.history t
+
 (* Snapshots must reproduce Alg 4's lazy-copy sharing structure, not just
    the list values: a release stores a *reference* to the releasing
    thread's list, and several locks may alias one list (or an old version a

@@ -181,6 +181,21 @@ let races_rev d = d.races
    until the next flush, exactly like the bit it sets. *)
 let note_sampled d t = d.pending.(t) <- true
 
+(* The view is C_t[t ↦ e_t]; see {!Sampling_naive}.  U_t is sync-side
+   state only: no access handler reads it. *)
+let view_size (cfg : Detector.config) = cfg.Detector.clock_size
+let view_version d t = History.version d.history t + d.epochs.(t)
+
+let export_view d t buf =
+  Vc.blit_into d.clocks.(t) buf;
+  buf.(t) <- d.epochs.(t)
+
+let import_view d t idx vals =
+  Array.iteri
+    (fun j i -> if i = t then d.epochs.(t) <- vals.(j) else Vc.set d.clocks.(t) i vals.(j))
+    idx;
+  History.bump d.history t
+
 let snapshot d =
   let enc = Snap.Enc.create () in
   d.sample.Sampler.save enc;

@@ -98,6 +98,19 @@ let apply_join ~count ~into src =
   !changed
 
 let join ~into src = ignore (apply_join ~count:false ~into src)
+
+(* A join with a timestamp that knows only entry [v]: the node moves under
+   the root, attached at the root's current clock like any joined subtree.
+   Its own children keep their attachment clocks, which stay below its
+   raised value. *)
+let raise_entry tc v w =
+  if w > tc.clk.(v) then
+    if v = tc.root then tc.clk.(v) <- w
+    else begin
+      detach tc v;
+      tc.clk.(v) <- w;
+      attach_front tc ~parent:tc.root ~aclk:tc.clk.(tc.root) v
+    end
 let join_count ~into src = apply_join ~count:true ~into src
 
 let monotone_copy ~into src =

@@ -39,6 +39,11 @@ val join : into:t -> t -> unit
 val join_count : into:t -> t -> int
 (** Like {!join}; returns the number of components that changed. *)
 
+val raise_entry : t -> int -> int -> unit
+(** [raise_entry tc v w] lifts entry [v] to [max (get tc v) w], keeping
+    every structural invariant — a join with a timestamp that knows only
+    that entry.  O(1). *)
+
 val monotone_copy : into:t -> t -> unit
 (** [monotone_copy ~into src] makes [into] an exact copy of [src] — values,
     shape and root — under the precondition [into ⊑ src] pointwise (which

@@ -58,20 +58,69 @@ let encode_mark enc th =
   Snap.Enc.int enc 1;
   Snap.Enc.int enc th
 
+(* The body of an event message, after its tag 0. *)
+let decode_ev dec =
+  let i = Snap.Dec.int dec in
+  let thread = Snap.Dec.int dec in
+  let tag = Snap.Dec.int dec in
+  let operand = Snap.Dec.int dec in
+  Snap.expect (i >= 0 && thread >= 0 && operand >= 0) "cluster batch: negative field";
+  (i, { Event.thread; op = op_of ~tag ~operand })
+
 let decode_msg dec =
   match Snap.Dec.int dec with
   | 0 ->
-    let i = Snap.Dec.int dec in
-    let thread = Snap.Dec.int dec in
-    let tag = Snap.Dec.int dec in
-    let operand = Snap.Dec.int dec in
-    Snap.expect (i >= 0 && thread >= 0 && operand >= 0) "cluster batch: negative field";
-    Ev (i, { Event.thread; op = op_of ~tag ~operand })
+    let i, e = decode_ev dec in
+    Ev (i, e)
   | 1 ->
     let th = Snap.Dec.int dec in
     Snap.expect (th >= 0) "cluster batch: negative thread";
     Mark th
   | _ -> raise (Snap.Corrupt "cluster batch: unknown message tag")
+
+(* Checker messages: an access keeps the event format (tag 0); a view
+   delta is tag 2, the thread, the entry count, then per entry the gap to
+   the previous index and the value.  Indices therefore strictly increase,
+   and every entry costs at least two bytes, which bounds the count a
+   hostile payload can claim. *)
+type check =
+  | Acc of int * Event.t
+  | View of Event.tid * int array * int array
+
+let encode_view enc th idx vals =
+  Snap.Enc.int enc 2;
+  Snap.Enc.int enc th;
+  Snap.Enc.int enc (Array.length idx);
+  let prev = ref (-1) in
+  Array.iteri
+    (fun j i ->
+      Snap.Enc.int enc (i - !prev - 1);
+      Snap.Enc.int enc vals.(j);
+      prev := i)
+    idx
+
+let decode_check dec =
+  match Snap.Dec.int dec with
+  | 0 ->
+    let i, e = decode_ev dec in
+    Acc (i, e)
+  | 2 ->
+    let th = Snap.Dec.int dec in
+    let n = Snap.Dec.int dec in
+    Snap.expect (th >= 0) "shard backlog: negative thread";
+    Snap.expect (n >= 0 && n <= Snap.Dec.remaining dec / 2) "shard backlog: bad view length";
+    let idx = Array.make n 0 and vals = Array.make n 0 in
+    let prev = ref (-1) in
+    for j = 0 to n - 1 do
+      let gap = Snap.Dec.int dec in
+      let v = Snap.Dec.int dec in
+      Snap.expect (gap >= 0 && v >= 0) "shard backlog: negative view field";
+      idx.(j) <- !prev + gap + 1;
+      vals.(j) <- v;
+      prev := idx.(j)
+    done;
+    View (th, idx, vals)
+  | _ -> raise (Snap.Corrupt "shard backlog: unknown message tag")
 
 let encode ~nthreads ~nlocks ~nlocs msgs ~off ~len =
   let enc = Snap.Enc.create () in
@@ -95,7 +144,8 @@ let decode payload =
     Snap.expect (nthreads > 0 && nlocks >= 0 && nlocs >= 0)
       "cluster batch: bad universe";
     let n = Snap.Dec.int dec in
-    Snap.expect (n >= 0) "cluster batch: negative message count";
+    (* every message takes at least two bytes *)
+    Snap.expect (n >= 0 && n <= Snap.Dec.remaining dec / 2) "cluster batch: bad message count";
     let msgs = Array.init n (fun _ -> decode_msg dec) in
     Snap.Dec.finish dec;
     ((nthreads, nlocks, nlocs), msgs)

@@ -29,8 +29,8 @@ val op_of : tag:int -> operand:int -> Ft_trace.Event.op
 
 val encode_ev : Ft_core.Snap.Enc.t -> int -> Ft_trace.Event.t -> unit
 (** Append one [Ev (i, e)] in the per-message format of a cluster batch
-    (about 8–9 bytes for a typical event) — also the format of a supervised
-    shard's byte backlog in {!Sharded}. *)
+    (about 8–9 bytes for a typical event) — also the format of an [Acc] in a
+    supervised shard's byte backlog ({!check}). *)
 
 val encode_mark : Ft_core.Snap.Enc.t -> Ft_trace.Event.tid -> unit
 (** Append one [Mark th] (2 bytes for a small thread id). *)
@@ -38,6 +38,29 @@ val encode_mark : Ft_core.Snap.Enc.t -> Ft_trace.Event.tid -> unit
 val decode_msg : Ft_core.Snap.Dec.t -> msg
 (** Read one message written by {!encode_ev} or {!encode_mark}; raises
     {!Ft_core.Snap.Corrupt} on malformed input. *)
+
+(** {1 Checker messages}
+
+    What the sharded detector's front sends a checker ({!Sharded}), in the
+    supervisor's byte backlog: sampled accesses, and the entries of a
+    thread's view that changed since that checker last saw it. *)
+
+type check =
+  | Acc of int * Ft_trace.Event.t
+      (** a sampled access (every access, for engines that ignore the
+          sampler), with its original index — written by {!encode_ev} *)
+  | View of Ft_trace.Event.tid * int array * int array
+      (** [View (t, idx, vals)]: thread [t]'s view entries [idx] (strictly
+          increasing) now hold [vals] ({!Ft_core.Detector.S.import_view}) *)
+
+val encode_view : Ft_core.Snap.Enc.t -> Ft_trace.Event.tid -> int array -> int array -> unit
+(** Append one [View]; [idx] must be strictly increasing and every value
+    non-negative. *)
+
+val decode_check : Ft_core.Snap.Dec.t -> check
+(** Read one message written by {!encode_ev} or {!encode_view}; raises
+    {!Ft_core.Snap.Corrupt} on malformed input, never allocates more than
+    the remaining input justifies. *)
 
 val encode :
   nthreads:int -> nlocks:int -> nlocs:int -> msg array -> off:int -> len:int -> string

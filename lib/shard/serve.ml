@@ -344,7 +344,7 @@ let attach_shard_series tel ~shards =
       Array.map
         (fun f ->
           Registry.counter tel.reg "racedet_metric"
-            ~help:"Merged detector work counters (Metrics.merge_shards over all shards)"
+            ~help:"Merged detector work counters (front + every shard's checker)"
             ~labels:[ ("field", f) ])
         Metrics.field_names
   end

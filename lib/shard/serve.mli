@@ -49,8 +49,8 @@
     so [REPORT] output stays byte-identical to [racedet analyze].
 
     With a checkpoint directory the server persists checkpoint sets: one
-    file, [set.ftc], holding every shard's snapshot plus the router's
-    (pending bits, router sampler state, sync-only baseline) in the
+    file, [set.ftc], holding every checker's snapshot plus the router's
+    (sampler state, front engine, tally, shipped views) in the
     {!Ft_snapshot.Checkpoint} container — checksummed and written
     atomically, so a crash mid-write leaves the previous set whole.  In [BATCH] mode a set is written
     every [checkpoint_every] ingested batches {e before acknowledging}

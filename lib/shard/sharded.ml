@@ -7,37 +7,37 @@ module Race = Ft_core.Race
 module Snap = Ft_core.Snap
 module Fault = Ft_fault.Fault
 
+(* Ring messages.  [Acc] and [View] are the stream a checker applies (and
+   the supervisor backlogs, in {!Cmsg.check}'s format); [Snapshot] and
+   [Stop] are control. *)
 type msg =
-  | Ev of int * Event.t
-  | Mark of Event.tid  (* replicate a pending-bit transition: note_sampled *)
+  | Acc of int * Event.t  (* a shipped access, original index *)
+  | View of Event.tid * int array * int array  (* changed view entries *)
   | Snapshot  (* supervised only: publish (count, snapshot) at this cut *)
   | Stop
 
 exception Shard_failed of string
 
-(* One engine instance behind closures, so the router can hold K of them
-   without knowing the engine's state type. *)
+(* One engine instance behind closures, so the front and the checkers can
+   be held without knowing the engine's state type. *)
 type inst = {
   i_handle : int -> Event.t -> unit;
   i_note : Event.tid -> unit;
+  i_version : Event.tid -> int;
+  i_export : Event.tid -> int array -> unit;
+  i_import : Event.tid -> int array -> int array -> unit;
   i_result : unit -> Detector.result;
   i_snapshot : unit -> Snap.t;
 }
 
-let fresh_inst (module D : Detector.S) config =
-  let d = D.create config in
+let instance (module D : Detector.S) ?snap config =
+  let d = match snap with None -> D.create config | Some s -> D.restore config s in
   {
-    i_handle = (fun i e -> D.handle d i e);
-    i_note = (fun t -> D.note_sampled d t);
-    i_result = (fun () -> D.result d);
-    i_snapshot = (fun () -> D.snapshot d);
-  }
-
-let restored_inst (module D : Detector.S) config snap =
-  let d = D.restore config snap in
-  {
-    i_handle = (fun i e -> D.handle d i e);
-    i_note = (fun t -> D.note_sampled d t);
+    i_handle = D.handle d;
+    i_note = D.note_sampled d;
+    i_version = D.view_version d;
+    i_export = D.export_view d;
+    i_import = D.import_view d;
     i_result = (fun () -> D.result d);
     i_snapshot = (fun () -> D.snapshot d);
   }
@@ -46,6 +46,10 @@ let restored_inst (module D : Detector.S) config snap =
    except [fail] and [snap_slot], which the worker publishes through
    atomics: [fail] when it dies or its handler raises, [snap_slot] with the
    (message-count, snapshot) pair a [Snapshot] request asked for.
+
+   The front keeps, per thread, the view version it last shipped to this
+   shard and a [shadow] of the view the checker holds, so it ships only
+   changed entries.
 
    Supervised, the router keeps a restore point — [restore_snap] (None: a
    fresh instance) covering the shard's first [restore_count] messages —
@@ -56,6 +60,8 @@ let restored_inst (module D : Detector.S) config snap =
 type shard = {
   ring : msg Spsc.t;
   mutable inst : inst;
+  shipped : int array;  (* per thread: view version last shipped *)
+  shadow : int array array;  (* per thread: the view the checker holds *)
   mutable domain : unit Domain.t option;
   fail : (string * bool) option Atomic.t;  (* reason, domain exited abruptly *)
   snap_slot : (int * Snap.t) option Atomic.t;
@@ -72,17 +78,19 @@ type shard = {
 }
 
 type t = {
-  engine : Engine.id;
   packed : (module Detector.S);
-  config : Detector.config;
+  checker_config : Detector.config;  (* the config, sampling everything *)
   k : int;
   supervise : bool;
   max_restarts : int;
   shards : shard array;
-  baseline : inst;  (* same engine, fed only the broadcast sync stream *)
+  front : inst;  (* the engine, fed sync events plus note_sampled *)
+  samples : bool;  (* the engine checks only sampled accesses *)
   sampler_inst : Sampler.instance;
-  pending : bool array;  (* mirror of every instance's pending bit, per thread *)
-  routed : int array;  (* events pushed per shard ring; router-domain only *)
+  tally : Metrics.t;  (* accesses nobody checks: events, reads, writes *)
+  view : int array;  (* export scratch *)
+  delta_idx : int array;
+  delta_val : int array;
   mutable nevents : int;
   mutable stopped : bool;
 }
@@ -133,13 +141,13 @@ let worker sh inst ~start idx () =
         if not !failed then begin
           try
             match msg with
-            | Ev (i, e) ->
+            | Acc (i, e) ->
               step ();
               inst.i_handle i e;
               incr processed
-            | Mark th ->
+            | View (th, idx, vals) ->
               step ();
-              inst.i_note th;
+              inst.i_import th idx vals;
               incr processed
             | Snapshot -> Atomic.set sh.snap_slot (Some (!processed, inst.i_snapshot ()))
             | Stop -> assert false
@@ -167,8 +175,8 @@ let spawn_shard t s =
 (* --- router-side restore points (supervised mode only) ------------------- *)
 
 let backlog_push sh = function
-  | Ev (i, e) -> Cmsg.encode_ev sh.backlog i e
-  | Mark th -> Cmsg.encode_mark sh.backlog th
+  | Acc (i, e) -> Cmsg.encode_ev sh.backlog i e
+  | View (th, idx, vals) -> Cmsg.encode_view sh.backlog th idx vals
   | Snapshot | Stop -> assert false
 
 let restore_bytes sh = match sh.restore_snap with None -> 0 | Some s -> String.length s
@@ -241,11 +249,8 @@ let rec heal t s =
     (* a request the dead worker did not answer died with its ring *)
     adopt_snapshot sh;
     sh.requested <- -1;
-    (match sh.restore_snap with
-    | Some snap ->
-      sh.inst <- restored_inst t.packed t.config snap;
-      sh.snapshot_heals <- sh.snapshot_heals + 1
-    | None -> sh.inst <- fresh_inst t.packed t.config);
+    sh.inst <- instance t.packed ?snap:sh.restore_snap t.checker_config;
+    if sh.restore_snap <> None then sh.snapshot_heals <- sh.snapshot_heals + 1;
     Printf.eprintf
       "[supervisor] shard %d failed (%s); restart %d/%d, restored at message %d, \
        replaying %d\n%!"
@@ -254,7 +259,9 @@ let rec heal t s =
     spawn_shard t s;
     let dec = Snap.Dec.of_snap (Snap.Enc.to_snap sh.backlog) in
     let next () =
-      match Cmsg.decode_msg dec with Cmsg.Ev (i, e) -> Ev (i, e) | Cmsg.Mark th -> Mark th
+      match Cmsg.decode_check dec with
+      | Cmsg.Acc (i, e) -> Acc (i, e)
+      | Cmsg.View (th, idx, vals) -> View (th, idx, vals)
     in
     let rec replay m =
       if Spsc.try_push sh.ring m then begin
@@ -308,16 +315,20 @@ let push_msg t s m =
     deliver t s Snapshot
   end
 
-(* [shard_snaps.(s)] is shard [s]'s starting state (None: fresh), and also
-   its first restore point under supervision. *)
+(* [shard_snaps.(s)] is checker [s]'s starting state (None: fresh), and
+   also its first restore point under supervision; [shadows.(s)] the views
+   and versions the front last shipped it (None: a fresh checker's). *)
 let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_restarts)
-    config ~shard_snaps ~baseline ~sampler_inst ~pending ~nevents =
+    (config : Detector.config) ~shard_snaps ~shadows ~front ~sampler_inst ~tally ~nevents =
   let packed = Engine.detector engine in
+  let (module D : Detector.S) = packed in
+  let vsize = D.view_size config in
+  let nthreads = config.Detector.nthreads in
+  let checker_config = { config with Detector.sampler = Sampler.all } in
   let t =
     {
-      engine;
       packed;
-      config;
+      checker_config;
       k;
       supervise;
       max_restarts;
@@ -326,10 +337,9 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
           (fun snap ->
             {
               ring = Spsc.create ~capacity:ring_capacity ~dummy:Stop;
-              inst =
-                (match snap with
-                | None -> fresh_inst packed config
-                | Some s -> restored_inst packed config s);
+              inst = instance packed ?snap checker_config;
+              shipped = Array.make nthreads 0;
+              shadow = Array.init nthreads (fun _ -> Array.make vsize 0);
               domain = None;
               fail = Atomic.make None;
               snap_slot = Atomic.make None;
@@ -345,14 +355,32 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
               dead = None;
             })
           shard_snaps;
-      baseline;
+      front;
+      samples = Engine.honours_sampler engine;
       sampler_inst;
-      pending;
-      routed = Array.make k 0;
+      tally;
+      view = Array.make vsize 0;
+      delta_idx = Array.make vsize 0;
+      delta_val = Array.make vsize 0;
       nevents;
       stopped = false;
     }
   in
+  Array.iteri
+    (fun s sh ->
+      for th = 0 to nthreads - 1 do
+        match shadows with
+        | Some shadows ->
+          let ver, view = shadows.(s).(th) in
+          sh.shipped.(th) <- ver;
+          Array.blit view 0 sh.shadow.(th) 0 vsize
+        | None ->
+          (* a fresh checker holds the fresh views, which the front (fresh
+             too) still has *)
+          sh.shipped.(th) <- front.i_version th;
+          front.i_export th sh.shadow.(th)
+      done)
+    t.shards;
   for s = 0 to k - 1 do
     spawn_shard t s
   done;
@@ -361,79 +389,76 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
 let create ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config) =
   if k < 1 then invalid_arg "Sharded.create: shards must be positive";
   build ~engine ~shards:k ?supervise ?max_restarts config
-    ~shard_snaps:(Array.make k None)
-    ~baseline:(fresh_inst (Engine.detector engine) config)
+    ~shard_snaps:(Array.make k None) ~shadows:None
+    ~front:(instance (Engine.detector engine) config)
     ~sampler_inst:(Sampler.fresh config.Detector.sampler)
-    ~pending:(Array.make config.Detector.nthreads false)
-    ~nevents:0
+    ~tally:(Metrics.create ()) ~nevents:0
 
-let broadcast t m =
-  for s = 0 to t.k - 1 do
-    push_msg t s m;
-    t.routed.(s) <- t.routed.(s) + 1
-  done
+(* Bring checker [s]'s copy of thread [th]'s view up to date.  A version
+   change ships a [View] even when no entry changed: the checker's import
+   invalidates the thread's same-epoch cache entries just as the sync
+   handler that moved the version did, so cache hits stay exact. *)
+let ship_view t s th =
+  let sh = t.shards.(s) in
+  let v = t.front.i_version th in
+  if v <> sh.shipped.(th) then begin
+    sh.shipped.(th) <- v;
+    t.front.i_export th t.view;
+    let view = t.view and shadow = sh.shadow.(th) in
+    let n = ref 0 in
+    for j = 0 to Array.length view - 1 do
+      let x = Array.unsafe_get view j in
+      if x <> Array.unsafe_get shadow j then begin
+        Array.unsafe_set shadow j x;
+        t.delta_idx.(!n) <- j;
+        t.delta_val.(!n) <- x;
+        incr n
+      end
+    done;
+    push_msg t s (View (th, Array.sub t.delta_idx 0 !n, Array.sub t.delta_val 0 !n))
+  end
 
+(* The front runs the sampler and the one sync engine; a checker sees only
+   the accesses it must check, each behind the view changes it needs.
+   Everything an access handler reads — the location's state, C_t[t ↦ e_t]
+   and the same-epoch invalidations — is then exactly what the unsharded
+   engine reads (DESIGN.md §6a). *)
 let handle t i (e : Event.t) =
   if t.stopped then failwith "Sharded.handle: detector is stopped";
   (match e.Event.op with
   | Event.Read x | Event.Write x ->
-    let o = owner_of ~shards:t.k x in
-    (* The router's sampler instance sees every access, exactly once, in
-       trace order — the instance contract.  Query before the && so stateful
-       strategies advance even while the bit is already set. *)
-    let sampled = Sampler.query t.sampler_inst i e in
-    if sampled && not t.pending.(e.Event.thread) then begin
-      t.pending.(e.Event.thread) <- true;
-      for s = 0 to t.k - 1 do
-        (* the owner sets its own bit when it handles the event *)
-        if s <> o then push_msg t s (Mark e.Event.thread)
-      done;
-      t.baseline.i_note e.Event.thread
-    end;
-    push_msg t o (Ev (i, e));
-    t.routed.(o) <- t.routed.(o) + 1
-  | Event.Acquire _ | Event.Acquire_load _ ->
-    (* acquires never flush pending *)
-    broadcast t (Ev (i, e));
-    t.baseline.i_handle i e
-  | Event.Release _ | Event.Release_store _ ->
-    broadcast t (Ev (i, e));
-    t.baseline.i_handle i e;
-    t.pending.(e.Event.thread) <- false
-  | Event.Fork _ ->
-    (* fork flushes the forking thread *)
-    broadcast t (Ev (i, e));
-    t.baseline.i_handle i e;
-    t.pending.(e.Event.thread) <- false
-  | Event.Join u ->
-    (* join flushes the joined child *)
-    broadcast t (Ev (i, e));
-    t.baseline.i_handle i e;
-    t.pending.(u) <- false);
+    (* the sampler instance sees every access, exactly once, in trace order *)
+    if (not t.samples) || Sampler.query t.sampler_inst i e then begin
+      let th = e.Event.thread in
+      t.front.i_note th;
+      let s = owner_of ~shards:t.k x in
+      ship_view t s th;
+      push_msg t s (Acc (i, e))
+    end
+    else begin
+      let m = t.tally in
+      m.Metrics.events <- m.Metrics.events + 1;
+      match e.Event.op with
+      | Event.Read _ -> m.Metrics.reads <- m.Metrics.reads + 1
+      | _ -> m.Metrics.writes <- m.Metrics.writes + 1
+    end
+  | Event.Acquire _ | Event.Acquire_load _ | Event.Release _ | Event.Release_store _
+  | Event.Fork _ | Event.Join _ ->
+    t.front.i_handle i e);
   t.nevents <- t.nevents + 1
 
-(* A pending-bit transition whose triggering access is owned elsewhere — a
-   cluster worker applying a [Mark] from its router (see {!Cmsg}).  From
-   this detector's point of view no internal shard owns the access, so the
-   mark goes to every shard, exactly as [handle] sends it to every
-   non-owner; the baseline notes it too, keeping the internal baseline
-   identical to the global run's.  Not an event: [nevents] and the routed
-   counters stay put. *)
+(* A sampled access owned by another detector — a cluster worker applying
+   a [Mark] from its router ({!Cmsg}): only the front's pending bit moves.
+   Not an event: [nevents] and the message counts stay put. *)
 let note_sampled t th =
   if t.stopped then failwith "Sharded.note_sampled: detector is stopped";
-  if th < 0 || th >= Array.length t.pending then
+  if th < 0 || th >= Array.length t.shards.(0).shipped then
     failwith (Printf.sprintf "Sharded.note_sampled: thread %d out of range" th);
-  if not t.pending.(th) then begin
-    t.pending.(th) <- true;
-    for s = 0 to t.k - 1 do
-      push_msg t s (Mark th)
-    done;
-    t.baseline.i_note th
-  end
+  t.front.i_note th
 
 let events t = t.nevents
 
-let shard_event_counts t = Array.copy t.routed
+let shard_event_counts t = Array.map (fun sh -> sh.pushed) t.shards
 
 let ring_occupancy t = Array.map (fun sh -> Spsc.length sh.ring) t.shards
 
@@ -484,22 +509,22 @@ let flush t =
   end
   else Array.iter check_dead t.shards
 
+(* The front did the sync work, the checkers the checks and the tally the
+   rest, so the counters simply add up. *)
 let result t =
   flush t;
   let rs = Array.map (fun sh -> sh.inst.i_result ()) t.shards in
-  let base = t.baseline.i_result () in
+  let front = t.front.i_result () in
   let races =
     List.sort
       (fun (a : Race.t) (b : Race.t) -> Stdlib.compare a.Race.index b.Race.index)
       (List.concat_map (fun (r : Detector.result) -> r.Detector.races) (Array.to_list rs))
   in
-  {
-    Detector.engine = base.Detector.engine;
-    races;
-    metrics =
-      Metrics.merge_shards ~sync_baseline:base.Detector.metrics
-        (Array.map (fun (r : Detector.result) -> r.Detector.metrics) rs);
-  }
+  let metrics = Metrics.create () in
+  Metrics.add ~into:metrics front.Detector.metrics;
+  Array.iter (fun (r : Detector.result) -> Metrics.add ~into:metrics r.Detector.metrics) rs;
+  Metrics.add ~into:metrics t.tally;
+  { Detector.engine = front.Detector.engine; races; metrics }
 
 let stop t =
   if not t.stopped then begin
@@ -555,14 +580,28 @@ let shard_snapshots t =
       snap)
     t.shards
 
+(* Router snapshots open with a format tag below any shard count, so one
+   written before the front/checker split fails to decode — a logged fresh
+   start — instead of misreading. *)
+let router_format = -2
+
 let router_snapshot t =
   flush t;
   let enc = Snap.Enc.create () in
+  Snap.Enc.int enc router_format;
   Snap.Enc.int enc t.k;
   Snap.Enc.int enc t.nevents;
-  Snap.Enc.bool_array enc t.pending;
   t.sampler_inst.Sampler.save enc;
-  Snap.Enc.string enc (t.baseline.i_snapshot ());
+  Snap.Enc.string enc (t.front.i_snapshot ());
+  Metrics.encode enc t.tally;
+  Array.iter
+    (fun sh ->
+      Array.iteri
+        (fun th ver ->
+          Snap.Enc.int enc ver;
+          Snap.Enc.int_array enc sh.shadow.(th))
+        sh.shipped)
+    t.shards;
   Snap.Enc.to_snap enc
 
 let restore ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config) ~router
@@ -572,16 +611,27 @@ let restore ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config
     (Array.length shard_snaps = k)
     "Sharded.restore: shard snapshot count does not match shard count";
   let dec = Snap.Dec.of_snap router in
+  Snap.expect
+    (Snap.Dec.int dec = router_format)
+    "Sharded.restore: router snapshot predates the front/checker split";
   let k' = Snap.Dec.int dec in
   Snap.expect (k' = k) "Sharded.restore: router snapshot was taken with a different K";
   let nevents = Snap.Dec.int dec in
   Snap.expect (nevents >= 0) "Sharded.restore: negative event count";
-  let pending = Snap.Dec.bool_array_n dec config.Detector.nthreads in
   let sampler_inst = Sampler.fresh config.Detector.sampler in
   sampler_inst.Sampler.load dec;
-  let base_snap = Snap.Dec.string dec in
+  let packed = Engine.detector engine in
+  let front = instance packed ~snap:(Snap.Dec.string dec) config in
+  let tally = Metrics.decode dec in
+  let (module D : Detector.S) = packed in
+  let vsize = D.view_size config in
+  let shadows =
+    Array.init k (fun _ ->
+        Array.init config.Detector.nthreads (fun _ ->
+            let ver = Snap.Dec.int dec in
+            (ver, Snap.Dec.int_array_n dec vsize)))
+  in
   Snap.Dec.finish dec;
   build ~engine ~shards:k ?supervise ?max_restarts config
-    ~shard_snaps:(Array.map Option.some shard_snaps)
-    ~baseline:(restored_inst (Engine.detector engine) config base_snap)
-    ~sampler_inst ~pending ~nevents
+    ~shard_snaps:(Array.map Option.some shard_snaps) ~shadows:(Some shadows) ~front
+    ~sampler_inst ~tally ~nevents

@@ -1,27 +1,30 @@
-(** Location-sharded parallel online detection.
+(** Location-sharded parallel online detection: one front, K checkers.
 
-    A sharded detector wraps K instances of one engine, each running on its
-    own domain behind a bounded SPSC ring ({!Spsc}).  The router (the caller's
-    domain) partitions access events by [hash(location) mod K] and broadcasts
-    every synchronization event (acquire/release/fork/join/atomic) to all K
-    shards, so each shard's thread and lock clocks evolve {e exactly} as in an
-    unsharded run — HB race detection factors per location once the sync-side
-    state is replicated.
+    The {e front} is the caller's domain.  It runs the sampler and the one
+    real sync engine: the engine itself, fed every synchronization event
+    plus one {!Ft_core.Detector.S.note_sampled} per sampled access, never
+    an access.  The {e checkers} are K more instances of the same engine,
+    created with {!Ft_core.Sampler.all}, each on its own domain behind a
+    bounded SPSC ring ({!Spsc}).  A checker owns the locations that hash
+    to it ({!owner_of}) and receives only
 
-    The one piece of sync-side state that accesses do feed is the sampling
-    engines' per-thread {e pending} bit (a sampled access bumps the thread's
-    local epoch at its next release/fork/join).  The router therefore runs
-    its own instance of the sampler over the full access stream and, on every
-    false→true pending transition, forwards one idempotent
-    {!Ft_core.Detector.S.note_sampled} mark to every non-owner shard (the
-    owner sets the bit itself when it handles the event).  See DESIGN.md,
-    "Sharding soundness".
+    - [Acc (i, e)]: a sampled access to one of its locations (every
+      access, for the engines that ignore the sampler —
+      {!Ft_core.Engine.honours_sampler}); and
+    - [View (t, entries)]: right before an [Acc] by thread [t], whenever
+      [t]'s view version moved since this checker last saw it, the view
+      entries that changed ({!Ft_core.Detector.S.export_view}), possibly
+      none.
 
-    Race verdicts are exact: the per-shard race lists, merged by original
-    event index, are byte-identical to the unsharded engine's declarations —
-    for every engine, every sampler, and every K (property-tested).  Metrics
-    are merged exactly via {!Ft_core.Metrics.merge_shards}, using an inline
-    sync-only baseline instance that measures the duplicated sync work.
+    A check on an access reads only the location's state, the thread's
+    view [C_t[t ↦ e_t]] and the thread's same-epoch cache invalidations,
+    and the front holds all three exactly, so the checkers' verdicts are
+    the unsharded engine's.  Race verdicts are exact: the per-checker race
+    lists, merged by original event index, are byte-identical to the
+    unsharded engine's declarations — for every engine, every sampler, and
+    every K (property-tested).  Metrics add up: front (sync work) + Σ
+    checkers (checks) + the front's tally of accesses nobody checks.  See
+    DESIGN.md §6a.
 
     {2 Supervision}
 
@@ -29,7 +32,8 @@
     shard it keeps a {e restore point} — an engine snapshot covering the
     shard's first [c] messages, or the fresh instance, which counts as 0
     bytes — and a {e byte backlog}: every message routed since, in
-    {!Cmsg}'s varint format (about 8–9 bytes per event, 2 per mark).
+    {!Cmsg.check}'s varint format (about 8–9 bytes per access, a few per
+    changed view entry).
 
     {b Requests at a cut.}  Once the backlog is as large as the restore
     point, the router pushes a [Snapshot] request into the shard's ring
@@ -103,20 +107,19 @@ val handle : t -> int -> Ft_trace.Event.t -> unit
     raises {!Shard_failed} once a shard is past its restart budget. *)
 
 val note_sampled : t -> Ft_trace.Event.tid -> unit
-(** Apply a pending-bit transition whose triggering access is owned by
-    {e another} detector — how a cluster worker replays a router [Mark]
-    ({!Cmsg.msg}).  Sets the bit, marks every internal shard and notes the
-    baseline, exactly as {!handle} does for a locally-owned sampled access;
-    a no-op when the bit is already set.  Not an event: {!events} and the
-    per-shard routed counts are unchanged. *)
+(** Apply a sampled access owned by {e another} detector — how a cluster
+    worker replays a router [Mark] ({!Cmsg.msg}): the front notes it, as
+    {!handle} does for a sampled access of its own.  Not an event:
+    {!events} and the per-shard routed counts are unchanged. *)
 
 val events : t -> int
 (** Events routed so far. *)
 
 val shard_event_counts : t -> int array
-(** Events pushed to each shard's ring so far (accesses go to the owner
-    only, sync events to all K) — the per-shard throughput series of the
-    serve daemon's [STATS].  Router-domain callers only, like {!handle}. *)
+(** Messages pushed to each shard's ring so far — sampled accesses and view
+    changes; no sync event ever reaches a checker — the per-shard
+    throughput series of the serve daemon's [STATS].  Router-domain callers
+    only, like {!handle}. *)
 
 val ring_occupancy : t -> int array
 (** Instantaneous unconsumed-message count of each shard's ring, readable
@@ -153,11 +156,11 @@ val flush : t -> unit
     the restart budget. *)
 
 val result : t -> Ft_core.Detector.result
-(** {!flush}, then merge: races from all shards sorted by declaration index
-    (each event declares at most one race, so the order is total and equals
-    the unsharded declaration order), metrics via
-    {!Ft_core.Metrics.merge_shards}.  The detector stays usable — serving a
-    report mid-stream is allowed. *)
+(** {!flush}, then merge: races from all checkers sorted by declaration
+    index (each event declares at most one race, so the order is total and
+    equals the unsharded declaration order), metrics as the field-wise sum
+    of the front's, the checkers' and the tally.  The detector stays usable
+    — serving a report mid-stream is allowed. *)
 
 val stop : t -> unit
 (** Drain and join the worker domains.  Idempotent.  {!result},
@@ -168,14 +171,15 @@ val stop : t -> unit
 
 (** {1 Snapshots}
 
-    A sharded detector checkpoints as K engine snapshots (one per shard,
-    each a regular {!Ft_core.Detector.S.snapshot}) plus one router snapshot
-    holding the replicated-pending bits, the router's sampler state, the
-    event count and the sync-only baseline.  [restore] rebuilds the whole
-    ensemble; shard count and universe must match the snapshots. *)
+    A sharded detector checkpoints as K checker snapshots (each a regular
+    {!Ft_core.Detector.S.snapshot} of an instance sampling everything) plus
+    one router snapshot holding the event count, the sampler state, the
+    front engine, the tally, and per shard and thread the view version and
+    view last shipped.  [restore] rebuilds the whole ensemble; shard count
+    and universe must match the snapshots. *)
 
 val shard_snapshots : t -> Ft_core.Snap.t array
-(** Flushes first; index [k] is shard [k]'s engine snapshot.  Supervised,
+(** Flushes first; index [k] is checker [k]'s engine snapshot.  Supervised,
     each snapshot also becomes its shard's restore point. *)
 
 val router_snapshot : t -> Ft_core.Snap.t
@@ -190,5 +194,5 @@ val restore :
   Ft_core.Snap.t array ->
   t
 (** Raises [Ft_core.Snap.Corrupt] on malformed or mismatched payloads
-    (wrong shard count, wrong universe).  Spawns worker domains like
-    {!create}. *)
+    (wrong shard count, wrong universe, a router snapshot written before
+    the front/checker split).  Spawns worker domains like {!create}. *)

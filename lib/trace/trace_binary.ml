@@ -426,7 +426,9 @@ let of_bytes data =
     (* [check_header] already vetted [nevents] against the byte budget, so
        sizing the array to it up front is safe even for hostile input *)
     let events = Array.make h.nevents dummy_event in
-    let b = create_batch () in
+    (* a batch no wider than the payload: the daemons decode every
+       512-event client batch through here *)
+    let b = create_batch ~capacity:(Stdlib.min h.nevents default_batch_capacity) () in
     let rec loop () =
       match read_batch r b with
       | Error _ as err -> err

@@ -1891,16 +1891,38 @@ end
    to.  Fasttrack_tc and Eraser are untouched by the overhaul, so the grid
    anchors on these seven — plus the two O(1)-samples references above,
    which the production engines must match report-for-report. *)
+(* The seed engines predate views: single-stream references never export
+   or import one, so these stand in for the hooks. *)
+module Viewless (D : sig
+  type t
+
+  val name : string
+  val create : Detector.config -> t
+  val handle : t -> int -> Ft_trace.Event.t -> unit
+  val result : t -> Detector.result
+  val races_rev : t -> Ft_core.Race.t list
+  val note_sampled : t -> Ft_trace.Event.tid -> unit
+  val snapshot : t -> Ft_core.Snap.t
+  val restore : Detector.config -> Ft_core.Snap.t -> t
+end) : Detector.S = struct
+  include D
+
+  let view_size (_ : Detector.config) = 0
+  let view_version (_ : t) (_ : int) = 0
+  let export_view (_ : t) (_ : int) (_ : int array) = ()
+  let import_view (_ : t) (_ : int) (_ : int array) (_ : int array) = ()
+end
+
 let detector : Ft_core.Engine.id -> Detector.packed option = function
-  | Ft_core.Engine.Djit -> Some (module Djitp)
-  | Ft_core.Engine.Fasttrack -> Some (module Fasttrack)
-  | Ft_core.Engine.St -> Some (module Sampling_naive)
-  | Ft_core.Engine.Su -> Some (module Sampling_uclock)
-  | Ft_core.Engine.So -> Some (module Sampling_ordered_list)
-  | Ft_core.Engine.Sl -> Some (module Sampling_lazy)
-  | Ft_core.Engine.Sn -> Some (module Sampling_uclock_noskip)
-  | Ft_core.Engine.O1 -> Some (module Sampling_o1)
-  | Ft_core.Engine.O1u -> Some (module Sampling_o1_uclock)
+  | Ft_core.Engine.Djit -> Some (module Viewless (Djitp))
+  | Ft_core.Engine.Fasttrack -> Some (module Viewless (Fasttrack))
+  | Ft_core.Engine.St -> Some (module Viewless (Sampling_naive))
+  | Ft_core.Engine.Su -> Some (module Viewless (Sampling_uclock))
+  | Ft_core.Engine.So -> Some (module Viewless (Sampling_ordered_list))
+  | Ft_core.Engine.Sl -> Some (module Viewless (Sampling_lazy))
+  | Ft_core.Engine.Sn -> Some (module Viewless (Sampling_uclock_noskip))
+  | Ft_core.Engine.O1 -> Some (module Viewless (Sampling_o1))
+  | Ft_core.Engine.O1u -> Some (module Viewless (Sampling_o1_uclock))
   | Ft_core.Engine.Fasttrack_tc | Ft_core.Engine.Eraser -> None
 
 let run id ?sampler ?clock_size trace =

@@ -173,6 +173,28 @@ let test_binary_bad_inputs () =
   (* truncated: header promises one event, none present *)
   check_err "truncated" (Bytes.of_string "FTRB\x01\x02\x00\x01\x01")
 
+(* The daemons decode every client batch through [of_bytes]: a small
+   payload must cost a small allocation, not a full-width decode batch. *)
+let test_binary_small_decode_allocates_little () =
+  let trace =
+    Trace.make ~nthreads:2 ~nlocks:1 ~nlocs:4
+      (Array.init 10 (fun i ->
+           Event.mk (i mod 2) (if i mod 3 = 0 then Event.Write (i mod 4) else Event.Read (i mod 4))))
+  in
+  let data = Trace_binary.to_bytes trace in
+  (* a collection inside the window would credit it with counters the
+     runtime flushes late *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let decoded = Trace_binary.of_bytes data in
+  let bytes = Gc.allocated_bytes () -. before in
+  (match decoded with
+  | Ok t -> Alcotest.(check int) "decoded length" 10 (Trace.length t)
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check bool)
+    (Printf.sprintf "decoding 10 events allocated %.0f B < 8 KB" bytes)
+    true (bytes < 8192.)
+
 let qcheck_binary_fuzz =
   QCheck.Test.make ~name:"binary decoder total on random bytes" ~count:500
     QCheck.(string_of_size (QCheck.Gen.int_bound 64))
@@ -201,6 +223,8 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_binary_file_roundtrip;
           Alcotest.test_case "compactness" `Quick test_binary_compact;
           Alcotest.test_case "bad inputs" `Quick test_binary_bad_inputs;
+          Alcotest.test_case "small decode allocates little" `Quick
+            test_binary_small_decode_allocates_little;
           QCheck_alcotest.to_alcotest qcheck_binary_fuzz;
         ] );
     ]

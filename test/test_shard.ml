@@ -1,18 +1,27 @@
 (* Sharded(E, K) ≡ E — the tentpole invariant of the location-sharded
-   parallel detector:
+   parallel detector, a front running the sync engine and K checkers fed
+   sampled accesses plus view changes:
 
    - deterministic grid: every engine × every sampling strategy × K ∈
      {1,2,4,8} on a mixed trace — race list, merged metrics, and the
      rendered report must be byte-identical to the unsharded engine;
-   - a QCheck property over random traces/universes/engines/K;
+   - QCheck properties over random traces/universes/engines/K, one of
+     them on lock-heavy traces where sync handlers often move a view
+     version without changing the view;
+   - a litmus trace whose same-epoch hit depends on a view change with no
+     entries, and a tpcc bound: checkers get sampled accesses and view
+     changes only;
    - litmus traces that force router edge cases: the HB edge (lock,
-     fork/join) lands on every shard while the racy accesses live on
-     specific other shards, and pending-bit marks cross shard boundaries;
+     fork/join) is on the front while the racy accesses live on specific
+     shards, and pending bits are set by accesses on other shards;
    - sharded snapshot/restore mid-trace reproduces the uninterrupted run;
    - a long supervised run keeps its byte backlog within its restore point
      plus one ring of messages;
-   - Metrics.merge_shards: the Σ−(K−1)·baseline contract holds pointwise
-     over the full field array, and K=1 is the identity;
+   - the backlog and cluster batch decoders survive truncation and bit
+     flips at every byte;
+   - Metrics.merge_shards (the cluster router's merge): the
+     Σ−(K−1)·baseline contract holds pointwise over the full field array,
+     and K=1 is the identity;
    - the SPSC ring delivers in order under backpressure. *)
 
 module Event = Ft_trace.Event
@@ -195,8 +204,8 @@ let litmus_check ?(engines = engines) events ~nthreads ~nlocks ~nlocs ~expect_ra
 
 let ev t op = Event.mk t op
 
-(* The HB edge (release→acquire on lock 0) is broadcast; the accesses it
-   orders live on two different shards of K=4. *)
+(* The HB edge (release→acquire on lock 0) is the front's; the accesses it
+   orders live on two different shards of K=4, which learn it as views. *)
 let test_litmus_lock_edge () =
   let a = loc_on_shard 1 ~from:0 and b = loc_on_shard 2 ~from:0 in
   let nlocs = Stdlib.max a b + 1 in
@@ -231,9 +240,9 @@ let test_litmus_fork_join_edge () =
     ]
 
 (* A sampled access on shard-1's location sets thread 0's pending bit; the
-   flush happens at a release every shard sees, and the verdict that depends
-   on the flushed clock concerns shard-2's location.  With atomics, the same
-   through Release_store/Acquire_load. *)
+   flush happens at a release only the front sees, and the verdict that
+   depends on the flushed clock concerns shard-2's location.  With atomics,
+   the same through Release_store/Acquire_load. *)
 let test_litmus_pending_mark_crosses_shards () =
   let a = loc_on_shard 1 ~from:0 and b = loc_on_shard 2 ~from:0 in
   let nlocs = Stdlib.max a b + 1 in
@@ -258,14 +267,13 @@ let test_litmus_pending_mark_crosses_shards () =
       ev 0 (Event.Write b);
     ]
 
-(* The O(1)-samples engines keep no per-location clocks: everything a shard
-   knows about a remote thread's sampled activity arrives as a pending-bit
-   mark.  This trace makes the mark the only driver of the epoch flushes —
-   the accesses live on shard 1 (K=4), while the flush decisions they feed
-   (the o1-u release-side skip at e4, the re-publish at e6, the re-acquire
-   skip at e3) are broadcast and must replay identically on every shard and
-   on the sync-only baseline instance, or the merged skip/publish counters
-   and the final read-write race on [a] diverge from the unsharded run. *)
+(* The O(1)-samples engines keep no per-location clocks: the front learns
+   of a thread's sampled activity only through [note_sampled].  This trace
+   makes it the only driver of the epoch flushes — the accesses live on
+   shard 1 (K=4), while the flush decisions they feed (the o1-u
+   release-side skip at e4, the re-publish at e6, the re-acquire skip at
+   e3) are the front's and must match the unsharded run's, or the merged
+   skip/publish counters and the final read-write race on [a] diverge. *)
 let test_litmus_note_sampled_replication () =
   let a = loc_on_shard 1 ~from:0 in
   let nlocs = a + 1 in
@@ -274,15 +282,117 @@ let test_litmus_note_sampled_replication () =
     ~nthreads:2 ~nlocks:1 ~nlocs ~expect_racy:[ a ]
     [
       ev 0 (Event.Acquire 0);
-      ev 0 (Event.Read a);     (* pending mark crosses to every shard *)
+      ev 0 (Event.Read a);     (* the front notes the sample *)
       ev 0 (Event.Release 0);  (* flush: first publish *)
       ev 0 (Event.Acquire 0);  (* nothing fresh: acquire-side skip *)
       ev 0 (Event.Release 0);  (* no sample since flush: release-side skip *)
       ev 0 (Event.Acquire 0);
-      ev 0 (Event.Read a);     (* second mark, same location *)
+      ev 0 (Event.Read a);     (* second sample, same location *)
       ev 0 (Event.Release 0);  (* flush again: must re-publish *)
       ev 1 (Event.Write a);    (* races with both sampled reads *)
     ]
+
+(* --- front + checkers ≡ engine ---------------------------------------------- *)
+
+(* Lock-heavy traces over few locations: threads keep re-acquiring locks
+   whose releasers they already heard from, so sync handlers often move a
+   thread's view version without changing a single view entry, while the
+   same (thread, epoch) keeps revisiting a location — the two things the
+   checkers must reproduce exactly for same_epoch_hits to match. *)
+let front_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* nthreads = int_range 2 4 in
+    let* nlocks = int_range 1 2 in
+    let* nlocs = int_range 1 4 in
+    let* length = int_range 100 400 in
+    let* atomics = bool in
+    let* forkjoin = bool in
+    let* k = oneofl [ 1; 2; 4 ] in
+    let* pad = int_bound 2 in
+    let* engine_ix = int_bound (List.length engines - 1) in
+    let* sampler_ix = int_bound (n_prop_samplers - 1) in
+    return
+      {
+        seed;
+        params = { Trace_gen.nthreads; nlocks; nlocs; length; atomics; forkjoin };
+        k;
+        pad;
+        engine_ix;
+        sampler_ix;
+      })
+
+let front_checkers_test =
+  QCheck.Test.make ~name:"front + checkers ≡ engine (lock-heavy traces)" ~count:60
+    (QCheck.make ~print:print_scenario front_gen)
+    prop_shard_equivalence
+
+(* Thread 0 re-acquires a lock last released by thread 1, which knows
+   nothing thread 0 does not: every engine with a same-epoch cache
+   invalidates thread 0's entries (a new view version) although no view
+   entry changes, so the second write of [x] at the same epoch is not a
+   hit.  The checker owning [x] learns that only from a View with no
+   entries; without the re-acquire the write is a hit. *)
+let test_unchanged_bump_keeps_hits_exact () =
+  let x = 0 and y = 1 in
+  let trace ~reacquire =
+    Trace.validate
+      (Trace.make ~nthreads:2 ~nlocks:1 ~nlocs:2
+         (Array.of_list
+            ([
+               ev 0 (Event.Acquire 0);
+               ev 0 (Event.Write y);
+               ev 0 (Event.Release 0);
+               ev 1 (Event.Acquire 0);
+               ev 1 (Event.Release 0);
+               ev 0 (Event.Write x);
+             ]
+            @ (if reacquire then [ ev 0 (Event.Acquire 0) ] else [])
+            @ [ ev 0 (Event.Write x) ]
+            @ if reacquire then [ ev 0 (Event.Release 0) ] else [])))
+  in
+  let hits tr =
+    (run_unsharded Engine.So (config_for tr Sampler.all) tr).Detector.metrics
+      .Metrics.same_epoch_hits
+  in
+  Alcotest.(check int) "without the re-acquire: one hit" 1 (hits (trace ~reacquire:false));
+  Alcotest.(check int) "the re-acquire invalidates it" 0 (hits (trace ~reacquire:true));
+  List.iter
+    (fun reacquire ->
+      let tr = trace ~reacquire in
+      List.iter
+        (fun id ->
+          List.iter
+            (fun k ->
+              check_equiv "unchanged bump" id (config_for tr Sampler.all) tr ~shards:k)
+            [ 1; 2; 4 ])
+        engines)
+    [ false; true ]
+
+(* The checkers receive sampled accesses and view changes only — never a
+   sync event: every message is a sampled access or the view change right
+   before one. *)
+let test_messages_bounded_by_samples () =
+  let trace =
+    Ft_workloads.Db_sim.generate
+      (Option.get (Ft_workloads.Db_sim.profile "tpcc"))
+      ~seed:7 ~target_events:30_000
+  in
+  let n = Trace.length trace in
+  let config = config_for trace (Sampler.bernoulli ~rate:0.1 ~seed:3) in
+  let sh = Sharded.create ~engine:Engine.So ~shards:2 config in
+  Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
+  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
+  let sampled = (Sharded.result sh).Detector.metrics.Metrics.sampled_accesses in
+  let messages = Array.fold_left ( + ) 0 (Sharded.shard_event_counts sh) in
+  Alcotest.(check bool)
+    (Printf.sprintf "sampled %d ≤ messages %d ≤ 2 × sampled" sampled messages)
+    true
+    (sampled <= messages && messages <= 2 * sampled);
+  Alcotest.(check bool)
+    (Printf.sprintf "messages %d ≤ 0.2 × events %d" messages n)
+    true
+    (5 * messages <= n)
 
 (* --- sharded snapshot / restore --------------------------------------------- *)
 
@@ -343,11 +453,39 @@ let test_restore_rejects_wrong_k () =
     Sharded.stop sh';
     Alcotest.fail "restore accepted a mismatched shard count")
 
+(* A router snapshot in the layout written before the front/checker split
+   (shard count first, then the event count, the pending mirror, the
+   sampler and a baseline snapshot) must not decode: a daemon resuming from
+   such a set falls back to its logged fresh start. *)
+let test_restore_rejects_old_router_layout () =
+  let prng = Prng.create ~seed:8 in
+  let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 100 } in
+  let config = config_for trace Sampler.all in
+  let sh = Sharded.create ~engine:Engine.So ~shards:1 config in
+  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
+  let snaps = Sharded.shard_snapshots sh in
+  Sharded.stop sh;
+  let (module D : Detector.S) = Engine.detector Engine.So in
+  let enc = Ft_core.Snap.Enc.create () in
+  Ft_core.Snap.Enc.int enc 1;
+  Ft_core.Snap.Enc.int enc (Trace.length trace);
+  Ft_core.Snap.Enc.bool_array enc (Array.make trace.Trace.nthreads false);
+  (Ft_core.Sampler.fresh Sampler.all).Ft_core.Sampler.save enc;
+  Ft_core.Snap.Enc.string enc (D.snapshot (D.create config));
+  let router = Ft_core.Snap.Enc.to_snap enc in
+  match Sharded.restore ~engine:Engine.So ~shards:1 config ~router snaps with
+  | exception Ft_core.Snap.Corrupt _ -> ()
+  | sh' ->
+    Sharded.stop sh';
+    Alcotest.fail "restore accepted a router snapshot from before the split"
+
 (* --- supervisor restore points ------------------------------------------------ *)
 
 (* A long supervised run: restore points are requested as the byte backlog
    grows, the backlog never holds more than its restore point plus one ring
-   of messages, and the report is byte-identical to the plain engine's. *)
+   of messages, and the report is byte-identical to the plain engine's.
+   Sampling every access ships every access to the checker, which grows the
+   backlog fastest. *)
 let test_supervised_backlog_bound () =
   let trace =
     Ft_workloads.Db_sim.generate
@@ -355,21 +493,28 @@ let test_supervised_backlog_bound () =
       ~seed:5 ~target_events:100_000
   in
   let n = Trace.length trace in
-  let sampler = Sampler.bernoulli ~rate:0.1 ~seed:3 in
+  let sampler = Sampler.all in
   let expected = Engine.run Engine.So ~sampler trace in
-  let sh = Sharded.create ~engine:Engine.So ~shards:1 ~supervise:true (config_for trace sampler) in
+  let config = config_for trace sampler in
+  let sh = Sharded.create ~engine:Engine.So ~shards:1 ~supervise:true config in
   Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
   Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
   Sharded.flush sh;
   let s = (Sharded.supervision sh).(0) in
-  (* the widest message this trace encodes to, times the ring's slots *)
+  (* the widest message this trace can encode to — an access, or a view
+     changing every entry to a value no timestamp of [n] events exceeds —
+     times the ring's slots *)
   let widest = ref 0 in
-  Trace.iteri
-    (fun i e ->
-      let enc = Ft_core.Snap.Enc.create () in
-      Ft_shard.Cmsg.encode_ev enc i e;
-      widest := Stdlib.max !widest (Ft_core.Snap.Enc.length enc))
-    trace;
+  let measure f =
+    let enc = Ft_core.Snap.Enc.create () in
+    f enc;
+    widest := Stdlib.max !widest (Ft_core.Snap.Enc.length enc)
+  in
+  Trace.iteri (fun i e -> measure (fun enc -> Ft_shard.Cmsg.encode_ev enc i e)) trace;
+  let vsize = config.Detector.clock_size in
+  measure (fun enc ->
+      Ft_shard.Cmsg.encode_view enc (trace.Trace.nthreads - 1) (Array.init vsize Fun.id)
+        (Array.make vsize n));
   Alcotest.(check bool) "≥100k events" true (n >= 100_000);
   Alcotest.(check bool) "restore points were taken" true (s.Sharded.restore_points > 1);
   Alcotest.(check bool)
@@ -416,6 +561,126 @@ let test_merge_shards_rejects_empty () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty shard array accepted"
 
+(* --- decoder fuzzing ------------------------------------------------------------ *)
+
+module Cmsg = Ft_shard.Cmsg
+module Snap = Ft_core.Snap
+
+(* Decode a backlog message by message, as a heal does; [Snap.Corrupt] ends
+   it.  Any other exception escapes and fails the test. *)
+let decode_backlog bytes =
+  let dec = Snap.Dec.of_snap bytes in
+  let rec go acc =
+    if Snap.Dec.remaining dec = 0 then (List.rev acc, true)
+    else match Cmsg.decode_check dec with
+      | m -> go (m :: acc)
+      | exception Snap.Corrupt _ -> (List.rev acc, false)
+  in
+  go []
+
+(* Allocation of [f ()], in bytes.  The minor collection first keeps one
+   from landing inside the window, where it would credit the window with
+   counters the runtime flushes late. *)
+let allocated f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. before
+
+(* Every single-bit flip of [bytes], handed to [f] with the byte's offset. *)
+let each_bit_flip bytes f =
+  let b = Bytes.of_string bytes in
+  for i = 0 to Bytes.length b - 1 do
+    let orig = Bytes.get b i in
+    for bit = 0 to 7 do
+      Bytes.set b i (Char.chr (Char.code orig lxor (1 lsl bit)));
+      f i (Bytes.to_string b)
+    done;
+    Bytes.set b i orig
+  done
+
+(* A supervisor backlog — accesses, each fourth behind a view change, every
+   eighth of those empty and every eighth wide — attacked at every byte: truncation leaves
+   exactly the messages that fit, a flipped bit never loses a message
+   before it, and no input costs more than a few dozen bytes of allocation
+   per byte, whatever counts it claims. *)
+let test_backlog_fuzz () =
+  let prng = Prng.create ~seed:31 in
+  let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 60 } in
+  let enc = Snap.Enc.create () in
+  let msgs = ref [] and ends = ref [] in
+  let note m =
+    msgs := m :: !msgs;
+    ends := Snap.Enc.length enc :: !ends
+  in
+  Trace.iteri
+    (fun i e ->
+      if i mod 4 = 0 then begin
+        let idx, vals =
+          if i mod 32 = 0 then ([||], [||])
+          else if i mod 16 = 0 then (Array.init 80 (fun j -> 2 * j), Array.make 80 i)
+          else ([| 0; 2; 5 |], [| i; 300 * i; 1 |])
+        in
+        Cmsg.encode_view enc e.Event.thread idx vals;
+        note (Cmsg.View (e.Event.thread, idx, vals))
+      end;
+      Cmsg.encode_ev enc i e;
+      note (Cmsg.Acc (i, e)))
+    trace;
+  let msgs = List.rev !msgs and ends = List.rev !ends in
+  let bytes = Snap.Enc.to_snap enc in
+  let len = String.length bytes in
+  Alcotest.(check bool) "whole backlog decodes" true (decode_backlog bytes = (msgs, true));
+  let fitting n = List.filteri (fun j _ -> List.nth ends j <= n) msgs in
+  for n = 0 to len do
+    let got, clean = decode_backlog (String.sub bytes 0 n) in
+    if got <> fitting n then Alcotest.failf "truncate at %d: wrong message prefix" n;
+    if clean <> (n = 0 || List.mem n ends) then
+      Alcotest.failf "truncate at %d: clean end %b at a %s" n clean
+        (if List.mem n ends then "boundary" else "cut message")
+  done;
+  each_bit_flip bytes (fun i flipped ->
+      let got = ref [] in
+      let bytes_alloc = allocated (fun () -> got := fst (decode_backlog flipped)) in
+      let intact = fitting i in
+      if List.filteri (fun j _ -> j < List.length intact) !got <> intact then
+        Alcotest.failf "flip at byte %d: lost an intact leading message" i;
+      if bytes_alloc > float_of_int ((64 * len) + 4096) then
+        Alcotest.failf "flip at byte %d: %.0f B allocated for %d B of input" i bytes_alloc len)
+
+(* The cluster batch codec: truncation anywhere short of the whole payload
+   is an [Error], every flipped bit decodes to [Ok] or [Error] — never an
+   exception — within the same allocation bound. *)
+let test_cmsg_fuzz () =
+  let prng = Prng.create ~seed:37 in
+  let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 60 } in
+  let msgs =
+    Array.of_list
+      (List.concat
+         (List.init (Trace.length trace) (fun i ->
+              let e = Trace.get trace i in
+              Cmsg.Ev (i, e) :: (if i mod 5 = 0 then [ Cmsg.Mark e.Event.thread ] else []))))
+  in
+  let payload =
+    Cmsg.encode ~nthreads:trace.Trace.nthreads ~nlocks:trace.Trace.nlocks
+      ~nlocs:trace.Trace.nlocs msgs ~off:0 ~len:(Array.length msgs)
+  in
+  let len = String.length payload in
+  (match Cmsg.decode payload with
+  | Ok (_, got) -> Alcotest.(check bool) "whole batch decodes" true (got = msgs)
+  | Error msg -> Alcotest.fail msg);
+  for n = 0 to len - 1 do
+    match Cmsg.decode (String.sub payload 0 n) with
+    | Ok _ -> Alcotest.failf "truncate at %d: accepted" n
+    | Error _ -> ()
+  done;
+  each_bit_flip payload (fun i flipped ->
+      let bytes_alloc =
+        allocated (fun () -> match Cmsg.decode flipped with Ok _ | Error _ -> ())
+      in
+      if bytes_alloc > float_of_int ((64 * len) + 4096) then
+        Alcotest.failf "flip at byte %d: %.0f B allocated for %d B of input" i bytes_alloc len)
+
 (* --- SPSC ring ---------------------------------------------------------------- *)
 
 let test_spsc_order_under_backpressure () =
@@ -458,6 +723,11 @@ let () =
         [
           Alcotest.test_case "grid: engines × samplers × K" `Quick test_grid;
           QCheck_alcotest.to_alcotest shard_equivalence_test;
+          QCheck_alcotest.to_alcotest front_checkers_test;
+          Alcotest.test_case "a bump that changes no entry keeps hits exact" `Quick
+            test_unchanged_bump_keeps_hits_exact;
+          Alcotest.test_case "messages bounded by sampled accesses (tpcc)" `Quick
+            test_messages_bounded_by_samples;
         ] );
       ( "litmus",
         [
@@ -474,8 +744,17 @@ let () =
           Alcotest.test_case "sharded restore ≡ uninterrupted" `Quick
             test_sharded_snapshot_restore;
           Alcotest.test_case "wrong K rejected" `Quick test_restore_rejects_wrong_k;
+          Alcotest.test_case "router snapshot from before the split rejected" `Quick
+            test_restore_rejects_old_router_layout;
           Alcotest.test_case "supervised backlog ≤ restore point + one ring" `Quick
             test_supervised_backlog_bound;
+        ] );
+      ( "decoders",
+        [
+          Alcotest.test_case "backlog truncation + bit-flip fuzz at every byte" `Quick
+            test_backlog_fuzz;
+          Alcotest.test_case "Cmsg.decode truncation + bit-flip fuzz at every byte" `Quick
+            test_cmsg_fuzz;
         ] );
       ( "metrics merge",
         [

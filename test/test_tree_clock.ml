@@ -75,6 +75,42 @@ let test_force_copy () =
   Alcotest.(check int) "root" 1 (Tc.root sync);
   Alcotest.(check bool) "invariants" true (Tc.check_invariants sync)
 
+(* [raise_entry] after joins built a deep tree: values are the pointwise
+   maximum, every invariant holds, a snapshot round-trips (decoding checks
+   the invariants too), and joining from the raised clock still works. *)
+let test_raise_entry () =
+  let n = 5 in
+  let tcs = Array.init n (fun i -> Tc.create n ~owner:i) in
+  Array.iteri (fun i tc -> Tc.inc tc (i + 1)) tcs;
+  Tc.join ~into:tcs.(1) tcs.(2);
+  Tc.join ~into:tcs.(0) tcs.(1);
+  Tc.join ~into:tcs.(0) tcs.(3);
+  let tc = tcs.(0) in
+  let expect = Array.init n (Tc.get tc) in
+  List.iter
+    (fun (v, w) ->
+      Tc.raise_entry tc v w;
+      expect.(v) <- Stdlib.max expect.(v) w;
+      Alcotest.(check (array int))
+        (Printf.sprintf "raise %d to %d" v w)
+        expect
+        (Array.init n (Tc.get tc));
+      Alcotest.(check bool) "invariants" true (Tc.check_invariants tc))
+    [ (2, 10); (1, 1); (4, 7); (0, 9); (2, 11); (3, 0) ];
+  let enc = Ft_core.Snap.Enc.create () in
+  Tc.encode enc tc;
+  let tc' = Tc.decode (Ft_core.Snap.Dec.of_snap (Ft_core.Snap.Enc.to_snap enc)) ~size:n in
+  Alcotest.(check (array int)) "snapshot" expect (Array.init n (Tc.get tc'));
+  (* a join never teaches a thread its own entry: [other]'s owner is ahead *)
+  let other = Tc.create n ~owner:3 in
+  Tc.inc other 20;
+  Tc.join ~into:other tc;
+  Alcotest.(check (array int))
+    "join from the raised clock"
+    (Array.mapi (fun i v -> if i = 3 then 20 else v) expect)
+    (Array.init n (Tc.get other));
+  Alcotest.(check bool) "joined invariants" true (Tc.check_invariants other)
+
 let test_leq_and_to_vc () =
   let a = Tc.create 2 ~owner:0 and b = Tc.create 2 ~owner:1 in
   Tc.inc a 1;
@@ -210,6 +246,7 @@ let () =
           Alcotest.test_case "monotone copy" `Quick test_monotone_copy;
           Alcotest.test_case "force copy" `Quick test_force_copy;
           Alcotest.test_case "leq / to_vc" `Quick test_leq_and_to_vc;
+          Alcotest.test_case "raise entry" `Quick test_raise_entry;
         ] );
       ( "differential",
         [
