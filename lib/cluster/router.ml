@@ -11,6 +11,7 @@ module Checkpoint = Ft_snapshot.Checkpoint
 module Serve = Ft_shard.Serve
 module Evloop = Ft_shard.Evloop
 module Cmsg = Ft_shard.Cmsg
+module Front = Ft_shard.Front
 module Clock = Ft_support.Clock
 module Json = Ft_obs.Json
 module Registry = Ft_obs.Registry
@@ -23,14 +24,14 @@ module Fault = Ft_fault.Fault
 
    Soundness rests on the facts spelled out in DESIGN.md §6e–§6f:
 
-   - locations are partitioned whole onto workers ({!Chash}) and events
-     keep their original global indices, so each worker's own sampler
-     replays exactly the global run's decisions;
-   - the router mirrors {!Ft_shard.Sharded}'s routing algebra one level
-     up — sync events broadcast, accesses to the owner, pending-bit
-     transitions forwarded as [Mark] — and keeps its own sync-only
-     baseline, so [Metrics.merge_shards ~sync_baseline] over the workers'
-     partial results telescopes to the unsharded engine's counters;
+   - the router is the {!Front}: it runs the sampler and the one sync
+     engine, and sends the owner of a location ({!Chash}) only that
+     location's sampled accesses, each behind the changes to its thread's
+     view that worker has not seen — the routing of {!Ft_shard.Sharded}
+     one level up; a worker is a [Sharded] fed those messages
+     ({!Ft_shard.Sharded.check}), so the checks read exactly what the
+     unsharded engine reads, and the merged counters are the front's plus
+     the workers';
    - workers checkpoint by size — once the CBATCH bytes applied since
      their last set reach that set's snapshot bytes — and report the set's
      cut in every ack ([OK <total> <durable>]), so a crashed worker is
@@ -39,12 +40,12 @@ module Fault = Ft_fault.Fault
    - the router appends every client batch to a {!Wal} and fsyncs it
      {e before} acking, so a SIGKILLed router is recovered by
      [--resume]: replay the WAL (or a router-state checkpoint plus the
-     WAL tail) through the same routing algebra, which deterministically
-     rebuilds the sampler mirror, pending bits, baseline and every
-     worker's log — then align each worker at its own durable [SEQ].  The
-     state checkpoint follows the same size rule against WAL growth and
-     keeps each worker's log from its durable cut, so that [SEQ] lands
-     inside the retained log.
+     WAL tail) through the same routing function, which deterministically
+     rebuilds the front, the shipping state and every worker's log — then
+     align each worker at its own durable [SEQ].  The state checkpoint
+     follows the same size rule against WAL growth and keeps each worker's
+     log from its durable cut, so that [SEQ] lands inside the retained
+     log.
 
    CBATCH sends are pipelined: each worker has an in-flight window of
    unacked CBATCHes ([config.window]); acks are drained opportunistically
@@ -53,13 +54,13 @@ module Fault = Ft_fault.Fault
    graceful shutdown).  Per-worker streams stay strictly ordered, so the
    §6e argument is untouched — the window only overlaps {e waiting}.
 
-   Resizing reuses determinism instead of surgically moving per-location
-   engine state: quiesce, log [Resize] in the WAL, rebuild each new
-   worker's routed log by replaying the event history against the new
-   ring (the sampler mirror, pending bits and baseline are
-   ring-independent), and stream the logs to fresh workers.
+   Rebuilding a worker's log — for a resize, or when a worker's SEQ fell
+   behind the retained log — replays the event history (the WAL, or the
+   in-memory event log without one) through a scratch front, sampler and
+   shipping state.  The front is ring-independent; the shipping state is
+   not, so the scratch one replaces the live one.
 
-   The router itself never spawns domains (its baseline is a plain
+   The router itself never spawns domains (its front is a plain
    single-threaded detector instance): it forks worker processes, and
    forking a multi-domain OCaml 5 process is not safe. *)
 
@@ -105,7 +106,7 @@ type worker = {
   mutable durable : int;  (* cut of the worker's newest checkpoint set, as its acks report *)
   mutable resumed_at : int;  (* SEQ at the latest respawn/resume alignment *)
   inflight : int Queue.t;  (* end-seq of each unacked CBATCH, send order *)
-  mutable log : Cmsg.msg array;  (* retained routed history: [lbase, lbase+llen) *)
+  mutable log : Cmsg.check array;  (* retained routed history: [lbase, lbase+llen) *)
   mutable llen : int;
   mutable lbase : int;  (* messages before the retained window (state-checkpoint cut) *)
   mutable respawns : int;
@@ -131,21 +132,23 @@ let make_worker id =
     respawns = 0;
   }
 
-let log_push w m =
-  let cap = Array.length w.log in
-  if w.llen = cap then begin
-    let bigger = Array.make (Stdlib.max 64 (2 * cap)) m in
-    Array.blit w.log 0 bigger 0 w.llen;
-    w.log <- bigger
-  end;
-  w.log.(w.llen) <- m;
-  w.llen <- w.llen + 1
+(* [arr] with [x] stored at [len], grown by doubling when full. *)
+let grow_push arr len x =
+  let arr =
+    if len < Array.length arr then arr
+    else begin
+      let bigger = Array.make (Stdlib.max 64 (2 * len)) x in
+      Array.blit arr 0 bigger 0 len;
+      bigger
+    end
+  in
+  arr.(len) <- x;
+  arr
 
 type telemetry = {
   reg : Registry.t;
   batches_total : Registry.counter;
   events_total : Registry.counter;
-  marks_total : Registry.counter;  (* cross-worker pending-bit forwards *)
   parked_total : Registry.counter;
   duplicate_total : Registry.counter;
   mutable worker_messages : Registry.counter array;  (* grows on RESIZE +1 *)
@@ -182,9 +185,6 @@ let make_telemetry ~workers =
         ~help:"Client batches routed to the workers";
     events_total =
       Registry.counter reg "router_events_ingested_total" ~help:"Events routed";
-    marks_total =
-      Registry.counter reg "router_marks_total"
-        ~help:"Cross-worker pending-bit transitions forwarded as Mark messages";
     parked_total =
       Registry.counter reg "router_batches_parked_total"
         ~help:"Client batches parked for index-order ingestion";
@@ -238,13 +238,6 @@ let make_telemetry ~workers =
     started_ns = Clock.now_ns ();
   }
 
-type baseline = {
-  b_handle : int -> Event.t -> unit;
-  b_note : Event.tid -> unit;
-  b_result : unit -> Detector.result;
-  b_snapshot : unit -> Snap.t;
-}
-
 type state = {
   cfg : config;
   tel : telemetry;
@@ -258,9 +251,9 @@ type state = {
   mutable parent_fds : Unix.file_descr list;  (* closed in forked children *)
   mutable universe : (int * int * int) option;
   mutable clock_size : int;
-  mutable baseline : baseline option;  (* sync-only detector + sampler mirror *)
-  mutable sampler_inst : Sampler.instance option;
-  mutable pending : bool array;
+  mutable front : Front.t option;  (* sampler, sync engine, tally *)
+  mutable ship : Front.ship option;  (* per (worker, thread): the view it holds *)
+  mutable history : Event.t array;  (* without the WAL: every routed event *)
   mutable expected : int;  (* next global event index *)
   mutable nevents : int;
   parked : (int, Event.t array) Hashtbl.t;
@@ -394,63 +387,30 @@ let universe_of st =
 
 (* --- routing --------------------------------------------------------------- *)
 
-(* Mirror of {!Ft_shard.Sharded}'s routing, one level up: the router owns
-   the sampler and the pending bits, workers own locations.  The baseline
-   sees the sync substream plus one note per pending transition — exactly
-   what each worker's internal baseline sees — which is what makes the
-   metrics merge telescope (DESIGN.md §6e).
-
-   The algebra is shared between live routing, WAL replay and resize log
-   rebuilds: the callbacks differ, the transition structure cannot. *)
-let route_core ~ring ~nworkers ~sampler ~pending ~append ~on_mark ~on_sync i (e : Event.t)
-    =
-  let append_all m =
-    for w = 0 to nworkers - 1 do
-      append w m
-    done
-  in
-  match e.Event.op with
-  | Event.Read x | Event.Write x ->
-    let o = Chash.owner ring x in
-    let sampled = Sampler.query sampler i e in
-    if sampled && not pending.(e.Event.thread) then begin
-      pending.(e.Event.thread) <- true;
-      for w = 0 to nworkers - 1 do
-        (* the owner's own sampler makes the same decision when it
-           handles the event *)
-        if w <> o then append w (Cmsg.Mark e.Event.thread)
-      done;
-      on_mark e.Event.thread
-    end;
-    append o (Cmsg.Ev (i, e))
-  | Event.Acquire _ | Event.Acquire_load _ ->
-    append_all (Cmsg.Ev (i, e));
-    on_sync i e
-  | Event.Release _ | Event.Release_store _ ->
-    append_all (Cmsg.Ev (i, e));
-    on_sync i e;
-    pending.(e.Event.thread) <- false
-  | Event.Fork _ ->
-    append_all (Cmsg.Ev (i, e));
-    on_sync i e;
-    pending.(e.Event.thread) <- false
-  | Event.Join u ->
-    append_all (Cmsg.Ev (i, e));
-    on_sync i e;
-    pending.(u) <- false
+(* {!Ft_shard.Sharded.handle} one level up: the front takes every event,
+   and an access it must check goes to its owner behind the view changes
+   that worker has not seen (DESIGN.md §6e).  Live routing, WAL replay and
+   log rebuilds share this function: only [append] differs. *)
+let route_core ~ring ~front ~ship ~append i (e : Event.t) =
+  if Front.admit front i e then
+    match e.Event.op with
+    | Event.Read x | Event.Write x ->
+      let o = Chash.owner ring x in
+      (match Front.ship ship (Front.source front) o e.Event.thread with
+      | Some (idx, vals) -> append o (Cmsg.View (e.Event.thread, idx, vals))
+      | None -> ());
+      append o (Cmsg.Acc (i, e))
+    | _ -> ()
 
 let route st i (e : Event.t) =
-  let baseline = Option.get st.baseline in
-  let sampler = Option.get st.sampler_inst in
-  let nworkers = Array.length st.workers in
-  route_core ~ring:st.ring ~nworkers ~sampler ~pending:st.pending
+  route_core ~ring:st.ring ~front:(Option.get st.front) ~ship:(Option.get st.ship)
     ~append:(fun k m ->
-      log_push st.workers.(k) m;
+      let w = st.workers.(k) in
+      w.log <- grow_push w.log w.llen m;
+      w.llen <- w.llen + 1;
       Registry.incr st.tel.worker_messages.(k))
-    ~on_mark:(fun th ->
-      Registry.add st.tel.marks_total (nworkers - 1);
-      baseline.b_note th)
-    ~on_sync:baseline.b_handle i e;
+    i e;
+  if st.wal = None then st.history <- grow_push st.history st.nevents e;
   st.nevents <- st.nevents + 1
 
 let feed_events st base (evs : Event.t array) =
@@ -461,34 +421,24 @@ let feed_events st base (evs : Event.t array) =
   st.expected <- Stdlib.max st.expected (base + n)
 
 let rec drain_parked st =
-  let eligible =
-    Hashtbl.fold
-      (fun base _ acc ->
-        if base <= st.expected then
-          Some (match acc with None -> base | Some b -> Stdlib.min b base)
-        else acc)
-      st.parked None
-  in
-  match eligible with
+  match Evloop.take_parked st.parked ~expected:st.expected with
   | None -> ()
-  | Some base ->
-    let evs = Hashtbl.find st.parked base in
-    Hashtbl.remove st.parked base;
+  | Some (base, evs) ->
     feed_events st base evs;
     drain_parked st
 
 (* --- event-history rebuilds ------------------------------------------------ *)
 
-(* The full routed prefix [0, expected) in index order.  Every routed event
-   is in at least one in-memory log (accesses on their owner, sync
-   everywhere), so when the logs are complete (lbase = 0) the history comes
-   from memory; after a state-checkpoint restore truncated them it comes
-   from the WAL's Events records (duplicates harmlessly overwrite). *)
+(* The full routed prefix [0, expected) in index order: the WAL's Events
+   records (duplicates harmlessly overwrite), or without the WAL the
+   in-memory event log. *)
 let history_events st =
   let n = st.expected in
-  let evs = Array.make n None in
-  let from_wal () =
-    match Wal.replay (Wal.path ~dir:st.cfg.dir) with
+  match st.wal with
+  | None -> Array.sub st.history 0 n
+  | Some _ -> (
+    let evs = Array.make n None in
+    (match Wal.replay (Wal.path ~dir:st.cfg.dir) with
     | Error msg -> fail st ("event-history rebuild: " ^ msg)
     | Ok (records, _) ->
       List.iter
@@ -501,60 +451,48 @@ let history_events st =
                 if i >= 0 && i < n then evs.(i) <- Some e)
               arr
           | Wal.Session _ | Wal.Resize _ -> ())
-        records
-  in
-  if Array.for_all (fun w -> w.lbase = 0) st.workers then
-    Array.iter
-      (fun w ->
-        for j = 0 to w.llen - 1 do
-          match w.log.(j) with
-          | Cmsg.Ev (i, e) -> if i < n then evs.(i) <- Some e
-          | Cmsg.Mark _ -> ()
-        done)
-      st.workers
-  else if st.wal <> None then from_wal ()
-  else fail st "cannot rebuild event history: WAL disabled and logs truncated";
-  Array.mapi
-    (fun i -> function
-      | Some e -> e
-      | None -> fail st (Printf.sprintf "event %d missing from the retained history" i))
-    evs
+        records);
+    Array.mapi
+      (fun i -> function
+        | Some e -> e
+        | None -> fail st (Printf.sprintf "event %d missing from the WAL" i))
+      evs)
 
-(* Re-route the whole history against [ring]: a scratch sampler instance
-   makes the same decisions the live one made (same strategy, same queries,
-   same order), the scratch pending bits go through the same transitions,
-   and the result is the per-worker logs this ring would have produced had
-   it been in place from event 0. *)
+let detector_config st (nthreads, nlocks, nlocs) =
+  let clock_size =
+    match st.cfg.clock_size with None -> nthreads | Some s -> Stdlib.max s nthreads
+  in
+  st.clock_size <- clock_size;
+  { Detector.nthreads; nlocks; nlocs; clock_size; sampler = st.cfg.sampler }
+
+(* Re-route the whole history against [ring] through a scratch front:
+   same strategy, same queries, same order, so it makes the live front's
+   decisions and reaches its state.  The result is the per-worker logs
+   this ring would have produced had it been in place from event 0, and
+   the shipping state that goes with them. *)
 let rebuild_logs st ~ring ~nworkers =
   let history = history_events st in
-  let nthreads, _, _ = universe_of st in
+  let config = detector_config st (universe_of st) in
+  let front = Front.create ~engine:st.cfg.engine config in
+  let ship =
+    Front.ship_create (Front.source front) ~dests:nworkers ~nthreads:config.Detector.nthreads
+      ~vsize:(Front.view_size front)
+  in
   let logs = Array.make nworkers [||] in
   let lens = Array.make nworkers 0 in
-  let push k m =
-    let cap = Array.length logs.(k) in
-    if lens.(k) = cap then begin
-      let bigger = Array.make (Stdlib.max 64 (2 * cap)) m in
-      Array.blit logs.(k) 0 bigger 0 lens.(k);
-      logs.(k) <- bigger
-    end;
-    logs.(k).(lens.(k)) <- m;
+  let append k m =
+    logs.(k) <- grow_push logs.(k) lens.(k) m;
     lens.(k) <- lens.(k) + 1
   in
-  let sampler = Sampler.fresh st.cfg.sampler in
-  let pending = Array.make nthreads false in
-  Array.iteri
-    (fun i e ->
-      route_core ~ring ~nworkers ~sampler ~pending ~append:push ~on_mark:ignore
-        ~on_sync:(fun _ _ -> ()) i e)
-    history;
-  (logs, lens)
+  Array.iteri (route_core ~ring ~front ~ship ~append) history;
+  (logs, lens, ship)
 
 (* Re-materialize full logs (lbase = 0) for the current ring — the escape
    hatch when a worker's durable SEQ fell behind the retained suffix. *)
 let expand_logs st =
   Registry.incr st.tel.log_rebuilds_total;
   let nworkers = Array.length st.workers in
-  let logs, lens = rebuild_logs st ~ring:st.ring ~nworkers in
+  let logs, lens, ship = rebuild_logs st ~ring:st.ring ~nworkers in
   Array.iteri
     (fun k w ->
       if lens.(k) <> total w then
@@ -564,7 +502,8 @@ let expand_logs st =
       w.log <- logs.(k);
       w.llen <- lens.(k);
       w.lbase <- 0)
-    st.workers
+    st.workers;
+  st.ship <- Some ship
 
 (* A (re)spawned worker resumed from its newest checkpoint set (or started
    fresh), so its SEQ is both its stream position and its durable cut:
@@ -671,37 +610,37 @@ and recover_worker ?(drain = false) st w =
   Printf.eprintf "racedet route: recovering worker %d (respawn %d, gen %d)\n%!" w.id
     w.respawns w.gen;
   spawn_worker st w ~resume:true;
+  align_worker ~drain st w
+
+(* After a (re)spawn: ask where the worker's durable stream stands and
+   replay only what it is missing. *)
+and align_worker ?(drain = false) st w =
   (match Serve.fetch_seq w.fd with
   | Ok seq -> realign st w seq
   | Error msg ->
-    Printf.eprintf "racedet route: worker %d SEQ after respawn failed (%s)\n%!" w.id msg;
+    Printf.eprintf "racedet route: worker %d SEQ failed (%s)\n%!" w.id msg;
     recover_worker ~drain st w);
   pump ~drain st w
 
-(* Graceful migration: drain, SHUTDOWN (the worker writes its final
-   checkpoint set), then hand the [.ftc]s to a fresh process and resume it
-   at the same stream position.  Without checkpointing this degrades to a
-   full-log replay — slower, still exact. *)
+(* SHUTDOWN (the worker writes its final checkpoint set), then reap. *)
+let retire_worker st w =
+  (match Serve.shutdown w.fd with Ok () | Error _ -> ());
+  close_worker_fd st w;
+  try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ()
+
+(* Graceful migration: drain, retire, then hand the [.ftc]s to a fresh
+   process and resume it at the same stream position.  Without
+   checkpointing this degrades to a full-log replay — slower, still
+   exact. *)
 let migrate_worker st w =
   pump ~drain:true st w;
-  (match Serve.shutdown w.fd with
-  | Ok () -> ()
-  | Error msg ->
-    Printf.eprintf "racedet route: worker %d SHUTDOWN for migration failed (%s)\n%!" w.id msg);
-  close_worker_fd st w;
-  (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
+  retire_worker st w;
   w.gen <- w.gen + 1;
   Queue.clear w.inflight;
   Registry.incr st.tel.migrations_total;
   Printf.eprintf "racedet route: migrating worker %d to gen %d\n%!" w.id w.gen;
   spawn_worker st w ~resume:true;
-  (match Serve.fetch_seq w.fd with
-  | Ok seq ->
-    realign st w seq;
-    pump ~drain:true st w
-  | Error msg ->
-    Printf.eprintf "racedet route: worker %d SEQ after migration failed (%s)\n%!" w.id msg;
-    recover_worker ~drain:true st w)
+  align_worker ~drain:true st w
 
 (* Pump every worker, visiting the chaos points first so a schedule can
    kill or migrate a worker between any two client batches. *)
@@ -745,30 +684,19 @@ let wal_append st record =
       (try Wal.rollback wal with _ -> ());
       raise (Wal_failed (Printexc.to_string e)))
 
-let make_baseline st config ~snap =
-  let (module D : Detector.S) = Engine.detector st.cfg.engine in
-  let d = match snap with None -> D.create config | Some s -> D.restore config s in
-  {
-    b_handle = (fun i e -> D.handle d i e);
-    b_note = (fun th -> D.note_sampled d th);
-    b_result = (fun () -> D.result d);
-    b_snapshot = (fun () -> D.snapshot d);
-  }
-
-let detector_config st (nthreads, nlocks, nlocs) =
-  let clock_size =
-    match st.cfg.clock_size with None -> nthreads | Some s -> Stdlib.max s nthreads
+(* [restored]: the front and shipping state a state checkpoint held. *)
+let init_universe st ((nthreads, _, _) as u) ~restored =
+  let front, ship =
+    match restored with
+    | Some fs -> fs
+    | None ->
+      let front = Front.create ~engine:st.cfg.engine (detector_config st u) in
+      ( front,
+        Front.ship_create (Front.source front) ~dests:(Array.length st.workers) ~nthreads
+          ~vsize:(Front.view_size front) )
   in
-  st.clock_size <- clock_size;
-  { Detector.nthreads; nlocks; nlocs; clock_size; sampler = st.cfg.sampler }
-
-let init_universe st ((nthreads, _, _) as u) ~snap =
-  st.baseline <- Some (make_baseline st (detector_config st u) ~snap);
-  (match snap with
-  | None ->
-    st.sampler_inst <- Some (Sampler.fresh st.cfg.sampler);
-    st.pending <- Array.make nthreads false
-  | Some _ -> () (* restore installs sampler/pending itself *));
+  st.front <- Some front;
+  st.ship <- Some ship;
   st.universe <- Some u
 
 let ensure_cluster st ((nthreads, nlocks, nlocs) as u) =
@@ -788,29 +716,34 @@ let ensure_cluster st ((nthreads, nlocks, nlocs) as u) =
            sampler = Sampler.name st.cfg.sampler;
            workers = Array.length st.workers;
          });
-    init_universe st u ~snap:None;
+    init_universe st u ~restored:None;
     Ok ()
 
+(* Router-state checkpoints open with a format tag below any worker count:
+   the layout before the front (worker count first) fails to decode and
+   resume replays the whole WAL instead of misreading it. *)
+let state_format = -1
+
 (* Router-state checkpoint: everything replay would otherwise recompute
-   from the whole WAL — sampler mirror, pending bits, baseline snapshot,
-   and each worker's log suffix from its durable cut (its newest checkpoint
-   set, which is where a resumed worker's SEQ lands) — anchored at the
-   current WAL offset so resume only replays the tail.  Only taken when
-   nothing is parked: a parked batch lives in the WAL prefix a tail-replay
-   would skip.  Failure is a warning, never an error — the WAL alone is
-   always sufficient. *)
+   from the whole WAL — the front (sampler, sync engine, tally), the
+   shipping state, and each worker's log suffix from its durable cut (its
+   newest checkpoint set, which is where a resumed worker's SEQ lands) —
+   anchored at the current WAL offset so resume only replays the tail.
+   Only taken when nothing is parked: a parked batch lives in the WAL
+   prefix a tail-replay would skip.  Failure is a warning, never an error
+   — the WAL alone is always sufficient. *)
 let write_state_checkpoint st =
-  match (st.universe, st.baseline, st.sampler_inst, st.wal) with
-  | Some ((nthreads, nlocks, nlocs) as _u), Some b, Some inst, Some wal
+  match (st.universe, st.front, st.ship, st.wal) with
+  | Some (nthreads, nlocks, nlocs), Some front, Some ship, Some wal
     when st.cfg.checkpoint && Hashtbl.length st.parked = 0 -> (
     try
       let enc = Snap.Enc.create () in
+      Snap.Enc.int enc state_format;
       Snap.Enc.int enc (Array.length st.workers);
       Snap.Enc.int enc st.epoch;
       Snap.Enc.int enc st.nevents;
-      Snap.Enc.bool_array enc st.pending;
-      inst.Sampler.save enc;
-      Snap.Enc.string enc (b.b_snapshot ());
+      Front.save enc front;
+      Front.ship_save enc ship;
       Array.iter
         (fun w ->
           (* [lbase] is itself an older durable cut of this worker *)
@@ -866,37 +799,41 @@ let ingest_replay st base evs =
     drain_parked st
   end
 
-(* Try to restore sampler/pending/baseline/worker-suffixes from the
-   router-state checkpoint.  Returns the WAL byte offset it was anchored
-   at; any mismatch or corruption degrades to full WAL replay. *)
-let try_restore_state st ~k_final =
+(* Try to restore the front, the shipping state and the worker suffixes
+   from the router-state checkpoint.  Returns the WAL byte offset it was
+   anchored at; any mismatch or corruption — or a Resize record past that
+   anchor, at [resized_at], which invalidates the per-worker logs —
+   degrades to full WAL replay. *)
+let try_restore_state st ~k_final ~resized_at =
   let path = state_ckpt_path st.cfg.dir in
+  let ignoring why =
+    Printf.eprintf "racedet route: ignoring state checkpoint (%s)\n%!" why;
+    None
+  in
   if (not st.cfg.checkpoint) || not (Sys.file_exists path) then None
   else
     match Checkpoint.load path with
-    | Error msg ->
-      Printf.eprintf "racedet route: ignoring state checkpoint (%s)\n%!" msg;
-      None
+    | Error msg -> ignoring msg
     | Ok { Checkpoint.meta; detector = payload } -> (
       if meta.Checkpoint.engine <> st.cfg.engine
          || meta.Checkpoint.sampler <> Sampler.name st.cfg.sampler
-      then begin
-        Printf.eprintf
-          "racedet route: ignoring state checkpoint (engine/sampler mismatch)\n%!";
-        None
-      end
+      then ignoring "engine/sampler mismatch"
+      else if meta.Checkpoint.byte_offset < resized_at then ignoring "it predates a resize"
       else
         try
           let u = (meta.Checkpoint.nthreads, meta.Checkpoint.nlocks, meta.Checkpoint.nlocs) in
           let dec = Snap.Dec.of_snap payload in
+          Snap.expect (Snap.Dec.int dec = state_format) "state checkpoint predates the front";
           let k = Snap.Dec.int dec in
           Snap.expect (k = k_final) "state checkpoint worker count";
           let epoch = Snap.Dec.int dec in
           let nevents = Snap.Dec.int dec in
-          let pending = Snap.Dec.bool_array_n dec meta.Checkpoint.nthreads in
-          let inst = Sampler.fresh st.cfg.sampler in
-          inst.Sampler.load dec;
-          let base_snap = Snap.Dec.string dec in
+          let config = detector_config st u in
+          let front = Front.load dec ~engine:st.cfg.engine config in
+          let ship =
+            Front.ship_load dec ~dests:k ~nthreads:meta.Checkpoint.nthreads
+              ~vsize:(Front.view_size front)
+          in
           let per_worker =
             Array.init k (fun _ ->
                 let cut = Snap.Dec.int dec in
@@ -912,9 +849,7 @@ let try_restore_state st ~k_final =
           in
           Snap.Dec.finish dec;
           (* commit *)
-          init_universe st u ~snap:(Some base_snap);
-          st.sampler_inst <- Some inst;
-          st.pending <- pending;
+          init_universe st u ~restored:(Some (front, ship));
           st.epoch <- epoch;
           st.nevents <- nevents;
           st.expected <- meta.Checkpoint.next_index;
@@ -931,9 +866,7 @@ let try_restore_state st ~k_final =
           st.state_off <- meta.Checkpoint.byte_offset;
           st.state_bytes <- String.length payload;
           Some meta.Checkpoint.byte_offset
-        with Snap.Corrupt msg ->
-          Printf.eprintf "racedet route: ignoring state checkpoint (%s)\n%!" msg;
-          None)
+        with Snap.Corrupt msg -> ignoring msg)
 
 (* A previous router was SIGKILLed: its workers are orphans still holding
    their sockets and checkpoint directories.  Kill them by pid file before
@@ -976,9 +909,8 @@ let kill_stale_workers dir =
 (* Rebuild the pre-crash router state from the run directory: prefer the
    state checkpoint + WAL tail, fall back to replaying the whole WAL.  The
    final ring size is the Session's worker count overridden by the last
-   Resize record; a tail Resize invalidates the checkpoint's per-worker
-   logs, so that path always takes the full replay.  Workers are spawned
-   by the caller afterwards and aligned at their own durable SEQs. *)
+   Resize record.  Workers are spawned by the caller afterwards and
+   aligned at their own durable SEQs. *)
 let resume_session st =
   let records, _len =
     match Wal.replay (Wal.path ~dir:st.cfg.dir) with
@@ -996,11 +928,11 @@ let resume_session st =
       failwith
         (Printf.sprintf "racedet route --resume: WAL session used sampler %s, not %s"
            sampler (Sampler.name st.cfg.sampler));
-    let k_final, epoch =
+    let k_final, epoch, resized_at =
       List.fold_left
-        (fun (k, ep) (r, _) ->
-          match r with Wal.Resize k' -> (k', ep + 1) | _ -> (k, ep))
-        (workers, 0) records
+        (fun (k, ep, at) (r, e) ->
+          match r with Wal.Resize k' -> (k', ep + 1, e) | _ -> (k, ep, at))
+        (workers, 0, 0) records
     in
     if st.cfg.workers <> k_final then
       Printf.eprintf
@@ -1010,12 +942,8 @@ let resume_session st =
     st.ring <- Chash.create ~workers:k_final;
     st.workers <- Array.init k_final make_worker;
     ensure_worker_counters st k_final;
-    let ckpt_off = try_restore_state st ~k_final in
-    (match ckpt_off with
-    | Some off
-      when List.for_all
-             (fun (r, e) -> match r with Wal.Resize _ -> e <= off | _ -> true)
-             records ->
+    (match try_restore_state st ~k_final ~resized_at with
+    | Some off ->
       (* tail replay: records fully past the checkpoint's anchor *)
       List.iter
         (fun (r, e) ->
@@ -1023,11 +951,8 @@ let resume_session st =
           | Wal.Events (base, evs) when e > off -> ingest_replay st base evs
           | _ -> ())
         records
-    | _ ->
-      if ckpt_off <> None then
-        Printf.eprintf
-          "racedet route: state checkpoint predates a resize; replaying the full WAL\n%!";
-      init_universe st (nthreads, nlocks, nlocs) ~snap:None;
+    | None ->
+      init_universe st (nthreads, nlocks, nlocs) ~restored:None;
       List.iter
         (fun (r, _) ->
           match r with
@@ -1037,23 +962,14 @@ let resume_session st =
     true
   | _ -> failwith "racedet route --resume: WAL does not start with a session record"
 
-(* After spawning a resumed/recovered epoch: ask each worker where its
-   durable stream stands and replay only what it is missing. *)
-let align_worker st w =
-  match Serve.fetch_seq w.fd with
-  | Ok seq -> realign st w seq
-  | Error msg ->
-    Printf.eprintf "racedet route: worker %d SEQ at resume failed (%s)\n%!" w.id msg;
-    recover_worker st w
-
 (* --- resize ------------------------------------------------------------------ *)
 
 (* Grow or shrink the ring by one worker.  Instead of moving per-location
    engine state between processes (one surgical path per engine family),
    resizing replays: quiesce so every routed message is durable, log the
-   new size in the WAL, rebuild the per-worker logs the new ring would
-   have produced from event 0 (sampler mirror, pending bits and baseline
-   are ring-independent and stay untouched), and stream them to a fresh
+   new size in the WAL, rebuild the per-worker logs and shipping state the
+   new ring would have produced from event 0 (the live front is
+   ring-independent and stays untouched), and stream the logs to a fresh
    worker epoch through the normal pipelined pump.  Byte-identity of the
    final report is then just §6e applied to the new ring. *)
 let resize_cluster st delta =
@@ -1075,9 +991,7 @@ let resize_cluster st delta =
       (* retire the old epoch *)
       Array.iter
         (fun w ->
-          (match Serve.shutdown w.fd with Ok () | Error _ -> ());
-          close_worker_fd st w;
-          (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
+          retire_worker st w;
           try Sys.remove (worker_pid_file st w) with Sys_error _ -> ())
         st.workers;
       st.epoch <- st.epoch + 1;
@@ -1086,12 +1000,13 @@ let resize_cluster st delta =
       ensure_worker_counters st k_new;
       (match rebuilt with
       | None -> ()
-      | Some (logs, lens) ->
+      | Some (logs, lens, ship) ->
         Array.iteri
           (fun k w ->
             w.log <- logs.(k);
             w.llen <- lens.(k))
-          st.workers);
+          st.workers;
+        st.ship <- Some ship);
       Array.iter (fun w -> spawn_worker st w ~resume:false) st.workers;
       st.resizing <- true;
       (match if st.universe <> None then flush_workers ~drain:true st with
@@ -1106,25 +1021,11 @@ let resize_cluster st delta =
 
 (* --- merge ------------------------------------------------------------------ *)
 
-(* Each worker's races carry original global indices, and a given event is
-   handled by exactly one internal shard of exactly one worker, so indices
-   are unique across workers and sorting recovers the global declaration
-   order.  Metrics telescope: worker-internal merges already subtracted
-   their own baselines, and every internal baseline equals the router's, so
-   one more [merge_shards] against the router baseline leaves exactly the
-   unsharded engine's counters. *)
-let merge_results st (parts : Detector.result array) =
-  let baseline = (Option.get st.baseline).b_result () in
-  let races =
-    List.sort
-      (fun a b -> compare a.Race.index b.Race.index)
-      (List.concat_map (fun (r : Detector.result) -> r.Detector.races) (Array.to_list parts))
-  in
-  let metrics =
-    Metrics.merge_shards ~sync_baseline:baseline.Detector.metrics
-      (Array.map (fun (r : Detector.result) -> r.Detector.metrics) parts)
-  in
-  { Detector.engine = baseline.Detector.engine; races; metrics }
+(* The front did the sync work and the tally the unchecked accesses; each
+   worker's result is its checkers' checks (its own front is idle), so the
+   counters add up and the races, sorted by original index, are the
+   unsharded declarations (DESIGN.md §6e). *)
+let merge_results st parts = Front.merge (Option.get st.front) parts
 
 let fetch_results st =
   flush_workers ~drain:true st;
@@ -1143,9 +1044,9 @@ let fetch_results st =
           fail st (Printf.sprintf "worker %d RESULT failed after recovery: %s" w.id msg)))
     st.workers
 
-let report st =
+let result st =
   if st.nevents = 0 then Error "no events ingested"
-  else Ok (Serve.report_text ~events:st.nevents (merge_results st (fetch_results st)))
+  else Ok (merge_results st (fetch_results st))
 
 (* --- protocol --------------------------------------------------------------- *)
 
@@ -1154,6 +1055,7 @@ let refresh st =
 
 let stats_json st =
   refresh st;
+  let per_worker f = Json.Arr (Array.to_list (Array.map (fun w -> Json.Int (f w)) st.workers)) in
   Json.Obj
     [
       ("engine", Json.Str (Engine.name st.cfg.engine));
@@ -1167,16 +1069,11 @@ let stats_json st =
       ("next_index", Json.Int st.expected);
       ("parked", Json.Int (Hashtbl.length st.parked));
       ("uptime_s", Json.Float (Clock.elapsed_s ~since:st.tel.started_ns));
-      ( "worker_log_lengths",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int (total w)) st.workers)) );
-      ( "worker_acked",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.acked) st.workers)) );
-      ( "worker_pushed",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.pushed) st.workers)) );
-      ( "worker_respawns",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.respawns) st.workers)) );
-      ( "worker_resumed_at",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.resumed_at) st.workers)) );
+      ("worker_log_lengths", per_worker total);
+      ("worker_acked", per_worker (fun w -> w.acked));
+      ("worker_pushed", per_worker (fun w -> w.pushed));
+      ("worker_respawns", per_worker (fun w -> w.respawns));
+      ("worker_resumed_at", per_worker (fun w -> w.resumed_at));
       ("telemetry", Registry.to_json st.tel.reg)
     ]
 
@@ -1245,9 +1142,13 @@ let handle_line st conn line =
     | Some b, Some n when n >= 0 ->
       Evloop.await_blob conn n (fun payload -> handle_batch st conn b payload)
     | _ -> reply conn "ERR malformed BATCH header\n")
-  | [ "REPORT" ] -> (
-    match report st with
-    | Ok text -> reply conn (Printf.sprintf "REPORT %d\n%s" (String.length text) text)
+  | [ ("REPORT" | "RESULT") as verb ] -> (
+    match result st with
+    | Ok r ->
+      let text =
+        if verb = "REPORT" then Serve.report_text ~events:st.nevents r else Cmsg.encode_result r
+      in
+      reply conn (Printf.sprintf "%s %d\n%s" verb (String.length text) text)
     | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
     | exception Router_failed msg -> reply conn (Printf.sprintf "ERR %s\n" msg))
   | [ "SEQ" ] -> reply conn (Printf.sprintf "SEQ %d\n" st.expected)
@@ -1273,12 +1174,11 @@ let handle_line st conn line =
       | exception Wal_failed msg ->
         reply conn (Printf.sprintf "ERR wal append failed: %s\n" msg))
     | None -> reply conn "ERR malformed RESIZE\n")
-  | [ "STATS" ] | [ "STATS"; "PROM" ] ->
-    refresh st;
-    let text = Registry.to_prometheus st.tel.reg in
-    reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
-  | [ "STATS"; "JSON" ] ->
-    let text = Json.to_string_pretty (stats_json st) in
+  | ("STATS" :: ([] | [ "PROM" ] | [ "JSON" ])) as words ->
+    let text =
+      if words = [ "STATS"; "JSON" ] then Json.to_string_pretty (stats_json st)
+      else (refresh st; Registry.to_prometheus st.tel.reg)
+    in
     reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
   | [ "SHUTDOWN" ] ->
     reply conn "BYE\n";
@@ -1343,9 +1243,9 @@ let run (cfg : config) =
       parent_fds = [];
       universe = None;
       clock_size = 0;
-      baseline = None;
-      sampler_inst = None;
-      pending = [||];
+      front = None;
+      ship = None;
+      history = [||];
       expected = 0;
       nevents = 0;
       parked = Hashtbl.create 16;
@@ -1410,12 +1310,7 @@ let run (cfg : config) =
   | None -> (
     try
       if st.universe <> None then flush_workers ~drain:true st;
-      Array.iter
-        (fun w ->
-          (match Serve.shutdown w.fd with Ok () | Error _ -> ());
-          close_worker_fd st w;
-          try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ())
-        st.workers
+      Array.iter (retire_worker st) st.workers
     with Router_failed _ -> ()));
   (match st.failed with
   | None -> ()

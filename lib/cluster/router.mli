@@ -2,29 +2,31 @@
 
     One process speaking the plain [BATCH] protocol to clients and the
     [CBATCH] protocol to K worker processes, each worker an unchanged
-    [racedet serve] daemon (domain-sharded underneath).  The router
-    partitions locations across workers by consistent hashing ({!Chash}),
-    mirrors {!Ft_shard.Sharded}'s routing algebra one level up (sync
-    events broadcast, accesses to the owner, pending-bit transitions
-    forwarded as {!Ft_shard.Cmsg.msg} [Mark]s, a router-side sync-only
-    baseline), and merges the workers' partial [RESULT]s into a report
-    byte-identical to a single-process [racedet analyze] — the soundness
-    argument is DESIGN.md §6e.
+    [racedet serve] daemon (domain-sharded underneath).  The router is the
+    {!Ft_shard.Front}: it runs the sampler and the one sync engine, and
+    sends the worker owning a location (consistent hashing, {!Chash}) only
+    that location's sampled accesses, each behind the changes to its
+    thread's view that worker has not seen ({!Ft_shard.Cmsg.check}).  Sync
+    events go nowhere.  A worker is a {!Ft_shard.Sharded} fed those
+    messages, so the partial [RESULT]s add up to a report byte-identical
+    to a single-process [racedet analyze] — DESIGN.md §6e.  The router
+    answers [RESULT] with the merged result, as a worker answers with its
+    part.
 
     {b Durability} (DESIGN.md §6f): every client batch is appended to a
     routed-event {!Wal} and fsynced {e before} it is acknowledged, and the
-    router checkpoints its own state (sampler mirror, pending bits,
-    baseline snapshot, each worker's log suffix from its reported durable
-    cut) into [dir/router-state.ftc] whenever the WAL has grown by the
-    previous checkpoint's size — amortized O(1) work per WAL byte, and a
-    resume replays at most about one checkpoint's worth of WAL tail.  A router SIGKILLed mid-ingest
-    is recovered by [--resume]: replay the checkpoint + WAL tail (or the
-    whole WAL) through the same routing algebra, respawn the workers
-    against their own checkpoint directories, align each at its durable
-    [SEQ] and replay only what it is missing.  Batches whose ack never
-    reached the client are simply not in the WAL — the client's blind
-    resend re-ingests them idempotently, so the final report is
-    byte-identical to an uninterrupted run.
+    router checkpoints its own state (the front, the shipping state, each
+    worker's log suffix from its reported durable cut) into
+    [dir/router-state.ftc] whenever the WAL has grown by the previous
+    checkpoint's size — amortized O(1) work per WAL byte, and a resume
+    replays at most about one checkpoint's worth of WAL tail.  A router
+    SIGKILLed mid-ingest is recovered by [--resume]: replay the checkpoint
+    + WAL tail (or the whole WAL) through the same routing function,
+    respawn the workers against their own checkpoint directories, align
+    each at its durable [SEQ] and replay only what it is missing.  Batches
+    whose ack never reached the client are simply not in the WAL — the
+    client's blind resend re-ingests them idempotently, so the final
+    report is byte-identical to an uninterrupted run.
 
     {b Pipelining}: CBATCH sends stream through a per-worker in-flight
     window ([config.window]) with acks drained asynchronously; the router
@@ -33,10 +35,11 @@
     stay strictly ordered, so §6e is unaffected.
 
     {b Resizing}: [RESIZE +1]/[RESIZE -1] quiesces, logs the new size in
-    the WAL, rebuilds the per-worker logs the new ring would have produced
-    from event 0 (the sampler mirror, pending bits and baseline are
-    ring-independent) and streams them to a fresh worker epoch — reports
-    are byte-identical across a resize at any cut.
+    the WAL, replays the event history — the WAL, or without it the
+    router's one in-memory event log — through a scratch front to rebuild
+    the per-worker logs and shipping state the new ring would have
+    produced from event 0, and streams the logs to a fresh worker epoch —
+    reports are byte-identical across a resize at any cut.
 
     Worker death and migration reuse the [.ftc] checkpoint machinery
     end-to-end: workers checkpoint by size (once the CBATCH bytes applied
@@ -54,7 +57,7 @@
     ring; [SEQ] reports the router's ingested-event count.
 
     The router never spawns domains (forking a multi-domain OCaml 5
-    process is unsafe); its baseline is a plain in-process detector. *)
+    process is unsafe); its front is a plain in-process detector. *)
 
 type config = {
   listen : Ft_shard.Serve.addr;

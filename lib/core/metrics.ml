@@ -150,28 +150,6 @@ let add ~into m =
   into.races <- into.races + m.races;
   into.same_epoch_hits <- into.same_epoch_hits + m.same_epoch_hits
 
-(* The cluster router replicates every sync event to all K workers, so
-   sync-side counters are counted K times while access-side counters
-   (owner worker only) are counted once.  A sync-only baseline instance — same engine,
-   fed exactly the replicated stream — counts precisely the duplicated
-   work, so the exact merged counters are Σ shards − (K−1)·baseline,
-   computed over [to_array] so a new field is covered (and exercised by the
-   equivalence tests) the day it is added. *)
-let merge_shards ~sync_baseline shards =
-  let k = Array.length shards in
-  if k = 0 then invalid_arg "Metrics.merge_shards: no shards";
-  let acc = Array.make field_count 0 in
-  Array.iter
-    (fun m ->
-      Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) (to_array m))
-    shards;
-  Array.iteri
-    (fun i v -> acc.(i) <- acc.(i) - ((k - 1) * v))
-    (to_array sync_baseline);
-  match of_array acc with
-  | Some m -> m
-  | None -> assert false
-
 let acquire_total m = m.acquires
 let release_total m = m.releases
 

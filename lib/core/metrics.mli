@@ -63,22 +63,9 @@ val decode : Snap.Dec.t -> t
     mismatch. *)
 
 val add : into:t -> t -> unit
-(** Pointwise accumulation: repeated runs, or the parts of one sharded run
-    that did disjoint work (front, checkers, tally). *)
-
-val merge_shards : sync_baseline:t -> t array -> t
-(** Exact counters of the equivalent unsharded run, from per-worker
-    counters of the cluster router, which broadcasts sync events.
-
-    Contract: each of the K workers saw every sync event (broadcast) but only
-    its own accesses, so access-side counters sum exactly while sync-side
-    work was performed K times; [sync_baseline] is the counter set of a
-    detector fed only the broadcast sync stream (no accesses) and therefore
-    counts exactly one replica's worth of the duplicated work.  The merge is
-    pointwise [Σ shards − (K−1)·baseline] over {!to_array}, so every field —
-    including future ones — is covered by the same formula.  With K = 1 the
-    baseline cancels and the result equals the single shard.  Raises
-    [Invalid_argument] on an empty shard array. *)
+(** Pointwise accumulation over every field: repeated runs, or the parts
+    of one sharded run that did disjoint work (front, checkers, tally) —
+    how the sharded detector and the cluster router merge. *)
 
 val acquire_total : t -> int
 val release_total : t -> int

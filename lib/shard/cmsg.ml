@@ -5,17 +5,12 @@ module Metrics = Ft_core.Metrics
 module Snap = Ft_core.Snap
 
 (* Wire codec for the cluster router → worker sub-streams and for worker
-   partial results.  Events keep their ORIGINAL global indices: worker-side
-   sampler decisions are pure functions of (index) or of per-location state
-   (and locations are partitioned whole onto workers), so re-running the
-   sampler inside each worker reproduces exactly the global run's
-   decisions — the soundness argument of DESIGN.md §6e.  Sequencing across
-   a worker's stream uses a separate dense per-worker counter carried by
-   the CBATCH header, not these indices. *)
-
-type msg =
-  | Ev of int * Event.t  (* original global index *)
-  | Mark of Event.tid  (* pending-bit transition owned by another worker *)
+   partial results.  The router's front already ran the sampler and the
+   sync engine, so a worker's stream is checker messages only: accesses it
+   must check and the view changes they need.  Accesses keep their
+   ORIGINAL global indices, which order the merged race list (DESIGN.md
+   §6e); sequencing across a worker's stream uses a separate dense
+   per-worker counter carried by the CBATCH header. *)
 
 let op_tag = function
   | Event.Read _ -> 0
@@ -44,19 +39,15 @@ let op_of ~tag ~operand =
   | 7 -> Event.Acquire_load operand
   | _ -> raise (Snap.Corrupt "cluster message: unknown event op tag")
 
-(* One message: tag 0 + index, thread, op tag, operand for an event; tag 1
-   + thread for a mark.  Shared by the CBATCH payload and the supervisor's
-   per-shard byte backlog ({!Sharded}). *)
+(* An access: tag 0 + index, thread, op tag, operand.  Shared by the
+   CBATCH payload and the supervisor's per-shard byte backlog
+   ({!Sharded}). *)
 let encode_ev enc i (e : Event.t) =
   Snap.Enc.int enc 0;
   Snap.Enc.int enc i;
   Snap.Enc.int enc e.Event.thread;
   Snap.Enc.int enc (op_tag e.Event.op);
   Snap.Enc.int enc (op_operand e.Event.op)
-
-let encode_mark enc th =
-  Snap.Enc.int enc 1;
-  Snap.Enc.int enc th
 
 (* The body of an event message, after its tag 0. *)
 let decode_ev dec =
@@ -66,17 +57,6 @@ let decode_ev dec =
   let operand = Snap.Dec.int dec in
   Snap.expect (i >= 0 && thread >= 0 && operand >= 0) "cluster batch: negative field";
   (i, { Event.thread; op = op_of ~tag ~operand })
-
-let decode_msg dec =
-  match Snap.Dec.int dec with
-  | 0 ->
-    let i, e = decode_ev dec in
-    Ev (i, e)
-  | 1 ->
-    let th = Snap.Dec.int dec in
-    Snap.expect (th >= 0) "cluster batch: negative thread";
-    Mark th
-  | _ -> raise (Snap.Corrupt "cluster batch: unknown message tag")
 
 (* Checker messages: an access keeps the event format (tag 0); a view
    delta is tag 2, the thread, the entry count, then per entry the gap to
@@ -122,6 +102,10 @@ let decode_check dec =
     View (th, idx, vals)
   | _ -> raise (Snap.Corrupt "shard backlog: unknown message tag")
 
+let encode_check enc = function
+  | Acc (i, e) -> encode_ev enc i e
+  | View (th, idx, vals) -> encode_view enc th idx vals
+
 let encode ~nthreads ~nlocks ~nlocs msgs ~off ~len =
   let enc = Snap.Enc.create () in
   Snap.Enc.int enc nthreads;
@@ -129,9 +113,7 @@ let encode ~nthreads ~nlocks ~nlocs msgs ~off ~len =
   Snap.Enc.int enc nlocs;
   Snap.Enc.int enc len;
   for j = off to off + len - 1 do
-    match msgs.(j) with
-    | Ev (i, e) -> encode_ev enc i e
-    | Mark th -> encode_mark enc th
+    encode_check enc msgs.(j)
   done;
   Snap.Enc.to_snap enc
 
@@ -146,7 +128,7 @@ let decode payload =
     let n = Snap.Dec.int dec in
     (* every message takes at least two bytes *)
     Snap.expect (n >= 0 && n <= Snap.Dec.remaining dec / 2) "cluster batch: bad message count";
-    let msgs = Array.init n (fun _ -> decode_msg dec) in
+    let msgs = Array.init n (fun _ -> decode_check dec) in
     Snap.Dec.finish dec;
     ((nthreads, nlocks, nlocs), msgs)
   with

@@ -2,54 +2,22 @@ module Event = Ft_trace.Event
 module Detector = Ft_core.Detector
 module Engine = Ft_core.Engine
 module Sampler = Ft_core.Sampler
-module Metrics = Ft_core.Metrics
-module Race = Ft_core.Race
 module Snap = Ft_core.Snap
 module Fault = Ft_fault.Fault
 
-(* Ring messages.  [Acc] and [View] are the stream a checker applies (and
-   the supervisor backlogs, in {!Cmsg.check}'s format); [Snapshot] and
-   [Stop] are control. *)
+(* Ring messages: the stream a checker applies (and the supervisor
+   backlogs, in {!Cmsg}'s format), and control. *)
 type msg =
-  | Acc of int * Event.t  (* a shipped access, original index *)
-  | View of Event.tid * int array * int array  (* changed view entries *)
+  | Check of Cmsg.check
   | Snapshot  (* supervised only: publish (count, snapshot) at this cut *)
   | Stop
 
 exception Shard_failed of string
 
-(* One engine instance behind closures, so the front and the checkers can
-   be held without knowing the engine's state type. *)
-type inst = {
-  i_handle : int -> Event.t -> unit;
-  i_note : Event.tid -> unit;
-  i_version : Event.tid -> int;
-  i_export : Event.tid -> int array -> unit;
-  i_import : Event.tid -> int array -> int array -> unit;
-  i_result : unit -> Detector.result;
-  i_snapshot : unit -> Snap.t;
-}
-
-let instance (module D : Detector.S) ?snap config =
-  let d = match snap with None -> D.create config | Some s -> D.restore config s in
-  {
-    i_handle = D.handle d;
-    i_note = D.note_sampled d;
-    i_version = D.view_version d;
-    i_export = D.export_view d;
-    i_import = D.import_view d;
-    i_result = (fun () -> D.result d);
-    i_snapshot = (fun () -> D.snapshot d);
-  }
-
 (* Per-shard control block.  The router domain owns every mutable field
    except [fail] and [snap_slot], which the worker publishes through
    atomics: [fail] when it dies or its handler raises, [snap_slot] with the
    (message-count, snapshot) pair a [Snapshot] request asked for.
-
-   The front keeps, per thread, the view version it last shipped to this
-   shard and a [shadow] of the view the checker holds, so it ships only
-   changed entries.
 
    Supervised, the router keeps a restore point — [restore_snap] (None: a
    fresh instance) covering the shard's first [restore_count] messages —
@@ -59,9 +27,7 @@ let instance (module D : Detector.S) ?snap config =
    answers, trims the backlog's first [request_off] bytes. *)
 type shard = {
   ring : msg Spsc.t;
-  mutable inst : inst;
-  shipped : int array;  (* per thread: view version last shipped *)
-  shadow : int array array;  (* per thread: the view the checker holds *)
+  mutable inst : Front.inst;
   mutable domain : unit Domain.t option;
   fail : (string * bool) option Atomic.t;  (* reason, domain exited abruptly *)
   snap_slot : (int * Snap.t) option Atomic.t;
@@ -84,13 +50,11 @@ type t = {
   supervise : bool;
   max_restarts : int;
   shards : shard array;
-  front : inst;  (* the engine, fed sync events plus note_sampled *)
-  samples : bool;  (* the engine checks only sampled accesses *)
-  sampler_inst : Sampler.instance;
-  tally : Metrics.t;  (* accesses nobody checks: events, reads, writes *)
-  view : int array;  (* export scratch *)
-  delta_idx : int array;
-  delta_val : int array;
+  front : Front.t;  (* idle in a cluster worker, which its router fronts *)
+  ship : Front.ship;  (* per (shard, thread): what each checker last saw *)
+  imp_ver : int array;  (* per thread: bumped by every imported [View] *)
+  imp_view : int array array;  (* per thread: the view the router shipped *)
+  imported : Front.source;  (* [imp_ver] and [imp_view] *)
   mutable nevents : int;
   mutable stopped : bool;
 }
@@ -141,15 +105,13 @@ let worker sh inst ~start idx () =
         if not !failed then begin
           try
             match msg with
-            | Acc (i, e) ->
+            | Check c ->
               step ();
-              inst.i_handle i e;
+              (match c with
+              | Cmsg.Acc (i, e) -> inst.Front.i_handle i e
+              | Cmsg.View (th, idx, vals) -> inst.Front.i_import th idx vals);
               incr processed
-            | View (th, idx, vals) ->
-              step ();
-              inst.i_import th idx vals;
-              incr processed
-            | Snapshot -> Atomic.set sh.snap_slot (Some (!processed, inst.i_snapshot ()))
+            | Snapshot -> Atomic.set sh.snap_slot (Some (!processed, inst.Front.i_snapshot ()))
             | Stop -> assert false
           with
           | Fault.Injected ({ Fault.kind = Fault.Crash_domain; _ } as inc) ->
@@ -173,11 +135,6 @@ let spawn_shard t s =
   sh.domain <- Some (Domain.spawn (worker sh inst ~start:sh.restore_count s))
 
 (* --- router-side restore points (supervised mode only) ------------------- *)
-
-let backlog_push sh = function
-  | Acc (i, e) -> Cmsg.encode_ev sh.backlog i e
-  | View (th, idx, vals) -> Cmsg.encode_view sh.backlog th idx vals
-  | Snapshot | Stop -> assert false
 
 let restore_bytes sh = match sh.restore_snap with None -> 0 | Some s -> String.length s
 
@@ -249,7 +206,7 @@ let rec heal t s =
     (* a request the dead worker did not answer died with its ring *)
     adopt_snapshot sh;
     sh.requested <- -1;
-    sh.inst <- instance t.packed ?snap:sh.restore_snap t.checker_config;
+    sh.inst <- Front.instance t.packed ?snap:sh.restore_snap t.checker_config;
     if sh.restore_snap <> None then sh.snapshot_heals <- sh.snapshot_heals + 1;
     Printf.eprintf
       "[supervisor] shard %d failed (%s); restart %d/%d, restored at message %d, \
@@ -258,11 +215,7 @@ let rec heal t s =
       (sh.pushed - sh.restore_count);
     spawn_shard t s;
     let dec = Snap.Dec.of_snap (Snap.Enc.to_snap sh.backlog) in
-    let next () =
-      match Cmsg.decode_check dec with
-      | Cmsg.Acc (i, e) -> Acc (i, e)
-      | Cmsg.View (th, idx, vals) -> View (th, idx, vals)
-    in
+    let next () = Check (Cmsg.decode_check dec) in
     let rec replay m =
       if Spsc.try_push sh.ring m then begin
         if Snap.Dec.remaining dec > 0 then replay (next ())
@@ -291,23 +244,23 @@ let rec deliver t s m =
   end
 
 (* Route one message to shard [s].  Failure-aware: a supervised push heals
-   a failed shard first (the healed replay delivers [m], which is already
+   a failed shard first (the healed replay delivers [c], which is already
    in the backlog); an unsupervised push surfaces the failure only when the
    ring is full (a draining worker keeps it empty), preserving the old
    fail-at-flush behavior.  A supervised push whose backlog has grown as
    large as the restore point then requests the next one: the [Snapshot]
    lands right behind message [pushed - 1], and the ring is FIFO, so the
    worker answers with its state after exactly [pushed] messages. *)
-let push_msg t s m =
+let push_msg t s c =
   let sh = t.shards.(s) in
   check_dead sh;
   if t.supervise then begin
     adopt_snapshot sh;
-    backlog_push sh m
+    Cmsg.encode_check sh.backlog c
   end;
   sh.pushed <- sh.pushed + 1;
   Fault.point ~lane:s ~supports:[ Fault.Delay ] "spsc.push";
-  if t.supervise && Atomic.get sh.fail <> None then heal t s else deliver t s m;
+  if t.supervise && Atomic.get sh.fail <> None then heal t s else deliver t s (Check c);
   if t.supervise && sh.requested < 0 && Snap.Enc.length sh.backlog >= restore_bytes sh
   then begin
     sh.requested <- sh.pushed;
@@ -316,15 +269,25 @@ let push_msg t s m =
   end
 
 (* [shard_snaps.(s)] is checker [s]'s starting state (None: fresh), and
-   also its first restore point under supervision; [shadows.(s)] the views
-   and versions the front last shipped it (None: a fresh checker's). *)
+   also its first restore point under supervision; [ship] what the
+   checkers last saw (None: fresh views); [imported] the worker's imported
+   view table (None: the front's fresh views). *)
 let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_restarts)
-    (config : Detector.config) ~shard_snaps ~shadows ~front ~sampler_inst ~tally ~nevents =
+    (config : Detector.config) ~shard_snaps ~front ~ship ~imported ~nevents =
   let packed = Engine.detector engine in
-  let (module D : Detector.S) = packed in
-  let vsize = D.view_size config in
-  let nthreads = config.Detector.nthreads in
+  let nthreads = config.Detector.nthreads and vsize = Front.view_size front in
   let checker_config = { config with Detector.sampler = Sampler.all } in
+  let src = Front.source front in
+  let imp_ver, imp_view =
+    match imported with
+    | Some table -> table
+    | None ->
+      ( Array.init nthreads src.Front.version,
+        Array.init nthreads (fun th ->
+            let v = Array.make vsize 0 in
+            src.Front.export th v;
+            v) )
+  in
   let t =
     {
       packed;
@@ -337,9 +300,7 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
           (fun snap ->
             {
               ring = Spsc.create ~capacity:ring_capacity ~dummy:Stop;
-              inst = instance packed ?snap checker_config;
-              shipped = Array.make nthreads 0;
-              shadow = Array.init nthreads (fun _ -> Array.make vsize 0);
+              inst = Front.instance packed ?snap checker_config;
               domain = None;
               fail = Atomic.make None;
               snap_slot = Atomic.make None;
@@ -356,31 +317,21 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
             })
           shard_snaps;
       front;
-      samples = Engine.honours_sampler engine;
-      sampler_inst;
-      tally;
-      view = Array.make vsize 0;
-      delta_idx = Array.make vsize 0;
-      delta_val = Array.make vsize 0;
+      ship =
+        (match ship with
+        | Some s -> s
+        | None -> Front.ship_create src ~dests:k ~nthreads ~vsize);
+      imp_ver;
+      imp_view;
+      imported =
+        {
+          Front.version = (fun th -> imp_ver.(th));
+          export = (fun th buf -> Array.blit imp_view.(th) 0 buf 0 vsize);
+        };
       nevents;
       stopped = false;
     }
   in
-  Array.iteri
-    (fun s sh ->
-      for th = 0 to nthreads - 1 do
-        match shadows with
-        | Some shadows ->
-          let ver, view = shadows.(s).(th) in
-          sh.shipped.(th) <- ver;
-          Array.blit view 0 sh.shadow.(th) 0 vsize
-        | None ->
-          (* a fresh checker holds the fresh views, which the front (fresh
-             too) still has *)
-          sh.shipped.(th) <- front.i_version th;
-          front.i_export th sh.shadow.(th)
-      done)
-    t.shards;
   for s = 0 to k - 1 do
     spawn_shard t s
   done;
@@ -389,34 +340,17 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
 let create ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config) =
   if k < 1 then invalid_arg "Sharded.create: shards must be positive";
   build ~engine ~shards:k ?supervise ?max_restarts config
-    ~shard_snaps:(Array.make k None) ~shadows:None
-    ~front:(instance (Engine.detector engine) config)
-    ~sampler_inst:(Sampler.fresh config.Detector.sampler)
-    ~tally:(Metrics.create ()) ~nevents:0
+    ~shard_snaps:(Array.make k None) ~front:(Front.create ~engine config) ~ship:None
+    ~imported:None ~nevents:0
 
-(* Bring checker [s]'s copy of thread [th]'s view up to date.  A version
-   change ships a [View] even when no entry changed: the checker's import
-   invalidates the thread's same-epoch cache entries just as the sync
-   handler that moved the version did, so cache hits stay exact. *)
-let ship_view t s th =
-  let sh = t.shards.(s) in
-  let v = t.front.i_version th in
-  if v <> sh.shipped.(th) then begin
-    sh.shipped.(th) <- v;
-    t.front.i_export th t.view;
-    let view = t.view and shadow = sh.shadow.(th) in
-    let n = ref 0 in
-    for j = 0 to Array.length view - 1 do
-      let x = Array.unsafe_get view j in
-      if x <> Array.unsafe_get shadow j then begin
-        Array.unsafe_set shadow j x;
-        t.delta_idx.(!n) <- j;
-        t.delta_val.(!n) <- x;
-        incr n
-      end
-    done;
-    push_msg t s (View (th, Array.sub t.delta_idx 0 !n, Array.sub t.delta_val 0 !n))
-  end
+(* Send an access to its owner behind the changes to its thread's view
+   (from [src]) that the owner has not seen. *)
+let route_access t src i (e : Event.t) x =
+  let s = owner_of ~shards:t.k x in
+  (match Front.ship t.ship src s e.Event.thread with
+  | Some (idx, vals) -> push_msg t s (Cmsg.View (e.Event.thread, idx, vals))
+  | None -> ());
+  push_msg t s (Cmsg.Acc (i, e))
 
 (* The front runs the sampler and the one sync engine; a checker sees only
    the accesses it must check, each behind the view changes it needs.
@@ -425,36 +359,34 @@ let ship_view t s th =
    engine reads (DESIGN.md §6a). *)
 let handle t i (e : Event.t) =
   if t.stopped then failwith "Sharded.handle: detector is stopped";
-  (match e.Event.op with
-  | Event.Read x | Event.Write x ->
-    (* the sampler instance sees every access, exactly once, in trace order *)
-    if (not t.samples) || Sampler.query t.sampler_inst i e then begin
-      let th = e.Event.thread in
-      t.front.i_note th;
-      let s = owner_of ~shards:t.k x in
-      ship_view t s th;
-      push_msg t s (Acc (i, e))
-    end
-    else begin
-      let m = t.tally in
-      m.Metrics.events <- m.Metrics.events + 1;
-      match e.Event.op with
-      | Event.Read _ -> m.Metrics.reads <- m.Metrics.reads + 1
-      | _ -> m.Metrics.writes <- m.Metrics.writes + 1
-    end
-  | Event.Acquire _ | Event.Acquire_load _ | Event.Release _ | Event.Release_store _
-  | Event.Fork _ | Event.Join _ ->
-    t.front.i_handle i e);
+  if Front.admit t.front i e then begin
+    match e.Event.op with
+    | Event.Read x | Event.Write x -> route_access t (Front.source t.front) i e x
+    | _ -> ()
+  end;
   t.nevents <- t.nevents + 1
 
-(* A sampled access owned by another detector — a cluster worker applying
-   a [Mark] from its router ({!Cmsg}): only the front's pending bit moves.
-   Not an event: [nevents] and the message counts stay put. *)
-let note_sampled t th =
-  if t.stopped then failwith "Sharded.note_sampled: detector is stopped";
-  if th < 0 || th >= Array.length t.shards.(0).shipped then
-    failwith (Printf.sprintf "Sharded.note_sampled: thread %d out of range" th);
-  t.front.i_note th
+(* A cluster worker's stream, fronted by its router (DESIGN.md §6e).  A
+   [View] lands in the imported table and always bumps the thread's
+   version — an empty one too: the router's version moved, so the
+   same-epoch invalidation must reach the checker.  An [Acc] then ships
+   exactly as {!handle} ships one, with that table as the view source. *)
+let check t (m : Cmsg.check) =
+  if t.stopped then failwith "Sharded.check: detector is stopped";
+  let nthreads = Array.length t.imp_ver in
+  match m with
+  | Cmsg.View (th, idx, vals) ->
+    let n = Array.length idx in
+    if th >= nthreads || (n > 0 && idx.(n - 1) >= Array.length t.imp_view.(th)) then
+      failwith (Printf.sprintf "Sharded.check: view of thread %d out of range" th);
+    Array.iteri (fun j x -> t.imp_view.(th).(x) <- vals.(j)) idx;
+    t.imp_ver.(th) <- t.imp_ver.(th) + 1
+  | Cmsg.Acc (i, e) -> (
+    match e.Event.op with
+    | (Event.Read x | Event.Write x) when e.Event.thread < nthreads ->
+      route_access t t.imported i e x;
+      t.nevents <- t.nevents + 1
+    | _ -> failwith (Printf.sprintf "Sharded.check: event %d is not a checkable access" i))
 
 let events t = t.nevents
 
@@ -509,22 +441,9 @@ let flush t =
   end
   else Array.iter check_dead t.shards
 
-(* The front did the sync work, the checkers the checks and the tally the
-   rest, so the counters simply add up. *)
 let result t =
   flush t;
-  let rs = Array.map (fun sh -> sh.inst.i_result ()) t.shards in
-  let front = t.front.i_result () in
-  let races =
-    List.sort
-      (fun (a : Race.t) (b : Race.t) -> Stdlib.compare a.Race.index b.Race.index)
-      (List.concat_map (fun (r : Detector.result) -> r.Detector.races) (Array.to_list rs))
-  in
-  let metrics = Metrics.create () in
-  Metrics.add ~into:metrics front.Detector.metrics;
-  Array.iter (fun (r : Detector.result) -> Metrics.add ~into:metrics r.Detector.metrics) rs;
-  Metrics.add ~into:metrics t.tally;
-  { Detector.engine = front.Detector.engine; races; metrics }
+  Front.merge t.front (Array.map (fun sh -> sh.inst.Front.i_result ()) t.shards)
 
 let stop t =
   if not t.stopped then begin
@@ -540,22 +459,7 @@ let stop t =
             try heal t s
             with e -> if !pending_exn = None then pending_exn := Some e)
         t.shards;
-    Array.iteri
-      (fun s _ ->
-        let sh = t.shards.(s) in
-        match sh.domain with
-        | None -> ()
-        | Some d ->
-          let exited =
-            match Atomic.get sh.fail with Some (_, e) -> e | None -> false
-          in
-          if not exited then Spsc.push sh.ring Stop;
-          Domain.join d;
-          sh.domain <- None;
-          while not (Spsc.is_empty sh.ring) do
-            Spsc.advance sh.ring
-          done)
-      t.shards;
+    Array.iteri (fun s _ -> reap t s) t.shards;
     t.stopped <- true;
     (match !pending_exn with Some e -> raise e | None -> ());
     if not t.supervise then
@@ -574,16 +478,16 @@ let shard_snapshots t =
   flush t;
   Array.map
     (fun sh ->
-      let snap = sh.inst.i_snapshot () in
+      let snap = sh.inst.Front.i_snapshot () in
       if t.supervise then
         set_restore_point sh ~count:sh.pushed ~off:(Snap.Enc.length sh.backlog) snap;
       snap)
     t.shards
 
 (* Router snapshots open with a format tag below any shard count, so one
-   written before the front/checker split fails to decode — a logged fresh
-   start — instead of misreading. *)
-let router_format = -2
+   written before the imported view table (−2) or before the front/checker
+   split fails to decode — a logged fresh start — instead of misreading. *)
+let router_format = -3
 
 let router_snapshot t =
   flush t;
@@ -591,17 +495,13 @@ let router_snapshot t =
   Snap.Enc.int enc router_format;
   Snap.Enc.int enc t.k;
   Snap.Enc.int enc t.nevents;
-  t.sampler_inst.Sampler.save enc;
-  Snap.Enc.string enc (t.front.i_snapshot ());
-  Metrics.encode enc t.tally;
-  Array.iter
-    (fun sh ->
-      Array.iteri
-        (fun th ver ->
-          Snap.Enc.int enc ver;
-          Snap.Enc.int_array enc sh.shadow.(th))
-        sh.shipped)
-    t.shards;
+  Front.save enc t.front;
+  Front.ship_save enc t.ship;
+  Array.iteri
+    (fun th ver ->
+      Snap.Enc.int enc ver;
+      Snap.Enc.int_array enc t.imp_view.(th))
+    t.imp_ver;
   Snap.Enc.to_snap enc
 
 let restore ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config) ~router
@@ -613,25 +513,21 @@ let restore ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config
   let dec = Snap.Dec.of_snap router in
   Snap.expect
     (Snap.Dec.int dec = router_format)
-    "Sharded.restore: router snapshot predates the front/checker split";
+    "Sharded.restore: router snapshot predates the imported view table";
   let k' = Snap.Dec.int dec in
   Snap.expect (k' = k) "Sharded.restore: router snapshot was taken with a different K";
   let nevents = Snap.Dec.int dec in
   Snap.expect (nevents >= 0) "Sharded.restore: negative event count";
-  let sampler_inst = Sampler.fresh config.Detector.sampler in
-  sampler_inst.Sampler.load dec;
-  let packed = Engine.detector engine in
-  let front = instance packed ~snap:(Snap.Dec.string dec) config in
-  let tally = Metrics.decode dec in
-  let (module D : Detector.S) = packed in
-  let vsize = D.view_size config in
-  let shadows =
-    Array.init k (fun _ ->
-        Array.init config.Detector.nthreads (fun _ ->
-            let ver = Snap.Dec.int dec in
-            (ver, Snap.Dec.int_array_n dec vsize)))
+  let front = Front.load dec ~engine config in
+  let nthreads = config.Detector.nthreads and vsize = Front.view_size front in
+  let ship = Front.ship_load dec ~dests:k ~nthreads ~vsize in
+  let imp_ver = Array.make nthreads 0 in
+  let imp_view =
+    Array.init nthreads (fun th ->
+        imp_ver.(th) <- Snap.Dec.int dec;
+        Snap.Dec.int_array_n dec vsize)
   in
   Snap.Dec.finish dec;
   build ~engine ~shards:k ?supervise ?max_restarts config
-    ~shard_snaps:(Array.map Option.some shard_snaps) ~shadows:(Some shadows) ~front
-    ~sampler_inst ~tally ~nevents
+    ~shard_snaps:(Array.map Option.some shard_snaps) ~front ~ship:(Some ship)
+    ~imported:(Some (imp_ver, imp_view)) ~nevents

@@ -1,30 +1,23 @@
 (** Location-sharded parallel online detection: one front, K checkers.
 
-    The {e front} is the caller's domain.  It runs the sampler and the one
-    real sync engine: the engine itself, fed every synchronization event
-    plus one {!Ft_core.Detector.S.note_sampled} per sampled access, never
-    an access.  The {e checkers} are K more instances of the same engine,
-    created with {!Ft_core.Sampler.all}, each on its own domain behind a
-    bounded SPSC ring ({!Spsc}).  A checker owns the locations that hash
-    to it ({!owner_of}) and receives only
+    The {e front} ({!Front}) is the caller's domain: the sampler and the
+    one real sync engine.  The {e checkers} are K more instances of the
+    same engine, created with {!Ft_core.Sampler.all}, each on its own
+    domain behind a bounded SPSC ring ({!Spsc}).  A checker owns the
+    locations that hash to it ({!owner_of}) and receives only [Acc (i, e)]
+    — an access the front admitted — each right behind a [View] of the
+    accessing thread's view entries it has not seen, whenever that
+    thread's view version moved ({!Front.ship}).
 
-    - [Acc (i, e)]: a sampled access to one of its locations (every
-      access, for the engines that ignore the sampler —
-      {!Ft_core.Engine.honours_sampler}); and
-    - [View (t, entries)]: right before an [Acc] by thread [t], whenever
-      [t]'s view version moved since this checker last saw it, the view
-      entries that changed ({!Ft_core.Detector.S.export_view}), possibly
-      none.
-
-    A check on an access reads only the location's state, the thread's
-    view [C_t[t ↦ e_t]] and the thread's same-epoch cache invalidations,
-    and the front holds all three exactly, so the checkers' verdicts are
-    the unsharded engine's.  Race verdicts are exact: the per-checker race
-    lists, merged by original event index, are byte-identical to the
-    unsharded engine's declarations — for every engine, every sampler, and
-    every K (property-tested).  Metrics add up: front (sync work) + Σ
-    checkers (checks) + the front's tally of accesses nobody checks.  See
-    DESIGN.md §6a.
+    A check reads only the location's state, the thread's view
+    [C_t[t ↦ e_t]] and the thread's same-epoch cache invalidations, and
+    the front holds all three exactly, so the per-checker race lists,
+    merged by original event index, are byte-identical to the unsharded
+    engine's declarations — for every engine, every sampler, and every K
+    (property-tested).  Metrics add up: front (sync work) + Σ checkers
+    (checks) + the front's tally of accesses nobody checks.  See
+    DESIGN.md §6a.  A cluster worker is the same detector with its front
+    idle, fed the router front's messages through {!check} (§6e).
 
     {2 Supervision}
 
@@ -106,14 +99,18 @@ val handle : t -> int -> Ft_trace.Event.t -> unit
     heal a failed shard in-line (replaying its backlog) before returning, and
     raises {!Shard_failed} once a shard is past its restart budget. *)
 
-val note_sampled : t -> Ft_trace.Event.tid -> unit
-(** Apply a sampled access owned by {e another} detector — how a cluster
-    worker replays a router [Mark] ({!Cmsg.msg}): the front notes it, as
-    {!handle} does for a sampled access of its own.  Not an event:
-    {!events} and the per-shard routed counts are unchanged. *)
+val check : t -> Cmsg.check -> unit
+(** Apply one message of a cluster worker's stream, which its router's
+    {!Front} already sampled and synchronized: a [View] updates the
+    imported table of per-thread views (and always bumps that thread's
+    version, even when it changes no entry); an [Acc] goes to its owner
+    behind the imported view changes that shard has not seen, exactly as
+    {!handle} ships the front's.  The front stays idle.  Raises [Failure]
+    on a thread or view entry outside the universe, a non-access [Acc],
+    or after {!stop}. *)
 
 val events : t -> int
-(** Events routed so far. *)
+(** Events routed so far ({!handle}), or accesses checked ({!check}). *)
 
 val shard_event_counts : t -> int array
 (** Messages pushed to each shard's ring so far — sampled accesses and view
@@ -173,10 +170,10 @@ val stop : t -> unit
 
     A sharded detector checkpoints as K checker snapshots (each a regular
     {!Ft_core.Detector.S.snapshot} of an instance sampling everything) plus
-    one router snapshot holding the event count, the sampler state, the
-    front engine, the tally, and per shard and thread the view version and
-    view last shipped.  [restore] rebuilds the whole ensemble; shard count
-    and universe must match the snapshots. *)
+    one router snapshot holding the event count, the front, per shard and
+    thread the view version and view last shipped, and the imported view
+    table.  [restore] rebuilds the whole ensemble; shard count and universe
+    must match the snapshots. *)
 
 val shard_snapshots : t -> Ft_core.Snap.t array
 (** Flushes first; index [k] is checker [k]'s engine snapshot.  Supervised,
@@ -195,4 +192,4 @@ val restore :
   t
 (** Raises [Ft_core.Snap.Corrupt] on malformed or mismatched payloads
     (wrong shard count, wrong universe, a router snapshot written before
-    the front/checker split).  Spawns worker domains like {!create}. *)
+    the imported view table).  Spawns worker domains like {!create}. *)

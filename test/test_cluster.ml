@@ -23,7 +23,10 @@ module Trace_gen = Ft_trace.Trace_gen
 module Prng = Ft_support.Prng
 module Engine = Ft_core.Engine
 module Sampler = Ft_core.Sampler
+module Detector = Ft_core.Detector
+module Metrics = Ft_core.Metrics
 module Serve = Ft_shard.Serve
+module Cmsg = Ft_shard.Cmsg
 module Router = Ft_cluster.Router
 module Chash = Ft_cluster.Chash
 module Fault = Ft_fault.Fault
@@ -141,9 +144,10 @@ let expected_report ~engine ~sampler trace =
   Serve.report_text ~events:(Trace.length trace) (Engine.run engine ~sampler trace)
 
 (* Run one cluster session: start a router, stream the batches (already
-   (base, sub) pairs, any order), fetch the REPORT, shut down cleanly.
-   [mid] runs after [mid_after] sends — kill/migrate hooks. *)
-let cluster_report ?arm ?(mid = fun _fd -> ()) ?(mid_after = max_int) ~cfg ~socket batches =
+   (base, sub) pairs, any order), fetch the REPORT and the merged RESULT,
+   shut down cleanly.  [mid] runs after [mid_after] sends —
+   kill/migrate/resize hooks. *)
+let cluster_session ?arm ?(mid = fun _fd -> ()) ?(mid_after = max_int) ~cfg ~socket batches =
   let pid = start_router ?arm cfg in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
@@ -154,9 +158,25 @@ let cluster_report ?arm ?(mid = fun _fd -> ()) ?(mid_after = max_int) ~cfg ~sock
       ignore (get_ok "send_batch" (Serve.send_batch ~deadline_s:60.0 fd ~base sub)))
     batches;
   let report = get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd) in
+  let result = get_ok "fetch_result" (Serve.fetch_result ~deadline_s:60.0 fd) in
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid;
-  report
+  (report, result)
+
+let cluster_report ?arm ?mid ?mid_after ~cfg ~socket batches =
+  fst (cluster_session ?arm ?mid ?mid_after ~cfg ~socket batches)
+
+(* Every counter and the race list, not just the REPORT's summary: the
+   router's RESULT is the merged result, which must be [Engine.run]'s. *)
+let check_result what ~engine ~sampler trace (got : Detector.result) =
+  let want = Engine.run engine ~sampler trace in
+  Alcotest.(check (array int))
+    (what ^ ": every Metrics field")
+    (Metrics.to_array want.Detector.metrics)
+    (Metrics.to_array got.Detector.metrics);
+  Alcotest.(check bool) (what ^ ": race list") true (want.Detector.races = got.Detector.races);
+  Alcotest.(check string) (what ^ ": RESULT bytes") (Cmsg.encode_result want)
+    (Cmsg.encode_result got)
 
 (* --- byte-identity grid ------------------------------------------------------ *)
 
@@ -175,11 +195,12 @@ let test_identity_grid () =
       router_config ~workers ~worker_shards:2 ~engine ~sampler ~dir:sub
         (Serve.Unix_path socket)
     in
-    let report = cluster_report ~cfg ~socket (slices trace ~batch:200) in
-    Alcotest.(check string)
-      (Printf.sprintf "engine %s, K=%d ≡ analyze" (Engine.name engine) workers)
+    let report, result = cluster_session ~cfg ~socket (slices trace ~batch:200) in
+    let what = Printf.sprintf "engine %s, K=%d" (Engine.name engine) workers in
+    Alcotest.(check string) (what ^ " ≡ analyze")
       (expected_report ~engine ~sampler trace)
-      report
+      report;
+    check_result what ~engine ~sampler trace result
   in
   let i = ref 0 in
   let bern = Sampler.bernoulli ~rate:0.3 ~seed:11 in
@@ -335,7 +356,8 @@ let migrate_property =
    return the final REPORT.  Phase-1 sends tolerate errors: the crash
    closes the connection mid-protocol by design.  Phase 2 arms a chaos
    worker kill, so recovery-under-recovery is exercised too. *)
-let killed_router_report ?(crash_hit = 3) ?(arm2 = fun () -> ()) ~cfg ~socket batches =
+let killed_router_report ?(crash_hit = 3) ?(between = fun () -> ()) ?(arm2 = fun () -> ()) ~cfg
+    ~socket batches =
   let arm () = Fault.arm_exact ~point:"router.crash" ~hit:crash_hit Fault.Exn in
   let pid = start_router ~arm cfg in
   (try
@@ -346,6 +368,7 @@ let killed_router_report ?(crash_hit = 3) ?(arm2 = fun () -> ()) ~cfg ~socket ba
        batches
    with _ -> ());
   reap pid;
+  between ();
   let cfg = { cfg with Router.resume = true } in
   let pid = start_router ~arm:arm2 cfg in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
@@ -458,6 +481,36 @@ let resize_property =
       if report <> expected then
         QCheck.Test.fail_reportf "REPORT diverged after RESIZE %+d at cut %d" delta cut;
       true)
+
+(* Without the WAL the router's only history is its in-memory event log: a
+   resize replays it through a scratch front.  Grow and shrink at a cut
+   mid-stream; REPORT and RESULT must both be analyze's. *)
+let test_resize_without_wal () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.35 ~seed:67 in
+  let trace = sample_trace ~seed:61 ~length:600 () in
+  let batches = slices trace ~batch:75 in
+  List.iter
+    (fun delta ->
+      let sub = Filename.concat dir (Printf.sprintf "d%+d" delta) in
+      Unix.mkdir sub 0o700;
+      let socket = Filename.concat sub "route.sock" in
+      let cfg =
+        router_config ~workers:2 ~worker_shards:1 ~wal:false ~engine ~sampler ~dir:sub
+          (Serve.Unix_path socket)
+      in
+      let mid fd =
+        Alcotest.(check int) "RESIZE echo" (2 + delta)
+          (get_ok "resize" (Serve.resize ~deadline_s:60.0 fd delta))
+      in
+      let what = Printf.sprintf "RESIZE %+d without the WAL" delta in
+      let report, result =
+        cluster_session ~mid ~mid_after:(List.length batches / 2) ~cfg ~socket batches
+      in
+      Alcotest.(check string) (what ^ " ≡ analyze") (expected_report ~engine ~sampler trace)
+        report;
+      check_result what ~engine ~sampler trace result)
+    [ 1; -1 ]
 
 (* --- pipelining window -------------------------------------------------------- *)
 
@@ -772,10 +825,12 @@ let test_checkpoint_amortization () =
    has bytes.  Phase 2 SIGKILLs the router itself and resumes it: every
    worker's SEQ lands inside the log the state checkpoint retained (no
    rebuild from the WAL), the replay is again bounded by the workers'
-   sets, and the REPORT is byte-identical. *)
+   sets, and the REPORT is byte-identical.  Sampling every access ships
+   every access to its worker, so the streams are long enough for several
+   sets. *)
 let test_recovery_bound () =
   with_temp_dir @@ fun dir ->
-  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.1 ~seed:7 in
+  let engine = Engine.So and sampler = Sampler.all in
   let trace = db_trace "smallbank" ~events:60_000 in
   let batches = slices trace ~batch:512 in
   let nb = List.length batches in
@@ -840,6 +895,158 @@ let test_recovery_bound () =
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
 
+(* --- messages bounded by samples ------------------------------------------------ *)
+
+(* The router ships timestamps, not sync events: a worker gets only the
+   sampled accesses it owns, each behind at most one view change. *)
+let test_messages_bounded_by_samples () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.1 ~seed:3 in
+  let trace = db_trace "tpcc" ~events:30_000 in
+  let n = Trace.length trace in
+  let socket = Filename.concat dir "route.sock" in
+  let metrics = Filename.concat dir "router.json" in
+  let cfg =
+    {
+      (router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir
+         (Serve.Unix_path socket))
+      with
+      Router.metrics_json = Some metrics;
+    }
+  in
+  let report, result = cluster_session ~cfg ~socket (slices trace ~batch:512) in
+  Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace) report;
+  let j =
+    get_ok "parse metrics" (Json.parse (In_channel.with_open_bin metrics In_channel.input_all))
+  in
+  let messages =
+    List.fold_left ( +. ) 0.0
+      (List.init 2 (fun k ->
+           json_num j
+             [ "telemetry"; Printf.sprintf "router_worker_messages_total{worker=\"%d\"}" k ]))
+  in
+  let sampled = float_of_int result.Detector.metrics.Metrics.sampled_accesses in
+  Alcotest.(check bool)
+    (Printf.sprintf "sampled %.0f ≤ messages %.0f ≤ 2 × sampled" sampled messages)
+    true
+    (sampled <= messages && messages <= 2.0 *. sampled);
+  Alcotest.(check bool)
+    (Printf.sprintf "messages %.0f ≤ 0.2 × events %d" messages n)
+    true
+    (messages <= 0.2 *. float_of_int n)
+
+(* --- checkpoints from before the router front ----------------------------------- *)
+
+module Snap = Ft_core.Snap
+module Checkpoint = Ft_snapshot.Checkpoint
+
+(* Rewrite a checkpoint file's payload in place. *)
+let rewrite_checkpoint path f =
+  let cp = get_ok ("load " ^ path) (Checkpoint.load path) in
+  Checkpoint.save path
+    { cp with Checkpoint.detector = f cp.Checkpoint.meta cp.Checkpoint.detector }
+
+let copy_front ~sampler dec enc =
+  let inst = Sampler.fresh sampler in
+  inst.Sampler.load dec;
+  inst.Sampler.save enc;
+  Snap.Enc.string enc (Snap.Dec.string dec);
+  Metrics.encode enc (Metrics.decode dec)
+
+(* A worker set whose router snapshot has the layout before the imported
+   view table: format −2, K, events, front, shipped views — no table. *)
+let old_worker_set ~sampler (meta : Checkpoint.meta) set =
+  let dec = Snap.Dec.of_snap set in
+  let router = Snap.Dec.string dec in
+  let k = Snap.Dec.int dec in
+  let snaps = List.init k (fun _ -> Snap.Dec.string dec) in
+  let r = Snap.Dec.of_snap router in
+  let enc = Snap.Enc.create () in
+  Alcotest.(check int) "worker set format" (-3) (Snap.Dec.int r);
+  Snap.Enc.int enc (-2);
+  Snap.Enc.int enc (Snap.Dec.int r);
+  Snap.Enc.int enc (Snap.Dec.int r);
+  copy_front ~sampler r enc;
+  for _ = 1 to k * meta.Checkpoint.nthreads do
+    Snap.Enc.int enc (Snap.Dec.int r);
+    Snap.Enc.int_array enc (Snap.Dec.int_array r)
+  done;
+  let out = Snap.Enc.create () in
+  Snap.Enc.string out (Snap.Enc.to_snap enc);
+  Snap.Enc.int out k;
+  List.iter (Snap.Enc.string out) snaps;
+  Snap.Enc.to_snap out
+
+(* A router-state checkpoint in the layout before the front: worker count
+   first, then epoch, events, pending bits, sampler, baseline snapshot and
+   the per-worker log suffixes. *)
+let old_router_state ~sampler (meta : Checkpoint.meta) payload =
+  let dec = Snap.Dec.of_snap payload in
+  Alcotest.(check int) "router-state format" (-1) (Snap.Dec.int dec);
+  let k = Snap.Dec.int dec in
+  let epoch = Snap.Dec.int dec in
+  let nevents = Snap.Dec.int dec in
+  let enc = Snap.Enc.create () in
+  Snap.Enc.int enc k;
+  Snap.Enc.int enc epoch;
+  Snap.Enc.int enc nevents;
+  Snap.Enc.bool_array enc (Array.make meta.Checkpoint.nthreads false);
+  copy_front ~sampler dec enc;
+  for _ = 1 to k * meta.Checkpoint.nthreads do
+    ignore (Snap.Dec.int dec);
+    ignore (Snap.Dec.int_array dec)
+  done;
+  for _ = 1 to k do
+    Snap.Enc.int enc (Snap.Dec.int dec);
+    Snap.Enc.int enc (Snap.Dec.int dec);
+    Snap.Enc.string enc (Snap.Dec.string dec)
+  done;
+  Snap.Enc.to_snap enc
+
+(* A run directory written before the router became the front: the
+   resumed router ignores its state checkpoint and replays the whole WAL,
+   each worker ignores its set and starts fresh — both logged — and the
+   REPORT is still analyze's. *)
+let test_old_checkpoints_fall_back () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:89 in
+  let trace = sample_trace ~seed:97 ~length:600 () in
+  let socket = Filename.concat dir "route.sock" in
+  let cfg =
+    router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir (Serve.Unix_path socket)
+  in
+  let run = cfg.Router.dir in
+  let log = Filename.concat dir "resume.log" in
+  let between () =
+    rewrite_checkpoint (Filename.concat run "router-state.ftc") (old_router_state ~sampler);
+    List.iter
+      (fun k ->
+        rewrite_checkpoint (Filename.concat (ckpt_dir run k) "set.ftc") (old_worker_set ~sampler))
+      [ 0; 1 ]
+  in
+  let arm2 () =
+    let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+    Unix.dup2 fd Unix.stderr;
+    Unix.close fd
+  in
+  let report =
+    reaping_workers run @@ fun () ->
+    killed_router_report ~crash_hit:5 ~between ~arm2 ~cfg ~socket (slices trace ~batch:75)
+  in
+  Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace) report;
+  let text = In_channel.with_open_bin log In_channel.input_all in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun line -> Alcotest.(check bool) ("logged: " ^ line) true (contains line))
+    [
+      "ignoring state checkpoint (state checkpoint predates the front)";
+      "router snapshot predates the imported view table); starting fresh";
+    ]
+
 (* --- Chash units -------------------------------------------------------------- *)
 
 let test_chash () =
@@ -900,6 +1107,8 @@ let () =
           Alcotest.test_case "router SIGKILL + resume, engines × K grid" `Quick
             test_router_kill_resume_grid;
           QCheck_alcotest.to_alcotest router_kill_property;
+          Alcotest.test_case "checkpoints from before the router front fall back" `Quick
+            test_old_checkpoints_fall_back;
           Alcotest.test_case "WAL truncation + bit-flip fuzz at every byte" `Quick
             test_wal_fuzz;
         ] );
@@ -909,10 +1118,14 @@ let () =
             test_checkpoint_amortization;
           Alcotest.test_case "worker kill + router SIGKILL replay ≤ one checkpoint" `Quick
             test_recovery_bound;
+          Alcotest.test_case "worker messages bounded by sampled accesses (tpcc)" `Quick
+            test_messages_bounded_by_samples;
         ] );
       ( "availability",
         [
           QCheck_alcotest.to_alcotest resize_property;
+          Alcotest.test_case "RESIZE ±1 without the WAL ≡ analyze" `Quick
+            test_resize_without_wal;
           Alcotest.test_case "window=1/3/16 pipelining identity" `Quick
             test_window_identity;
           Alcotest.test_case "ready-file staleness protocol" `Quick

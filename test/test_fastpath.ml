@@ -7,7 +7,7 @@
      (the O(n²) concat bug this replaced fails the same assertion by orders
      of magnitude);
    - Metrics arity: same_epoch_hits (and any future counter) must appear in
-     field_names, survive the Snap codec, and be merged by merge_shards —
+     field_names, survive the Snap codec, and be summed by Metrics.add —
      each checked with distinct per-field values so a missed field cannot
      cancel out;
    - the SoA batch decoder: equality with the per-event reader, exact
@@ -191,15 +191,14 @@ let test_metrics_snap_roundtrip () =
   Alcotest.(check (array int)) "snap codec preserves every field" (Metrics.to_array m)
     (Metrics.to_array m')
 
-let test_metrics_merge_shards_covers_all_fields () =
-  let shards = [| distinct_metrics 100; distinct_metrics 1000; distinct_metrics 10000 |] in
-  let baseline = distinct_metrics 3 in
-  let merged = Metrics.merge_shards ~sync_baseline:baseline shards in
+let test_metrics_add_covers_all_fields () =
+  let merged = distinct_metrics 100 in
+  Metrics.add ~into:merged (distinct_metrics 1000);
+  Metrics.add ~into:merged (distinct_metrics 10000);
   let expected =
-    Array.init Metrics.field_count (fun i ->
-        (100 + i) + (1000 + i) + (10000 + i) - (2 * (3 + i)))
+    Array.init Metrics.field_count (fun i -> (100 + i) + (1000 + i) + (10000 + i))
   in
-  Alcotest.(check (array int)) "Σ shards − (K−1)·baseline, every field" expected
+  Alcotest.(check (array int)) "front + checkers + tally, every field" expected
     (Metrics.to_array merged)
 
 (* --- SoA batch decoder ------------------------------------------------------ *)
@@ -630,8 +629,8 @@ let () =
             `Quick test_metrics_field_names;
           Alcotest.test_case "snap codec roundtrips distinct values" `Quick
             test_metrics_snap_roundtrip;
-          Alcotest.test_case "merge_shards covers every field" `Quick
-            test_metrics_merge_shards_covers_all_fields;
+          Alcotest.test_case "add covers every field" `Quick
+            test_metrics_add_covers_all_fields;
         ] );
       ( "batch_decode",
         [

@@ -19,9 +19,6 @@
      plus one ring of messages;
    - the backlog and cluster batch decoders survive truncation and bit
      flips at every byte;
-   - Metrics.merge_shards (the cluster router's merge): the
-     Σ−(K−1)·baseline contract holds pointwise over the full field array,
-     and K=1 is the identity;
    - the SPSC ring delivers in order under backpressure. *)
 
 module Event = Ft_trace.Event
@@ -526,41 +523,6 @@ let test_supervised_backlog_bound () =
     (Serve.report_text ~events:n expected)
     (Serve.report_text ~events:n (Sharded.result sh))
 
-(* --- metrics merge contract -------------------------------------------------- *)
-
-let metrics_of_array a = Option.get (Metrics.of_array a)
-
-let test_merge_shards_formula () =
-  let fc = Metrics.field_count in
-  let shard k = Array.init fc (fun i -> ((k + 2) * 37) + (i * 3)) in
-  let baseline = Array.init fc (fun i -> i + 1) in
-  List.iter
-    (fun k ->
-      let shards = Array.init k (fun s -> metrics_of_array (shard s)) in
-      let merged =
-        Metrics.merge_shards ~sync_baseline:(metrics_of_array baseline) shards
-      in
-      let expected =
-        Array.init fc (fun i ->
-            Array.fold_left (fun acc m -> acc + (Metrics.to_array m).(i)) 0 shards
-            - ((k - 1) * baseline.(i)))
-      in
-      Alcotest.(check (array int))
-        (Printf.sprintf "Σ−(K−1)·baseline pointwise, K=%d" k)
-        expected (Metrics.to_array merged))
-    [ 1; 2; 4; 8 ];
-  (* K=1: the baseline cancels entirely, whatever it claims *)
-  let solo = metrics_of_array (shard 0) in
-  Alcotest.(check (array int)) "K=1 is the identity"
-    (Metrics.to_array solo)
-    (Metrics.to_array
-       (Metrics.merge_shards ~sync_baseline:(metrics_of_array baseline) [| solo |]))
-
-let test_merge_shards_rejects_empty () =
-  match Metrics.merge_shards ~sync_baseline:(Metrics.create ()) [||] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty shard array accepted"
-
 (* --- decoder fuzzing ------------------------------------------------------------ *)
 
 module Cmsg = Ft_shard.Cmsg
@@ -659,7 +621,9 @@ let test_cmsg_fuzz () =
       (List.concat
          (List.init (Trace.length trace) (fun i ->
               let e = Trace.get trace i in
-              Cmsg.Ev (i, e) :: (if i mod 5 = 0 then [ Cmsg.Mark e.Event.thread ] else []))))
+              (if i mod 5 = 0 then [ Cmsg.View (e.Event.thread, [| 1; 4 |], [| i; 7 |]) ]
+               else [])
+              @ [ Cmsg.Acc (i, e) ])))
   in
   let payload =
     Cmsg.encode ~nthreads:trace.Trace.nthreads ~nlocks:trace.Trace.nlocks
@@ -755,12 +719,6 @@ let () =
             test_backlog_fuzz;
           Alcotest.test_case "Cmsg.decode truncation + bit-flip fuzz at every byte" `Quick
             test_cmsg_fuzz;
-        ] );
-      ( "metrics merge",
-        [
-          Alcotest.test_case "Σ−(K−1)·baseline over all fields" `Quick
-            test_merge_shards_formula;
-          Alcotest.test_case "empty rejected" `Quick test_merge_shards_rejects_empty;
         ] );
       ( "plumbing",
         [
