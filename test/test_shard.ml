@@ -19,6 +19,9 @@
      plus one ring of messages;
    - the backlog and cluster batch decoders survive truncation and bit
      flips at every byte;
+   - Front.merge (the merge of Sharded and the cluster router): front +
+     Σ parts + tally pointwise over the full field array, races from every
+     part in declaration order;
    - the SPSC ring delivers in order under backpressure. *)
 
 module Event = Ft_trace.Event
@@ -523,6 +526,62 @@ let test_supervised_backlog_bound () =
     (Serve.report_text ~events:n expected)
     (Serve.report_text ~events:n (Sharded.result sh))
 
+(* --- metrics merge contract -------------------------------------------------- *)
+
+module Front = Ft_shard.Front
+module Race = Ft_core.Race
+
+let merge_front () =
+  let prng = Prng.create ~seed:41 in
+  let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 200 } in
+  let f =
+    Front.create ~engine:Engine.So (config_for trace (Sampler.bernoulli ~rate:0.3 ~seed:5))
+  in
+  Trace.iteri (fun i e -> ignore (Front.admit f i e : bool)) trace;
+  f
+
+let part ?(races = []) k =
+  {
+    Detector.engine = "part";
+    races;
+    metrics =
+      Option.get
+        (Metrics.of_array (Array.init Metrics.field_count (fun i -> ((k + 2) * 37) + (i * 3))));
+  }
+
+let test_front_merge_fields () =
+  let f = merge_front () in
+  let base = Metrics.to_array (Front.merge f [||]).Detector.metrics in
+  List.iter
+    (fun k ->
+      let parts = Array.init k (fun s -> part s) in
+      let expected =
+        Array.mapi
+          (fun i b ->
+            Array.fold_left (fun acc p -> acc + (Metrics.to_array p.Detector.metrics).(i)) b parts)
+          base
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "front + Σ parts + tally pointwise, K=%d" k)
+        expected
+        (Metrics.to_array (Front.merge f parts).Detector.metrics))
+    [ 1; 2; 4; 8 ];
+  (* merging reads the front and its tally, it never folds parts into them *)
+  Alcotest.(check (array int)) "the front is unchanged by merging" base
+    (Metrics.to_array (Front.merge f [||]).Detector.metrics)
+
+let test_front_merge_races () =
+  let f = merge_front () in
+  let race index = Race.make ~index ~thread:0 ~loc:index ~with_write:true ~with_read:false () in
+  let parts =
+    [| part ~races:[ race 3; race 10; race 12 ] 0; part 1; part ~races:[ race 1; race 11 ] 2 |]
+  in
+  let merged = Front.merge f parts in
+  Alcotest.(check (list int)) "every part's races, by declaration index" [ 1; 3; 10; 11; 12 ]
+    (List.map (fun (r : Race.t) -> r.Race.index) merged.Detector.races);
+  Alcotest.(check string) "the front names the engine" (Front.merge f [||]).Detector.engine
+    merged.Detector.engine
+
 (* --- decoder fuzzing ------------------------------------------------------------ *)
 
 module Cmsg = Ft_shard.Cmsg
@@ -719,6 +778,13 @@ let () =
             test_backlog_fuzz;
           Alcotest.test_case "Cmsg.decode truncation + bit-flip fuzz at every byte" `Quick
             test_cmsg_fuzz;
+        ] );
+      ( "metrics merge",
+        [
+          Alcotest.test_case "front + Σ parts + tally over all fields" `Quick
+            test_front_merge_fields;
+          Alcotest.test_case "races from every part, in declaration order" `Quick
+            test_front_merge_races;
         ] );
       ( "plumbing",
         [
