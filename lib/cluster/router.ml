@@ -421,9 +421,19 @@ let feed_events st base (evs : Event.t array) =
   st.expected <- Stdlib.max st.expected (base + n)
 
 let rec drain_parked st =
-  match Evloop.take_parked st.parked ~expected:st.expected with
+  let eligible =
+    Hashtbl.fold
+      (fun base _ acc ->
+        if base <= st.expected then
+          Some (match acc with None -> base | Some b -> Stdlib.min b base)
+        else acc)
+      st.parked None
+  in
+  match eligible with
   | None -> ()
-  | Some (base, evs) ->
+  | Some base ->
+    let evs = Hashtbl.find st.parked base in
+    Hashtbl.remove st.parked base;
     feed_events st base evs;
     drain_parked st
 
@@ -610,37 +620,37 @@ and recover_worker ?(drain = false) st w =
   Printf.eprintf "racedet route: recovering worker %d (respawn %d, gen %d)\n%!" w.id
     w.respawns w.gen;
   spawn_worker st w ~resume:true;
-  align_worker ~drain st w
-
-(* After a (re)spawn: ask where the worker's durable stream stands and
-   replay only what it is missing. *)
-and align_worker ?(drain = false) st w =
   (match Serve.fetch_seq w.fd with
   | Ok seq -> realign st w seq
   | Error msg ->
-    Printf.eprintf "racedet route: worker %d SEQ failed (%s)\n%!" w.id msg;
+    Printf.eprintf "racedet route: worker %d SEQ after respawn failed (%s)\n%!" w.id msg;
     recover_worker ~drain st w);
   pump ~drain st w
 
-(* SHUTDOWN (the worker writes its final checkpoint set), then reap. *)
-let retire_worker st w =
-  (match Serve.shutdown w.fd with Ok () | Error _ -> ());
-  close_worker_fd st w;
-  try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ()
-
-(* Graceful migration: drain, retire, then hand the [.ftc]s to a fresh
-   process and resume it at the same stream position.  Without
-   checkpointing this degrades to a full-log replay — slower, still
-   exact. *)
+(* Graceful migration: drain, SHUTDOWN (the worker writes its final
+   checkpoint set), then hand the [.ftc]s to a fresh process and resume it
+   at the same stream position.  Without checkpointing this degrades to a
+   full-log replay — slower, still exact. *)
 let migrate_worker st w =
   pump ~drain:true st w;
-  retire_worker st w;
+  (match Serve.shutdown w.fd with
+  | Ok () -> ()
+  | Error msg ->
+    Printf.eprintf "racedet route: worker %d SHUTDOWN for migration failed (%s)\n%!" w.id msg);
+  close_worker_fd st w;
+  (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
   w.gen <- w.gen + 1;
   Queue.clear w.inflight;
   Registry.incr st.tel.migrations_total;
   Printf.eprintf "racedet route: migrating worker %d to gen %d\n%!" w.id w.gen;
   spawn_worker st w ~resume:true;
-  align_worker ~drain:true st w
+  (match Serve.fetch_seq w.fd with
+  | Ok seq ->
+    realign st w seq;
+    pump ~drain:true st w
+  | Error msg ->
+    Printf.eprintf "racedet route: worker %d SEQ after migration failed (%s)\n%!" w.id msg;
+    recover_worker ~drain:true st w)
 
 (* Pump every worker, visiting the chaos points first so a schedule can
    kill or migrate a worker between any two client batches. *)
@@ -962,6 +972,15 @@ let resume_session st =
     true
   | _ -> failwith "racedet route --resume: WAL does not start with a session record"
 
+(* After spawning a resumed/recovered epoch: ask each worker where its
+   durable stream stands and replay only what it is missing. *)
+let align_worker st w =
+  match Serve.fetch_seq w.fd with
+  | Ok seq -> realign st w seq
+  | Error msg ->
+    Printf.eprintf "racedet route: worker %d SEQ at resume failed (%s)\n%!" w.id msg;
+    recover_worker st w
+
 (* --- resize ------------------------------------------------------------------ *)
 
 (* Grow or shrink the ring by one worker.  Instead of moving per-location
@@ -991,7 +1010,9 @@ let resize_cluster st delta =
       (* retire the old epoch *)
       Array.iter
         (fun w ->
-          retire_worker st w;
+          (match Serve.shutdown w.fd with Ok () | Error _ -> ());
+          close_worker_fd st w;
+          (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
           try Sys.remove (worker_pid_file st w) with Sys_error _ -> ())
         st.workers;
       st.epoch <- st.epoch + 1;
@@ -1055,7 +1076,6 @@ let refresh st =
 
 let stats_json st =
   refresh st;
-  let per_worker f = Json.Arr (Array.to_list (Array.map (fun w -> Json.Int (f w)) st.workers)) in
   Json.Obj
     [
       ("engine", Json.Str (Engine.name st.cfg.engine));
@@ -1069,11 +1089,16 @@ let stats_json st =
       ("next_index", Json.Int st.expected);
       ("parked", Json.Int (Hashtbl.length st.parked));
       ("uptime_s", Json.Float (Clock.elapsed_s ~since:st.tel.started_ns));
-      ("worker_log_lengths", per_worker total);
-      ("worker_acked", per_worker (fun w -> w.acked));
-      ("worker_pushed", per_worker (fun w -> w.pushed));
-      ("worker_respawns", per_worker (fun w -> w.respawns));
-      ("worker_resumed_at", per_worker (fun w -> w.resumed_at));
+      ( "worker_log_lengths",
+        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int (total w)) st.workers)) );
+      ( "worker_acked",
+        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.acked) st.workers)) );
+      ( "worker_pushed",
+        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.pushed) st.workers)) );
+      ( "worker_respawns",
+        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.respawns) st.workers)) );
+      ( "worker_resumed_at",
+        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.resumed_at) st.workers)) );
       ("telemetry", Registry.to_json st.tel.reg)
     ]
 
@@ -1142,13 +1167,19 @@ let handle_line st conn line =
     | Some b, Some n when n >= 0 ->
       Evloop.await_blob conn n (fun payload -> handle_batch st conn b payload)
     | _ -> reply conn "ERR malformed BATCH header\n")
-  | [ ("REPORT" | "RESULT") as verb ] -> (
+  | [ "REPORT" ] -> (
     match result st with
     | Ok r ->
-      let text =
-        if verb = "REPORT" then Serve.report_text ~events:st.nevents r else Cmsg.encode_result r
-      in
-      reply conn (Printf.sprintf "%s %d\n%s" verb (String.length text) text)
+      let text = Serve.report_text ~events:st.nevents r in
+      reply conn (Printf.sprintf "REPORT %d\n%s" (String.length text) text)
+    | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
+    | exception Router_failed msg -> reply conn (Printf.sprintf "ERR %s\n" msg))
+  | [ "RESULT" ] -> (
+    (* the merged result, as a worker answers with its partial one *)
+    match result st with
+    | Ok r ->
+      let blob = Cmsg.encode_result r in
+      reply conn (Printf.sprintf "RESULT %d\n%s" (String.length blob) blob)
     | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
     | exception Router_failed msg -> reply conn (Printf.sprintf "ERR %s\n" msg))
   | [ "SEQ" ] -> reply conn (Printf.sprintf "SEQ %d\n" st.expected)
@@ -1174,11 +1205,12 @@ let handle_line st conn line =
       | exception Wal_failed msg ->
         reply conn (Printf.sprintf "ERR wal append failed: %s\n" msg))
     | None -> reply conn "ERR malformed RESIZE\n")
-  | ("STATS" :: ([] | [ "PROM" ] | [ "JSON" ])) as words ->
-    let text =
-      if words = [ "STATS"; "JSON" ] then Json.to_string_pretty (stats_json st)
-      else (refresh st; Registry.to_prometheus st.tel.reg)
-    in
+  | [ "STATS" ] | [ "STATS"; "PROM" ] ->
+    refresh st;
+    let text = Registry.to_prometheus st.tel.reg in
+    reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
+  | [ "STATS"; "JSON" ] ->
+    let text = Json.to_string_pretty (stats_json st) in
     reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
   | [ "SHUTDOWN" ] ->
     reply conn "BYE\n";
@@ -1310,7 +1342,12 @@ let run (cfg : config) =
   | None -> (
     try
       if st.universe <> None then flush_workers ~drain:true st;
-      Array.iter (retire_worker st) st.workers
+      Array.iter
+        (fun w ->
+          (match Serve.shutdown w.fd with Ok () | Error _ -> ());
+          close_worker_fd st w;
+          try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ())
+        st.workers
     with Router_failed _ -> ()));
   (match st.failed with
   | None -> ()

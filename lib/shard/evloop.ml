@@ -86,19 +86,6 @@ let feed ?(timeout_s = 0.0) conn =
         conn.closed <- true;
         `Eof
 
-let take_parked parked ~expected =
-  let next =
-    Hashtbl.fold
-      (fun base _ m -> if base <= expected && base < m then base else m)
-      parked max_int
-  in
-  if next = max_int then None
-  else begin
-    let v = Hashtbl.find parked next in
-    Hashtbl.remove parked next;
-    Some (next, v)
-  end
-
 let run ~listen_fd ~quit ~on_line ?(on_accept = fun _ -> ()) ?(on_conns = fun _ -> ())
     ?(tick = fun () -> ()) ?recv_fault ?(select_s = 0.5) () =
   let conns = ref [] in

@@ -45,10 +45,6 @@ val process : on_line:(conn -> string -> unit) -> conn -> unit
 (** Consume everything buffered: pending sized blobs, then complete
     lines.  The same consumer {!run} applies after each receive. *)
 
-val take_parked : (int, 'a) Hashtbl.t -> expected:int -> (int * 'a) option
-(** Remove and return the parked batch with the smallest base at or below
-    [expected] — the next one index-order ingestion can feed. *)
-
 val run :
   listen_fd:Unix.file_descr ->
   quit:(unit -> bool) ->

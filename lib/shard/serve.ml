@@ -530,9 +530,18 @@ let feed st det trace base =
   st.expected <- Stdlib.max st.expected (base + n)
 
 let rec drain_parked st det =
-  match Evloop.take_parked st.parked ~expected:st.expected with
+  let eligible =
+    Hashtbl.fold
+      (fun base _ acc ->
+        if base <= st.expected then Some (match acc with None -> base | Some b -> Stdlib.min b base)
+        else acc)
+      st.parked None
+  in
+  match eligible with
   | None -> ()
-  | Some (base, trace) ->
+  | Some base ->
+    let trace = Hashtbl.find st.parked base in
+    Hashtbl.remove st.parked base;
     feed st det trace base;
     drain_parked st det
 
@@ -751,18 +760,24 @@ let handle_line st conn line =
     | Some s, Some n when n >= 0 ->
       Evloop.await_blob conn n (fun payload -> handle_cbatch st conn s payload)
     | _ -> reply conn "ERR malformed CBATCH header\n")
-  | [ ("REPORT" | "RESULT") as verb ] -> (
-    (* RESULT: the raw partial result, for a cluster router's merge *)
+  | [ "REPORT" ] -> (
     match st.det with
     | None -> reply conn "ERR no events ingested\n"
     | Some det -> (
       try
-        let r = Sharded.result det in
-        let text =
-          if verb = "REPORT" then report_text ~events:(Sharded.events det) r
-          else Cmsg.encode_result r
-        in
-        reply conn (Printf.sprintf "%s %d\n%s" verb (String.length text) text)
+        let text = report_text ~events:(Sharded.events det) (Sharded.result det) in
+        reply conn (Printf.sprintf "REPORT %d\n%s" (String.length text) text)
+      with
+      | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
+      | Sharded.Shard_failed msg -> fail_fast st conn msg))
+  | [ "RESULT" ] -> (
+    (* the raw partial result, for a cluster router's merge *)
+    match st.det with
+    | None -> reply conn "ERR no events ingested\n"
+    | Some det -> (
+      try
+        let blob = Cmsg.encode_result (Sharded.result det) in
+        reply conn (Printf.sprintf "RESULT %d\n%s" (String.length blob) blob)
       with
       | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
       | Sharded.Shard_failed msg -> fail_fast st conn msg))
@@ -770,9 +785,16 @@ let handle_line st conn line =
     (* where this session's stream stands — what a recovering router uses
        to find the replay point after respawning a worker *)
     reply conn (Printf.sprintf "SEQ %d\n" st.expected)
-  | ("STATS" :: ([] | [ "PROM" ] | [ "JSON" ])) as words -> (
+  | [ "STATS" ] | [ "STATS"; "PROM" ] -> (
     try
-      let text = stats_payload st (if words = [ "STATS"; "JSON" ] then `Json else `Prometheus) in
+      let text = stats_payload st `Prometheus in
+      reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
+    with
+    | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
+    | Sharded.Shard_failed msg -> fail_fast st conn msg)
+  | [ "STATS"; "JSON" ] -> (
+    try
+      let text = stats_payload st `Json in
       reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
     with
     | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
@@ -981,63 +1003,90 @@ let expect_ok ~deadline_at fd =
       | None -> Error ("malformed reply: " ^ line))
     | _ -> Error line)
 
-(* Write [parts] (a command line, then any payload) and read the reply
-   with [k], all under one deadline. *)
-let request ?deadline_s fd parts k =
+let send_batch ?deadline_s fd ~base trace =
   let deadline_at = deadline_at deadline_s in
-  match List.iter (write_all fd) parts with
-  | () -> k ~deadline_at fd
+  let payload = Trace_binary.to_bytes trace in
+  match
+    write_all fd (Printf.sprintf "BATCH %d %d\n" base (Bytes.length payload));
+    write_all fd (Bytes.to_string payload)
+  with
+  | () -> expect_ok ~deadline_at fd
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
-let send_batch ?deadline_s fd ~base trace =
-  let payload = Bytes.to_string (Trace_binary.to_bytes trace) in
-  request ?deadline_s fd
-    [ Printf.sprintf "BATCH %d %d\n" base (String.length payload); payload ]
-    expect_ok
-
-(* The router's pipelined window: the CBATCH goes out now, its
-   "OK <total> <durable>" ack is collected later by the ack pump.  Raises
-   on write errors — the caller owns worker recovery. *)
+(* Fire-and-forget half of [send_cbatch] for the router's pipelined window:
+   the CBATCH goes out now, its "OK <total>" ack is collected later by the
+   ack pump.  Raises on write errors — the caller owns worker recovery. *)
 let send_cbatch_nowait fd ~seq payload =
   write_all fd (Printf.sprintf "CBATCH %d %d\n" seq (String.length payload));
   write_all fd payload
 
+let send_cbatch ?deadline_s fd ~seq payload =
+  let deadline_at = deadline_at deadline_s in
+  match
+    write_all fd (Printf.sprintf "CBATCH %d %d\n" seq (String.length payload));
+    write_all fd payload
+  with
+  | () -> expect_ok ~deadline_at fd
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
 let fetch_report ?deadline_s fd =
-  request ?deadline_s fd [ "REPORT\n" ] (expect_blob ~verb:"REPORT")
+  let deadline_at = deadline_at deadline_s in
+  match write_all fd "REPORT\n" with
+  | () -> expect_blob ~deadline_at fd ~verb:"REPORT"
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let fetch_result ?deadline_s fd =
-  request ?deadline_s fd [ "RESULT\n" ] (fun ~deadline_at fd ->
-      Result.bind (expect_blob ~deadline_at fd ~verb:"RESULT") Cmsg.decode_result)
+  let deadline_at = deadline_at deadline_s in
+  match write_all fd "RESULT\n" with
+  | () -> (
+    match expect_blob ~deadline_at fd ~verb:"RESULT" with
+    | Error _ as e -> e
+    | Ok blob -> Cmsg.decode_result blob)
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let fetch_seq ?deadline_s fd =
-  request ?deadline_s fd [ "SEQ\n" ] (fun ~deadline_at fd ->
-      match expect_line ~deadline_at fd with
-      | Error _ as e -> e
-      | Ok line -> (
-        match String.split_on_char ' ' line with
-        | [ "SEQ"; n ] -> (
-          match int_of_string_opt n with
-          | Some v when v >= 0 -> Ok v
-          | _ -> Error ("malformed reply: " ^ line))
-        | _ -> Error line))
+  let deadline_at = deadline_at deadline_s in
+  match write_all fd "SEQ\n" with
+  | () -> (
+    match expect_line ~deadline_at fd with
+    | Error _ as e -> e
+    | Ok line -> (
+      match String.split_on_char ' ' line with
+      | [ "SEQ"; n ] -> (
+        match int_of_string_opt n with
+        | Some v when v >= 0 -> Ok v
+        | _ -> Error ("malformed reply: " ^ line))
+      | _ -> Error line))
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let fetch_stats ?deadline_s ?(format = `Prometheus) fd =
+  let deadline_at = deadline_at deadline_s in
   let cmd = match format with `Prometheus -> "STATS\n" | `Json -> "STATS JSON\n" in
-  request ?deadline_s fd [ cmd ] (expect_blob ~verb:"STATS")
+  match write_all fd cmd with
+  | () -> expect_blob ~deadline_at fd ~verb:"STATS"
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let shutdown ?deadline_s fd =
-  request ?deadline_s fd [ "SHUTDOWN\n" ] (fun ~deadline_at fd ->
-      match expect_line ~deadline_at fd with
-      | Ok "BYE" -> Ok ()
-      | Ok line -> Error line
-      | Error _ as e -> e)
+  let deadline_at = deadline_at deadline_s in
+  match write_all fd "SHUTDOWN\n" with
+  | () -> (
+    match expect_line ~deadline_at fd with
+    | Ok "BYE" -> Ok ()
+    | Ok line -> Error line
+    | Error _ as e -> e)
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let migrate ?deadline_s fd worker =
-  request ?deadline_s fd [ Printf.sprintf "MIGRATE %d\n" worker ] (fun ~deadline_at fd ->
-      Result.map ignore (expect_ok ~deadline_at fd))
+  let deadline_at = deadline_at deadline_s in
+  match write_all fd (Printf.sprintf "MIGRATE %d\n" worker) with
+  | () -> Result.map (fun _ -> ()) (expect_ok ~deadline_at fd)
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let resize ?deadline_s fd delta =
-  request ?deadline_s fd [ Printf.sprintf "RESIZE %+d\n" delta ] expect_ok
+  let deadline_at = deadline_at deadline_s in
+  match write_all fd (Printf.sprintf "RESIZE %+d\n" delta) with
+  | () -> expect_ok ~deadline_at fd
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 (* Generalizes [unix_listener_alive] to both address kinds: one connect
    probe, no protocol exchange.  A loopback TCP port with no listener

@@ -214,11 +214,18 @@ val send_batch :
 (** Encode the batch as .ftb and send it; [Ok total] echoes the server's
     ingested-events count. *)
 
+val send_cbatch :
+  ?deadline_s:float -> Unix.file_descr -> seq:int -> string -> (int, string) result
+(** Send an already-encoded {!Cmsg} cluster batch; [Ok total] echoes the
+    worker's message count ([seq + messages] once ingested).  The ack's
+    durable cut is read by the router's asynchronous ack pump, not here. *)
+
 val send_cbatch_nowait : Unix.file_descr -> seq:int -> string -> unit
-(** Send an already-encoded {!Cmsg} cluster batch.  Its
-    [OK <total> <durable>] ack is collected asynchronously (the router's
-    pipelined in-flight window).  Raises [Unix.Unix_error] on write
-    failure: the caller owns worker recovery. *)
+(** The write half of {!send_cbatch} only — the [OK <total> <durable>]
+    ack is collected asynchronously (the router's pipelined in-flight
+    window).  Raises
+    [Unix.Unix_error] on write failure instead of returning [Error]: the
+    caller owns worker recovery. *)
 
 val fetch_report : ?deadline_s:float -> Unix.file_descr -> (string, string) result
 

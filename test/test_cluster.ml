@@ -1047,6 +1047,76 @@ let test_old_checkpoints_fall_back () =
       "router snapshot predates the imported view table); starting fresh";
     ]
 
+(* A state checkpoint anchored before a RESIZE holds the old epoch's
+   worker logs: resume must ignore it before committing any of it and
+   replay the whole WAL.  The router re-anchors a checkpoint right after
+   each resize, so put the pre-resize one back by hand (as if that write
+   had failed), grow and shrink back so the worker count matches, then
+   SIGKILL the router and resume. *)
+let test_pre_resize_checkpoint_ignored () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:101 in
+  let trace = sample_trace ~seed:103 ~length:600 () in
+  let batches = slices trace ~batch:75 in
+  let socket = Filename.concat dir "route.sock" in
+  let cfg =
+    router_config ~workers:2 ~worker_shards:1 ~state_every:1 ~engine ~sampler ~dir
+      (Serve.Unix_path socket)
+  in
+  let run = cfg.Router.dir in
+  let state = Filename.concat run "router-state.ftc" in
+  let log = Filename.concat dir "resume.log" in
+  let report =
+    reaping_workers run @@ fun () ->
+    let pid = start_router cfg in
+    (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+     let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+     Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+     let send lo hi =
+       List.iteri
+         (fun i (base, sub) ->
+           if i >= lo && i < hi then
+             ignore (get_ok "send_batch" (Serve.send_batch ~deadline_s:60.0 fd ~base sub)))
+         batches
+     in
+     send 0 4;
+     let saved = In_channel.with_open_bin state In_channel.input_all in
+     List.iter
+       (fun (delta, k) ->
+         Alcotest.(check int) "RESIZE echo" k
+           (get_ok "resize" (Serve.resize ~deadline_s:60.0 fd delta)))
+       [ (1, 3); (-1, 2) ];
+     send 4 6;
+     Alcotest.(check bool) "re-anchored after the resizes" true
+       (In_channel.with_open_bin state In_channel.input_all <> saved);
+     (* SIGKILL, then put the pre-resize checkpoint back *)
+     kill_and_reap pid;
+     Out_channel.with_open_bin state (fun oc -> Out_channel.output_string oc saved));
+    let arm () =
+      let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+      Unix.dup2 fd Unix.stderr;
+      Unix.close fd
+    in
+    let pid = start_router ~arm { cfg with Router.resume = true } in
+    Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+    let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+    Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+    List.iter
+      (fun (base, sub) ->
+        ignore (get_ok "blind resend" (Serve.send_batch ~deadline_s:60.0 fd ~base sub)))
+      batches;
+    let report = get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd) in
+    get_ok "shutdown" (Serve.shutdown fd);
+    reap pid;
+    report
+  in
+  Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace) report;
+  let text = In_channel.with_open_bin log In_channel.input_all in
+  let line = "ignoring state checkpoint (it predates a resize)" in
+  let n = String.length line in
+  let rec go i = i + n <= String.length text && (String.sub text i n = line || go (i + 1)) in
+  Alcotest.(check bool) ("logged: " ^ line) true (go 0)
+
 (* --- Chash units -------------------------------------------------------------- *)
 
 let test_chash () =
@@ -1109,6 +1179,8 @@ let () =
           QCheck_alcotest.to_alcotest router_kill_property;
           Alcotest.test_case "checkpoints from before the router front fall back" `Quick
             test_old_checkpoints_fall_back;
+          Alcotest.test_case "state checkpoint from before a RESIZE ignored" `Quick
+            test_pre_resize_checkpoint_ignored;
           Alcotest.test_case "WAL truncation + bit-flip fuzz at every byte" `Quick
             test_wal_fuzz;
         ] );
