@@ -10,6 +10,7 @@ module Snap = Ft_core.Snap
 module Checkpoint = Ft_snapshot.Checkpoint
 module Serve = Ft_shard.Serve
 module Evloop = Ft_shard.Evloop
+module Admit = Ft_shard.Admit
 module Cmsg = Ft_shard.Cmsg
 module Front = Ft_shard.Front
 module Clock = Ft_support.Clock
@@ -254,9 +255,8 @@ type state = {
   mutable front : Front.t option;  (* sampler, sync engine, tally *)
   mutable ship : Front.ship option;  (* per (worker, thread): the view it holds *)
   mutable history : Event.t array;  (* without the WAL: every routed event *)
-  mutable expected : int;  (* next global event index *)
+  mutable admit : Admit.t;  (* next global event index, parked client batches *)
   mutable nevents : int;
-  parked : (int, Event.t array) Hashtbl.t;
   mutable quit : bool;
   mutable stop_reason : string;
   mutable failed : string option;
@@ -363,14 +363,16 @@ let spawn_worker st w ~resume =
     w.conn <- Some (Evloop.make_conn fd);
     st.parent_fds <- fd :: st.parent_fds
 
-let reap_worker w =
-  (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ()
-
 let close_worker_fd st w =
   st.parent_fds <- List.filter (fun fd -> fd != w.fd) st.parent_fds;
   w.conn <- None;
   try Unix.close w.fd with Unix.Unix_error _ -> ()
+
+(* The crash path: whatever state the worker is in, close, SIGKILL, reap. *)
+let kill_worker st w =
+  close_worker_fd st w;
+  (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+  try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ()
 
 exception Router_failed of string
 
@@ -413,29 +415,11 @@ let route st i (e : Event.t) =
   if st.wal = None then st.history <- grow_push st.history st.nevents e;
   st.nevents <- st.nevents + 1
 
-let feed_events st base (evs : Event.t array) =
-  let n = Array.length evs in
-  for i = Stdlib.max 0 (st.expected - base) to n - 1 do
+(* The admitter's feeder for the client batch [evs] based at [base]. *)
+let route_events st base (evs : Event.t array) first =
+  for i = first to Array.length evs - 1 do
     route st (base + i) evs.(i)
-  done;
-  st.expected <- Stdlib.max st.expected (base + n)
-
-let rec drain_parked st =
-  let eligible =
-    Hashtbl.fold
-      (fun base _ acc ->
-        if base <= st.expected then
-          Some (match acc with None -> base | Some b -> Stdlib.min b base)
-        else acc)
-      st.parked None
-  in
-  match eligible with
-  | None -> ()
-  | Some base ->
-    let evs = Hashtbl.find st.parked base in
-    Hashtbl.remove st.parked base;
-    feed_events st base evs;
-    drain_parked st
+  done
 
 (* --- event-history rebuilds ------------------------------------------------ *)
 
@@ -443,7 +427,7 @@ let rec drain_parked st =
    records (duplicates harmlessly overwrite), or without the WAL the
    in-memory event log. *)
 let history_events st =
-  let n = st.expected in
+  let n = Admit.expected st.admit in
   match st.wal with
   | None -> Array.sub st.history 0 n
   | Some _ -> (
@@ -608,8 +592,7 @@ let rec pump ?(drain = false) st w =
    and replay the rest of the log.  The worker's size-driven cadence
    bounds that replay to about one checkpoint set's worth of bytes. *)
 and recover_worker ?(drain = false) st w =
-  close_worker_fd st w;
-  reap_worker w;
+  kill_worker st w;
   w.respawns <- w.respawns + 1;
   Registry.incr st.tel.respawns_total;
   if w.respawns > st.cfg.max_respawns then
@@ -620,37 +603,42 @@ and recover_worker ?(drain = false) st w =
   Printf.eprintf "racedet route: recovering worker %d (respawn %d, gen %d)\n%!" w.id
     w.respawns w.gen;
   spawn_worker st w ~resume:true;
-  (match Serve.fetch_seq w.fd with
-  | Ok seq -> realign st w seq
-  | Error msg ->
-    Printf.eprintf "racedet route: worker %d SEQ after respawn failed (%s)\n%!" w.id msg;
-    recover_worker ~drain st w);
+  align_worker ~drain st w ~after:"after respawn";
   pump ~drain st w
 
-(* Graceful migration: drain, SHUTDOWN (the worker writes its final
-   checkpoint set), then hand the [.ftc]s to a fresh process and resume it
-   at the same stream position.  Without checkpointing this degrades to a
-   full-log replay — slower, still exact. *)
-let migrate_worker st w =
-  pump ~drain:true st w;
+(* A (re)spawned worker is asked where its durable stream stands, and the
+   log is replayed from there; a worker that cannot say is recovered. *)
+and align_worker ?(drain = false) st w ~after =
+  match Serve.fetch_seq w.fd with
+  | Ok seq -> realign st w seq
+  | Error msg ->
+    Printf.eprintf "racedet route: worker %d SEQ %s failed (%s)\n%!" w.id after msg;
+    recover_worker ~drain st w
+
+(* SHUTDOWN (the worker writes its final checkpoint set), then close and
+   reap it. *)
+let retire_worker st w ~why =
   (match Serve.shutdown w.fd with
   | Ok () -> ()
   | Error msg ->
-    Printf.eprintf "racedet route: worker %d SHUTDOWN for migration failed (%s)\n%!" w.id msg);
+    Printf.eprintf "racedet route: worker %d SHUTDOWN for %s failed (%s)\n%!" w.id why msg);
   close_worker_fd st w;
-  (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
+  try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ()
+
+(* Graceful migration: drain, retire, then hand the [.ftc]s to a fresh
+   process and resume it at the same stream position.  Without
+   checkpointing this degrades to a full-log replay — slower, still
+   exact. *)
+let migrate_worker st w =
+  pump ~drain:true st w;
+  retire_worker st w ~why:"migration";
   w.gen <- w.gen + 1;
   Queue.clear w.inflight;
   Registry.incr st.tel.migrations_total;
   Printf.eprintf "racedet route: migrating worker %d to gen %d\n%!" w.id w.gen;
   spawn_worker st w ~resume:true;
-  (match Serve.fetch_seq w.fd with
-  | Ok seq ->
-    realign st w seq;
-    pump ~drain:true st w
-  | Error msg ->
-    Printf.eprintf "racedet route: worker %d SEQ after migration failed (%s)\n%!" w.id msg;
-    recover_worker ~drain:true st w)
+  align_worker ~drain:true st w ~after:"after migration";
+  pump ~drain:true st w
 
 (* Pump every worker, visiting the chaos points first so a schedule can
    kill or migrate a worker between any two client batches. *)
@@ -745,7 +733,7 @@ let state_format = -1
 let write_state_checkpoint st =
   match (st.universe, st.front, st.ship, st.wal) with
   | Some (nthreads, nlocks, nlocs), Some front, Some ship, Some wal
-    when st.cfg.checkpoint && Hashtbl.length st.parked = 0 -> (
+    when st.cfg.checkpoint && Admit.parked st.admit = 0 -> (
     try
       let enc = Snap.Enc.create () in
       Snap.Enc.int enc state_format;
@@ -772,7 +760,7 @@ let write_state_checkpoint st =
           nlocks;
           nlocs;
           clock_size = st.clock_size;
-          next_index = st.expected;
+          next_index = Admit.expected st.admit;
           byte_offset = Wal.offset wal;
         }
       in
@@ -799,15 +787,15 @@ let maybe_state_checkpoint st =
 
 (* --- resume ----------------------------------------------------------------- *)
 
-(* Park/feed logic of live ingestion, minus the WAL append and the ack —
+(* Admission of live ingestion, minus the WAL append and the ack —
    replaying a WAL record must route exactly what routing the original
-   batch routed. *)
+   batch routed.  A record ahead of the cursor was a parked batch, acked,
+   so it parks again whatever the bound. *)
 let ingest_replay st base evs =
-  if base > st.expected then Hashtbl.replace st.parked base evs
-  else begin
-    feed_events st base evs;
-    drain_parked st
-  end
+  let len = Array.length evs and f = route_events st base evs in
+  match Admit.verdict st.admit base with
+  | Admit.Due -> Admit.feed st.admit ~base ~len f
+  | Admit.Park | Admit.Refuse -> Admit.park st.admit ~base ~len f
 
 (* Try to restore the front, the shipping state and the worker suffixes
    from the router-state checkpoint.  Returns the WAL byte offset it was
@@ -862,7 +850,7 @@ let try_restore_state st ~k_final ~resized_at =
           init_universe st u ~restored:(Some (front, ship));
           st.epoch <- epoch;
           st.nevents <- nevents;
-          st.expected <- meta.Checkpoint.next_index;
+          st.admit <- Admit.create ~expected:meta.Checkpoint.next_index st.cfg.max_parked;
           Array.iteri
             (fun i w ->
               let cut, tot, msgs = per_worker.(i) in
@@ -972,15 +960,6 @@ let resume_session st =
     true
   | _ -> failwith "racedet route --resume: WAL does not start with a session record"
 
-(* After spawning a resumed/recovered epoch: ask each worker where its
-   durable stream stands and replay only what it is missing. *)
-let align_worker st w =
-  match Serve.fetch_seq w.fd with
-  | Ok seq -> realign st w seq
-  | Error msg ->
-    Printf.eprintf "racedet route: worker %d SEQ at resume failed (%s)\n%!" w.id msg;
-    recover_worker st w
-
 (* --- resize ------------------------------------------------------------------ *)
 
 (* Grow or shrink the ring by one worker.  Instead of moving per-location
@@ -1010,9 +989,7 @@ let resize_cluster st delta =
       (* retire the old epoch *)
       Array.iter
         (fun w ->
-          (match Serve.shutdown w.fd with Ok () | Error _ -> ());
-          close_worker_fd st w;
-          (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
+          retire_worker st w ~why:"resize";
           try Sys.remove (worker_pid_file st w) with Sys_error _ -> ())
         st.workers;
       st.epoch <- st.epoch + 1;
@@ -1076,6 +1053,7 @@ let refresh st =
 
 let stats_json st =
   refresh st;
+  let per_worker f = Json.Arr (Array.to_list (Array.map (fun w -> Json.Int (f w)) st.workers)) in
   Json.Obj
     [
       ("engine", Json.Str (Engine.name st.cfg.engine));
@@ -1086,19 +1064,14 @@ let stats_json st =
       ("window", Json.Int st.cfg.window);
       ("wal", Json.Bool (st.wal <> None));
       ("events", Json.Int st.nevents);
-      ("next_index", Json.Int st.expected);
-      ("parked", Json.Int (Hashtbl.length st.parked));
+      ("next_index", Json.Int (Admit.expected st.admit));
+      ("parked", Json.Int (Admit.parked st.admit));
       ("uptime_s", Json.Float (Clock.elapsed_s ~since:st.tel.started_ns));
-      ( "worker_log_lengths",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int (total w)) st.workers)) );
-      ( "worker_acked",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.acked) st.workers)) );
-      ( "worker_pushed",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.pushed) st.workers)) );
-      ( "worker_respawns",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.respawns) st.workers)) );
-      ( "worker_resumed_at",
-        Json.Arr (Array.to_list (Array.map (fun w -> Json.Int w.resumed_at) st.workers)) );
+      ("worker_log_lengths", per_worker total);
+      ("worker_acked", per_worker (fun w -> w.acked));
+      ("worker_pushed", per_worker (fun w -> w.pushed));
+      ("worker_respawns", per_worker (fun w -> w.respawns));
+      ("worker_resumed_at", per_worker (fun w -> w.resumed_at));
       ("telemetry", Registry.to_json st.tel.reg)
     ]
 
@@ -1114,26 +1087,25 @@ let handle_batch st conn base payload =
       try
         match ensure_cluster st u with
         | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-        | Ok () ->
+        | Ok () -> (
           let evs = Array.init (Trace.length trace) (Trace.get trace) in
-          let n = Array.length evs in
-          if base > st.expected then
-            if Hashtbl.length st.parked >= st.cfg.max_parked then
-              reply conn "ERR parked batch limit exceeded\n"
-            else begin
-              (* WAL before ack, park included: a parked batch is acked,
-                 so it must survive a router crash *)
-              wal_append st (Wal.Events (base, evs));
-              Hashtbl.replace st.parked base evs;
-              Registry.incr st.tel.parked_total;
-              reply conn (Printf.sprintf "OK %d\n" st.expected)
-            end
-          else begin
-            let before = st.expected in
+          let len = Array.length evs and f = route_events st base evs in
+          let ok () = reply conn (Printf.sprintf "OK %d\n" (Admit.expected st.admit)) in
+          match Admit.verdict st.admit base with
+          | Admit.Refuse -> reply conn "ERR parked batch limit exceeded\n"
+          | Admit.Park ->
+            (* WAL before ack, park included: a parked batch is acked, so
+               it must survive a router crash *)
+            wal_append st (Wal.Events (base, evs));
+            Admit.park st.admit ~base ~len f;
+            Registry.incr st.tel.parked_total;
+            ok ()
+          | Admit.Due ->
+            let before = Admit.expected st.admit in
             let t0 = Clock.now_ns () in
             (* a batch entirely inside the ingested prefix is an idempotent
                resend — nothing new to make durable *)
-            if base + n > st.expected then wal_append st (Wal.Events (base, evs));
+            if base + len > before then wal_append st (Wal.Events (base, evs));
             (* the router.crash point sits exactly on the durability edge:
                the WAL holds the batch, the client never saw an ack *)
             (match Fault.point ~supports:[ Fault.Exn; Fault.Delay ] "router.crash" with
@@ -1142,10 +1114,9 @@ let handle_batch st conn base payload =
               Printf.eprintf "racedet route: %s — simulating a router crash\n%!"
                 (Fault.describe inc);
               Unix._exit 137);
-            feed_events st base evs;
-            drain_parked st;
+            Admit.feed st.admit ~base ~len f;
             flush_workers st;
-            let ingested = st.expected - before in
+            let ingested = Admit.expected st.admit - before in
             if ingested = 0 then Registry.incr st.tel.duplicate_total
             else begin
               Registry.incr st.tel.batches_total;
@@ -1154,8 +1125,7 @@ let handle_batch st conn base payload =
             Histogram.observe st.tel.ingest_ns
               (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
             maybe_state_checkpoint st;
-            reply conn (Printf.sprintf "OK %d\n" st.expected)
-          end
+            ok ())
       with
       | Router_failed msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
       | Wal_failed msg -> reply conn (Printf.sprintf "ERR wal append failed: %s\n" msg))
@@ -1167,32 +1137,23 @@ let handle_line st conn line =
     | Some b, Some n when n >= 0 ->
       Evloop.await_blob conn n (fun payload -> handle_batch st conn b payload)
     | _ -> reply conn "ERR malformed BATCH header\n")
-  | [ "REPORT" ] -> (
+  | [ ("REPORT" | "RESULT") as verb ] -> (
     match result st with
     | Ok r ->
-      let text = Serve.report_text ~events:st.nevents r in
-      reply conn (Printf.sprintf "REPORT %d\n%s" (String.length text) text)
-    | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-    | exception Router_failed msg -> reply conn (Printf.sprintf "ERR %s\n" msg))
-  | [ "RESULT" ] -> (
-    (* the merged result, as a worker answers with its partial one *)
-    match result st with
-    | Ok r ->
-      let blob = Cmsg.encode_result r in
-      reply conn (Printf.sprintf "RESULT %d\n%s" (String.length blob) blob)
-    | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-    | exception Router_failed msg -> reply conn (Printf.sprintf "ERR %s\n" msg))
-  | [ "SEQ" ] -> reply conn (Printf.sprintf "SEQ %d\n" st.expected)
+      (* RESULT: the merged result, as a worker answers with its partial one *)
+      Evloop.reply_blob conn verb
+        (if verb = "REPORT" then Serve.report_text ~events:st.nevents r
+         else Cmsg.encode_result r)
+    | Error msg | (exception Router_failed msg) -> reply conn (Printf.sprintf "ERR %s\n" msg))
+  | [ "SEQ" ] -> reply conn (Printf.sprintf "SEQ %d\n" (Admit.expected st.admit))
   | [ "MIGRATE"; k ] -> (
     match int_of_string_opt k with
     | Some k when k >= 0 && k < Array.length st.workers -> (
       match
-        (match st.universe with
-        | None -> ()
-        | Some _ -> flush_workers st);
+        if st.universe <> None then flush_workers st;
         migrate_worker st st.workers.(k)
       with
-      | () -> reply conn (Printf.sprintf "OK %d\n" st.expected)
+      | () -> reply conn (Printf.sprintf "OK %d\n" (Admit.expected st.admit))
       | exception Router_failed msg -> reply conn (Printf.sprintf "ERR %s\n" msg))
     | _ -> reply conn "ERR bad worker id\n")
   | [ "RESIZE"; d ] -> (
@@ -1205,13 +1166,13 @@ let handle_line st conn line =
       | exception Wal_failed msg ->
         reply conn (Printf.sprintf "ERR wal append failed: %s\n" msg))
     | None -> reply conn "ERR malformed RESIZE\n")
-  | [ "STATS" ] | [ "STATS"; "PROM" ] ->
-    refresh st;
-    let text = Registry.to_prometheus st.tel.reg in
-    reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
-  | [ "STATS"; "JSON" ] ->
-    let text = Json.to_string_pretty (stats_json st) in
-    reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
+  | "STATS" :: (([] | [ "PROM" ] | [ "JSON" ]) as format) ->
+    Evloop.reply_blob conn "STATS"
+      (if format = [ "JSON" ] then Json.to_string_pretty (stats_json st)
+       else begin
+         refresh st;
+         Registry.to_prometheus st.tel.reg
+       end)
   | [ "SHUTDOWN" ] ->
     reply conn "BYE\n";
     st.stop_reason <- "SHUTDOWN command";
@@ -1278,9 +1239,8 @@ let run (cfg : config) =
       front = None;
       ship = None;
       history = [||];
-      expected = 0;
+      admit = Admit.create cfg.max_parked;
       nevents = 0;
-      parked = Hashtbl.create 16;
       quit = false;
       stop_reason = "";
       failed = None;
@@ -1291,11 +1251,11 @@ let run (cfg : config) =
   if resumed then
     Printf.eprintf
       "racedet route: resumed session: %d events, %d parked batch(es), %d worker(s), epoch %d\n%!"
-      st.nevents (Hashtbl.length st.parked) (Array.length st.workers) st.epoch;
+      st.nevents (Admit.parked st.admit) (Array.length st.workers) st.epoch;
   Array.iter (fun w -> spawn_worker st w ~resume:resumed) st.workers;
   (try
      if resumed then begin
-       Array.iter (fun w -> align_worker st w) st.workers;
+       Array.iter (fun w -> align_worker st w ~after:"at resume") st.workers;
        flush_workers st
      end
    with Router_failed _ -> ());
@@ -1318,7 +1278,7 @@ let run (cfg : config) =
     | Some hb when Clock.now_s () -. !last_beat >= hb ->
       last_beat := Clock.now_s ();
       Printf.eprintf "racedet route: alive: %d events, %d parked, %d worker(s)\n%!"
-        st.nevents (Hashtbl.length st.parked) (Array.length st.workers)
+        st.nevents (Admit.parked st.admit) (Array.length st.workers)
     | _ -> ()
   in
   let remaining =
@@ -1337,27 +1297,15 @@ let run (cfg : config) =
      SHUTDOWN each worker so it writes its final checkpoint set.  No extra
      router-state checkpoint: the newest size-driven one already bounds a
      resume's WAL tail. *)
-  (match st.failed with
-  | Some _ -> ()
-  | None -> (
-    try
-      if st.universe <> None then flush_workers ~drain:true st;
-      Array.iter
-        (fun w ->
-          (match Serve.shutdown w.fd with Ok () | Error _ -> ());
-          close_worker_fd st w;
-          try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ())
-        st.workers
-    with Router_failed _ -> ()));
-  (match st.failed with
-  | None -> ()
-  | Some _ ->
-    (* fail-fast path: make sure no worker process outlives the router *)
-    Array.iter
-      (fun w ->
-        close_worker_fd st w;
-        reap_worker w)
-      st.workers);
+  (if st.failed = None then
+     try
+       if st.universe <> None then flush_workers ~drain:true st;
+       Array.iter (fun w -> retire_worker st w ~why:"shutdown") st.workers
+     with Router_failed _ -> ());
+  if st.failed <> None then
+    (* fail-fast path (or a failure during the drain): make sure no worker
+       process outlives the router *)
+    Array.iter (kill_worker st) st.workers;
   (match st.wal with
   | None -> ()
   | Some wal -> Wal.close wal);

@@ -11,7 +11,10 @@
     messages, so the partial [RESULT]s add up to a report byte-identical
     to a single-process [racedet analyze] — DESIGN.md §6e.  The router
     answers [RESULT] with the merged result, as a worker answers with its
-    part.
+    part.  Client batches reach the front in index order through
+    {!Ft_shard.Admit}, the rule a standalone [racedet serve] admits by:
+    early batches park (at most [max_parked]), resent prefixes are
+    skipped, and WAL replay admits through it too.
 
     {b Durability} (DESIGN.md §6f): every client batch is appended to a
     routed-event {!Wal} and fsynced {e before} it is acknowledged, and the

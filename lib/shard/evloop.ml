@@ -30,6 +30,9 @@ let conn_fd conn = conn.fd
 
 let reply conn s = try write_all conn.fd s with Unix.Unix_error _ -> conn.closed <- true
 
+let reply_blob conn verb blob =
+  reply conn (Printf.sprintf "%s %d\n%s" verb (String.length blob) blob)
+
 let close_conn conn =
   conn.closed <- true;
   try Unix.close conn.fd with Unix.Unix_error _ -> ()

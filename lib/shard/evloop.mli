@@ -19,6 +19,10 @@ val reply : conn -> string -> unit
 (** Blocking write of the full string; a write error marks the connection
     closed instead of raising. *)
 
+val reply_blob : conn -> string -> string -> unit
+(** [reply_blob conn verb blob] sends [<verb> <nbytes>\n<blob>], the
+    sized reply of [REPORT], [RESULT] and [STATS]. *)
+
 val close_conn : conn -> unit
 (** Mark closed and close the descriptor now (idempotent). *)
 

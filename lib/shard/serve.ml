@@ -62,16 +62,18 @@ let socket_domain_of_addr = function
   | Unix_path _ -> Unix.PF_UNIX
   | Tcp _ -> Unix.PF_INET
 
-(* A live daemon on [path] accepts; a stale socket file left by a crashed
-   one refuses (or the path is gone).  Probing before the bind keeps two
-   servers handed the same path from silently orphaning each other — the
-   second refuses to start instead of unlinking the first's socket. *)
-let unix_listener_alive path =
-  Sys.file_exists path
+(* One connect probe, no protocol exchange.  A live daemon accepts; a
+   stale socket file left by a crashed one refuses (or the path is gone),
+   and a loopback TCP port with no listener refuses at once.  Probing
+   before the bind keeps two servers handed the same path from silently
+   orphaning each other — the second refuses to start instead of
+   unlinking the first's socket. *)
+let addr_alive addr =
+  (match addr with Unix_path path -> Sys.file_exists path | Tcp _ -> true)
   &&
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true (socket_domain_of_addr addr) Unix.SOCK_STREAM 0 in
   let live =
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    match Unix.connect fd (sockaddr_of_addr addr) with
     | () -> true
     | exception Unix.Unix_error _ -> false
   in
@@ -87,7 +89,7 @@ let default_backlog = 128
 let listen_socket ?(backlog = default_backlog) addr =
   match addr with
   | Unix_path path ->
-    if unix_listener_alive path then
+    if addr_alive addr then
       failwith
         (Printf.sprintf "socket %s already has a live server listening; refusing to start"
            path);
@@ -357,13 +359,12 @@ type state = {
   mutable det : Sharded.t option;
   mutable universe : (int * int * int) option;  (* nthreads, nlocks, nlocs *)
   mutable clock_size : int;
-  mutable expected : int;  (* next stream position: events (BATCH) or messages (CBATCH) *)
+  mutable admit : Admit.t;  (* stream position: events (BATCH) or messages (CBATCH) *)
   mutable mode : [ `Batch | `Cluster ] option;  (* fixed by the first ingested batch *)
   mutable since_ckpt : int;  (* BATCH mode: ingested batches since the last checkpoint set *)
   mutable applied_since_ckpt : int;  (* CBATCH mode: payload bytes applied since then *)
   mutable ckpt_bytes : int;  (* snapshot bytes of the newest set, written or resumed from *)
   mutable durable : int;  (* stream position of the newest consistent set on disk *)
-  parked : (int, Trace.t) Hashtbl.t;
   mutable quit : bool;
   mutable stop_reason : string;  (* what ended the serve loop, for the log *)
   mutable failed : string option;  (* fail-fast diagnostic: exit non-zero *)
@@ -393,7 +394,7 @@ let write_checkpoint st =
         nlocks;
         nlocs;
         clock_size = st.clock_size;
-        next_index = st.expected;
+        next_index = Admit.expected st.admit;
         byte_offset = -1;
       }
     in
@@ -408,7 +409,7 @@ let write_checkpoint st =
       Registry.add st.tel.checkpoint_bytes_total bytes;
       st.ckpt_bytes <- bytes;
       st.applied_since_ckpt <- 0;
-      st.durable <- st.expected
+      st.durable <- Admit.expected st.admit
     with Fault.Injected _ as e ->
       Registry.incr st.tel.checkpoint_failures;
       Printf.eprintf "racedet serve: checkpoint write faulted (%s); continuing\n%!"
@@ -510,7 +511,7 @@ let ensure_detector st (nthreads, nlocks, nlocs) =
   | Some _, None -> assert false
 
 (* The session speaks either plain BATCH streams (units: events) or cluster
-   CBATCH streams (units: messages); [expected] counts stream units, so
+   CBATCH streams (units: messages); the admitter counts stream units, so
    mixing the two would silently corrupt the idempotent-resend arithmetic. *)
 let ensure_mode st mode =
   match st.mode with
@@ -520,30 +521,6 @@ let ensure_mode st mode =
   | Some m when m = mode -> Ok ()
   | Some `Batch -> Error "session already ingests BATCH streams (not a cluster worker)"
   | Some `Cluster -> Error "session already ingests CBATCH streams (cluster worker)"
-
-let feed st det trace base =
-  let n = Trace.length trace in
-  (* skip any already-ingested prefix: resends are idempotent *)
-  for i = Stdlib.max 0 (st.expected - base) to n - 1 do
-    Sharded.handle det (base + i) (Trace.get trace i)
-  done;
-  st.expected <- Stdlib.max st.expected (base + n)
-
-let rec drain_parked st det =
-  let eligible =
-    Hashtbl.fold
-      (fun base _ acc ->
-        if base <= st.expected then Some (match acc with None -> base | Some b -> Stdlib.min b base)
-        else acc)
-      st.parked None
-  in
-  match eligible with
-  | None -> ()
-  | Some base ->
-    let trace = Hashtbl.find st.parked base in
-    Hashtbl.remove st.parked base;
-    feed st det trace base;
-    drain_parked st det
 
 let reply = Evloop.reply
 
@@ -556,6 +533,39 @@ let fail_fast st conn msg =
   st.quit <- true;
   reply conn (Printf.sprintf "ERR %s\n" msg)
 
+let guard st conn f =
+  try f () with
+  | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
+  | Sharded.Shard_failed msg -> fail_fast st conn msg
+
+(* A decoded batch of [mode] over universe [u]: fix the session's mode and
+   detector, then run [f det]. *)
+let with_session st conn mode u f =
+  match
+    match ensure_mode st mode with
+    | Error _ as e -> e
+    | Ok () -> ensure_detector st u
+  with
+  | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
+  | Ok det -> guard st conn (fun () -> f det)
+
+(* Feed a due batch through the admitter, run [after] on the count of
+   units it newly admitted (the checkpoint step), and count the batch. *)
+let ingest st ~base ~len f ~after =
+  let before = Admit.expected st.admit in
+  let t0 = Clock.now_ns () in
+  Admit.feed st.admit ~base ~len f;
+  let ingested = Admit.expected st.admit - before in
+  after ingested;
+  let tel = st.tel in
+  if ingested = 0 then Registry.incr tel.duplicate_total
+  else begin
+    Registry.incr tel.batches_total;
+    Registry.add tel.events_total ingested;
+    if base < before then Registry.incr tel.resent_total
+  end;
+  Histogram.observe tel.ingest_ns (Int64.to_int (Int64.sub (Clock.now_ns ()) t0))
+
 let handle_batch st conn base payload =
   if base < 0 then reply conn "ERR negative base index\n"
   else
@@ -563,93 +573,54 @@ let handle_batch st conn base payload =
        [Netbuf.take] and the decoder never writes through the reader *)
     match Trace_binary.of_bytes (Bytes.unsafe_of_string payload) with
     | Error msg -> reply conn (Printf.sprintf "ERR bad batch: %s\n" msg)
-    | Ok trace -> (
-      let u = (trace.Trace.nthreads, trace.Trace.nlocks, trace.Trace.nlocs) in
-      match
-        match ensure_mode st `Batch with
-        | Error _ as e -> e
-        | Ok () -> ensure_detector st u
-      with
-      | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-      | Ok det -> (
-        try
-          if base > st.expected then
-            if Hashtbl.length st.parked >= st.cfg.max_parked then
-              reply conn "ERR parked batch limit exceeded\n"
-            else begin
-              Hashtbl.replace st.parked base trace;
-              Registry.incr st.tel.parked_total;
-              reply conn (Printf.sprintf "OK %d\n" st.expected)
-            end
-          else begin
-            let before = st.expected in
-            let t0 = Clock.now_ns () in
-            feed st det trace base;
-            drain_parked st det;
-            maybe_checkpoint st;
-            let ingested = st.expected - before in
-            let tel = st.tel in
-            if ingested = 0 then Registry.incr tel.duplicate_total
-            else begin
-              Registry.incr tel.batches_total;
-              Registry.add tel.events_total ingested;
-              if base < before then Registry.incr tel.resent_total
-            end;
-            Histogram.observe tel.ingest_ns
-              (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
-            reply conn (Printf.sprintf "OK %d\n" st.expected)
-          end
-        with
-        | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-        | Sharded.Shard_failed msg -> fail_fast st conn msg))
+    | Ok trace ->
+      with_session st conn `Batch (trace.Trace.nthreads, trace.Trace.nlocks, trace.Trace.nlocs)
+      @@ fun det ->
+      let len = Trace.length trace in
+      let events first =
+        for i = first to len - 1 do
+          Sharded.handle det (base + i) (Trace.get trace i)
+        done
+      in
+      let ok () = reply conn (Printf.sprintf "OK %d\n" (Admit.expected st.admit)) in
+      (match Admit.verdict st.admit base with
+      | Admit.Refuse -> reply conn "ERR parked batch limit exceeded\n"
+      | Admit.Park ->
+        Admit.park st.admit ~base ~len events;
+        Registry.incr st.tel.parked_total;
+        ok ()
+      | Admit.Due ->
+        ingest st ~base ~len events ~after:(fun _ -> maybe_checkpoint st);
+        ok ())
 
 (* A cluster sub-stream batch.  The router is this worker's only client and
-   sends sequence-contiguous CBATCHes, so there is no parking here — only
-   the idempotent prefix skip that makes post-recovery replays (and a
-   restarted router replaying from zero) exact. *)
+   sends sequence-contiguous CBATCHes, so nothing parks here — a batch
+   ahead of the cursor is refused — and only the idempotent prefix skip
+   remains, which makes post-recovery replays (and a restarted router
+   replaying from zero) exact. *)
 let handle_cbatch st conn seq payload =
   if seq < 0 then reply conn "ERR negative sequence number\n"
   else
     match Cmsg.decode payload with
     | Error msg -> reply conn (Printf.sprintf "ERR bad cluster batch: %s\n" msg)
     | Ok (u, msgs) -> (
-      match
-        match ensure_mode st `Cluster with
-        | Error _ as e -> e
-        | Ok () -> ensure_detector st u
-      with
-      | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-      | Ok det -> (
-        try
-          if seq > st.expected then
-            reply conn
-              (Printf.sprintf "ERR cluster batch from the future (seq %d, expected %d)\n"
-                 seq st.expected)
-          else begin
-            let n = Array.length msgs in
-            let before = st.expected in
-            let t0 = Clock.now_ns () in
-            for j = st.expected - seq to n - 1 do
+      with_session st conn `Cluster u @@ fun det ->
+      match Admit.verdict st.admit seq with
+      | Admit.Park | Admit.Refuse ->
+        reply conn
+          (Printf.sprintf "ERR cluster batch from the future (seq %d, expected %d)\n" seq
+             (Admit.expected st.admit))
+      | Admit.Due ->
+        let n = Array.length msgs in
+        ingest st ~base:seq ~len:n
+          (fun first ->
+            for j = first to n - 1 do
               Sharded.check det msgs.(j)
-            done;
-            st.expected <- Stdlib.max st.expected (seq + n);
-            let ingested = st.expected - before in
+            done)
+          ~after:(fun ingested ->
             maybe_checkpoint_bytes st
-              (if n = 0 then 0 else String.length payload * ingested / n);
-            let tel = st.tel in
-            if ingested = 0 then Registry.incr tel.duplicate_total
-            else begin
-              Registry.incr tel.batches_total;
-              Registry.add tel.events_total ingested;
-              if seq < before then Registry.incr tel.resent_total
-            end;
-            Histogram.observe tel.ingest_ns
-              (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
-            reply conn (Printf.sprintf "OK %d %d\n" st.expected st.durable)
-          end
-        with
-        | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-        | Sharded.Shard_failed msg -> fail_fast st conn msg))
+              (if n = 0 then 0 else String.length payload * ingested / n));
+        reply conn (Printf.sprintf "OK %d %d\n" (Admit.expected st.admit) st.durable))
 
 (* --- STATS ----------------------------------------------------------------- *)
 
@@ -657,7 +628,7 @@ let handle_cbatch st conn seq payload =
    the heartbeat, which must not stall ingestion behind a shard flush. *)
 let refresh_cheap st =
   let tel = st.tel in
-  Registry.set tel.parked_now (Hashtbl.length st.parked);
+  Registry.set tel.parked_now (Admit.parked st.admit);
   Registry.set tel.uptime (int_of_float (Clock.elapsed_s ~since:tel.started_ns));
   Registry.set_counter tel.faults_injected (Fault.fired ());
   match st.det with
@@ -710,8 +681,8 @@ let stats_json st result =
       ("sampler", Json.Str (Sampler.name st.cfg.sampler));
       ("shards", Json.Int st.cfg.shards);
       ("events", Json.Int events);
-      ("next_index", Json.Int st.expected);
-      ("parked", Json.Int (Hashtbl.length st.parked));
+      ("next_index", Json.Int (Admit.expected st.admit));
+      ("parked", Json.Int (Admit.parked st.admit));
       ("uptime_s", Json.Float (Clock.elapsed_s ~since:st.tel.started_ns));
       ("ring_occupancy", per_shard Sharded.ring_occupancy);
       ("shard_events", per_shard Sharded.shard_event_counts);
@@ -743,62 +714,37 @@ let heartbeat_line st =
     (Registry.gauge_value tel.uptime)
     (Registry.counter_value tel.events_total)
     (Registry.counter_value tel.batches_total)
-    (Hashtbl.length st.parked)
+    (Admit.parked st.admit)
     (Registry.gauge_value tel.conns_active)
     (float_of_int (Histogram.quantile tel.ingest_ns 0.99) /. 1e6)
     (float_of_int (Histogram.max_value tel.ingest_ns) /. 1e6)
 
 let handle_line st conn line =
   match String.split_on_char ' ' (String.trim line) with
-  | [ "BATCH"; base; nbytes ] -> (
+  | [ ("BATCH" | "CBATCH") as verb; base; nbytes ] -> (
     match (int_of_string_opt base, int_of_string_opt nbytes) with
     | Some b, Some n when n >= 0 ->
-      Evloop.await_blob conn n (fun payload -> handle_batch st conn b payload)
-    | _ -> reply conn "ERR malformed BATCH header\n")
-  | [ "CBATCH"; seq; nbytes ] -> (
-    match (int_of_string_opt seq, int_of_string_opt nbytes) with
-    | Some s, Some n when n >= 0 ->
-      Evloop.await_blob conn n (fun payload -> handle_cbatch st conn s payload)
-    | _ -> reply conn "ERR malformed CBATCH header\n")
-  | [ "REPORT" ] -> (
+      Evloop.await_blob conn n
+        ((if verb = "BATCH" then handle_batch else handle_cbatch) st conn b)
+    | _ -> reply conn (Printf.sprintf "ERR malformed %s header\n" verb))
+  | [ ("REPORT" | "RESULT") as verb ] -> (
     match st.det with
     | None -> reply conn "ERR no events ingested\n"
-    | Some det -> (
-      try
-        let text = report_text ~events:(Sharded.events det) (Sharded.result det) in
-        reply conn (Printf.sprintf "REPORT %d\n%s" (String.length text) text)
-      with
-      | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-      | Sharded.Shard_failed msg -> fail_fast st conn msg))
-  | [ "RESULT" ] -> (
-    (* the raw partial result, for a cluster router's merge *)
-    match st.det with
-    | None -> reply conn "ERR no events ingested\n"
-    | Some det -> (
-      try
-        let blob = Cmsg.encode_result (Sharded.result det) in
-        reply conn (Printf.sprintf "RESULT %d\n%s" (String.length blob) blob)
-      with
-      | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-      | Sharded.Shard_failed msg -> fail_fast st conn msg))
+    | Some det ->
+      guard st conn (fun () ->
+          let r = Sharded.result det in
+          (* RESULT: the raw partial result, for a cluster router's merge *)
+          Evloop.reply_blob conn verb
+            (if verb = "REPORT" then report_text ~events:(Sharded.events det) r
+             else Cmsg.encode_result r)))
   | [ "SEQ" ] ->
     (* where this session's stream stands — what a recovering router uses
        to find the replay point after respawning a worker *)
-    reply conn (Printf.sprintf "SEQ %d\n" st.expected)
-  | [ "STATS" ] | [ "STATS"; "PROM" ] -> (
-    try
-      let text = stats_payload st `Prometheus in
-      reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
-    with
-    | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-    | Sharded.Shard_failed msg -> fail_fast st conn msg)
-  | [ "STATS"; "JSON" ] -> (
-    try
-      let text = stats_payload st `Json in
-      reply conn (Printf.sprintf "STATS %d\n%s" (String.length text) text)
-    with
-    | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-    | Sharded.Shard_failed msg -> fail_fast st conn msg)
+    reply conn (Printf.sprintf "SEQ %d\n" (Admit.expected st.admit))
+  | "STATS" :: (([] | [ "PROM" ] | [ "JSON" ]) as format) ->
+    guard st conn (fun () ->
+        Evloop.reply_blob conn "STATS"
+          (stats_payload st (if format = [ "JSON" ] then `Json else `Prometheus)))
   | [ "SHUTDOWN" ] ->
     write_checkpoint st;
     reply conn "BYE\n";
@@ -836,13 +782,12 @@ let run cfg =
       det = None;
       universe = None;
       clock_size = 0;
-      expected = 0;
+      admit = Admit.create cfg.max_parked;
       mode = None;
       since_ckpt = 0;
       applied_since_ckpt = 0;
       ckpt_bytes = 0;
       durable = 0;
-      parked = Hashtbl.create 16;
       quit = false;
       stop_reason = "";
       failed = None;
@@ -867,11 +812,11 @@ let run cfg =
     st.universe <-
       Some (meta.Checkpoint.nthreads, meta.Checkpoint.nlocks, meta.Checkpoint.nlocs);
     st.clock_size <- meta.Checkpoint.clock_size;
-    st.expected <- meta.Checkpoint.next_index;
-    st.durable <- st.expected;
+    st.admit <- Admit.create ~expected:meta.Checkpoint.next_index cfg.max_parked;
+    st.durable <- meta.Checkpoint.next_index;
     st.ckpt_bytes <- bytes;
     attach_shard_series st.tel ~shards:cfg.shards;
-    Printf.eprintf "racedet serve: resumed at event %d\n%!" st.expected);
+    Printf.eprintf "racedet serve: resumed at event %d\n%!" meta.Checkpoint.next_index);
   let last_beat = ref (Clock.now_ns ()) in
   let tick () =
     match cfg.heartbeat_s with
@@ -975,133 +920,77 @@ let expect_line ~deadline_at fd =
   | exception Recv_deadline at -> Error (deadline_error at)
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
-(* [<verb> <nbytes>\n<blob>] replies: validate the header, then read the
-   sized blob under the same overall deadline. *)
-let expect_blob ~deadline_at fd ~verb =
+(* A [<verb> <n>] reply line ([OK <total>], [SEQ <n>], a blob header):
+   [n ≥ 0], or the line itself as the error ([ERR ...]). *)
+let expect_count ~verb ~deadline_at fd =
   match expect_line ~deadline_at fd with
   | Error _ as e -> e
   | Ok line -> (
     match String.split_on_char ' ' line with
-    | [ v; nbytes ] when v = verb -> (
-      match int_of_string_opt nbytes with
-      | Some n -> (
-        try Ok (really_read ~deadline_at fd n) with
-        | End_of_file -> Error ("truncated " ^ String.lowercase_ascii verb)
-        | Recv_deadline at -> Error (deadline_error at)
-        | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
-      | None -> Error ("malformed reply: " ^ line))
+    | [ v; n ] when v = verb -> (
+      match int_of_string_opt n with
+      | Some n when n >= 0 -> Ok n
+      | _ -> Error ("malformed reply: " ^ line))
     | _ -> Error line)
 
-let expect_ok ~deadline_at fd =
-  match expect_line ~deadline_at fd with
+(* [<verb> <nbytes>\n<blob>] replies: the header, then the sized blob
+   under the same overall deadline. *)
+let expect_blob ~verb ~deadline_at fd =
+  match expect_count ~verb ~deadline_at fd with
   | Error _ as e -> e
-  | Ok line -> (
-    match String.split_on_char ' ' line with
-    | [ "OK"; total ] | [ "OK"; total; _ ] -> (
-      match int_of_string_opt total with
-      | Some t -> Ok t
-      | None -> Error ("malformed reply: " ^ line))
-    | _ -> Error line)
+  | Ok n -> (
+    try Ok (really_read ~deadline_at fd n) with
+    | End_of_file -> Error ("truncated " ^ String.lowercase_ascii verb)
+    | Recv_deadline at -> Error (deadline_error at)
+    | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
 
-let send_batch ?deadline_s fd ~base trace =
+(* One client request: write it, then read the reply under one overall
+   deadline. *)
+let request ?deadline_s fd msg read =
   let deadline_at = deadline_at deadline_s in
-  let payload = Trace_binary.to_bytes trace in
-  match
-    write_all fd (Printf.sprintf "BATCH %d %d\n" base (Bytes.length payload));
-    write_all fd (Bytes.to_string payload)
-  with
-  | () -> expect_ok ~deadline_at fd
+  match write_all fd msg with
+  | () -> read ~deadline_at fd
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
-(* Fire-and-forget half of [send_cbatch] for the router's pipelined window:
-   the CBATCH goes out now, its "OK <total>" ack is collected later by the
-   ack pump.  Raises on write errors — the caller owns worker recovery. *)
+let send_batch ?deadline_s fd ~base trace =
+  (* [unsafe_to_string]: the encoding is fresh and never written again *)
+  let payload = Bytes.unsafe_to_string (Trace_binary.to_bytes trace) in
+  request ?deadline_s fd
+    (Printf.sprintf "BATCH %d %d\n" base (String.length payload) ^ payload)
+    (expect_count ~verb:"OK")
+
+(* The router's pipelined window: the CBATCH goes out now, its
+   "OK <total> <durable>" ack is collected later by the ack pump.  Raises
+   on write errors — the caller owns worker recovery. *)
 let send_cbatch_nowait fd ~seq payload =
   write_all fd (Printf.sprintf "CBATCH %d %d\n" seq (String.length payload));
   write_all fd payload
 
-let send_cbatch ?deadline_s fd ~seq payload =
-  let deadline_at = deadline_at deadline_s in
-  match
-    write_all fd (Printf.sprintf "CBATCH %d %d\n" seq (String.length payload));
-    write_all fd payload
-  with
-  | () -> expect_ok ~deadline_at fd
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-let fetch_report ?deadline_s fd =
-  let deadline_at = deadline_at deadline_s in
-  match write_all fd "REPORT\n" with
-  | () -> expect_blob ~deadline_at fd ~verb:"REPORT"
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+let fetch_report ?deadline_s fd = request ?deadline_s fd "REPORT\n" (expect_blob ~verb:"REPORT")
 
 let fetch_result ?deadline_s fd =
-  let deadline_at = deadline_at deadline_s in
-  match write_all fd "RESULT\n" with
-  | () -> (
-    match expect_blob ~deadline_at fd ~verb:"RESULT" with
-    | Error _ as e -> e
-    | Ok blob -> Cmsg.decode_result blob)
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  Result.bind
+    (request ?deadline_s fd "RESULT\n" (expect_blob ~verb:"RESULT"))
+    Cmsg.decode_result
 
-let fetch_seq ?deadline_s fd =
-  let deadline_at = deadline_at deadline_s in
-  match write_all fd "SEQ\n" with
-  | () -> (
-    match expect_line ~deadline_at fd with
-    | Error _ as e -> e
-    | Ok line -> (
-      match String.split_on_char ' ' line with
-      | [ "SEQ"; n ] -> (
-        match int_of_string_opt n with
-        | Some v when v >= 0 -> Ok v
-        | _ -> Error ("malformed reply: " ^ line))
-      | _ -> Error line))
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+let fetch_seq ?deadline_s fd = request ?deadline_s fd "SEQ\n" (expect_count ~verb:"SEQ")
 
 let fetch_stats ?deadline_s ?(format = `Prometheus) fd =
-  let deadline_at = deadline_at deadline_s in
   let cmd = match format with `Prometheus -> "STATS\n" | `Json -> "STATS JSON\n" in
-  match write_all fd cmd with
-  | () -> expect_blob ~deadline_at fd ~verb:"STATS"
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  request ?deadline_s fd cmd (expect_blob ~verb:"STATS")
 
 let shutdown ?deadline_s fd =
-  let deadline_at = deadline_at deadline_s in
-  match write_all fd "SHUTDOWN\n" with
-  | () -> (
-    match expect_line ~deadline_at fd with
-    | Ok "BYE" -> Ok ()
-    | Ok line -> Error line
-    | Error _ as e -> e)
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  request ?deadline_s fd "SHUTDOWN\n" (fun ~deadline_at fd ->
+      match expect_line ~deadline_at fd with
+      | Ok "BYE" -> Ok ()
+      | Ok line -> Error line
+      | Error _ as e -> e)
 
 let migrate ?deadline_s fd worker =
-  let deadline_at = deadline_at deadline_s in
-  match write_all fd (Printf.sprintf "MIGRATE %d\n" worker) with
-  | () -> Result.map (fun _ -> ()) (expect_ok ~deadline_at fd)
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  Result.map ignore
+    (request ?deadline_s fd (Printf.sprintf "MIGRATE %d\n" worker) (expect_count ~verb:"OK"))
 
 let resize ?deadline_s fd delta =
-  let deadline_at = deadline_at deadline_s in
-  match write_all fd (Printf.sprintf "RESIZE %+d\n" delta) with
-  | () -> expect_ok ~deadline_at fd
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-(* Generalizes [unix_listener_alive] to both address kinds: one connect
-   probe, no protocol exchange.  A loopback TCP port with no listener
-   refuses immediately, so this stays a fast check for stale ready-files. *)
-let addr_alive addr =
-  match addr with
-  | Unix_path path -> unix_listener_alive path
-  | Tcp _ -> (
-    let fd = Unix.socket ~cloexec:true (socket_domain_of_addr addr) Unix.SOCK_STREAM 0 in
-    let live =
-      match Unix.connect fd (sockaddr_of_addr addr) with
-      | () -> true
-      | exception Unix.Unix_error _ -> false
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    live)
+  request ?deadline_s fd (Printf.sprintf "RESIZE %+d\n" delta) (expect_count ~verb:"OK")
 
 let close fd = try Unix.close fd with Unix.Unix_error _ -> ()

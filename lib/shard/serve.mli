@@ -19,9 +19,12 @@
     Every batch is a complete .ftb file (header + events) whose header
     declares the shared universe; [base] is the {e global} index of the
     batch's first event.  Explicit bases make multi-client ingestion
-    deterministic: the server ingests strictly in index order, parking
-    batches that arrive early (bounded) and skipping already-ingested
-    prefixes idempotently — so a client may blindly resend after a crash.
+    deterministic: the server ingests strictly in index order through
+    {!Admit}, the one admission rule it shares with the cluster router —
+    parking batches that arrive early (at most [max_parked]; one more is
+    refused with [ERR parked batch limit exceeded]) and skipping
+    already-ingested prefixes idempotently — so a client may blindly
+    resend after a crash.
     [OK <total>] reports how many events have been ingested so far.
 
     [CBATCH]/[RESULT]/[SEQ] are the cluster-worker face of the same daemon
@@ -29,9 +32,10 @@
     consistent-hash sub-streams of routed messages, sequenced by a dense
     per-worker counter, and merges the workers' [RESULT] blobs.  A session
     speaks either [BATCH] or [CBATCH], fixed by the first ingested batch;
-    mixing them is refused.  [CBATCH] does not park — the router is the
-    only client and sends in order — but resent prefixes are skipped
-    idempotently, which is what makes post-recovery replay exact.  A
+    mixing them is refused.  [CBATCH] admits through the same {!Admit}
+    but never parks — the router is the only client and sends in order,
+    so a batch ahead of the cursor is refused — while resent prefixes are
+    skipped idempotently, which is what makes post-recovery replay exact.  A
     [CBATCH] ack also reports the worker's durable cut [<durable>]: the
     stream position of its newest whole checkpoint set (0 without one),
     which is where a respawned worker's [SEQ] will land.
@@ -214,18 +218,12 @@ val send_batch :
 (** Encode the batch as .ftb and send it; [Ok total] echoes the server's
     ingested-events count. *)
 
-val send_cbatch :
-  ?deadline_s:float -> Unix.file_descr -> seq:int -> string -> (int, string) result
-(** Send an already-encoded {!Cmsg} cluster batch; [Ok total] echoes the
-    worker's message count ([seq + messages] once ingested).  The ack's
-    durable cut is read by the router's asynchronous ack pump, not here. *)
-
 val send_cbatch_nowait : Unix.file_descr -> seq:int -> string -> unit
-(** The write half of {!send_cbatch} only — the [OK <total> <durable>]
-    ack is collected asynchronously (the router's pipelined in-flight
-    window).  Raises
-    [Unix.Unix_error] on write failure instead of returning [Error]: the
-    caller owns worker recovery. *)
+(** Send an already-encoded {!Cmsg} cluster batch without waiting: the
+    [OK <total> <durable>] ack is collected asynchronously (the router's
+    pipelined in-flight window).  Raises [Unix.Unix_error] on write
+    failure instead of returning [Error]: the caller owns worker
+    recovery. *)
 
 val fetch_report : ?deadline_s:float -> Unix.file_descr -> (string, string) result
 
@@ -257,8 +255,8 @@ val resize : ?deadline_s:float -> Unix.file_descr -> int -> (int, string) result
 
 val addr_alive : addr -> bool
 (** One connect probe: is something accepting on this address right now?
-    Generalizes the Unix-socket staleness check to TCP — how the router
-    decides whether an existing [--ready-file] points at a live listener
-    (refuse) or a crashed one (remove and take over). *)
+    The check {!listen_socket} makes before unlinking a socket path, and
+    how the router decides whether an existing [--ready-file] points at a
+    live listener (refuse) or a crashed one (remove and take over). *)
 
 val close : Unix.file_descr -> unit

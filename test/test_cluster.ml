@@ -13,6 +13,9 @@
    - the size-driven checkpoint cadence: checkpoint bytes amortize against
      routed bytes, and a worker kill or router SIGKILL replays at most
      about one checkpoint's worth;
+   - ordered admission: the parked-batch limit refuses without a WAL
+     record, and a resumed router re-parks the batches its WAL holds;
+   - seeded fuzzing of the command-line parser;
    - Chash units: determinism, coverage, rough balance, K→K+1 stability.
 
    The router forks worker processes and spawns no domains itself; this
@@ -62,8 +65,8 @@ let with_temp_dir f =
 
 let router_config ?(workers = 2) ?(worker_shards = 2) ?(worker_tcp = false)
     ?(checkpoint = true) ?(window = Router.default_window) ?(wal = true)
-    ?(resume = false) ?(state_every = Router.default_state_every) ~engine ~sampler
-    ~dir listen =
+    ?(resume = false) ?(state_every = Router.default_state_every)
+    ?(max_parked = Serve.default_max_parked) ~engine ~sampler ~dir listen =
   {
     Router.listen;
     workers;
@@ -74,7 +77,7 @@ let router_config ?(workers = 2) ?(worker_shards = 2) ?(worker_tcp = false)
     dir = Filename.concat dir "run";
     worker_tcp;
     checkpoint;
-    max_parked = Serve.default_max_parked;
+    max_parked;
     backlog = Serve.default_backlog;
     ready_file = None;
     heartbeat_s = None;
@@ -1117,6 +1120,128 @@ let test_pre_resize_checkpoint_ignored () =
   let rec go i = i + n <= String.length text && (String.sub text i n = line || go (i + 1)) in
   Alcotest.(check bool) ("logged: " ^ line) true (go 0)
 
+(* --- ordered admission ---------------------------------------------------------- *)
+
+(* At the parked-batch limit one more early batch is refused before it
+   reaches the WAL, and resending it once the gap fills completes the
+   stream exactly. *)
+let test_parked_limit () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:107 in
+  let trace = sample_trace ~seed:109 ~length:600 () in
+  let batches = Array.of_list (slices trace ~batch:100) in
+  let socket = Filename.concat dir "route.sock" in
+  let cfg =
+    router_config ~workers:2 ~worker_shards:1 ~max_parked:2 ~engine ~sampler ~dir
+      (Serve.Unix_path socket)
+  in
+  reaping_workers cfg.Router.dir @@ fun () ->
+  let pid = start_router cfg in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  let send i =
+    let base, sub = batches.(i) in
+    Serve.send_batch ~deadline_s:60.0 fd ~base sub
+  in
+  let wal_appends () =
+    json_num (fetch_stats_json fd) [ "telemetry"; "router_wal_appends_total" ]
+  in
+  Alcotest.(check int) "batch 1 parks" 0 (get_ok "batch 1" (send 1));
+  Alcotest.(check int) "batch 2 parks" 0 (get_ok "batch 2" (send 2));
+  let appends = wal_appends () in
+  Alcotest.(check (result int string)) "a third early batch is refused"
+    (Error "ERR parked batch limit exceeded") (send 3);
+  Alcotest.(check (float 0.0)) "the refused batch left no WAL record" appends (wal_appends ());
+  Alcotest.(check int) "batch 0 drains 1 and 2" 300 (get_ok "batch 0" (send 0));
+  Alcotest.(check int) "the refused batch, resent" 400 (get_ok "batch 3" (send 3));
+  for i = 4 to Array.length batches - 1 do
+    ignore (get_ok "rest" (send i))
+  done;
+  Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace)
+    (get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd));
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid
+
+(* Batches 2 and 3 park behind the gap at 1 while batch 0 is ingested; the
+   router is SIGKILLed and resumed from its WAL, which re-parks them.  No
+   state checkpoint may be written while a batch is parked — a tail replay
+   from it would skip the parked batches' records — so with [state_every]
+   on, the first one follows batch 1 draining the gap. *)
+let test_resume_with_parked ~state_every () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:113 in
+  let trace = sample_trace ~seed:127 ~length:600 () in
+  let batches = Array.of_list (slices trace ~batch:100) in
+  let socket = Filename.concat dir "route.sock" in
+  let cfg =
+    router_config ~workers:2 ~worker_shards:1 ~state_every ~engine ~sampler ~dir
+      (Serve.Unix_path socket)
+  in
+  let run = cfg.Router.dir in
+  let send fd i =
+    let base, sub = batches.(i) in
+    get_ok "send_batch" (Serve.send_batch ~deadline_s:60.0 fd ~base sub)
+  in
+  let state_checkpoints j = json_num j [ "telemetry"; "router_state_checkpoints_total" ] in
+  reaping_workers run @@ fun () ->
+  let pid = start_router cfg in
+  (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+   let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+   Alcotest.(check int) "batch 2 parks" 0 (send fd 2);
+   Alcotest.(check int) "batch 3 parks" 0 (send fd 3);
+   Alcotest.(check int) "batch 0 is ingested" 100 (send fd 0);
+   let j = fetch_stats_json fd in
+   Alcotest.(check (float 0.0)) "two batches parked" 2.0 (json_num j [ "parked" ]);
+   Alcotest.(check (float 0.0)) "no state checkpoint while parked" 0.0 (state_checkpoints j);
+   Alcotest.(check bool) "no router-state.ftc" false
+     (Sys.file_exists (Filename.concat run "router-state.ftc")));
+  let pid = start_router { cfg with Router.resume = true } in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  let j = fetch_stats_json fd in
+  Alcotest.(check (float 0.0)) "resumed with both batches parked" 2.0 (json_num j [ "parked" ]);
+  Alcotest.(check (float 0.0)) "resumed at the cursor" 100.0 (json_num j [ "next_index" ]);
+  Alcotest.(check int) "batch 1 drains the parked batches" 400 (send fd 1);
+  for i = 4 to Array.length batches - 1 do
+    ignore (send fd i)
+  done;
+  Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace)
+    (get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd));
+  let j = fetch_stats_json fd in
+  Alcotest.(check bool) "a state checkpoint once nothing is parked" (state_every > 0)
+    (state_checkpoints j > 0.0);
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid
+
+(* --- wire fuzz ----------------------------------------------------------------- *)
+
+let test_wire_fuzz () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:131 in
+  let trace = sample_trace ~seed:137 ~length:600 () in
+  let socket = Filename.concat dir "route.sock" in
+  let cfg =
+    router_config ~workers:1 ~worker_shards:1 ~engine ~sampler ~dir (Serve.Unix_path socket)
+  in
+  reaping_workers cfg.Router.dir @@ fun () ->
+  let pid = start_router cfg in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  List.iter (fun seed -> Wire_fuzz.run ~seed ~count:200 ~blob_verbs:[ "BATCH" ] fd) [ 1; 2; 3 ];
+  List.iter
+    (fun (base, sub) ->
+      ignore (get_ok "send_batch" (Serve.send_batch ~deadline_s:60.0 fd ~base sub)))
+    (slices trace ~batch:100);
+  Alcotest.(check string) "a valid stream after the fuzz ≡ analyze"
+    (expected_report ~engine ~sampler trace)
+    (get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd));
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid
+
 (* --- Chash units -------------------------------------------------------------- *)
 
 let test_chash () =
@@ -1204,5 +1329,15 @@ let () =
             test_ready_file_staleness;
         ] );
       ("migration", [ QCheck_alcotest.to_alcotest migrate_property ]);
+      ( "admission",
+        [
+          Alcotest.test_case "parked-batch limit: refused before the WAL" `Quick
+            test_parked_limit;
+          Alcotest.test_case "resume re-parks WAL batches (state checkpoints on)" `Quick
+            (test_resume_with_parked ~state_every:1);
+          Alcotest.test_case "resume re-parks WAL batches (state checkpoints off)" `Quick
+            (test_resume_with_parked ~state_every:0);
+          Alcotest.test_case "wire parser fuzz, then ≡ analyze" `Quick test_wire_fuzz;
+        ] );
       ("chash", [ Alcotest.test_case "determinism, coverage, stability" `Quick test_chash ]);
     ]

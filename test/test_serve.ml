@@ -7,7 +7,10 @@
      payloads and unknown commands answer without corrupting the session;
    - crash-mid-stream: SIGKILL the daemon between batches, restart it from
      its .ftc checkpoint set, blindly resend everything — the final
-     report still matches the uninterrupted analysis.
+     report still matches the uninterrupted analysis;
+   - ordered admission ({!Ft_shard.Admit}) directly, as a QCheck property,
+     and through the daemon at its parked-batch limit;
+   - seeded fuzzing of the command-line parser.
 
    The daemon runs in a forked child (it spawns shard domains; the parent
    forks before ever creating a domain). *)
@@ -42,8 +45,8 @@ let with_temp_dir f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let start_server ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ~engine ~shards ~sampler
-    socket =
+let start_server ?checkpoint_dir ?resume_dir ?metrics_json ?chaos
+    ?(max_parked = Serve.default_max_parked) ~engine ~shards ~sampler socket =
   match Unix.fork () with
   | 0 ->
     (try
@@ -57,7 +60,7 @@ let start_server ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ~engine ~shard
            checkpoint_dir;
            resume_dir;
            checkpoint_every = Serve.default_checkpoint_every;
-           max_parked = Serve.default_max_parked;
+           max_parked;
            backlog = Serve.default_backlog;
            ready_file = None;
            heartbeat_s = None;
@@ -608,6 +611,148 @@ let test_sigterm_graceful_under_connect_load () =
   Sys.remove path;
   Alcotest.(check bool) "socket removed on exit" false (Sys.file_exists socket)
 
+(* --- ordered admission -------------------------------------------------------- *)
+
+module Admit = Ft_shard.Admit
+
+(* [0, n) split into random batches, then offered scrambled: shuffled, with
+   duplicates and overlapping resends of arbitrary ranges mixed in. *)
+let admission_gen =
+  let open QCheck.Gen in
+  let* n = int_range 1 150 in
+  let* cuts = list_size (int_range 0 20) (int_range 0 n) in
+  let rec batches = function b :: (e :: _ as rest) -> (b, e - b) :: batches rest | _ -> [] in
+  let batches = batches (List.sort_uniq compare (0 :: n :: cuts)) in
+  let* dups = list_size (int_range 0 10) (oneofl batches) in
+  let* resends =
+    list_size (int_range 0 10)
+      (let* b = int_range 0 (n - 1) in
+       map (fun len -> (b, len)) (int_range 1 (n - b)))
+  in
+  let* offers = shuffle_l (batches @ dups @ resends) in
+  let* max_parked = int_range 1 4 in
+  return (n, max_parked, batches, offers)
+
+(* Drive one admitter the way the daemons do: feed on [Due], park on
+   [Park], do nothing on [Refuse]; then resend every batch in order, as a
+   client finishing its stream would.  A list-based model of the parked
+   set pins how far the cursor must have moved after every offer. *)
+let drive ~max_parked ~n ~batches offers =
+  let a = Admit.create max_parked in
+  let fed = ref 0 in
+  let model_cursor = ref 0 and model_parked = ref [] in
+  let rec model_drain () =
+    match List.find_opt (fun (b, _) -> b <= !model_cursor) !model_parked with
+    | Some (b, l) ->
+      model_parked := List.remove_assoc b !model_parked;
+      model_cursor := Stdlib.max !model_cursor (b + l);
+      model_drain ()
+    | None -> ()
+  in
+  let offer (base, len) =
+    let cursor = Admit.expected a and parked = Admit.parked a in
+    let feeder first =
+      if base + first <> !fed then
+        QCheck.Test.fail_reportf "fed from %d, but %d was next" (base + first) !fed;
+      if first >= len then QCheck.Test.fail_reportf "fed an empty suffix of [%d, +%d)" base len;
+      fed := base + len
+    in
+    (match Admit.verdict a base with
+    | Admit.Due ->
+      if base > cursor then QCheck.Test.fail_reportf "offer at %d due before cursor %d" base cursor;
+      Admit.feed a ~base ~len feeder;
+      model_cursor := Stdlib.max !model_cursor (base + len);
+      model_drain ()
+    | Admit.Park ->
+      if base <= cursor || parked >= max_parked then
+        QCheck.Test.fail_reportf "offer at %d parked (cursor %d, %d parked)" base cursor parked;
+      Admit.park a ~base ~len feeder;
+      model_parked := (base, len) :: List.remove_assoc base !model_parked
+    | Admit.Refuse ->
+      if base <= cursor || parked < max_parked then
+        QCheck.Test.fail_reportf "offer at %d refused (cursor %d, %d parked)" base cursor parked;
+      if Admit.expected a <> cursor || Admit.parked a <> parked then
+        QCheck.Test.fail_reportf "a refused offer changed the admitter");
+    if Admit.parked a > max_parked then
+      QCheck.Test.fail_reportf "%d parked > max_parked %d" (Admit.parked a) max_parked;
+    if Admit.expected a <> !fed then
+      QCheck.Test.fail_reportf "cursor %d but %d fed" (Admit.expected a) !fed;
+    if Admit.expected a <> !model_cursor || Admit.parked a <> List.length !model_parked then
+      QCheck.Test.fail_reportf "cursor %d with %d parked, the model says %d with %d"
+        (Admit.expected a) (Admit.parked a) !model_cursor (List.length !model_parked)
+  in
+  List.iter offer offers;
+  List.iter offer batches;
+  if !fed <> n || Admit.parked a <> 0 then
+    QCheck.Test.fail_reportf "stream ended with %d of %d fed, %d parked" !fed n (Admit.parked a)
+
+let admission_property =
+  let print (n, max_parked, _, offers) =
+    Printf.sprintf "n=%d max_parked=%d offers=[%s]" n max_parked
+      (String.concat "; " (List.map (fun (b, l) -> Printf.sprintf "%d+%d" b l) offers))
+  in
+  QCheck.Test.make ~name:"every index fed once, in order, within the parked bound" ~count:500
+    (QCheck.make ~print admission_gen)
+    (fun (n, max_parked, batches, offers) ->
+      drive ~max_parked ~n ~batches offers;
+      (* the CBATCH rule: nothing parks, every offer ahead of the cursor is
+         refused *)
+      drive ~max_parked:0 ~n ~batches offers;
+      true)
+
+(* At the parked-batch limit one more early batch is refused, and resending
+   it once the gap fills completes the stream exactly. *)
+let test_parked_limit () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:61 in
+  let trace = sample_trace ~seed:63 ~length:1_000 in
+  let batches = Array.of_list (slices trace ~batch:200) in
+  let socket = Filename.concat dir "serve.sock" in
+  let pid = start_server ~max_parked:2 ~engine ~shards:2 ~sampler socket in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  let send i =
+    let base, sub = batches.(i) in
+    Serve.send_batch fd ~base sub
+  in
+  Alcotest.(check int) "batch 1 parks" 0 (get_ok "batch 1" (send 1));
+  Alcotest.(check int) "batch 2 parks" 0 (get_ok "batch 2" (send 2));
+  Alcotest.(check (result int string)) "a third early batch is refused"
+    (Error "ERR parked batch limit exceeded") (send 3);
+  Alcotest.(check int) "batch 0 drains 1 and 2" 600 (get_ok "batch 0" (send 0));
+  Alcotest.(check int) "the refused batch, resent" 800 (get_ok "batch 3" (send 3));
+  for i = 4 to Array.length batches - 1 do
+    ignore (get_ok "rest" (send i))
+  done;
+  Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace)
+    (get_ok "fetch_report" (Serve.fetch_report fd));
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid
+
+(* --- wire fuzz ----------------------------------------------------------------- *)
+
+let test_wire_fuzz () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:71 in
+  let trace = sample_trace ~seed:73 ~length:600 in
+  let socket = Filename.concat dir "serve.sock" in
+  let pid = start_server ~engine ~shards:2 ~sampler socket in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  List.iter
+    (fun seed -> Wire_fuzz.run ~seed ~count:200 ~blob_verbs:[ "BATCH"; "CBATCH" ] fd)
+    [ 1; 2; 3 ];
+  List.iter
+    (fun (base, sub) -> ignore (get_ok "send_batch" (Serve.send_batch fd ~base sub)))
+    (slices trace ~batch:200);
+  Alcotest.(check string) "a valid stream after the fuzz ≡ analyze"
+    (expected_report ~engine ~sampler trace)
+    (get_ok "fetch_report" (Serve.fetch_report fd));
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid
+
 let () =
   Alcotest.run "serve"
     [
@@ -623,7 +768,11 @@ let () =
             test_refuses_live_listener;
           Alcotest.test_case "SIGTERM under connect load drains gracefully" `Quick
             test_sigterm_graceful_under_connect_load;
+          Alcotest.test_case "parked-batch limit refuses, resend completes" `Quick
+            test_parked_limit;
+          Alcotest.test_case "wire parser fuzz, then ≡ analyze" `Quick test_wire_fuzz;
         ] );
+      ("admission", [ QCheck_alcotest.to_alcotest admission_property ]);
       ( "client robustness",
         [
           Alcotest.test_case "slow server: EAGAIN mid-blob" `Quick
