@@ -346,8 +346,8 @@ let run_shard_grid ~target_events ~jobs:_ =
 (* --- cluster scaling --------------------------------------------------------- *)
 
 (* Routed-ingest throughput of the K-process cluster: a forked router
-   partitions locations across K worker processes (each a domain-sharded
-   serve daemon); the load generator streams a db_sim trace over two client
+   partitions locations across K worker processes (each a serve daemon
+   checking inline); the load generator streams a db_sim trace over two client
    connections and fetches the final REPORT, which must be byte-identical
    to the in-process analysis.  Runs before any figure that spawns domains:
    the router forks, and forking a multi-domain process is not safe. *)

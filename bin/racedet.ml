@@ -766,10 +766,6 @@ let route_cmd =
                  hashing). Reports stay byte-identical to a single-process \
                  analyze for every K.")
   in
-  let worker_shards =
-    Arg.(value & opt int 1 & info [ "worker-shards" ] ~docv:"J"
-           ~doc:"Detector domains inside each worker process.")
-  in
   let dir =
     Arg.(required & opt (some string) None & info [ "dir" ] ~docv:"DIR"
            ~doc:"Run directory: worker sockets, ready/pid files and per-worker \
@@ -823,7 +819,7 @@ let route_cmd =
     Arg.(value & opt (some float) None & info [ "heartbeat" ] ~docv:"SECONDS"
            ~doc:"Log a one-line liveness heartbeat to stderr every SECONDS.")
   in
-  let run socket tcp backlog ready_file engine workers worker_shards dir worker_tcp
+  let run socket tcp backlog ready_file engine workers dir worker_tcp
       no_checkpoint rate seed clock_size metrics_json max_respawns window no_wal resume
       state_every heartbeat chaos =
     match Engine.of_name engine with
@@ -849,7 +845,7 @@ let route_cmd =
              {
                Router.listen;
                workers;
-               worker_shards;
+               worker_shards = 1;
                engine = id;
                sampler;
                clock_size;
@@ -880,15 +876,15 @@ let route_cmd =
   let term =
     Term.(
       const run $ socket_arg $ tcp_arg $ backlog_arg $ ready_file_arg $ engine
-      $ workers $ worker_shards $ dir $ worker_tcp $ no_checkpoint $ rate_arg
+      $ workers $ dir $ worker_tcp $ no_checkpoint $ rate_arg
       $ seed_arg $ clock_size_arg $ metrics_json $ max_respawns $ window $ no_wal
       $ resume $ state_every $ heartbeat $ chaos_arg)
   in
   Cmd.v
     (Cmd.info "route"
        ~doc:
-         "Cluster router: partition locations across K worker processes (each an \
-          unchanged $(b,racedet serve) underneath) by consistent hashing, speak \
+         "Cluster router: partition locations across K worker processes (each a \
+          $(b,racedet serve) checking what the router sends) by consistent hashing, speak \
           the same BATCH protocol to clients, and merge the workers' partial \
           results into a report byte-identical to a single-process analyze. \
           Worker death and MIGRATE reuse the .ftc checkpoint/restore machinery.")

@@ -21,7 +21,8 @@ module Fault = Ft_fault.Fault
 
 (* The cluster router: one process speaking the plain BATCH protocol to
    clients and the CBATCH protocol to K worker processes, each worker being
-   an unchanged [racedet serve] daemon (domain-sharded underneath).
+   a [racedet serve] daemon whose CBATCH session is one checker: an engine
+   instance applied inline, with no domains and no supervisor.
 
    Soundness rests on the facts spelled out in DESIGN.md §6e–§6f:
 
@@ -29,10 +30,9 @@ module Fault = Ft_fault.Fault
      engine, and sends the owner of a location ({!Chash}) only that
      location's sampled accesses, each behind the changes to its thread's
      view that worker has not seen — the routing of {!Ft_shard.Sharded}
-     one level up; a worker is a [Sharded] fed those messages
-     ({!Ft_shard.Sharded.check}), so the checks read exactly what the
-     unsharded engine reads, and the merged counters are the front's plus
-     the workers';
+     one level up; a worker's checker imports each [View] and checks each
+     [Acc], so the checks read exactly what the unsharded engine reads,
+     and the merged counters are the front's plus the workers';
    - workers checkpoint by size — once the CBATCH bytes applied since
      their last set reach that set's snapshot bytes — and report the set's
      cut in every ack ([OK <total> <durable>]), so a crashed worker is
@@ -46,7 +46,9 @@ module Fault = Ft_fault.Fault
      align each worker at its own durable [SEQ].  The state checkpoint
      follows the same size rule against WAL growth and keeps each worker's
      log from its durable cut, so that [SEQ] lands inside the retained
-     log.
+     log, and the live logs are trimmed to that cut as acks advance it;
+   - a respawn is a worker's only recovery: a failed checker answers ERR
+     and exits without writing a checkpoint.
 
    CBATCH sends are pipelined: each worker has an in-flight window of
    unacked CBATCHes ([config.window]); acks are drained opportunistically
@@ -68,7 +70,7 @@ module Fault = Ft_fault.Fault
 type config = {
   listen : Serve.addr;
   workers : int;
-  worker_shards : int;  (* domains inside each worker *)
+  worker_shards : int;  (* must be 1: workers are inline checkers *)
   engine : Engine.id;
   sampler : Sampler.t;
   clock_size : int option;
@@ -109,7 +111,7 @@ type worker = {
   inflight : int Queue.t;  (* end-seq of each unacked CBATCH, send order *)
   mutable log : Cmsg.check array;  (* retained routed history: [lbase, lbase+llen) *)
   mutable llen : int;
-  mutable lbase : int;  (* messages before the retained window (state-checkpoint cut) *)
+  mutable lbase : int;  (* messages before the retained window (a durable cut) *)
   mutable respawns : int;
 }
 
@@ -288,7 +290,7 @@ let write_pid_file path pid =
   close_out oc;
   Sys.rename tmp path
 
-(* Fork one worker process running the unchanged serve daemon.  [resume]
+(* Fork one worker process running the serve daemon.  [resume]
    points it at its checkpoint directory; a missing or torn checkpoint set
    degrades to a fresh start there, which the router covers by replaying
    the full log (SEQ comes back 0). *)
@@ -310,7 +312,7 @@ let spawn_worker st w ~resume =
     {
       Serve.listen;
       engine = st.cfg.engine;
-      shards = st.cfg.worker_shards;
+      shards = 1;
       sampler = st.cfg.sampler;
       clock_size = st.cfg.clock_size;
       checkpoint_dir = ckpt;
@@ -398,7 +400,7 @@ let route_core ~ring ~front ~ship ~append i (e : Event.t) =
     match e.Event.op with
     | Event.Read x | Event.Write x ->
       let o = Chash.owner ring x in
-      (match Front.ship ship (Front.source front) o e.Event.thread with
+      (match Front.ship ship front o e.Event.thread with
       | Some (idx, vals) -> append o (Cmsg.View (e.Event.thread, idx, vals))
       | None -> ());
       append o (Cmsg.Acc (i, e))
@@ -468,10 +470,7 @@ let rebuild_logs st ~ring ~nworkers =
   let history = history_events st in
   let config = detector_config st (universe_of st) in
   let front = Front.create ~engine:st.cfg.engine config in
-  let ship =
-    Front.ship_create (Front.source front) ~dests:nworkers ~nthreads:config.Detector.nthreads
-      ~vsize:(Front.view_size front)
-  in
+  let ship = Front.ship_create front ~dests:nworkers ~nthreads:config.Detector.nthreads in
   let logs = Array.make nworkers [||] in
   let lens = Array.make nworkers 0 in
   let append k m =
@@ -516,6 +515,18 @@ let realign st w seq =
 
 exception Worker_suspect of string
 
+(* Drop the log below the worker's durable cut: a respawned worker's SEQ
+   lands there or later, and the state checkpoint keeps the log from there
+   too.  Shifting only once the dead prefix is half the array keeps the
+   copying amortized O(1) per message. *)
+let trim_log w =
+  let dead = Stdlib.min w.durable w.acked - w.lbase in
+  if dead > 0 && 2 * dead >= Array.length w.log then begin
+    w.log <- Array.sub w.log dead (w.llen - dead);
+    w.llen <- w.llen - dead;
+    w.lbase <- w.lbase + dead
+  end
+
 (* One "OK <total> <durable>" per in-flight CBATCH, in send order; anything
    else — an ERR, an unsolicited line, a reply regressing below the window
    we sent — marks the worker suspect and recovery takes over. *)
@@ -525,7 +536,8 @@ let ack_line w line =
     match (int_of_string_opt t, int_of_string_opt d, Queue.take_opt w.inflight) with
     | Some v, Some dur, Some endseq when v >= endseq && dur >= 0 && dur <= v ->
       w.acked <- endseq;
-      w.durable <- dur
+      w.durable <- dur;
+      trim_log w
     | _ -> raise (Worker_suspect (Printf.sprintf "worker %d: unexpected ack %S" w.id line)))
   | _ -> raise (Worker_suspect (Printf.sprintf "worker %d: %S instead of an ack" w.id line))
 
@@ -689,9 +701,7 @@ let init_universe st ((nthreads, _, _) as u) ~restored =
     | Some fs -> fs
     | None ->
       let front = Front.create ~engine:st.cfg.engine (detector_config st u) in
-      ( front,
-        Front.ship_create (Front.source front) ~dests:(Array.length st.workers) ~nthreads
-          ~vsize:(Front.view_size front) )
+      (front, Front.ship_create front ~dests:(Array.length st.workers) ~nthreads)
   in
   st.front <- Some front;
   st.ship <- Some ship;
@@ -828,10 +838,7 @@ let try_restore_state st ~k_final ~resized_at =
           let nevents = Snap.Dec.int dec in
           let config = detector_config st u in
           let front = Front.load dec ~engine:st.cfg.engine config in
-          let ship =
-            Front.ship_load dec ~dests:k ~nthreads:meta.Checkpoint.nthreads
-              ~vsize:(Front.view_size front)
-          in
+          let ship = Front.ship_load dec front ~dests:k ~nthreads:meta.Checkpoint.nthreads in
           let per_worker =
             Array.init k (fun _ ->
                 let cut = Snap.Dec.int dec in
@@ -1020,9 +1027,9 @@ let resize_cluster st delta =
 (* --- merge ------------------------------------------------------------------ *)
 
 (* The front did the sync work and the tally the unchecked accesses; each
-   worker's result is its checkers' checks (its own front is idle), so the
-   counters add up and the races, sorted by original index, are the
-   unsharded declarations (DESIGN.md §6e). *)
+   worker's result is its checker's checks, so the counters add up and the
+   races, sorted by original index, are the unsharded declarations
+   (DESIGN.md §6e). *)
 let merge_results st parts = Front.merge (Option.get st.front) parts
 
 let fetch_results st =
@@ -1059,7 +1066,6 @@ let stats_json st =
       ("engine", Json.Str (Engine.name st.cfg.engine));
       ("sampler", Json.Str (Sampler.name st.cfg.sampler));
       ("workers", Json.Int (Array.length st.workers));
-      ("worker_shards", Json.Int st.cfg.worker_shards);
       ("epoch", Json.Int st.epoch);
       ("window", Json.Int st.cfg.window);
       ("wal", Json.Bool (st.wal <> None));
@@ -1068,6 +1074,7 @@ let stats_json st =
       ("parked", Json.Int (Admit.parked st.admit));
       ("uptime_s", Json.Float (Clock.elapsed_s ~since:st.tel.started_ns));
       ("worker_log_lengths", per_worker total);
+      ("worker_log_retained", per_worker (fun w -> w.llen));
       ("worker_acked", per_worker (fun w -> w.acked));
       ("worker_pushed", per_worker (fun w -> w.pushed));
       ("worker_respawns", per_worker (fun w -> w.respawns));
@@ -1210,7 +1217,8 @@ let check_ready_file cfg =
 
 let run (cfg : config) =
   if cfg.workers < 1 then invalid_arg "Router.run: workers must be positive";
-  if cfg.worker_shards < 1 then invalid_arg "Router.run: worker_shards must be positive";
+  if cfg.worker_shards <> 1 then
+    invalid_arg "Router.run: worker_shards must be 1 (a worker is one inline checker)";
   if cfg.resume && not cfg.wal then
     invalid_arg "Router.run: --resume requires the WAL";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

@@ -1,20 +1,20 @@
 (** The [racedet route] cluster router.
 
     One process speaking the plain [BATCH] protocol to clients and the
-    [CBATCH] protocol to K worker processes, each worker an unchanged
-    [racedet serve] daemon (domain-sharded underneath).  The router is the
+    [CBATCH] protocol to K worker processes, each worker a [racedet serve]
+    daemon whose session is one checker applied inline.  The router is the
     {!Ft_shard.Front}: it runs the sampler and the one sync engine, and
     sends the worker owning a location (consistent hashing, {!Chash}) only
     that location's sampled accesses, each behind the changes to its
     thread's view that worker has not seen ({!Ft_shard.Cmsg.check}).  Sync
-    events go nowhere.  A worker is a {!Ft_shard.Sharded} fed those
-    messages, so the partial [RESULT]s add up to a report byte-identical
-    to a single-process [racedet analyze] — DESIGN.md §6e.  The router
-    answers [RESULT] with the merged result, as a worker answers with its
-    part.  Client batches reach the front in index order through
-    {!Ft_shard.Admit}, the rule a standalone [racedet serve] admits by:
-    early batches park (at most [max_parked]), resent prefixes are
-    skipped, and WAL replay admits through it too.
+    events go nowhere.  A worker's checker imports each view change and
+    checks each access, so the partial [RESULT]s add up to a report
+    byte-identical to a single-process [racedet analyze] — DESIGN.md §6e.
+    The router answers [RESULT] with the merged result, as a worker
+    answers with its part.  Client batches reach the front in index order
+    through {!Ft_shard.Admit}, the rule a standalone [racedet serve]
+    admits by: early batches park (at most [max_parked]), resent prefixes
+    are skipped, and WAL replay admits through it too.
 
     {b Durability} (DESIGN.md §6f): every client batch is appended to a
     routed-event {!Wal} and fsynced {e before} it is acknowledged, and the
@@ -47,8 +47,9 @@
     Worker death and migration reuse the [.ftc] checkpoint machinery
     end-to-end: workers checkpoint by size (once the CBATCH bytes applied
     since their last set reach that set's size) and report the set's cut
-    in every ack, the router keeps each worker's routed-message log, and
-    recovery is respawn → resume from checkpoint → [SEQ] → replay of the
+    in every ack, the router keeps each worker's routed-message log from
+    that cut (trimmed as acks advance it), and recovery — a worker's only
+    one — is respawn → resume from checkpoint → [SEQ] → replay of the
     suffix since that checkpoint, bounded by about one set's bytes.
     Chaos points [cluster.worker_crash], [cluster.migrate], [router.send]
     (per worker, [lane] = worker id), [router.wal_write], [router.crash]
@@ -65,7 +66,9 @@
 type config = {
   listen : Ft_shard.Serve.addr;
   workers : int;
-  worker_shards : int;  (** domains inside each worker's {!Ft_shard.Sharded} *)
+  worker_shards : int;
+      (** must be 1 ({!run} rejects anything else): a worker is one inline
+          checker.  Goes with the next change to the benchmark. *)
   engine : Ft_core.Engine.id;
   sampler : Ft_core.Sampler.t;
   clock_size : int option;

@@ -5,10 +5,10 @@
     prefixed by the trace universe, carried by the [CBATCH <seq> <nbytes>]
     command where [seq] is the dense per-worker sequence number of the
     first message.  The router is the {!Front}: it runs the sampler and
-    the one sync engine, so a worker — a {!Sharded} fed through
-    {!Sharded.check} — sees only the accesses it must check and the view
-    changes they need.  Accesses keep their original {e global} indices,
-    which order the merged race list (DESIGN.md §6e). *)
+    the one sync engine, so a worker (one engine instance, applied inline)
+    sees only the accesses it must check and the view changes they need.
+    Accesses keep their original {e global} indices, which order the
+    merged race list (DESIGN.md §6e). *)
 
 val op_tag : Ft_trace.Event.op -> int
 (** Stable wire tag of an event operation — shared with the cluster

@@ -30,17 +30,11 @@ let instance (module D : Detector.S) ?snap config =
     i_snapshot = (fun () -> D.snapshot d);
   }
 
-type source = {
-  version : Event.tid -> int;
-  export : Event.tid -> int array -> unit;
-}
-
 type t = {
   inst : inst;  (* the engine, fed sync events plus note_sampled *)
   samples : bool;  (* the engine checks only sampled accesses *)
   sampler : Sampler.instance;
   tally : Metrics.t;  (* accesses nobody checks: events, reads, writes *)
-  src : source;  (* the engine's own views *)
   vsize : int;
 }
 
@@ -53,16 +47,12 @@ let make ~engine ?snap ~sampler ~tally (config : Detector.config) =
     samples = Engine.honours_sampler engine;
     sampler;
     tally;
-    src = { version = inst.i_version; export = inst.i_export };
     vsize = D.view_size config;
   }
 
 let create ~engine (config : Detector.config) =
   make ~engine ~sampler:(Sampler.fresh config.Detector.sampler) ~tally:(Metrics.create ())
     config
-
-let source t = t.src
-let view_size t = t.vsize
 
 (* The sampler sees every access, exactly once, in trace order. *)
 let admit t i (e : Event.t) =
@@ -132,30 +122,30 @@ let ship_of ~shipped ~shadow ~vsize =
     delta_val = Array.make vsize 0;
   }
 
-(* A fresh destination holds the fresh views, which [src] (fresh too)
-   still has. *)
-let ship_create src ~dests ~nthreads ~vsize =
+(* A fresh destination holds the fresh views, which the front (fresh
+   too) still has. *)
+let ship_create t ~dests ~nthreads =
   ship_of
-    ~shipped:(Array.init dests (fun _ -> Array.init nthreads src.version))
+    ~shipped:(Array.init dests (fun _ -> Array.init nthreads t.inst.i_version))
     ~shadow:
       (Array.init dests (fun _ ->
            Array.init nthreads (fun th ->
-               let v = Array.make vsize 0 in
-               src.export th v;
+               let v = Array.make t.vsize 0 in
+               t.inst.i_export th v;
                v)))
-    ~vsize
+    ~vsize:t.vsize
 
 (* Bring destination [d]'s copy of thread [th]'s view up to date.  A
    version change ships a view even when no entry changed: the checker's
    import invalidates the thread's same-epoch cache entries just as the
    sync handler that moved the version did, so cache hits stay exact. *)
-let ship t src d th =
-  let v = src.version th in
+let ship t front d th =
+  let v = front.inst.i_version th in
   let shipped = t.shipped.(d) in
   if v = shipped.(th) then None
   else begin
     shipped.(th) <- v;
-    src.export th t.view;
+    front.inst.i_export th t.view;
     let view = t.view and shadow = t.shadow.(d).(th) in
     let n = ref 0 in
     for j = 0 to Array.length view - 1 do
@@ -180,12 +170,12 @@ let ship_save enc t =
         shipped)
     t.shipped
 
-let ship_load dec ~dests ~nthreads ~vsize =
+let ship_load dec t ~dests ~nthreads =
   let shipped = Array.make_matrix dests nthreads 0 in
   let shadow =
     Array.init dests (fun d ->
         Array.init nthreads (fun th ->
             shipped.(d).(th) <- Snap.Dec.int dec;
-            Snap.Dec.int_array_n dec vsize))
+            Snap.Dec.int_array_n dec t.vsize))
   in
-  ship_of ~shipped ~shadow ~vsize
+  ship_of ~shipped ~shadow ~vsize:t.vsize

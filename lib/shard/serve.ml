@@ -1,4 +1,5 @@
 module Trace = Ft_trace.Trace
+module Event = Ft_trace.Event
 module Trace_binary = Ft_trace.Trace_binary
 module Detector = Ft_core.Detector
 module Engine = Ft_core.Engine
@@ -318,10 +319,10 @@ let make_telemetry () =
     det_fields = [||];
   }
 
-(* Per-shard and per-field series exist once the detector does (K and the
-   field set are only known then). *)
-let attach_shard_series tel ~shards =
-  if Array.length tel.ring_gauges = 0 then begin
+(* Per-shard and per-field series exist once the session does (K and the
+   field set are only known then); a cluster session has no shards. *)
+let attach_series tel ~shards =
+  if Array.length tel.det_fields = 0 then begin
     tel.ring_gauges <-
       Array.init shards (fun k ->
           Registry.gauge tel.reg "serve_shard_ring_occupancy"
@@ -353,14 +354,36 @@ let attach_shard_series tel ~shards =
 
 (* --- server state -------------------------------------------------------- *)
 
+(* A cluster worker's checker: one engine instance sampling everything,
+   applied inline.  Its router is the front (DESIGN.md §6e), so nothing is
+   sharded or supervised here: the router's respawn is the recovery. *)
+type checker = {
+  inst : Front.inst;
+  vsize : int;  (* view entries per thread *)
+  mutable checked : int;  (* accesses checked *)
+}
+
+let checker engine ?snap (config : Detector.config) =
+  let ((module D : Detector.S) as packed) = Engine.detector engine in
+  {
+    inst = Front.instance packed ?snap { config with Detector.sampler = Sampler.all };
+    vsize = D.view_size config;
+    checked = 0;
+  }
+
+(* The session speaks either plain BATCH streams (units: events) into a
+   supervised sharded detector, or cluster CBATCH streams (units:
+   messages) into one checker; the admitter counts stream units, so mixing
+   the two would silently corrupt the idempotent-resend arithmetic. *)
+type session = Batch of Sharded.t | Cluster of checker
+
 type state = {
   cfg : config;
   tel : telemetry;
-  mutable det : Sharded.t option;
+  mutable session : session option;  (* fixed by the first ingested batch, or the resumed set *)
   mutable universe : (int * int * int) option;  (* nthreads, nlocks, nlocs *)
   mutable clock_size : int;
   mutable admit : Admit.t;  (* stream position: events (BATCH) or messages (CBATCH) *)
-  mutable mode : [ `Batch | `Cluster ] option;  (* fixed by the first ingested batch *)
   mutable since_ckpt : int;  (* BATCH mode: ingested batches since the last checkpoint set *)
   mutable applied_since_ckpt : int;  (* CBATCH mode: payload bytes applied since then *)
   mutable ckpt_bytes : int;  (* snapshot bytes of the newest set, written or resumed from *)
@@ -370,22 +393,65 @@ type state = {
   mutable failed : string option;  (* fail-fast diagnostic: exit non-zero *)
 }
 
-(* A checkpoint set is one file: the router snapshot and every shard's in
-   one checksummed container, written atomically (write-fsync-rename).  A
-   crash or a faulted write mid-set therefore leaves the previous set whole,
-   so the durable cut a cluster worker reports never moves backwards. *)
+let session_result = function
+  | Batch det -> Sharded.result det
+  | Cluster c -> c.inst.Front.i_result ()
+
+let session_events = function Batch det -> Sharded.events det | Cluster c -> c.checked
+
+(* A checkpoint set is one file, checksummed and written atomically
+   (write-fsync-rename): a crash or a faulted write mid-set leaves the
+   previous set whole, so the durable cut a cluster worker reports never
+   moves backwards.  It opens with the session kind: a BATCH set holds the
+   router snapshot and every shard's, a CBATCH set the checked count and
+   the checker's one snapshot. *)
 let set_file dir = Filename.concat dir "set.ftc"
 
-let encode_set ~router snaps =
+let batch_set = -1
+let cluster_set = -2
+
+let encode_set session =
   let enc = Snap.Enc.create () in
-  Snap.Enc.string enc router;
-  Snap.Enc.int enc (Array.length snaps);
-  Array.iter (Snap.Enc.string enc) snaps;
+  (match session with
+  | Batch det ->
+    let snaps = Sharded.shard_snapshots det in
+    Snap.Enc.int enc batch_set;
+    Snap.Enc.string enc (Sharded.router_snapshot det);
+    Snap.Enc.int enc (Array.length snaps);
+    Array.iter (Snap.Enc.string enc) snaps
+  | Cluster c ->
+    Snap.Enc.int enc cluster_set;
+    Snap.Enc.int enc c.checked;
+    Snap.Enc.string enc (c.inst.Front.i_snapshot ()));
   Snap.Enc.to_snap enc
 
+(* A set with an older layout opens with its router snapshot's length
+   instead of a kind, and is refused like any other mismatch. *)
+let decode_set (cfg : config) config set =
+  let dec = Snap.Dec.of_snap set in
+  let kind = Snap.Dec.int dec in
+  if kind = cluster_set then begin
+    let checked = Snap.Dec.int dec in
+    let c = checker cfg.engine ~snap:(Snap.Dec.string dec) config in
+    Snap.Dec.finish dec;
+    c.checked <- checked;
+    Cluster c
+  end
+  else begin
+    Snap.expect (kind = batch_set) "checkpoint set has an older layout";
+    let router = Snap.Dec.string dec in
+    let k = Snap.Dec.int dec in
+    Snap.expect (k = cfg.shards) "checkpoint shard count differs from --shards";
+    let snaps = Array.init k (fun _ -> Snap.Dec.string dec) in
+    Snap.Dec.finish dec;
+    Batch
+      (Sharded.restore ~engine:cfg.engine ~shards:cfg.shards ~supervise:true
+         ~max_restarts:cfg.max_restarts config ~router snaps)
+  end
+
 let write_checkpoint st =
-  match (st.cfg.checkpoint_dir, st.det, st.universe) with
-  | Some dir, Some det, Some (nthreads, nlocks, nlocs) -> (
+  match (st.cfg.checkpoint_dir, st.session, st.universe) with
+  | Some dir, Some session, Some (nthreads, nlocks, nlocs) -> (
     let meta =
       {
         Checkpoint.engine = st.cfg.engine;
@@ -401,8 +467,7 @@ let write_checkpoint st =
     (* A faulted write leaves the previous set on disk: log it, count it,
        keep serving (and keep reporting the previous cut). *)
     try
-      let snaps = Sharded.shard_snapshots det in
-      let set = encode_set ~router:(Sharded.router_snapshot det) snaps in
+      let set = encode_set session in
       Checkpoint.save (set_file dir) { Checkpoint.meta; detector = set };
       let bytes = String.length set in
       Registry.incr st.tel.checkpoints_total;
@@ -438,10 +503,16 @@ let maybe_checkpoint_bytes st applied =
     if st.applied_since_ckpt >= st.ckpt_bytes then write_checkpoint st
   end
 
+let detector_config (cfg : config) (nthreads, nlocks, nlocs) =
+  let clock_size =
+    match cfg.clock_size with None -> nthreads | Some s -> Stdlib.max s nthreads
+  in
+  { Detector.nthreads; nlocks; nlocs; clock_size; sampler = cfg.sampler }
+
 (* Resume from a checkpoint directory.  Any inconsistency (missing file,
-   checksum failure, a shard count other than [cfg.shards]) degrades to a
-   logged fresh start — clients resend idempotently, so the result is still
-   exact. *)
+   checksum failure, a shard count other than [cfg.shards], an older
+   layout) degrades to a logged fresh start — clients resend idempotently,
+   so the result is still exact. *)
 let try_resume (cfg : config) =
   match cfg.resume_dir with
   | None -> None
@@ -458,26 +529,10 @@ let try_resume (cfg : config) =
         if meta.Checkpoint.sampler = Sampler.name cfg.sampler then Ok ()
         else Error "checkpoint sampler differs from the configured sampler"
       in
-      let config =
-        {
-          Detector.nthreads = meta.Checkpoint.nthreads;
-          nlocks = meta.Checkpoint.nlocks;
-          nlocs = meta.Checkpoint.nlocs;
-          clock_size = meta.Checkpoint.clock_size;
-          sampler = cfg.sampler;
-        }
-      in
-      match
-        let dec = Snap.Dec.of_snap cp.Checkpoint.detector in
-        let router = Snap.Dec.string dec in
-        let k = Snap.Dec.int dec in
-        Snap.expect (k = cfg.shards) "checkpoint shard count differs from --shards";
-        let snaps = Array.init k (fun _ -> Snap.Dec.string dec) in
-        Snap.Dec.finish dec;
-        Sharded.restore ~engine:cfg.engine ~shards:cfg.shards ~supervise:true
-          ~max_restarts:cfg.max_restarts config ~router snaps
-      with
-      | det -> Ok (det, meta, String.length cp.Checkpoint.detector)
+      let u = (meta.Checkpoint.nthreads, meta.Checkpoint.nlocks, meta.Checkpoint.nlocs) in
+      let config = { (detector_config cfg u) with clock_size = meta.Checkpoint.clock_size } in
+      match decode_set cfg config cp.Checkpoint.detector with
+      | session -> Ok (session, config, meta, String.length cp.Checkpoint.detector)
       | exception Snap.Corrupt msg -> Error msg
     in
     (match outcome with
@@ -487,46 +542,42 @@ let try_resume (cfg : config) =
         msg;
       None)
 
-let ensure_detector st (nthreads, nlocks, nlocs) =
-  match (st.det, st.universe) with
-  | Some det, Some u ->
-    if u = (nthreads, nlocks, nlocs) then Ok det
-    else Error "batch universe differs from the session's"
-  | None, _ ->
-    let clock_size =
-      match st.cfg.clock_size with
-      | None -> nthreads
-      | Some s -> Stdlib.max s nthreads
-    in
-    let config = { Detector.nthreads; nlocks; nlocs; clock_size; sampler = st.cfg.sampler } in
+let open_session st session (config : Detector.config) =
+  st.session <- Some session;
+  st.universe <- Some (config.Detector.nthreads, config.Detector.nlocks, config.Detector.nlocs);
+  st.clock_size <- config.Detector.clock_size;
+  attach_series st.tel ~shards:(match session with Batch _ -> st.cfg.shards | Cluster _ -> 0)
+
+let universe_differs = Error "batch universe differs from the session's"
+
+(* The sharded detector a BATCH over universe [u] feeds: the session's, or
+   a fresh one that opens it. *)
+let batch_session st u =
+  match st.session with
+  | Some (Cluster _) -> Error "session already ingests CBATCH streams (cluster worker)"
+  | Some (Batch det) -> if st.universe = Some u then Ok det else universe_differs
+  | None ->
+    let config = detector_config st.cfg u in
     let det =
       Sharded.create ~engine:st.cfg.engine ~shards:st.cfg.shards ~supervise:true
         ~max_restarts:st.cfg.max_restarts config
     in
-    st.det <- Some det;
-    st.universe <- Some (nthreads, nlocks, nlocs);
-    st.clock_size <- clock_size;
-    attach_shard_series st.tel ~shards:st.cfg.shards;
+    open_session st (Batch det) config;
     Ok det
-  | Some _, None -> assert false
 
-(* The session speaks either plain BATCH streams (units: events) or cluster
-   CBATCH streams (units: messages); the admitter counts stream units, so
-   mixing the two would silently corrupt the idempotent-resend arithmetic. *)
-let ensure_mode st mode =
-  match st.mode with
-  | None ->
-    st.mode <- Some mode;
-    Ok ()
-  | Some m when m = mode -> Ok ()
-  | Some `Batch -> Error "session already ingests BATCH streams (not a cluster worker)"
-  | Some `Cluster -> Error "session already ingests CBATCH streams (cluster worker)"
+(* The checker a CBATCH over universe [u] goes to: the session's, or a
+   fresh one that opens it once a batch is applied. *)
+let cluster_checker st u =
+  match st.session with
+  | Some (Batch _) -> Error "session already ingests BATCH streams (not a cluster worker)"
+  | Some (Cluster c) -> if st.universe = Some u then Ok c else universe_differs
+  | None -> Ok (checker st.cfg.engine (detector_config st.cfg u))
 
 let reply = Evloop.reply
 
-(* A shard past its restart budget is unrecoverable within this process:
-   reply with the diagnostic, then fail fast — clients hold the full stream
-   and can replay into a fresh server. *)
+(* A shard past its restart budget, or a failed checker, is unrecoverable
+   within this process: reply with the diagnostic, then fail fast — clients
+   hold the full stream and can replay into a fresh server. *)
 let fail_fast st conn msg =
   st.failed <- Some msg;
   st.stop_reason <- "shard failure";
@@ -537,17 +588,6 @@ let guard st conn f =
   try f () with
   | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
   | Sharded.Shard_failed msg -> fail_fast st conn msg
-
-(* A decoded batch of [mode] over universe [u]: fix the session's mode and
-   detector, then run [f det]. *)
-let with_session st conn mode u f =
-  match
-    match ensure_mode st mode with
-    | Error _ as e -> e
-    | Ok () -> ensure_detector st u
-  with
-  | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-  | Ok det -> guard st conn (fun () -> f det)
 
 (* Feed a due batch through the admitter, run [after] on the count of
    units it newly admitted (the checkpoint step), and count the batch. *)
@@ -573,25 +613,48 @@ let handle_batch st conn base payload =
        [Netbuf.take] and the decoder never writes through the reader *)
     match Trace_binary.of_bytes (Bytes.unsafe_of_string payload) with
     | Error msg -> reply conn (Printf.sprintf "ERR bad batch: %s\n" msg)
-    | Ok trace ->
-      with_session st conn `Batch (trace.Trace.nthreads, trace.Trace.nlocks, trace.Trace.nlocs)
-      @@ fun det ->
-      let len = Trace.length trace in
-      let events first =
-        for i = first to len - 1 do
-          Sharded.handle det (base + i) (Trace.get trace i)
-        done
-      in
-      let ok () = reply conn (Printf.sprintf "OK %d\n" (Admit.expected st.admit)) in
-      (match Admit.verdict st.admit base with
-      | Admit.Refuse -> reply conn "ERR parked batch limit exceeded\n"
-      | Admit.Park ->
-        Admit.park st.admit ~base ~len events;
-        Registry.incr st.tel.parked_total;
-        ok ()
-      | Admit.Due ->
-        ingest st ~base ~len events ~after:(fun _ -> maybe_checkpoint st);
-        ok ())
+    | Ok trace -> (
+      match batch_session st (trace.Trace.nthreads, trace.Trace.nlocks, trace.Trace.nlocs) with
+      | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
+      | Ok det ->
+        guard st conn @@ fun () ->
+        let len = Trace.length trace in
+        let events first =
+          for i = first to len - 1 do
+            Sharded.handle det (base + i) (Trace.get trace i)
+          done
+        in
+        let ok () = reply conn (Printf.sprintf "OK %d\n" (Admit.expected st.admit)) in
+        (match Admit.verdict st.admit base with
+        | Admit.Refuse -> reply conn "ERR parked batch limit exceeded\n"
+        | Admit.Park ->
+          Admit.park st.admit ~base ~len events;
+          Registry.incr st.tel.parked_total;
+          ok ()
+        | Admit.Due ->
+          ingest st ~base ~len events ~after:(fun _ -> maybe_checkpoint st);
+          ok ()))
+
+(* Why a message does not fit checker [c] over universe [u], if it does
+   not.  A batch is checked whole before its first message is applied, so
+   a bad one changes nothing. *)
+let misfit c (nthreads, _, nlocs) = function
+  | Cmsg.View (th, idx, _) ->
+    let n = Array.length idx in
+    if th < nthreads && (n = 0 || idx.(n - 1) < c.vsize) then None
+    else Some (Printf.sprintf "view of thread %d out of range" th)
+  | Cmsg.Acc (i, e) -> (
+    match e.Event.op with
+    | (Event.Read x | Event.Write x) when e.Event.thread < nthreads && x < nlocs -> None
+    | _ -> Some (Printf.sprintf "event %d is not a checkable access" i))
+
+(* A [View] goes to the engine's import, which bumps the thread's view
+   version even when no entry changes, as the router's sync handler did. *)
+let apply c = function
+  | Cmsg.View (th, idx, vals) -> c.inst.Front.i_import th idx vals
+  | Cmsg.Acc (i, e) ->
+    c.inst.Front.i_handle i e;
+    c.checked <- c.checked + 1
 
 (* A cluster sub-stream batch.  The router is this worker's only client and
    sends sequence-contiguous CBATCHes, so nothing parks here — a batch
@@ -604,23 +667,30 @@ let handle_cbatch st conn seq payload =
     match Cmsg.decode payload with
     | Error msg -> reply conn (Printf.sprintf "ERR bad cluster batch: %s\n" msg)
     | Ok (u, msgs) -> (
-      with_session st conn `Cluster u @@ fun det ->
-      match Admit.verdict st.admit seq with
-      | Admit.Park | Admit.Refuse ->
-        reply conn
-          (Printf.sprintf "ERR cluster batch from the future (seq %d, expected %d)\n" seq
-             (Admit.expected st.admit))
-      | Admit.Due ->
-        let n = Array.length msgs in
-        ingest st ~base:seq ~len:n
-          (fun first ->
-            for j = first to n - 1 do
-              Sharded.check det msgs.(j)
-            done)
-          ~after:(fun ingested ->
-            maybe_checkpoint_bytes st
-              (if n = 0 then 0 else String.length payload * ingested / n));
-        reply conn (Printf.sprintf "OK %d %d\n" (Admit.expected st.admit) st.durable))
+      match cluster_checker st u with
+      | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
+      | Ok c -> (
+        match (Array.find_map (misfit c u) msgs, Admit.verdict st.admit seq) with
+        | Some msg, _ -> reply conn (Printf.sprintf "ERR bad cluster batch: %s\n" msg)
+        | None, (Admit.Park | Admit.Refuse) ->
+          reply conn
+            (Printf.sprintf "ERR cluster batch from the future (seq %d, expected %d)\n" seq
+               (Admit.expected st.admit))
+        | None, Admit.Due -> (
+          if Option.is_none st.session then open_session st (Cluster c) (detector_config st.cfg u);
+          let n = Array.length msgs in
+          match
+            ingest st ~base:seq ~len:n
+              (fun first ->
+                for j = first to n - 1 do
+                  apply c msgs.(j)
+                done)
+              ~after:(fun ingested ->
+                maybe_checkpoint_bytes st
+                  (if n = 0 then 0 else String.length payload * ingested / n))
+          with
+          | () -> reply conn (Printf.sprintf "OK %d %d\n" (Admit.expected st.admit) st.durable)
+          | exception e -> fail_fast st conn ("checker failed: " ^ Printexc.to_string e))))
 
 (* --- STATS ----------------------------------------------------------------- *)
 
@@ -631,9 +701,9 @@ let refresh_cheap st =
   Registry.set tel.parked_now (Admit.parked st.admit);
   Registry.set tel.uptime (int_of_float (Clock.elapsed_s ~since:tel.started_ns));
   Registry.set_counter tel.faults_injected (Fault.fired ());
-  match st.det with
-  | None -> ()
-  | Some det ->
+  match st.session with
+  | None | Some (Cluster _) -> ()
+  | Some (Batch det) ->
     Registry.set_counter tel.shard_restarts (Sharded.restarts_total det);
     Array.iteri
       (fun k occ -> if k < Array.length tel.ring_gauges then Registry.set tel.ring_gauges.(k) occ)
@@ -656,10 +726,10 @@ let refresh_cheap st =
    heartbeat. *)
 let refresh_full st =
   refresh_cheap st;
-  match st.det with
+  match st.session with
   | None -> None
-  | Some det ->
-    let result = Sharded.result det in
+  | Some s ->
+    let result = session_result s in
     Array.iteri
       (fun i v ->
         if i < Array.length st.tel.det_fields then
@@ -668,11 +738,11 @@ let refresh_full st =
     Some result
 
 let stats_json st result =
-  let events = match st.det with Some det -> Sharded.events det | None -> 0 in
+  let events = match st.session with Some s -> session_events s | None -> 0 in
   let per_shard f =
-    match st.det with
-    | None -> Json.Arr []
-    | Some det -> Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) (f det)))
+    match st.session with
+    | None | Some (Cluster _) -> Json.Arr []
+    | Some (Batch det) -> Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) (f det)))
   in
   let supervision f det = Array.map f (Sharded.supervision det) in
   Json.Obj
@@ -728,14 +798,14 @@ let handle_line st conn line =
         ((if verb = "BATCH" then handle_batch else handle_cbatch) st conn b)
     | _ -> reply conn (Printf.sprintf "ERR malformed %s header\n" verb))
   | [ ("REPORT" | "RESULT") as verb ] -> (
-    match st.det with
+    match st.session with
     | None -> reply conn "ERR no events ingested\n"
-    | Some det ->
+    | Some s ->
       guard st conn (fun () ->
-          let r = Sharded.result det in
+          let r = session_result s in
           (* RESULT: the raw partial result, for a cluster router's merge *)
           Evloop.reply_blob conn verb
-            (if verb = "REPORT" then report_text ~events:(Sharded.events det) r
+            (if verb = "REPORT" then report_text ~events:(session_events s) r
              else Cmsg.encode_result r)))
   | [ "SEQ" ] ->
     (* where this session's stream stands — what a recovering router uses
@@ -779,11 +849,10 @@ let run cfg =
     {
       cfg;
       tel = make_telemetry ();
-      det = None;
+      session = None;
       universe = None;
       clock_size = 0;
       admit = Admit.create cfg.max_parked;
-      mode = None;
       since_ckpt = 0;
       applied_since_ckpt = 0;
       ckpt_bytes = 0;
@@ -807,15 +876,11 @@ let run cfg =
   Sys.set_signal Sys.sigint (on_signal "SIGINT");
   (match try_resume cfg with
   | None -> ()
-  | Some (det, meta, bytes) ->
-    st.det <- Some det;
-    st.universe <-
-      Some (meta.Checkpoint.nthreads, meta.Checkpoint.nlocks, meta.Checkpoint.nlocs);
-    st.clock_size <- meta.Checkpoint.clock_size;
+  | Some (session, config, meta, bytes) ->
+    open_session st session config;
     st.admit <- Admit.create ~expected:meta.Checkpoint.next_index cfg.max_parked;
     st.durable <- meta.Checkpoint.next_index;
     st.ckpt_bytes <- bytes;
-    attach_shard_series st.tel ~shards:cfg.shards;
     Printf.eprintf "racedet serve: resumed at event %d\n%!" meta.Checkpoint.next_index);
   let last_beat = ref (Clock.now_ns ()) in
   let tick () =
@@ -841,9 +906,9 @@ let run cfg =
     write_checkpoint st;
     (try write_metrics_json_file st
      with Sharded.Shard_failed msg -> st.failed <- Some msg));
-  (match st.det with
-  | Some det -> ( try Sharded.stop det with Sharded.Shard_failed _ -> ())
-  | None -> ());
+  (match st.session with
+  | Some (Batch det) -> ( try Sharded.stop det with Sharded.Shard_failed _ -> ())
+  | Some (Cluster _) | None -> ());
   List.iter Evloop.close_conn remaining;
   Unix.close listen_fd;
   (match cfg.listen with
@@ -854,7 +919,7 @@ let run cfg =
   | Some _ ->
     Printf.eprintf "racedet serve: chaos summary: %d faults fired over %d checks, %d shard restarts\n%!"
       (Fault.fired ()) (Fault.checks ())
-      (match st.det with Some det -> Sharded.restarts_total det | None -> 0));
+      (match st.session with Some (Batch det) -> Sharded.restarts_total det | _ -> 0));
   match st.failed with
   | Some msg -> failwith ("racedet serve: " ^ msg)
   | None -> ()

@@ -29,16 +29,19 @@
 
     [CBATCH]/[RESULT]/[SEQ] are the cluster-worker face of the same daemon
     (see {!Cmsg} and DESIGN.md §6e): a {!Ft_cluster} router streams
-    consistent-hash sub-streams of routed messages, sequenced by a dense
+    consistent-hash sub-streams of checker messages, sequenced by a dense
     per-worker counter, and merges the workers' [RESULT] blobs.  A session
-    speaks either [BATCH] or [CBATCH], fixed by the first ingested batch;
-    mixing them is refused.  [CBATCH] admits through the same {!Admit}
-    but never parks — the router is the only client and sends in order,
-    so a batch ahead of the cursor is refused — while resent prefixes are
-    skipped idempotently, which is what makes post-recovery replay exact.  A
-    [CBATCH] ack also reports the worker's durable cut [<durable>]: the
-    stream position of its newest whole checkpoint set (0 without one),
-    which is where a respawned worker's [SEQ] will land.
+    speaks either [BATCH] or [CBATCH], fixed by the first ingested batch
+    (or the resumed set); mixing them is refused.  A [CBATCH] session is
+    one engine instance, applied inline — no domains, no supervisor — and
+    a batch is checked whole against the universe before its first message
+    is applied, so a bad one answers [ERR] and changes nothing.  [CBATCH] admits through the same
+    {!Admit} but never parks — the router is the only client and sends in
+    order, so a batch ahead of the cursor is refused — while resent
+    prefixes are skipped idempotently, which is what makes post-recovery
+    replay exact.  A [CBATCH] ack also reports the worker's durable cut
+    [<durable>]: the stream position of its newest whole checkpoint set (0
+    without one), which is where a respawned worker's [SEQ] will land.
 
     [STATS] snapshots the daemon's telemetry ({!Ft_obs.Registry}): ingest
     counters (batches fed / parked / duplicate / resent, events), per-batch
@@ -53,10 +56,12 @@
     so [REPORT] output stays byte-identical to [racedet analyze].
 
     With a checkpoint directory the server persists checkpoint sets: one
-    file, [set.ftc], holding every checker's snapshot plus the router's
-    (sampler state, front engine, tally, shipped views) in the
-    {!Ft_snapshot.Checkpoint} container — checksummed and written
-    atomically, so a crash mid-write leaves the previous set whole.  In [BATCH] mode a set is written
+    file, [set.ftc], in the {!Ft_snapshot.Checkpoint} container —
+    checksummed and written atomically, so a crash mid-write leaves the
+    previous set whole.  It opens with the session kind: a [BATCH] set
+    holds every checker's snapshot plus the router's (sampler state, front
+    engine, tally, shipped views), a [CBATCH] set the checked count and the
+    checker's one snapshot.  In [BATCH] mode a set is written
     every [checkpoint_every] ingested batches {e before acknowledging}
     (default 1: an acknowledged batch is durable).  In [CBATCH] mode the
     cadence is size-driven: a set is written once the payload bytes newly
@@ -64,20 +69,22 @@
     snapshot work is amortized O(1) per routed byte and a crash loses at
     most about one set's worth of stream, which the router replays from
     its log.  Both modes write a final set on shutdown.  A restarted
-    server pointed at the directory resumes exactly; if the set is missing
-    or inconsistent it logs the reason and starts fresh, which is still
-    correct because clients resend idempotently.
+    server pointed at the directory resumes exactly; if the set is missing,
+    inconsistent or of an older layout it logs the reason and starts
+    fresh, which is still correct because clients resend idempotently.
 
     {2 Robustness}
 
-    The daemon's sharded detector runs {e supervised}
+    A [BATCH] session's sharded detector runs {e supervised}
     ({!Sharded.create}[ ~supervise:true]): a shard worker that dies is
     rebuilt from its supervisor restore point (a snapshot the worker took
     on request, or the last checkpoint) and its byte backlog replayed, so
     verdicts are unaffected; a shard past its restart budget
     ([max_restarts]) fails the daemon fast with a non-zero exit, leaving
     the last good checkpoint set on disk for a replacement server to
-    resume from.  [SIGTERM] and [SIGINT] trigger the same graceful path as
+    resume from.  A failed [CBATCH] checker fails the daemon fast the same
+    way; its router respawns it from its newest set.  [SIGTERM] and
+    [SIGINT] trigger the same graceful path as
     a [SHUTDOWN] command — drain the rings, write a final checkpoint set,
     dump [metrics_json] — even when the signal lands inside [accept] or a
     blocking read (both are EINTR-guarded).  A [chaos] config arms the
@@ -123,7 +130,7 @@ val default_backlog : int
 type config = {
   listen : addr;
   engine : Ft_core.Engine.id;
-  shards : int;
+  shards : int;  (** [BATCH] sessions only: a [CBATCH] session is one checker *)
   sampler : Ft_core.Sampler.t;
   clock_size : int option;  (** default: the batch universe's thread count *)
   checkpoint_dir : string option;
@@ -167,10 +174,11 @@ val run : config -> unit
 (** Serve until a client sends [SHUTDOWN] or the process receives
     [SIGTERM]/[SIGINT] (both shut down gracefully: final checkpoint +
     metrics dump).  Refuses to start when [listen] is a Unix path with a
-    live listener; removes the socket file on exit.  Blocking; spawns the
-    shard domains — call it from a dedicated (child) process.  Raises
-    [Failure] after cleanup if a shard exhausted its restart budget (the
-    CLI turns that into a non-zero exit). *)
+    live listener; removes the socket file on exit.  Blocking; a [BATCH]
+    session spawns the shard domains — call it from a dedicated (child)
+    process.  Raises [Failure] after cleanup if a shard exhausted its
+    restart budget or a cluster checker failed (the CLI turns that into a
+    non-zero exit). *)
 
 val report_text : events:int -> Ft_core.Detector.result -> string
 (** The analysis report, byte-identical to [racedet analyze]'s output —

@@ -50,11 +50,8 @@ type t = {
   supervise : bool;
   max_restarts : int;
   shards : shard array;
-  front : Front.t;  (* idle in a cluster worker, which its router fronts *)
+  front : Front.t;  (* the sampler and the one sync engine *)
   ship : Front.ship;  (* per (shard, thread): what each checker last saw *)
-  imp_ver : int array;  (* per thread: bumped by every imported [View] *)
-  imp_view : int array array;  (* per thread: the view the router shipped *)
-  imported : Front.source;  (* [imp_ver] and [imp_view] *)
   mutable nevents : int;
   mutable stopped : bool;
 }
@@ -270,24 +267,11 @@ let push_msg t s c =
 
 (* [shard_snaps.(s)] is checker [s]'s starting state (None: fresh), and
    also its first restore point under supervision; [ship] what the
-   checkers last saw (None: fresh views); [imported] the worker's imported
-   view table (None: the front's fresh views). *)
+   checkers last saw (None: fresh views). *)
 let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_restarts)
-    (config : Detector.config) ~shard_snaps ~front ~ship ~imported ~nevents =
+    (config : Detector.config) ~shard_snaps ~front ~ship ~nevents =
   let packed = Engine.detector engine in
-  let nthreads = config.Detector.nthreads and vsize = Front.view_size front in
   let checker_config = { config with Detector.sampler = Sampler.all } in
-  let src = Front.source front in
-  let imp_ver, imp_view =
-    match imported with
-    | Some table -> table
-    | None ->
-      ( Array.init nthreads src.Front.version,
-        Array.init nthreads (fun th ->
-            let v = Array.make vsize 0 in
-            src.Front.export th v;
-            v) )
-  in
   let t =
     {
       packed;
@@ -320,14 +304,7 @@ let build ~engine ~shards:k ?(supervise = false) ?(max_restarts = default_max_re
       ship =
         (match ship with
         | Some s -> s
-        | None -> Front.ship_create src ~dests:k ~nthreads ~vsize);
-      imp_ver;
-      imp_view;
-      imported =
-        {
-          Front.version = (fun th -> imp_ver.(th));
-          export = (fun th buf -> Array.blit imp_view.(th) 0 buf 0 vsize);
-        };
+        | None -> Front.ship_create front ~dests:k ~nthreads:config.Detector.nthreads);
       nevents;
       stopped = false;
     }
@@ -341,16 +318,7 @@ let create ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config)
   if k < 1 then invalid_arg "Sharded.create: shards must be positive";
   build ~engine ~shards:k ?supervise ?max_restarts config
     ~shard_snaps:(Array.make k None) ~front:(Front.create ~engine config) ~ship:None
-    ~imported:None ~nevents:0
-
-(* Send an access to its owner behind the changes to its thread's view
-   (from [src]) that the owner has not seen. *)
-let route_access t src i (e : Event.t) x =
-  let s = owner_of ~shards:t.k x in
-  (match Front.ship t.ship src s e.Event.thread with
-  | Some (idx, vals) -> push_msg t s (Cmsg.View (e.Event.thread, idx, vals))
-  | None -> ());
-  push_msg t s (Cmsg.Acc (i, e))
+    ~nevents:0
 
 (* The front runs the sampler and the one sync engine; a checker sees only
    the accesses it must check, each behind the view changes it needs.
@@ -361,32 +329,15 @@ let handle t i (e : Event.t) =
   if t.stopped then failwith "Sharded.handle: detector is stopped";
   if Front.admit t.front i e then begin
     match e.Event.op with
-    | Event.Read x | Event.Write x -> route_access t (Front.source t.front) i e x
+    | Event.Read x | Event.Write x ->
+      let s = owner_of ~shards:t.k x in
+      (match Front.ship t.ship t.front s e.Event.thread with
+      | Some (idx, vals) -> push_msg t s (Cmsg.View (e.Event.thread, idx, vals))
+      | None -> ());
+      push_msg t s (Cmsg.Acc (i, e))
     | _ -> ()
   end;
   t.nevents <- t.nevents + 1
-
-(* A cluster worker's stream, fronted by its router (DESIGN.md §6e).  A
-   [View] lands in the imported table and always bumps the thread's
-   version — an empty one too: the router's version moved, so the
-   same-epoch invalidation must reach the checker.  An [Acc] then ships
-   exactly as {!handle} ships one, with that table as the view source. *)
-let check t (m : Cmsg.check) =
-  if t.stopped then failwith "Sharded.check: detector is stopped";
-  let nthreads = Array.length t.imp_ver in
-  match m with
-  | Cmsg.View (th, idx, vals) ->
-    let n = Array.length idx in
-    if th >= nthreads || (n > 0 && idx.(n - 1) >= Array.length t.imp_view.(th)) then
-      failwith (Printf.sprintf "Sharded.check: view of thread %d out of range" th);
-    Array.iteri (fun j x -> t.imp_view.(th).(x) <- vals.(j)) idx;
-    t.imp_ver.(th) <- t.imp_ver.(th) + 1
-  | Cmsg.Acc (i, e) -> (
-    match e.Event.op with
-    | (Event.Read x | Event.Write x) when e.Event.thread < nthreads ->
-      route_access t t.imported i e x;
-      t.nevents <- t.nevents + 1
-    | _ -> failwith (Printf.sprintf "Sharded.check: event %d is not a checkable access" i))
 
 let events t = t.nevents
 
@@ -485,9 +436,10 @@ let shard_snapshots t =
     t.shards
 
 (* Router snapshots open with a format tag below any shard count, so one
-   written before the imported view table (−2) or before the front/checker
-   split fails to decode — a logged fresh start — instead of misreading. *)
-let router_format = -3
+   with an older layout — with the imported view table of cluster workers
+   (−3), before it (−2), or before the front/checker split — fails to
+   decode (a logged fresh start) instead of misreading. *)
+let router_format = -4
 
 let router_snapshot t =
   flush t;
@@ -497,11 +449,6 @@ let router_snapshot t =
   Snap.Enc.int enc t.nevents;
   Front.save enc t.front;
   Front.ship_save enc t.ship;
-  Array.iteri
-    (fun th ver ->
-      Snap.Enc.int enc ver;
-      Snap.Enc.int_array enc t.imp_view.(th))
-    t.imp_ver;
   Snap.Enc.to_snap enc
 
 let restore ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config) ~router
@@ -513,21 +460,13 @@ let restore ~engine ~shards:k ?supervise ?max_restarts (config : Detector.config
   let dec = Snap.Dec.of_snap router in
   Snap.expect
     (Snap.Dec.int dec = router_format)
-    "Sharded.restore: router snapshot predates the imported view table";
+    "Sharded.restore: router snapshot has an older layout";
   let k' = Snap.Dec.int dec in
   Snap.expect (k' = k) "Sharded.restore: router snapshot was taken with a different K";
   let nevents = Snap.Dec.int dec in
   Snap.expect (nevents >= 0) "Sharded.restore: negative event count";
   let front = Front.load dec ~engine config in
-  let nthreads = config.Detector.nthreads and vsize = Front.view_size front in
-  let ship = Front.ship_load dec ~dests:k ~nthreads ~vsize in
-  let imp_ver = Array.make nthreads 0 in
-  let imp_view =
-    Array.init nthreads (fun th ->
-        imp_ver.(th) <- Snap.Dec.int dec;
-        Snap.Dec.int_array_n dec vsize)
-  in
+  let ship = Front.ship_load dec front ~dests:k ~nthreads:config.Detector.nthreads in
   Snap.Dec.finish dec;
   build ~engine ~shards:k ?supervise ?max_restarts config
-    ~shard_snaps:(Array.map Option.some shard_snaps) ~front ~ship:(Some ship)
-    ~imported:(Some (imp_ver, imp_view)) ~nevents
+    ~shard_snaps:(Array.map Option.some shard_snaps) ~front ~ship:(Some ship) ~nevents

@@ -16,8 +16,8 @@
     engine's declarations — for every engine, every sampler, and every K
     (property-tested).  Metrics add up: front (sync work) + Σ checkers
     (checks) + the front's tally of accesses nobody checks.  See
-    DESIGN.md §6a.  A cluster worker is the same detector with its front
-    idle, fed the router front's messages through {!check} (§6e).
+    DESIGN.md §6a.  The cluster router is the same front one level up; a
+    cluster worker is one inline checker, not this module (§6e).
 
     {2 Supervision}
 
@@ -99,18 +99,8 @@ val handle : t -> int -> Ft_trace.Event.t -> unit
     heal a failed shard in-line (replaying its backlog) before returning, and
     raises {!Shard_failed} once a shard is past its restart budget. *)
 
-val check : t -> Cmsg.check -> unit
-(** Apply one message of a cluster worker's stream, which its router's
-    {!Front} already sampled and synchronized: a [View] updates the
-    imported table of per-thread views (and always bumps that thread's
-    version, even when it changes no entry); an [Acc] goes to its owner
-    behind the imported view changes that shard has not seen, exactly as
-    {!handle} ships the front's.  The front stays idle.  Raises [Failure]
-    on a thread or view entry outside the universe, a non-access [Acc],
-    or after {!stop}. *)
-
 val events : t -> int
-(** Events routed so far ({!handle}), or accesses checked ({!check}). *)
+(** Events routed so far ({!handle}). *)
 
 val shard_event_counts : t -> int array
 (** Messages pushed to each shard's ring so far — sampled accesses and view
@@ -170,9 +160,8 @@ val stop : t -> unit
 
     A sharded detector checkpoints as K checker snapshots (each a regular
     {!Ft_core.Detector.S.snapshot} of an instance sampling everything) plus
-    one router snapshot holding the event count, the front, per shard and
-    thread the view version and view last shipped, and the imported view
-    table.  [restore] rebuilds the whole ensemble; shard count and universe
+    one router snapshot holding the event count, the front, and per shard
+    and thread the view version and view last shipped.  [restore] rebuilds the whole ensemble; shard count and universe
     must match the snapshots. *)
 
 val shard_snapshots : t -> Ft_core.Snap.t array
@@ -191,5 +180,5 @@ val restore :
   Ft_core.Snap.t array ->
   t
 (** Raises [Ft_core.Snap.Corrupt] on malformed or mismatched payloads
-    (wrong shard count, wrong universe, a router snapshot written before
-    the imported view table).  Spawns worker domains like {!create}. *)
+    (wrong shard count, wrong universe, a router snapshot with an older
+    layout).  Spawns worker domains like {!create}. *)

@@ -1,9 +1,9 @@
 (* racedet route — the cluster router:
 
-   - byte-identity grid: a K-worker cluster (each worker a domain-sharded
-     serve daemon in its own process) produces REPORTs byte-identical to the
-     in-process unsharded analysis, for every engine and across samplers
-     with per-location state;
+   - byte-identity grid: a K-worker cluster (each worker a serve daemon
+     with one inline checker, in its own process) produces REPORTs
+     byte-identical to the in-process unsharded analysis, for every engine
+     and across samplers with per-location state;
    - out-of-order and duplicate client batches over TCP transport;
    - worker death mid-ingest (chaos-injected SIGKILL and a real external
      SIGKILL via the pid file), recovered through .ftc checkpoint resume +
@@ -63,14 +63,14 @@ let with_temp_dir f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let router_config ?(workers = 2) ?(worker_shards = 2) ?(worker_tcp = false)
+let router_config ?(workers = 2) ?(worker_tcp = false)
     ?(checkpoint = true) ?(window = Router.default_window) ?(wal = true)
     ?(resume = false) ?(state_every = Router.default_state_every)
     ?(max_parked = Serve.default_max_parked) ~engine ~sampler ~dir listen =
   {
     Router.listen;
     workers;
-    worker_shards;
+    worker_shards = 1;
     engine;
     sampler;
     clock_size = None;
@@ -185,8 +185,7 @@ let check_result what ~engine ~sampler trace (got : Detector.result) =
 
 (* Every engine at K=2; the paper's headline engines across K∈{1,4} and the
    samplers whose correctness depends on whole-location partitioning
-   (per-location state: cold_region).  Each worker is itself domain-sharded
-   (worker_shards=2), so the grid also covers cluster-over-Sharded. *)
+   (per-location state: cold_region). *)
 let test_identity_grid () =
   with_temp_dir @@ fun dir ->
   let trace = sample_trace ~seed:7 ~length:900 () in
@@ -195,7 +194,7 @@ let test_identity_grid () =
     Unix.mkdir sub 0o700;
     let socket = Filename.concat sub "route.sock" in
     let cfg =
-      router_config ~workers ~worker_shards:2 ~engine ~sampler ~dir:sub
+      router_config ~workers ~engine ~sampler ~dir:sub
         (Serve.Unix_path socket)
     in
     let report, result = cluster_session ~cfg ~socket (slices trace ~batch:200) in
@@ -340,7 +339,7 @@ let migrate_property =
       Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
       let socket = Filename.concat dir "route.sock" in
       let cfg =
-        router_config ~workers:3 ~worker_shards:1 ~engine ~sampler ~dir
+        router_config ~workers:3 ~engine ~sampler ~dir
           (Serve.Unix_path socket)
       in
       let mid fd = get_ok "migrate" (Serve.migrate ~deadline_s:60.0 fd w) in
@@ -401,7 +400,7 @@ let test_router_kill_resume_grid () =
     Unix.mkdir sub 0o700;
     let socket = Filename.concat sub "route.sock" in
     let cfg =
-      router_config ~workers ~worker_shards:1 ~engine ~sampler ~dir:sub
+      router_config ~workers ~engine ~sampler ~dir:sub
         (Serve.Unix_path socket)
     in
     let arm2 () = Fault.arm_exact ~lane:0 ~point:"cluster.worker_crash" ~hit:2 Fault.Exn in
@@ -441,7 +440,7 @@ let router_kill_property =
       Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
       let socket = Filename.concat dir "route.sock" in
       let cfg =
-        router_config ~workers:2 ~worker_shards:1 ~checkpoint:ckpt
+        router_config ~workers:2 ~checkpoint:ckpt
           ~state_every:(if ckpt then 3 else 0)
           ~engine ~sampler ~dir (Serve.Unix_path socket)
       in
@@ -473,7 +472,7 @@ let resize_property =
       Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
       let socket = Filename.concat dir "route.sock" in
       let cfg =
-        router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir
+        router_config ~workers:2 ~engine ~sampler ~dir
           (Serve.Unix_path socket)
       in
       let mid fd =
@@ -499,7 +498,7 @@ let test_resize_without_wal () =
       Unix.mkdir sub 0o700;
       let socket = Filename.concat sub "route.sock" in
       let cfg =
-        router_config ~workers:2 ~worker_shards:1 ~wal:false ~engine ~sampler ~dir:sub
+        router_config ~workers:2 ~wal:false ~engine ~sampler ~dir:sub
           (Serve.Unix_path socket)
       in
       let mid fd =
@@ -530,7 +529,7 @@ let test_window_identity () =
       Unix.mkdir sub 0o700;
       let socket = Filename.concat sub "route.sock" in
       let cfg =
-        router_config ~workers:3 ~worker_shards:1 ~window ~engine ~sampler ~dir:sub
+        router_config ~workers:3 ~window ~engine ~sampler ~dir:sub
           (Serve.Unix_path socket)
       in
       let report = cluster_report ~cfg ~socket (slices trace ~batch:64) in
@@ -634,7 +633,7 @@ let test_ready_file_staleness () =
   let sock_a = Filename.concat dir_a "route.sock" in
   let cfg_a =
     {
-      (router_config ~workers:1 ~worker_shards:1 ~engine ~sampler ~dir:dir_a
+      (router_config ~workers:1 ~engine ~sampler ~dir:dir_a
          (Serve.Unix_path sock_a))
       with
       Router.ready_file = Some ready;
@@ -654,7 +653,7 @@ let test_ready_file_staleness () =
   (* B refuses: the ready file names a live listener *)
   let cfg_b =
     {
-      (router_config ~workers:1 ~worker_shards:1 ~engine ~sampler ~dir:dir_b
+      (router_config ~workers:1 ~engine ~sampler ~dir:dir_b
          (Serve.Unix_path (Filename.concat dir_b "route.sock")))
       with
       Router.ready_file = Some ready;
@@ -776,7 +775,7 @@ let test_checkpoint_amortization () =
   let metrics = Filename.concat dir "router.json" in
   let cfg =
     {
-      (router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir
+      (router_config ~workers:2 ~engine ~sampler ~dir
          (Serve.Unix_path socket))
       with
       Router.metrics_json = Some metrics;
@@ -839,7 +838,7 @@ let test_recovery_bound () =
   let nb = List.length batches in
   let socket = Filename.concat dir "route.sock" in
   let cfg =
-    router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir (Serve.Unix_path socket)
+    router_config ~workers:2 ~engine ~sampler ~dir (Serve.Unix_path socket)
   in
   let run = cfg.Router.dir in
   let send fd (base, sub) =
@@ -911,7 +910,7 @@ let test_messages_bounded_by_samples () =
   let metrics = Filename.concat dir "router.json" in
   let cfg =
     {
-      (router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir
+      (router_config ~workers:2 ~engine ~sampler ~dir
          (Serve.Unix_path socket))
       with
       Router.metrics_json = Some metrics;
@@ -938,6 +937,65 @@ let test_messages_bounded_by_samples () =
     true
     (messages <= 0.2 *. float_of_int n)
 
+(* --- retained logs ---------------------------------------------------------------- *)
+
+(* The router keeps each worker's log only from the worker's durable cut:
+   with checkpoints on, a worker's retained log is shorter than its
+   stream.  Losing a worker's set then puts its SEQ 0 below the retained
+   log, and the live router rebuilds full logs from the WAL once — still
+   exact. *)
+let test_logs_trimmed () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.all in
+  let trace = db_trace "smallbank" ~events:60_000 in
+  let batches = slices trace ~batch:512 in
+  let half = List.length batches / 2 in
+  let socket = Filename.concat dir "route.sock" in
+  let cfg = router_config ~workers:2 ~engine ~sampler ~dir (Serve.Unix_path socket) in
+  let run = cfg.Router.dir in
+  let send fd (base, sub) =
+    ignore (get_ok "send_batch" (Serve.send_batch ~deadline_s:60.0 fd ~base sub))
+  in
+  let pid = start_router cfg in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  List.iteri (fun i b -> if i < half then send fd b) batches;
+  (* RESULT drains every window, so each worker's last ack is in *)
+  ignore (get_ok "fetch_result" (Serve.fetch_result ~deadline_s:60.0 fd));
+  let j = fetch_stats_json fd in
+  List.iteri
+    (fun k (retained, total) ->
+      Printf.printf "worker %d: %d of %d messages retained\n%!" k retained total;
+      Alcotest.(check bool)
+        (Printf.sprintf "worker %d retains %d < %d messages" k retained total)
+        true (retained < total))
+    (List.combine (json_ints j "worker_log_retained") (json_ints j "worker_log_lengths"));
+  Sys.remove (Filename.concat (ckpt_dir run 1) "set.ftc");
+  let pidfile = Filename.concat run "worker-1.pid" in
+  Unix.kill (int_of_string (String.trim (In_channel.with_open_bin pidfile In_channel.input_all)))
+    Sys.sigkill;
+  List.iteri (fun i b -> if i >= half then send fd b) batches;
+  Alcotest.(check string) "a lost set below the retained log ≡ analyze"
+    (expected_report ~engine ~sampler trace)
+    (get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd));
+  let j = fetch_stats_json fd in
+  Alcotest.(check (float 0.0)) "one full-log rebuild" 1.0
+    (json_num j [ "telemetry"; "router_log_rebuilds_total" ]);
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid
+
+(* A cluster worker is one inline checker: there are no worker shards. *)
+let test_refuses_worker_shards () =
+  with_temp_dir @@ fun dir ->
+  let cfg =
+    router_config ~engine:Engine.So ~sampler:Sampler.all ~dir
+      (Serve.Unix_path (Filename.concat dir "route.sock"))
+  in
+  match Router.run { cfg with Router.worker_shards = 2 } with
+  | () -> Alcotest.fail "Router.run accepted worker_shards = 2"
+  | exception Invalid_argument _ -> ()
+
 (* --- checkpoints from before the router front ----------------------------------- *)
 
 module Snap = Ft_core.Snap
@@ -956,28 +1014,43 @@ let copy_front ~sampler dec enc =
   Snap.Enc.string enc (Snap.Dec.string dec);
   Metrics.encode enc (Metrics.decode dec)
 
-(* A worker set whose router snapshot has the layout before the imported
-   view table: format −2, K, events, front, shipped views — no table. *)
-let old_worker_set ~sampler (meta : Checkpoint.meta) set =
+(* A worker set in the layout from before workers were inline checkers:
+   a one-shard sharded detector, whose router snapshot (format −3) holds
+   the event count, an idle front, the shipped views and the imported view
+   table, then the shard count and the checker's snapshot.  Built from the
+   live set: a session kind, the checked count and that snapshot. *)
+let old_worker_set ~engine ~sampler (meta : Checkpoint.meta) set =
   let dec = Snap.Dec.of_snap set in
-  let router = Snap.Dec.string dec in
-  let k = Snap.Dec.int dec in
-  let snaps = List.init k (fun _ -> Snap.Dec.string dec) in
-  let r = Snap.Dec.of_snap router in
-  let enc = Snap.Enc.create () in
-  Alcotest.(check int) "worker set format" (-3) (Snap.Dec.int r);
-  Snap.Enc.int enc (-2);
-  Snap.Enc.int enc (Snap.Dec.int r);
-  Snap.Enc.int enc (Snap.Dec.int r);
-  copy_front ~sampler r enc;
-  for _ = 1 to k * meta.Checkpoint.nthreads do
-    Snap.Enc.int enc (Snap.Dec.int r);
-    Snap.Enc.int_array enc (Snap.Dec.int_array r)
+  ignore (Snap.Dec.int dec);
+  let checked = Snap.Dec.int dec in
+  let snap = Snap.Dec.string dec in
+  Snap.Dec.finish dec;
+  let config =
+    {
+      Detector.nthreads = meta.Checkpoint.nthreads;
+      nlocks = meta.Checkpoint.nlocks;
+      nlocs = meta.Checkpoint.nlocs;
+      clock_size = meta.Checkpoint.clock_size;
+      sampler;
+    }
+  in
+  let (module D : Detector.S) = Engine.detector engine in
+  let r = Snap.Enc.create () in
+  Snap.Enc.int r (-3);
+  Snap.Enc.int r 1;
+  Snap.Enc.int r checked;
+  (Sampler.fresh sampler).Sampler.save r;
+  Snap.Enc.string r (D.snapshot (D.create config));
+  Metrics.encode r (Metrics.create ());
+  (* the views shipped to the one shard, then the imported table *)
+  for _ = 1 to 2 * meta.Checkpoint.nthreads do
+    Snap.Enc.int r 0;
+    Snap.Enc.int_array r (Array.make (D.view_size config) 0)
   done;
   let out = Snap.Enc.create () in
-  Snap.Enc.string out (Snap.Enc.to_snap enc);
-  Snap.Enc.int out k;
-  List.iter (Snap.Enc.string out) snaps;
+  Snap.Enc.string out (Snap.Enc.to_snap r);
+  Snap.Enc.int out 1;
+  Snap.Enc.string out snap;
   Snap.Enc.to_snap out
 
 (* A router-state checkpoint in the layout before the front: worker count
@@ -1006,17 +1079,18 @@ let old_router_state ~sampler (meta : Checkpoint.meta) payload =
   done;
   Snap.Enc.to_snap enc
 
-(* A run directory written before the router became the front: the
-   resumed router ignores its state checkpoint and replays the whole WAL,
-   each worker ignores its set and starts fresh — both logged — and the
-   REPORT is still analyze's. *)
+(* A run directory with older layouts — a router-state checkpoint from
+   before the router became the front, worker sets from before workers
+   were inline checkers: the resumed router ignores its state checkpoint
+   and replays the whole WAL, each worker ignores its set and starts
+   fresh — both logged — and the REPORT is still analyze's. *)
 let test_old_checkpoints_fall_back () =
   with_temp_dir @@ fun dir ->
   let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:89 in
   let trace = sample_trace ~seed:97 ~length:600 () in
   let socket = Filename.concat dir "route.sock" in
   let cfg =
-    router_config ~workers:2 ~worker_shards:1 ~engine ~sampler ~dir (Serve.Unix_path socket)
+    router_config ~workers:2 ~engine ~sampler ~dir (Serve.Unix_path socket)
   in
   let run = cfg.Router.dir in
   let log = Filename.concat dir "resume.log" in
@@ -1024,7 +1098,9 @@ let test_old_checkpoints_fall_back () =
     rewrite_checkpoint (Filename.concat run "router-state.ftc") (old_router_state ~sampler);
     List.iter
       (fun k ->
-        rewrite_checkpoint (Filename.concat (ckpt_dir run k) "set.ftc") (old_worker_set ~sampler))
+        rewrite_checkpoint
+          (Filename.concat (ckpt_dir run k) "set.ftc")
+          (old_worker_set ~engine ~sampler))
       [ 0; 1 ]
   in
   let arm2 () =
@@ -1047,7 +1123,7 @@ let test_old_checkpoints_fall_back () =
     (fun line -> Alcotest.(check bool) ("logged: " ^ line) true (contains line))
     [
       "ignoring state checkpoint (state checkpoint predates the front)";
-      "router snapshot predates the imported view table); starting fresh";
+      "checkpoint set has an older layout); starting fresh";
     ]
 
 (* A state checkpoint anchored before a RESIZE holds the old epoch's
@@ -1063,7 +1139,7 @@ let test_pre_resize_checkpoint_ignored () =
   let batches = slices trace ~batch:75 in
   let socket = Filename.concat dir "route.sock" in
   let cfg =
-    router_config ~workers:2 ~worker_shards:1 ~state_every:1 ~engine ~sampler ~dir
+    router_config ~workers:2 ~state_every:1 ~engine ~sampler ~dir
       (Serve.Unix_path socket)
   in
   let run = cfg.Router.dir in
@@ -1132,7 +1208,7 @@ let test_parked_limit () =
   let batches = Array.of_list (slices trace ~batch:100) in
   let socket = Filename.concat dir "route.sock" in
   let cfg =
-    router_config ~workers:2 ~worker_shards:1 ~max_parked:2 ~engine ~sampler ~dir
+    router_config ~workers:2 ~max_parked:2 ~engine ~sampler ~dir
       (Serve.Unix_path socket)
   in
   reaping_workers cfg.Router.dir @@ fun () ->
@@ -1175,7 +1251,7 @@ let test_resume_with_parked ~state_every () =
   let batches = Array.of_list (slices trace ~batch:100) in
   let socket = Filename.concat dir "route.sock" in
   let cfg =
-    router_config ~workers:2 ~worker_shards:1 ~state_every ~engine ~sampler ~dir
+    router_config ~workers:2 ~state_every ~engine ~sampler ~dir
       (Serve.Unix_path socket)
   in
   let run = cfg.Router.dir in
@@ -1224,7 +1300,7 @@ let test_wire_fuzz () =
   let trace = sample_trace ~seed:137 ~length:600 () in
   let socket = Filename.concat dir "route.sock" in
   let cfg =
-    router_config ~workers:1 ~worker_shards:1 ~engine ~sampler ~dir (Serve.Unix_path socket)
+    router_config ~workers:1 ~engine ~sampler ~dir (Serve.Unix_path socket)
   in
   reaping_workers cfg.Router.dir @@ fun () ->
   let pid = start_router cfg in
@@ -1288,6 +1364,8 @@ let () =
             test_identity_grid;
           Alcotest.test_case "TCP transport, out-of-order + duplicates" `Quick
             test_tcp_out_of_order_duplicates;
+          Alcotest.test_case "Router.run refuses worker_shards = 2" `Quick
+            test_refuses_worker_shards;
         ] );
       ( "recovery",
         [
@@ -1317,6 +1395,8 @@ let () =
             test_recovery_bound;
           Alcotest.test_case "worker messages bounded by sampled accesses (tpcc)" `Quick
             test_messages_bounded_by_samples;
+          Alcotest.test_case "worker logs trimmed to the durable cut; a lost set rebuilds" `Quick
+            test_logs_trimmed;
         ] );
       ( "availability",
         [

@@ -730,6 +730,58 @@ let test_parked_limit () =
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
 
+(* --- cluster batches -------------------------------------------------------------- *)
+
+module Cmsg = Ft_shard.Cmsg
+module Event = Ft_trace.Event
+module Detector = Ft_core.Detector
+module Metrics = Ft_core.Metrics
+
+let read_reply fd =
+  let b = Buffer.create 32 and one = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd one 0 1 with
+    | 0 -> Alcotest.fail "server closed the connection"
+    | _ when Bytes.get one 0 = '\n' -> Buffer.contents b
+    | _ ->
+      Buffer.add_char b (Bytes.get one 0);
+      go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> go ()
+  in
+  go ()
+
+(* A CBATCH is checked whole before its first message is applied: a bad
+   one answers ERR and leaves SEQ, the state and the daemon as they were,
+   so its valid resend counts each access once. *)
+let test_cbatch_all_or_nothing () =
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "serve.sock" in
+  let pid = start_server ~engine:Engine.So ~shards:1 ~sampler:Sampler.all socket in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  let send msgs =
+    let msgs = Array.of_list msgs in
+    Serve.send_cbatch_nowait fd ~seq:0
+      (Cmsg.encode ~nthreads:2 ~nlocks:1 ~nlocs:4 msgs ~off:0 ~len:(Array.length msgs));
+    read_reply fd
+  in
+  let write_x1 = Cmsg.Acc (0, { Event.thread = 0; op = Event.Write 1 }) in
+  List.iter
+    (fun (what, msgs) ->
+      let line = send msgs in
+      Alcotest.(check bool) (what ^ " refused: " ^ line) true (String.starts_with ~prefix:"ERR" line);
+      Alcotest.(check int) (what ^ " left SEQ") 0 (get_ok "SEQ" (Serve.fetch_seq fd)))
+    [
+      ("a write, then a view of thread 9", [ write_x1; Cmsg.View (9, [||], [||]) ]);
+      ("a read of x7 in 4 locations", [ Cmsg.Acc (0, { Event.thread = 0; op = Event.Read 7 }) ]);
+    ];
+  Alcotest.(check string) "the valid resend" "OK 1 0" (send [ write_x1 ]);
+  let r = get_ok "RESULT" (Serve.fetch_result fd) in
+  Alcotest.(check int) "one write" 1 r.Detector.metrics.Metrics.writes;
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid
+
 (* --- wire fuzz ----------------------------------------------------------------- *)
 
 let test_wire_fuzz () =
@@ -771,6 +823,8 @@ let () =
           Alcotest.test_case "parked-batch limit refuses, resend completes" `Quick
             test_parked_limit;
           Alcotest.test_case "wire parser fuzz, then ≡ analyze" `Quick test_wire_fuzz;
+          Alcotest.test_case "CBATCH applies entirely or not at all" `Quick
+            test_cbatch_all_or_nothing;
         ] );
       ("admission", [ QCheck_alcotest.to_alcotest admission_property ]);
       ( "client robustness",
