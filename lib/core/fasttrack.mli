@@ -11,3 +11,9 @@
     checked by the test suite). *)
 
 include Detector.S
+
+val read_pool : t -> Read_pool.t
+(** The shared-mode read clocks, for tests. *)
+
+val check_pool : t -> bool
+(** {!Read_pool.check} over this detector's locations, for tests. *)

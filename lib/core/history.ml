@@ -121,7 +121,10 @@ let write_hit t x ~tid ~epoch ~index =
    true)
 
 (* The stale loops inline the bound [clock[tid ↦ epoch]] instead of taking
-   it as a closure — one comparison per entry, no allocation. *)
+   it as a function argument: one comparison per entry.  They are not
+   allocation-free.  Each local [let rec loop] captures its free variables,
+   so without flambda it is a closure allocated on every call, and the
+   [stale_both] variants also return a tuple. *)
 
 let stale_write t x clock ~tid ~epoch =
   let h = write_of t x in

@@ -9,12 +9,12 @@ module Vc = Vector_clock
    after a sampled access.
 
    Location state mirrors {!Fasttrack}: flat epoch/index arrays for the
-   common exclusive case, out-of-line slot pools behind a {!Flat_table} for
-   shared-mode read clocks, [shared_marker] stamping shared locations so the
-   exclusive fast path never probes the table.  The one systematic change is
-   the ordering check: a recorded epoch [c@u] is compared against
-   [C_t[t ↦ e_t]] — the clock's own entry holds only the last *flushed*
-   epoch, so same-thread ordering must consult [e_t] (cf. {!History}).
+   common exclusive case and the same {!Read_pool} for shared-mode read
+   clocks, found through the shared location's [rindex] cell.  The one
+   systematic change is the ordering check: a recorded epoch [c@u] is
+   compared against [C_t[t ↦ e_t]] — the clock's own entry holds only the
+   last *flushed* epoch, so same-thread ordering must consult [e_t] (cf.
+   {!History}).
 
    The functor parameterizes the freshness-clock policy: the plain engine
    ("o1") uses Alg 2's sync handlers; the uclock variant ("o1-u") carries
@@ -22,6 +22,13 @@ module Vc = Vector_clock
    that would move no information, exactly as {!Sampling_uclock} does.  The
    skips never change clock contents, so both engines report byte-identical
    races. *)
+module type S = sig
+  include Detector.S
+
+  val read_pool : t -> Read_pool.t
+  val check_pool : t -> bool
+end
+
 module Make (Policy : sig
   val name : string
   val uclock : bool
@@ -41,21 +48,13 @@ type t = {
   writes : Epoch.t array;              (* W_x: last sampled write *)
   w_index : int array;                 (* trace index behind W_x *)
   repoch : Epoch.t array;              (* R_x in exclusive mode *)
-  rindex : int array;                  (* trace index behind repoch *)
-  rshared : Flat_table.t;              (* loc -> slot, shared mode only *)
-  mutable rvc_pool : Vc.t array;       (* slot -> read clock (epoch values) *)
-  mutable rvc_index_pool : int array array;  (* slot -> per-thread indices *)
-  mutable pool_len : int;
-  mutable free_slots : int list;
+  rindex : int array;                  (* index behind repoch; shared: slot *)
+  pool : Read_pool.t;                  (* shared-mode read clocks (epochs) *)
   metrics : Metrics.t;
   mutable races : Race.t list;
 }
 
 let name = Policy.name
-
-(* Reserved [repoch] value marking shared mode; see {!Fasttrack}.  Local
-   epochs start at 1, so a real recorded epoch never has time 0. *)
-let shared_marker = Epoch.make ~time:0 ~tid:0xFFFF
 
 let create (cfg : Detector.config) =
   let n = cfg.Detector.clock_size in
@@ -77,11 +76,7 @@ let create (cfg : Detector.config) =
     w_index = Array.make nlocs (-1);
     repoch = Array.make nlocs Epoch.none;
     rindex = Array.make nlocs (-1);
-    rshared = Flat_table.create ();
-    rvc_pool = [||];
-    rvc_index_pool = [||];
-    pool_len = 0;
-    free_slots = [];
+    pool = Read_pool.create ~nthreads:n;
     metrics = Metrics.create ();
     races = [];
   }
@@ -91,33 +86,10 @@ let declare d index tid x ~with_write ~with_read ~prior =
   let prior = if prior < 0 then None else Some prior in
   d.races <- Race.make ~index ~thread:tid ~loc:x ~with_write ~with_read ?prior () :: d.races
 
-(* [c@u ⊑ C_t[t ↦ e_t]].  Never fed [shared_marker] — its tid indexes past
+(* [c@u ⊑ C_t[t ↦ e_t]].  Never fed [Read_pool.marker] — its tid indexes past
    the clock; callers branch on it first. *)
 let[@inline] leq_sub e ct ~t ~epoch =
   if Epoch.tid e = t then Epoch.time e <= epoch else Epoch.leq_vc e ct
-
-let alloc_slot d =
-  match d.free_slots with
-  | s :: rest ->
-    d.free_slots <- rest;
-    Vc.reset d.rvc_pool.(s);
-    Array.fill d.rvc_index_pool.(s) 0 d.nthreads (-1);
-    s
-  | [] ->
-    if d.pool_len = Array.length d.rvc_pool then begin
-      let cap = Stdlib.max 4 (d.pool_len * 2) in
-      let rvc = Array.make cap (Vc.create 0) in
-      let ri = Array.make cap [||] in
-      Array.blit d.rvc_pool 0 rvc 0 d.pool_len;
-      Array.blit d.rvc_index_pool 0 ri 0 d.pool_len;
-      d.rvc_pool <- rvc;
-      d.rvc_index_pool <- ri
-    end;
-    let s = d.pool_len in
-    d.rvc_pool.(s) <- Vc.create d.nthreads;
-    d.rvc_index_pool.(s) <- Array.make d.nthreads (-1);
-    d.pool_len <- s + 1;
-    s
 
 let lock_clock d l =
   match d.lock_clocks.(l) with
@@ -183,17 +155,15 @@ let handle d index (e : E.t) =
       let re = d.repoch.(x) in
       if Epoch.equal re own then
         m.Metrics.same_epoch_hits <- m.Metrics.same_epoch_hits + 1
-      else if Epoch.equal re shared_marker then begin
-        let slot = Flat_table.find d.rshared x in
-        let rv = d.rvc_pool.(slot) in
-        if Vc.get rv t = epoch then
+      else if Epoch.equal re Read_pool.marker then begin
+        let slot = d.rindex.(x) in
+        if Read_pool.time d.pool slot t = epoch then
           m.Metrics.same_epoch_hits <- m.Metrics.same_epoch_hits + 1
         else begin
           m.Metrics.race_checks <- m.Metrics.race_checks + 1;
           if not (leq_sub d.writes.(x) ct ~t ~epoch) then
             declare d index t x ~with_write:true ~with_read:false ~prior:d.w_index.(x);
-          Vc.set rv t epoch;
-          d.rvc_index_pool.(slot).(t) <- index
+          Read_pool.set d.pool slot t ~time:epoch ~index
         end
       end
       else begin
@@ -205,17 +175,9 @@ let handle d index (e : E.t) =
           d.repoch.(x) <- own;
           d.rindex.(x) <- index
         end
-        else begin
-          (* inflate to shared mode *)
-          let s = alloc_slot d in
-          let rv = d.rvc_pool.(s) and ri = d.rvc_index_pool.(s) in
-          Vc.set rv (Epoch.tid re) (Epoch.time re);
-          ri.(Epoch.tid re) <- d.rindex.(x);
-          Vc.set rv t epoch;
-          ri.(t) <- index;
-          Flat_table.set d.rshared x s;
-          d.repoch.(x) <- shared_marker
-        end
+        else
+          Read_pool.inflate d.pool ~repoch:d.repoch ~rindex:d.rindex x ~tid:t ~time:epoch
+            ~index
       end;
       d.pending.(t) <- true
     end
@@ -232,17 +194,9 @@ let handle d index (e : E.t) =
         let pw =
           if leq_sub d.writes.(x) ct ~t ~epoch then -1 else d.w_index.(x)
         in
-        if Epoch.equal d.repoch.(x) shared_marker then begin
-          let slot = Flat_table.find d.rshared x in
+        if Epoch.equal d.repoch.(x) Read_pool.marker then begin
           m.Metrics.vc_full_ops <- m.Metrics.vc_full_ops + 1;
-          let rv = d.rvc_pool.(slot) in
-          let rec stale i =
-            if i >= Vc.size rv then -1
-            else if Vc.get rv i > (if i = t then epoch else Vc.get ct i) then
-              d.rvc_index_pool.(slot).(i)
-            else stale (i + 1)
-          in
-          let pr = stale 0 in
+          let pr = Read_pool.stale d.pool d.rindex.(x) ct ~tid:t ~epoch in
           let with_write = pw >= 0 and with_read = pr >= 0 in
           if with_write || with_read then
             declare d index t x ~with_write ~with_read
@@ -250,11 +204,7 @@ let handle d index (e : E.t) =
           d.writes.(x) <- own;
           d.w_index.(x) <- index;
           (* a successful shared-read check lets us fall back to epoch mode *)
-          if not with_read then begin
-            Flat_table.remove d.rshared x;
-            d.free_slots <- slot :: d.free_slots;
-            d.repoch.(x) <- Epoch.none
-          end
+          if not with_read then Read_pool.deflate d.pool ~repoch:d.repoch ~rindex:d.rindex x
         end
         else begin
           let pr =
@@ -368,9 +318,6 @@ let import_view d t idx vals =
     idx;
   moved d t
 
-(* Shared-mode entries are written in ascending location order so equal
-   detector states encode to equal bytes regardless of the table's probe
-   history. *)
 let snapshot d =
   let enc = Snap.Enc.create () in
   d.sample.Sampler.save enc;
@@ -386,18 +333,7 @@ let snapshot d =
   end;
   Array.iter (Epoch.encode enc) d.writes;
   Snap.Enc.int_array enc d.w_index;
-  Array.iter (Epoch.encode enc) d.repoch;
-  Snap.Enc.int_array enc d.rindex;
-  let shared = ref [] in
-  Flat_table.iter d.rshared (fun x s -> shared := (x, s) :: !shared);
-  let shared = List.sort compare !shared in
-  Snap.Enc.int enc (List.length shared);
-  List.iter
-    (fun (x, s) ->
-      Snap.Enc.int enc x;
-      Vc.encode enc d.rvc_pool.(s);
-      Snap.Enc.int_array enc d.rvc_index_pool.(s))
-    shared;
+  Read_pool.encode_reads enc d.pool ~repoch:d.repoch ~rindex:d.rindex;
   Metrics.encode enc d.metrics;
   Race.encode_list enc d.races;
   Snap.Enc.to_snap enc
@@ -438,31 +374,14 @@ let restore (cfg : Detector.config) s =
   done;
   let w_index = Snap.Dec.int_array_n dec (Array.length d.w_index) in
   Array.blit w_index 0 d.w_index 0 (Array.length w_index);
-  for x = 0 to Array.length d.repoch - 1 do
-    d.repoch.(x) <- Epoch.decode dec
-  done;
-  let rindex = Snap.Dec.int_array_n dec (Array.length d.rindex) in
-  Array.blit rindex 0 d.rindex 0 (Array.length rindex);
-  let nshared = Snap.Dec.int dec in
-  Snap.expect (nshared >= 0 && nshared <= Array.length d.writes)
-    "shared read count out of range";
-  let prev = ref (-1) in
-  for _ = 1 to nshared do
-    let x = Snap.Dec.int dec in
-    Snap.expect (x > !prev && x < Array.length d.writes)
-      "shared read location out of order";
-    prev := x;
-    let slot = alloc_slot d in
-    let rv = Vc.decode dec ~size:n in
-    Vc.copy_into ~into:d.rvc_pool.(slot) rv;
-    let ri = Snap.Dec.int_array_n dec n in
-    Array.blit ri 0 d.rvc_index_pool.(slot) 0 n;
-    Flat_table.set d.rshared x slot
-  done;
+  Read_pool.decode_reads dec d.pool ~repoch:d.repoch ~rindex:d.rindex;
   let metrics = Metrics.decode dec in
   d.races <- Race.decode_list dec;
   Snap.Dec.finish dec;
   { d with metrics }
+
+let read_pool d = d.pool
+let check_pool d = Read_pool.check d.pool ~repoch:d.repoch ~rindex:d.rindex
 
 end
 

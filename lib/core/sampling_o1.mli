@@ -18,11 +18,21 @@
     least one race per racy location (FastTrack's per-variable coverage
     argument, restricted to the sampled subsequence). *)
 
-include Detector.S
+module type S = sig
+  include Detector.S
+
+  val read_pool : t -> Read_pool.t
+  (** The shared-mode read clocks, for tests. *)
+
+  val check_pool : t -> bool
+  (** {!Read_pool.check} over this detector's locations, for tests. *)
+end
+
+include S
 
 (** The implementation, parameterized by the freshness-clock policy; used to
     derive the {!Sampling_o1_uclock} variant without duplication. *)
 module Make (_ : sig
   val name : string
   val uclock : bool
-end) : Detector.S
+end) : S

@@ -3,4 +3,4 @@
     new are skipped, exactly as in {!Sampling_uclock}.  The skips never
     change clock contents, so the race report is byte-identical to O1's. *)
 
-include Detector.S
+include Sampling_o1.S

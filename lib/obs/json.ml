@@ -26,12 +26,22 @@ let escape s =
     s;
   Buffer.contents b
 
+(* The shortest of 12, 15 and 17 significant digits that reads back as [f]
+   (17 always does), with a fraction or exponent so that it parses back as
+   a [Float], not an [Int]. *)
 let float_literal f =
   (* RFC 8259 has no NaN/Infinity: render them as null rather than emit an
      invalid document *)
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+  else begin
+    let exact p = let s = Printf.sprintf "%.*g" p f in if float_of_string s = f then Some s else None in
+    let s =
+      match exact 12 with
+      | Some s -> s
+      | None -> ( match exact 15 with Some s -> s | None -> Printf.sprintf "%.17g" f)
+    in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+  end
 
 let rec render b ~indent ~level v =
   let pad n = if indent then Buffer.add_string b (String.make (2 * n) ' ') in
@@ -221,17 +231,14 @@ let parse s =
       done
     | _ -> ());
     let tok = String.sub s start (!pos - start) in
-    if !fractional then
+    let float () =
       match float_of_string_opt tok with
-      | Some f -> Float f
+      | Some f when Float.is_finite f -> Float f
+      | Some _ -> raise (Bad (start, "number out of range"))
       | None -> raise (Bad (start, "invalid number"))
-    else
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> raise (Bad (start, "invalid number")))
+    in
+    if !fractional then float ()
+    else match int_of_string_opt tok with Some i -> Int i | None -> float ()
   in
   let rec parse_value () =
     skip_ws ();

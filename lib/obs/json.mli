@@ -5,9 +5,12 @@
 
     Rendering is total: every value produced by {!to_string} is valid JSON
     (non-finite floats render as [null] — RFC 8259 has no encoding for
-    them).  The parser accepts standard JSON with arbitrary whitespace and
-    [\uXXXX] escapes (surrogate pairs included); it rejects trailing
-    garbage. *)
+    them).  A finite float renders with enough digits to read back exactly
+    and always with a fraction or exponent, so every value {!parse}
+    returns renders and parses back to itself.  The parser accepts
+    standard JSON with arbitrary whitespace and [\uXXXX] escapes
+    (surrogate pairs included); it rejects trailing garbage and numbers
+    outside the float range. *)
 
 type t =
   | Null

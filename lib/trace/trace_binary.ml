@@ -333,8 +333,11 @@ let open_string s = open_bytes (Bytes.unsafe_of_string s)
 
 (* The per-event [next] pays two heap words per event ([Some e] under [Ok])
    before the consumer even sees it.  [read_batch] decodes a run of events
-   into parallel int arrays instead: the decode loop allocates nothing, and
-   the arrays are reused across calls.  [ends.(j)] records the stream offset
+   into parallel int arrays instead, reused across calls, with no box per
+   event.  The loop is not allocation-free: without flambda each
+   [src_varint] call allocates its local [loop] closure, two closures
+   (80 bytes) per event, and [batch_event] then rebuilds an [Event.t]
+   (40 bytes).  [ends.(j)] records the stream offset
    just past event [j], which is exactly the [byte_pos] a checkpoint taken
    after that event must store — the resumable runner cuts batches anywhere
    without offset drift. *)

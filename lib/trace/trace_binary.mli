@@ -92,9 +92,11 @@ val open_string : string -> (reader, string) result
 (** {1 Batch decoding}
 
     {!next} boxes every event twice ([Some] under [Ok]) before the consumer
-    sees it.  The batch decoder instead fills reusable parallel int arrays —
-    the decode loop allocates nothing per event — and consumers reconstruct
-    only what they dispatch on.  Hot loops (the resumable runner, the shard
+    sees it.  The batch decoder instead fills reusable parallel int arrays,
+    with no box per event, and consumers reconstruct only what they
+    dispatch on.  It still allocates per event: the varint reader's local
+    closure, twice per event (80 bytes), plus 40 bytes for each
+    {!batch_event}.  Hot loops (the resumable runner, the shard
     router, the network daemon) stream .ftb input through this path. *)
 
 type batch

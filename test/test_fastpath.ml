@@ -1,7 +1,9 @@
 (* The hot-path overhaul's safety net:
 
-   - Flat_table: model-checked against Hashtbl under random workloads, plus
-     the tombstone/growth edges;
+   - Read_pool: shared-read churn across chunk boundaries in fasttrack, o1
+     and o1-u — reports equal the seed engines', restore is
+     snapshot-stable, slots stay within the peak number of shared
+     locations rounded up to a chunk — and no minor allocation per access;
    - Netbuf: semantics under chunked feeds, and the amortization contract —
      total bytes blitted stays linear in bytes fed, whatever the chunk size
      (the O(n²) concat bug this replaced fails the same assertion by orders
@@ -31,69 +33,10 @@ module Sampler = Ft_core.Sampler
 module Metrics = Ft_core.Metrics
 module Race = Ft_core.Race
 module Snap = Ft_core.Snap
-module Flat_table = Ft_core.Flat_table
+module Read_pool = Ft_core.Read_pool
 module Netbuf = Ft_shard.Netbuf
 module Sharded = Ft_shard.Sharded
 module Serve = Ft_shard.Serve
-
-(* --- Flat_table ----------------------------------------------------------- *)
-
-let test_flat_table_basic () =
-  let t = Flat_table.create () in
-  Alcotest.(check int) "empty find" (-1) (Flat_table.find t 42);
-  Flat_table.set t 42 7;
-  Flat_table.set t 0 0;
-  Alcotest.(check int) "find" 7 (Flat_table.find t 42);
-  Alcotest.(check int) "find 0->0" 0 (Flat_table.find t 0);
-  Alcotest.(check int) "length" 2 (Flat_table.length t);
-  Flat_table.set t 42 9;
-  Alcotest.(check int) "overwrite" 9 (Flat_table.find t 42);
-  Alcotest.(check int) "overwrite keeps length" 2 (Flat_table.length t);
-  Flat_table.remove t 42;
-  Alcotest.(check int) "removed" (-1) (Flat_table.find t 42);
-  Flat_table.remove t 42;
-  Alcotest.(check int) "double remove is a no-op" 1 (Flat_table.length t);
-  match Flat_table.set t (-1) 0 with
-  | () -> Alcotest.fail "negative key accepted"
-  | exception Invalid_argument _ -> ()
-
-let test_flat_table_model () =
-  let rng = Random.State.make [| 2026; 8; 9 |] in
-  let t = Flat_table.create ~capacity:4 () in
-  let model = Hashtbl.create 16 in
-  for _ = 1 to 20_000 do
-    let k = Random.State.int rng 300 in
-    match Random.State.int rng 3 with
-    | 0 ->
-      let v = Random.State.int rng 1_000_000 in
-      Flat_table.set t k v;
-      Hashtbl.replace model k v
-    | 1 ->
-      Flat_table.remove t k;
-      Hashtbl.remove model k
-    | _ ->
-      let expected = match Hashtbl.find_opt model k with Some v -> v | None -> -1 in
-      Alcotest.(check int) "model lookup" expected (Flat_table.find t k)
-  done;
-  Alcotest.(check int) "final length" (Hashtbl.length model) (Flat_table.length t);
-  (* iter yields exactly the model's bindings *)
-  let seen = Hashtbl.create 16 in
-  Flat_table.iter t (fun k v ->
-      Alcotest.(check bool) "iter: no duplicate key" false (Hashtbl.mem seen k);
-      Hashtbl.add seen k ();
-      Alcotest.(check int) "iter: model value" (Hashtbl.find model k) v);
-  Alcotest.(check int) "iter covers everything" (Hashtbl.length model) (Hashtbl.length seen)
-
-(* churn at constant size: tombstones must be swept, not accumulated into
-   an ever-growing probe distance or table *)
-let test_flat_table_tombstone_churn () =
-  let t = Flat_table.create ~capacity:8 () in
-  for round = 0 to 5_000 do
-    let k = 7 * round in
-    Flat_table.set t k round;
-    if round >= 8 then Flat_table.remove t (7 * (round - 8))
-  done;
-  Alcotest.(check int) "steady-state length" 8 (Flat_table.length t)
 
 (* --- Netbuf ---------------------------------------------------------------- *)
 
@@ -526,6 +469,193 @@ let test_so_pool_bounded () =
   Alcotest.(check bool) "pool invariants after restore" true
     (So.check_pool (So.restore config (So.snapshot d)))
 
+(* --- Read_pool: shared-read churn ------------------------------------------ *)
+
+(* Round after round, every location is read by two to four threads at
+   once (inflating it to a shared read clock), a barrier orders all of that
+   before a write to most locations (deflating each back to an epoch and
+   freeing its slot), and a second barrier orders the writes before the next
+   round's reads.  Locations the write phase skips stay shared into the next
+   round.  With [nlocs] > 2 chunks, each round recycles slots across chunk
+   boundaries in a new order.  Every access is ordered after every
+   conflicting one, so the trace is race-free. *)
+let churn_trace ~seed ~nlocs ~rounds =
+  let prng = Prng.create ~seed in
+  let nthreads = 4 in
+  let evs = ref [] in
+  let add t op = evs := Event.mk t op :: !evs in
+  for u = 1 to nthreads - 1 do
+    add 0 (Event.Fork u)
+  done;
+  let barrier () =
+    for t = 0 to nthreads - 1 do
+      add t (Event.Acquire t);
+      add t (Event.Release t)
+    done;
+    for t = 0 to nthreads - 1 do
+      for l = 0 to nthreads - 1 do
+        add t (Event.Acquire l);
+        add t (Event.Release l)
+      done
+    done
+  in
+  let order = Array.init nlocs Fun.id in
+  for _ = 1 to rounds do
+    Prng.shuffle prng order;
+    Array.iter
+      (fun x ->
+        let first = Prng.int prng nthreads in
+        add first (Event.Read x);
+        for _ = 1 to 1 + Prng.int prng 3 do
+          add ((first + 1 + Prng.int prng (nthreads - 1)) mod nthreads) (Event.Read x)
+        done)
+      order;
+    barrier ();
+    Prng.shuffle prng order;
+    Array.iter
+      (fun x -> if Prng.int prng 5 > 0 then add (Prng.int prng nthreads) (Event.Write x))
+      order;
+    barrier ()
+  done;
+  Trace.validate
+    (Trace.make ~nthreads ~nlocks:nthreads ~nlocs (Array.of_list (List.rev !evs)))
+
+let churn_engines = Engine.[ Fasttrack; O1; O1u ]
+
+let churn_config ?(sampler = Sampler.all) trace =
+  {
+    Detector.nthreads = trace.Trace.nthreads;
+    nlocks = trace.Trace.nlocks;
+    nlocs = trace.Trace.nlocs;
+    clock_size = trace.Trace.nthreads;
+    sampler;
+  }
+
+(* the same engines, with their pool hooks *)
+let pooled : (Engine.id * (module Ft_core.Sampling_o1.S)) list =
+  [
+    (Engine.Fasttrack, (module Ft_core.Fasttrack));
+    (Engine.O1, (module Ft_core.Sampling_o1));
+    (Engine.O1u, (module Ft_core.Sampling_o1_uclock));
+  ]
+
+let test_pool_churn_identity () =
+  List.iter
+    (fun seed ->
+      let trace = churn_trace ~seed ~nlocs:200 ~rounds:5 in
+      let events = Trace.length trace in
+      List.iter
+        (fun id ->
+          List.iter
+            (fun (sname, sampler) ->
+              let what = Printf.sprintf "%s × %s (seed %d)" (Engine.name id) sname seed in
+              let reference = Ref_engines.run id ~sampler trace in
+              same_verdict ~events ~what (Engine.run id ~sampler trace) reference;
+              same_verdict ~events ~what:(what ^ ", K=2")
+                (run_sharded id ~shards:2 (churn_config ~sampler trace) trace)
+                reference)
+            [ ("all", Sampler.all); ("bernoulli", Sampler.bernoulli ~rate:0.5 ~seed:3) ])
+        churn_engines)
+    [ 41; 42 ]
+
+(* Snapshot at several cuts: restoring and snapshotting again gives the
+   same bytes, and the restored detector finishes the trace exactly as the
+   straight run does. *)
+let test_pool_churn_restore () =
+  let trace = churn_trace ~seed:43 ~nlocs:200 ~rounds:4 in
+  let config = churn_config trace in
+  let n = Trace.length trace in
+  List.iter
+    (fun (id, (module D : Ft_core.Sampling_o1.S)) ->
+      let straight = D.create config in
+      Trace.iteri (fun i e -> D.handle straight i e) trace;
+      List.iter
+        (fun cut ->
+          let d = D.create config in
+          for i = 0 to cut - 1 do
+            D.handle d i (Trace.get trace i)
+          done;
+          let snap = D.snapshot d in
+          let d' = D.restore config snap in
+          if not (String.equal (D.snapshot d') snap) then
+            Alcotest.failf "%s: restore is not snapshot-stable at cut %d" (Engine.name id) cut;
+          for i = cut to n - 1 do
+            D.handle d' i (Trace.get trace i)
+          done;
+          if not (D.check_pool d') then
+            Alcotest.failf "%s: pool invariants broken after restore at cut %d"
+              (Engine.name id) cut;
+          same_verdict ~events:n
+            ~what:(Printf.sprintf "%s resumed at %d" (Engine.name id) cut)
+            (D.result d') (D.result straight))
+        [ 1; n / 7; n / 3; n / 2; 2 * n / 3; n - 1 ])
+    pooled
+
+(* Slots are recycled, never leaked: after every event the pool invariants
+   hold, and the pool has never grown past the peak number of locations
+   shared at once, rounded up to a chunk. *)
+let test_pool_churn_bounded () =
+  let trace = churn_trace ~seed:44 ~nlocs:300 ~rounds:6 in
+  let config = churn_config trace in
+  let chunk = Read_pool.chunk_slots in
+  List.iter
+    (fun (id, (module D : Ft_core.Sampling_o1.S)) ->
+      let d = D.create config in
+      let peak = ref 0 in
+      Trace.iteri
+        (fun i e ->
+          D.handle d i e;
+          let p = D.read_pool d in
+          peak := Stdlib.max !peak (Read_pool.live p);
+          if not (D.check_pool d) then
+            Alcotest.failf "%s: pool invariants broken at event %d" (Engine.name id) i;
+          if Read_pool.capacity p > (!peak + chunk - 1) / chunk * chunk then
+            Alcotest.failf "%s: %d slots for a peak of %d shared at event %d" (Engine.name id)
+              (Read_pool.capacity p) !peak i)
+        trace;
+      Alcotest.(check bool)
+        (Engine.name id ^ ": more than two chunks shared at once")
+        true
+        (!peak > 2 * chunk);
+      Alcotest.(check int) (Engine.name id ^ ": the trace is race-free") 0
+        (List.length (D.result d).Detector.races))
+    pooled
+
+(* The access path allocates nothing: on a trace that is mostly shared
+   reads, once a first pass has created the lock clocks and the pool's
+   chunks, replaying further rounds costs no minor words.  A declared race
+   would allocate its report; the trace has none. *)
+let test_pool_no_allocation () =
+  let rounds = 12 in
+  let trace = churn_trace ~seed:45 ~nlocs:300 ~rounds in
+  let config = churn_config trace in
+  let n = Trace.length trace in
+  let warm = n / rounds in
+  let accesses = ref 0 in
+  Trace.iteri
+    (fun i (e : Event.t) ->
+      match e.Event.op with
+      | (Event.Read _ | Event.Write _) when i >= warm -> incr accesses
+      | _ -> ())
+    trace;
+  List.iter
+    (fun (id, (module D : Ft_core.Sampling_o1.S)) ->
+      let d = D.create config in
+      for i = 0 to warm - 1 do
+        D.handle d i (Trace.get trace i)
+      done;
+      let before = Gc.minor_words () in
+      for i = warm to n - 1 do
+        D.handle d i (Trace.get trace i)
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) (Engine.name id ^ ": race-free") 0
+        (List.length (D.result d).Detector.races);
+      if words > 64. then
+        Alcotest.failf "%s: %.0f minor words over %d accesses" (Engine.name id) words
+          !accesses)
+    pooled
+
 (* --- --racy-fastpath -------------------------------------------------------- *)
 
 let first_race_per_loc races =
@@ -610,12 +740,15 @@ let test_racy_fastpath_snapshot_roundtrip () =
 let () =
   Alcotest.run "fastpath"
     [
-      ( "flat_table",
+      ( "read_pool",
         [
-          Alcotest.test_case "basic operations" `Quick test_flat_table_basic;
-          Alcotest.test_case "random ops match Hashtbl model" `Quick test_flat_table_model;
-          Alcotest.test_case "tombstone churn at constant size" `Quick
-            test_flat_table_tombstone_churn;
+          Alcotest.test_case "churn across chunks ≡ seed engines" `Quick
+            test_pool_churn_identity;
+          Alcotest.test_case "churn: restore is snapshot-stable at cuts" `Quick
+            test_pool_churn_restore;
+          Alcotest.test_case "slots ≤ peak shared, rounded to a chunk" `Quick
+            test_pool_churn_bounded;
+          Alcotest.test_case "no minor words per access" `Quick test_pool_no_allocation;
         ] );
       ( "netbuf",
         [

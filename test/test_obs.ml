@@ -7,11 +7,14 @@
    - Prometheus text exposition shape (HELP/TYPE once per name, cumulative
      buckets, +Inf, label escaping);
    - Json render/parse roundtrips, including the documents the registry and
-     Metrics emit;
+     Metrics emit, and a seeded mutation fuzz of STATS-shaped documents:
+     the parser never raises, and whatever it accepts renders and re-parses
+     to itself;
    - Metrics ratio helpers: finite and sane on empty and on near-overflow
      counters, field_names/to_array stay in lock-step. *)
 
 module Json = Ft_obs.Json
+module Prng = Ft_support.Prng
 module Histogram = Ft_obs.Histogram
 module Registry = Ft_obs.Registry
 module Metrics = Ft_core.Metrics
@@ -244,6 +247,107 @@ let test_json_nonfinite_and_errors () =
   | Ok v -> Alcotest.failf "number parse surprise: %s" (Json.to_string v)
   | Error msg -> Alcotest.failf "number array failed: %s" msg
 
+(* Valid documents shaped like serve's STATS JSON: scalar fields, per-shard
+   arrays, the registry's telemetry object (histograms included) and the
+   detector metrics. *)
+let stats_documents () =
+  let reg = Registry.create () in
+  Registry.add (Registry.counter reg "serve_batches_ingested_total") 41;
+  Registry.set (Registry.gauge reg ~labels:[ ("shard", "0") ] "ring_occupancy") 7;
+  let h = Registry.histogram reg ~labels:[ ("kind", "a\"b") ] "ingest_ns" in
+  List.iter (Histogram.observe h) [ 3; 900; 123_456; 5 ];
+  let m = Metrics.create () in
+  m.Metrics.events <- 400_000;
+  m.Metrics.acquires <- 1_234;
+  m.Metrics.same_epoch_hits <- 77;
+  let metrics =
+    match Json.parse (Metrics.to_json m) with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "Metrics.to_json does not parse: %s" msg
+  in
+  let doc uptime shards =
+    Json.Obj
+      [
+        ("engine", Json.Str "so");
+        ("sampler", Json.Str "bernoulli(0.1,seed=7)");
+        ("shards", Json.Int (List.length shards));
+        ("events", Json.Int 400_000);
+        ("next_index", Json.Int 400_000);
+        ("parked", Json.Int 0);
+        ("uptime_s", Json.Float uptime);
+        ("ring_occupancy", Json.Arr (List.map (fun n -> Json.Int n) shards));
+        ("restore_points", Json.Arr (List.map (fun n -> Json.Int (n * 3)) shards));
+        ("telemetry", Registry.to_json reg);
+        ("metrics", metrics);
+        ("races", if shards = [] then Json.Null else Json.Int 12);
+        ("note", Json.Str "tab\t quote\" é \u{1F600}");
+        ("ratio", Json.Float (-2.5e-7));
+        ("ok", Json.Bool true);
+      ]
+  in
+  List.concat_map
+    (fun v -> [ Json.to_string v; Json.to_string_pretty v ])
+    [ doc 12.625 [ 3; 0 ]; doc 0.0015 []; doc 3.0 [ 1 ] ]
+
+(* Truncations, byte flips and splices of valid documents: [parse] returns
+   [Ok] or [Error] and never raises, and every value it accepts renders
+   (compact and pretty) and parses back to exactly that value. *)
+let test_json_parse_fuzz () =
+  let docs = Array.of_list (stats_documents ()) in
+  let prng = Prng.create ~seed:2026 in
+  let accepted = ref 0 and rejected = ref 0 in
+  let check what text =
+    match Json.parse text with
+    | exception e ->
+      Alcotest.failf "%s: parse raised %s on %S" what (Printexc.to_string e) text
+    | Error _ -> incr rejected
+    | Ok v ->
+      incr accepted;
+      List.iter
+        (fun render ->
+          match Json.parse (render v) with
+          | Ok v' when v' = v -> ()
+          | Ok v' ->
+            Alcotest.failf "%s: %S parsed to a value that re-renders as %S" what text
+              (Json.to_string v')
+          | Error msg -> Alcotest.failf "%s: re-render of %S does not parse: %s" what text msg)
+        [ Json.to_string; Json.to_string_pretty ]
+  in
+  Array.iter (check "seed document") docs;
+  (* every truncation of the compact document *)
+  let d0 = docs.(0) in
+  for len = 0 to String.length d0 - 1 do
+    check "truncation" (String.sub d0 0 len)
+  done;
+  for _ = 1 to 20_000 do
+    let d = docs.(Prng.int prng (Array.length docs)) in
+    let b = Bytes.of_string d in
+    match Prng.int prng 3 with
+    | 0 -> check "truncation" (String.sub d 0 (Prng.int prng (String.length d)))
+    | 1 ->
+      for _ = 0 to Prng.int prng 3 do
+        let i = Prng.int prng (Bytes.length b) in
+        Bytes.set b i
+          (if Prng.bool prng then Char.chr (Prng.int prng 256)
+           else Prng.pick prng [| '"'; '\\'; '{'; '}'; '['; ']'; ','; ':'; '0'; '9'; '.';
+                                  'e'; '-'; ' ' |])
+      done;
+      check "byte flip" (Bytes.to_string b)
+    | _ ->
+      (* a slice of one document replaces a slice of another *)
+      let src = docs.(Prng.int prng (Array.length docs)) in
+      let a = Prng.int prng (String.length src) in
+      let piece = String.sub src a (Prng.int prng (String.length src - a + 1)) in
+      let i = Prng.int prng (String.length d) in
+      let j = i + Prng.int prng (String.length d - i + 1) in
+      check "splice"
+        (String.sub d 0 i ^ piece ^ String.sub d j (String.length d - j))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "both outcomes exercised (%d accepted, %d rejected)" !accepted !rejected)
+    true
+    (!accepted > 100 && !rejected > 100)
+
 (* --- Metrics export + ratio hardening ---------------------------------------- *)
 
 let test_metrics_field_names_arity () =
@@ -327,6 +431,8 @@ let () =
       ( "json",
         [
           Alcotest.test_case "render/parse roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "mutation fuzz: total, accepted values roundtrip" `Quick
+            test_json_parse_fuzz;
           Alcotest.test_case "non-finite floats and bad input" `Quick
             test_json_nonfinite_and_errors;
         ] );
