@@ -122,11 +122,12 @@ let chaos_arg =
           "Arm the deterministic fault-injection layer with this seed. SPEC is \
            comma-separated options: p=FLOAT (per-hit fire probability, default \
            0.01), points=a+b (restrict to named injection points), \
-           kinds=exn+delay+crash_domain+partial_io+torn_write, max=N (stop after \
-           N faults), delay=FLOAT (base Delay duration). Faults are a pure \
-           function of the seed, so any chaos run replays exactly; the final \
-           report stays byte-identical to a fault-free run — that invariant is \
-           what the chaos suite checks.")
+           kinds=exn+delay+partial_io+torn_write, max=N (stop after N faults), \
+           delay=FLOAT (base Delay duration). Faults are a pure function of the \
+           seed, so any chaos run replays exactly. A fault that kills a shard \
+           fails the run fast; a run that completes, or a serve daemon resumed \
+           from its checkpoint, reports byte-identically to a fault-free run — \
+           that invariant is what the chaos suite checks.")
 
 (* Arm --chaos around an action; the summary goes to stderr so stdout stays
    byte-identical to a fault-free run (the chaos oracle diffs it). *)
@@ -312,17 +313,24 @@ let analyze_cmd =
         1
       end
       else if shards > 1 then begin
-        (* chaos armed ⇒ supervise: injected shard faults heal instead of
-           failing the run, and the report stays byte-identical *)
+        (* [feed] routes the whole trace and answers its event count or a
+           read error.  A failed shard fails the run fast: exit 1, no
+           report (recovery is 'racedet serve --resume'). *)
         let run_sharded config feed =
-          let sh = Sharded.create ~engine:id ~shards ~supervise:(Fault.armed ()) config in
-          let events = feed sh in
-          let result = Sharded.result sh in
-          Sharded.stop sh;
-          let restarts = Sharded.restarts_total sh in
-          if restarts > 0 then
-            Printf.eprintf "racedet: supervisor restarted shards %d times\n%!" restarts;
-          finish ~events ~result
+          let sh = Sharded.create ~engine:id ~shards config in
+          match
+            let fed = Result.map (fun events -> (events, Sharded.result sh)) (feed sh) in
+            Sharded.stop sh;
+            fed
+          with
+          | Ok (events, result) -> finish ~events ~result
+          | Error msg ->
+            prerr_endline ("racedet: " ^ msg);
+            1
+          | exception Sharded.Shard_failed diag ->
+            (try Sharded.stop sh with Sharded.Shard_failed _ -> ());
+            prerr_endline ("racedet: " ^ diag);
+            1
         in
         if Filename.check_suffix file ".ftb" then begin
           (* stream .ftb straight into the router, batch by batch: the
@@ -361,36 +369,19 @@ let analyze_cmd =
                   }
                 in
                 let batch = Tb.create_batch () in
-                let feed sh =
-                  let rec loop () =
-                    match Tb.read_batch reader batch with
-                    | Error msg -> Error msg
-                    | Ok 0 -> Ok (Tb.events_read reader)
-                    | Ok n ->
-                      let start = Tb.events_read reader - n in
-                      for j = 0 to n - 1 do
-                        Sharded.handle sh (start + j) (Tb.batch_event batch j)
-                      done;
-                      loop ()
-                  in
-                  loop ()
-                in
-                let sh =
-                  Sharded.create ~engine:id ~shards ~supervise:(Fault.armed ()) config
-                in
-                match feed sh with
-                | Error msg ->
-                  Sharded.stop sh;
-                  prerr_endline ("racedet: " ^ msg);
-                  1
-                | Ok events ->
-                  let result = Sharded.result sh in
-                  Sharded.stop sh;
-                  let restarts = Sharded.restarts_total sh in
-                  if restarts > 0 then
-                    Printf.eprintf "racedet: supervisor restarted shards %d times\n%!"
-                      restarts;
-                  finish ~events ~result
+                run_sharded config (fun sh ->
+                    let rec loop () =
+                      match Tb.read_batch reader batch with
+                      | Error msg -> Error msg
+                      | Ok 0 -> Ok (Tb.events_read reader)
+                      | Ok n ->
+                        let start = Tb.events_read reader - n in
+                        for j = 0 to n - 1 do
+                          Sharded.handle sh (start + j) (Tb.batch_event batch j)
+                        done;
+                        loop ()
+                    in
+                    loop ())
               end)
         end
         else begin
@@ -402,7 +393,7 @@ let analyze_cmd =
             let config = Detector.config_of_trace ~sampler ?clock_size trace in
             run_sharded config (fun sh ->
                 Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-                Trace.length trace)
+                Ok (Trace.length trace))
         end
       end
       else if checkpoint <> None || resume <> None then begin
@@ -478,14 +469,8 @@ let serve_cmd =
            ~doc:"On shutdown, write the final telemetry and merged work counters \
                  (the $(b,STATS JSON) payload) to FILE.")
   in
-  let max_restarts =
-    Arg.(value & opt int Serve.default_max_restarts & info [ "max-restarts" ] ~docv:"N"
-           ~doc:"Per-shard supervisor restart budget; past it the daemon fails \
-                 fast with a non-zero exit, leaving the last good checkpoint set \
-                 on disk.")
-  in
   let run socket tcp backlog ready_file engine shards rate seed clock_size checkpoint
-      resume heartbeat metrics_json max_restarts chaos =
+      resume heartbeat metrics_json chaos =
     match Engine.of_name engine with
     | None ->
       prerr_endline ("racedet: unknown engine " ^ engine);
@@ -525,7 +510,7 @@ let serve_cmd =
                  ready_file;
                  heartbeat_s = (if heartbeat > 0.0 then Some heartbeat else None);
                  metrics_json;
-                 max_restarts;
+                 max_restarts = Serve.default_max_restarts;
                  chaos;
                };
              0
@@ -542,7 +527,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ tcp_arg $ backlog_arg $ ready_file_arg $ engine
       $ shards_arg $ rate_arg $ seed_arg $ clock_size_arg $ checkpoint $ resume
-      $ heartbeat $ metrics_json $ max_restarts $ chaos_arg)
+      $ heartbeat $ metrics_json $ chaos_arg)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -85,11 +85,6 @@ module Enc = struct
 
   let length = Buffer.length
 
-  let drop b n =
-    let rest = Buffer.sub b n (Buffer.length b - n) in
-    Buffer.clear b;
-    Buffer.add_string b rest
-
   let to_snap = Buffer.contents
 end
 

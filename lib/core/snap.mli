@@ -52,11 +52,6 @@ module Enc : sig
   val length : t -> int
   (** Bytes written so far. *)
 
-  val drop : t -> int -> unit
-  (** [drop enc n] discards the first [n] bytes written, keeping the
-      buffer's capacity — for logs that are appended to and trimmed from
-      the front. *)
-
   val to_snap : t -> string
 end
 

@@ -1,20 +1,18 @@
 module Prng = Ft_support.Prng
 
-type kind = Exn | Partial_io | Torn_write | Delay | Crash_domain
+type kind = Exn | Partial_io | Torn_write | Delay
 
 let kind_to_string = function
   | Exn -> "exn"
   | Partial_io -> "partial_io"
   | Torn_write -> "torn_write"
   | Delay -> "delay"
-  | Crash_domain -> "crash_domain"
 
 let kind_of_string = function
   | "exn" -> Some Exn
   | "partial_io" -> Some Partial_io
   | "torn_write" -> Some Torn_write
   | "delay" -> Some Delay
-  | "crash_domain" -> Some Crash_domain
   | _ -> None
 
 type incident = { point : string; lane : int; kind : kind; hit : int; ordinal : int }
@@ -237,7 +235,7 @@ let fire_common (inc, p, log) =
   | Delay ->
     Unix.sleepf (delay_base () *. (0.5 +. Prng.float p 1.0));
     None
-  | Exn | Crash_domain -> raise (Injected inc)
+  | Exn -> raise (Injected inc)
   | Partial_io | Torn_write -> Some (inc, p)
 
 let check ~lane ~supports pt =

@@ -28,10 +28,6 @@ type kind =
   | Partial_io  (** an I/O operation transfers fewer bytes than asked *)
   | Torn_write  (** a file write stops partway — a power cut mid-checkpoint *)
   | Delay  (** sleep a few hundred microseconds — scheduling jitter *)
-  | Crash_domain
-      (** the whole worker domain dies abruptly, mid-message, without
-          draining its ring — the hardest failure the shard supervisor
-          handles *)
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
@@ -45,12 +41,11 @@ type incident = {
 }
 
 exception Injected of incident
-(** Raised at a point when the schedule fires {!Exn} or {!Crash_domain}
-    there (and carried by the exception returned from {!torn_len}). *)
+(** Raised at a point when the schedule fires {!Exn} there (and carried by the exception returned from {!torn_len}). *)
 
 val describe : incident -> string
 (** One log line, e.g.
-    [fault #3: point=shard.step lane=2 kind=crash_domain hit=47]. *)
+    [fault #3: point=shard.step lane=2 kind=exn hit=47]. *)
 
 type config = {
   seed : int;
@@ -109,10 +104,9 @@ val incidents : unit -> incident list
 
 val point : ?lane:int -> ?supports:kind list -> string -> unit
 (** A control-flow point.  Supported kinds default to
-    [[Exn; Delay]]; pass [?supports] to widen ([Crash_domain] for shard
-    workers) or narrow ([[Delay]] where an exception could lose data).
-    Fires {!Exn}/{!Crash_domain} by raising {!Injected}; {!Delay} sleeps
-    and returns. *)
+    [[Exn; Delay]]; pass [?supports] to narrow them ([[Delay]] where an
+    exception could lose data).  Fires {!Exn} by raising {!Injected};
+    {!Delay} sleeps and returns. *)
 
 val io_len : ?lane:int -> string -> int -> int
 (** [io_len p n] — an I/O point about to transfer [n] bytes.  Returns a

@@ -39,9 +39,8 @@ let op_of ~tag ~operand =
   | 7 -> Event.Acquire_load operand
   | _ -> raise (Snap.Corrupt "cluster message: unknown event op tag")
 
-(* An access: tag 0 + index, thread, op tag, operand.  Shared by the
-   CBATCH payload and the supervisor's per-shard byte backlog
-   ({!Sharded}). *)
+(* An access: tag 0 + index, thread, op tag, operand, as the CBATCH
+   payload carries it. *)
 let encode_ev enc i (e : Event.t) =
   Snap.Enc.int enc 0;
   Snap.Enc.int enc i;
@@ -87,20 +86,20 @@ let decode_check dec =
   | 2 ->
     let th = Snap.Dec.int dec in
     let n = Snap.Dec.int dec in
-    Snap.expect (th >= 0) "shard backlog: negative thread";
-    Snap.expect (n >= 0 && n <= Snap.Dec.remaining dec / 2) "shard backlog: bad view length";
+    Snap.expect (th >= 0) "checker message: negative thread";
+    Snap.expect (n >= 0 && n <= Snap.Dec.remaining dec / 2) "checker message: bad view length";
     let idx = Array.make n 0 and vals = Array.make n 0 in
     let prev = ref (-1) in
     for j = 0 to n - 1 do
       let gap = Snap.Dec.int dec in
       let v = Snap.Dec.int dec in
-      Snap.expect (gap >= 0 && v >= 0) "shard backlog: negative view field";
+      Snap.expect (gap >= 0 && v >= 0) "checker message: negative view field";
       idx.(j) <- !prev + gap + 1;
       vals.(j) <- v;
       prev := idx.(j)
     done;
     View (th, idx, vals)
-  | _ -> raise (Snap.Corrupt "shard backlog: unknown message tag")
+  | _ -> raise (Snap.Corrupt "checker message: unknown message tag")
 
 let encode_check enc = function
   | Acc (i, e) -> encode_ev enc i e

@@ -147,14 +147,14 @@ type config = {
   ready_file : string option;
   heartbeat_s : float option;
   metrics_json : string option;
-  max_restarts : int;  (* per-shard supervisor restart budget *)
+  max_restarts : int;  (* must be 0: a failed shard fails fast *)
   chaos : Fault.config option;  (* armed at startup when present *)
 }
 
 let default_max_parked = 1024
 let default_checkpoint_every = 1
 let default_deadline_s = 30.0
-let default_max_restarts = 8
+let default_max_restarts = 0
 
 (* --- the report, shared with [racedet analyze] -------------------------- *)
 
@@ -253,14 +253,11 @@ type telemetry = {
   checkpoint_bytes_total : Registry.counter;
   cbatch_bytes_total : Registry.counter;
   faults_injected : Registry.counter;
-  shard_restarts : Registry.counter;
   checkpoint_failures : Registry.counter;
   ingest_ns : Histogram.t;
   started_ns : int64;
   mutable ring_gauges : Registry.gauge array;    (* one per shard *)
   mutable shard_events : Registry.counter array; (* one per shard, mirrored *)
-  mutable restore_points : Registry.counter array; (* one per shard, mirrored *)
-  mutable backlog_bytes : Registry.gauge array;    (* one per shard, mirrored *)
   mutable det_fields : Registry.counter array;   (* Metrics.field_names order *)
 }
 
@@ -302,9 +299,6 @@ let make_telemetry () =
     faults_injected =
       Registry.counter reg "racedet_faults_injected"
         ~help:"Faults fired by the armed chaos schedule (0 when disarmed)";
-    shard_restarts =
-      Registry.counter reg "racedet_shard_restarts"
-        ~help:"Shard workers restarted by the supervisor";
     checkpoint_failures =
       Registry.counter reg "serve_checkpoint_failures_total"
         ~help:"Checkpoint sets abandoned because a write faulted";
@@ -314,8 +308,6 @@ let make_telemetry () =
     started_ns = Clock.now_ns ();
     ring_gauges = [||];
     shard_events = [||];
-    restore_points = [||];
-    backlog_bytes = [||];
     det_fields = [||];
   }
 
@@ -333,16 +325,6 @@ let attach_series tel ~shards =
           Registry.counter tel.reg "serve_shard_events_total"
             ~help:"Events routed to each shard (accesses to the owner, sync to all)"
             ~labels:[ ("shard", string_of_int k) ]);
-    tel.restore_points <-
-      Array.init shards (fun k ->
-          Registry.counter tel.reg "racedet_supervisor_restore_points_total"
-            ~help:"Restore points the supervisor adopted per shard (answered requests and checkpoints)"
-            ~labels:[ ("shard", string_of_int k) ]);
-    tel.backlog_bytes <-
-      Array.init shards (fun k ->
-          Registry.gauge tel.reg "serve_supervisor_backlog_bytes"
-            ~help:"Encoded messages each shard's supervisor holds since its restore point"
-            ~labels:[ ("shard", string_of_int k) ]);
     tel.det_fields <-
       Array.map
         (fun f ->
@@ -356,7 +338,7 @@ let attach_series tel ~shards =
 
 (* A cluster worker's checker: one engine instance sampling everything,
    applied inline.  Its router is the front (DESIGN.md §6e), so nothing is
-   sharded or supervised here: the router's respawn is the recovery. *)
+   sharded here: the router's respawn is the recovery. *)
 type checker = {
   inst : Front.inst;
   vsize : int;  (* view entries per thread *)
@@ -372,9 +354,9 @@ let checker engine ?snap (config : Detector.config) =
   }
 
 (* The session speaks either plain BATCH streams (units: events) into a
-   supervised sharded detector, or cluster CBATCH streams (units:
-   messages) into one checker; the admitter counts stream units, so mixing
-   the two would silently corrupt the idempotent-resend arithmetic. *)
+   sharded detector, or cluster CBATCH streams (units: messages) into one
+   checker; the admitter counts stream units, so mixing the two would
+   silently corrupt the idempotent-resend arithmetic. *)
 type session = Batch of Sharded.t | Cluster of checker
 
 type state = {
@@ -445,8 +427,7 @@ let decode_set (cfg : config) config set =
     let snaps = Array.init k (fun _ -> Snap.Dec.string dec) in
     Snap.Dec.finish dec;
     Batch
-      (Sharded.restore ~engine:cfg.engine ~shards:cfg.shards ~supervise:true
-         ~max_restarts:cfg.max_restarts config ~router snaps)
+      (Sharded.restore ~engine:cfg.engine ~shards:cfg.shards config ~router snaps)
   end
 
 let write_checkpoint st =
@@ -558,10 +539,7 @@ let batch_session st u =
   | Some (Batch det) -> if st.universe = Some u then Ok det else universe_differs
   | None ->
     let config = detector_config st.cfg u in
-    let det =
-      Sharded.create ~engine:st.cfg.engine ~shards:st.cfg.shards ~supervise:true
-        ~max_restarts:st.cfg.max_restarts config
-    in
+    let det = Sharded.create ~engine:st.cfg.engine ~shards:st.cfg.shards config in
     open_session st (Batch det) config;
     Ok det
 
@@ -575,9 +553,9 @@ let cluster_checker st u =
 
 let reply = Evloop.reply
 
-(* A shard past its restart budget, or a failed checker, is unrecoverable
-   within this process: reply with the diagnostic, then fail fast — clients
-   hold the full stream and can replay into a fresh server. *)
+(* A failed shard or checker is unrecoverable within this process: reply
+   with the diagnostic, then fail fast.  The last good checkpoint set stays
+   on disk; a successor resumes from it while clients resend. *)
 let fail_fast st conn msg =
   st.failed <- Some msg;
   st.stop_reason <- "shard failure";
@@ -704,21 +682,13 @@ let refresh_cheap st =
   match st.session with
   | None | Some (Cluster _) -> ()
   | Some (Batch det) ->
-    Registry.set_counter tel.shard_restarts (Sharded.restarts_total det);
     Array.iteri
       (fun k occ -> if k < Array.length tel.ring_gauges then Registry.set tel.ring_gauges.(k) occ)
       (Sharded.ring_occupancy det);
     Array.iteri
       (fun k c ->
         if k < Array.length tel.shard_events then Registry.set_counter tel.shard_events.(k) c)
-      (Sharded.shard_event_counts det);
-    Array.iteri
-      (fun k (s : Sharded.supervision) ->
-        if k < Array.length tel.restore_points then begin
-          Registry.set_counter tel.restore_points.(k) s.Sharded.restore_points;
-          Registry.set tel.backlog_bytes.(k) s.Sharded.backlog_bytes
-        end)
-      (Sharded.supervision det)
+      (Sharded.shard_event_counts det)
 
 (* Full refresh: additionally flush the shards and mirror the merged
    detector metrics.  [Sharded.result] waits for the rings to drain, so this
@@ -744,7 +714,6 @@ let stats_json st result =
     | None | Some (Cluster _) -> Json.Arr []
     | Some (Batch det) -> Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) (f det)))
   in
-  let supervision f det = Array.map f (Sharded.supervision det) in
   Json.Obj
     [
       ("engine", Json.Str (Engine.name st.cfg.engine));
@@ -756,8 +725,6 @@ let stats_json st result =
       ("uptime_s", Json.Float (Clock.elapsed_s ~since:st.tel.started_ns));
       ("ring_occupancy", per_shard Sharded.ring_occupancy);
       ("shard_events", per_shard Sharded.shard_event_counts);
-      ("restore_points", per_shard (supervision (fun s -> s.Sharded.restore_points)));
-      ("backlog_bytes", per_shard (supervision (fun s -> s.Sharded.backlog_bytes)));
       ("telemetry", Registry.to_json st.tel.reg);
       ( "metrics",
         match result with
@@ -816,10 +783,11 @@ let handle_line st conn line =
         Evloop.reply_blob conn "STATS"
           (stats_payload st (if format = [ "JSON" ] then `Json else `Prometheus)))
   | [ "SHUTDOWN" ] ->
-    write_checkpoint st;
-    reply conn "BYE\n";
-    st.stop_reason <- "SHUTDOWN command";
-    st.quit <- true
+    guard st conn (fun () ->
+        write_checkpoint st;
+        reply conn "BYE\n";
+        st.stop_reason <- "SHUTDOWN command";
+        st.quit <- true)
   | [ "" ] -> ()
   | _ -> reply conn "ERR unknown command\n"
 
@@ -835,6 +803,8 @@ let write_metrics_json_file st =
 
 let run cfg =
   if cfg.shards < 1 then invalid_arg "Serve.run: shards must be positive";
+  if cfg.max_restarts <> 0 then
+    invalid_arg "Serve.run: max_restarts must be 0 (a failed shard fails fast)";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (match cfg.chaos with
   | None -> ()
@@ -902,10 +872,11 @@ let run cfg =
     Printf.eprintf "racedet serve: shutting down (%s)\n%!" st.stop_reason;
   (match st.failed with
   | Some _ -> ()  (* fail-fast: the on-disk checkpoint of the last good batch stands *)
-  | None ->
-    write_checkpoint st;
-    (try write_metrics_json_file st
-     with Sharded.Shard_failed msg -> st.failed <- Some msg));
+  | None -> (
+    try
+      write_checkpoint st;
+      write_metrics_json_file st
+    with Sharded.Shard_failed msg -> st.failed <- Some msg));
   (match st.session with
   | Some (Batch det) -> ( try Sharded.stop det with Sharded.Shard_failed _ -> ())
   | Some (Cluster _) | None -> ());
@@ -917,9 +888,8 @@ let run cfg =
   (match cfg.chaos with
   | None -> ()
   | Some _ ->
-    Printf.eprintf "racedet serve: chaos summary: %d faults fired over %d checks, %d shard restarts\n%!"
-      (Fault.fired ()) (Fault.checks ())
-      (match st.session with Some (Batch det) -> Sharded.restarts_total det | _ -> 0));
+    Printf.eprintf "racedet serve: chaos summary: %d faults fired over %d checks\n%!"
+      (Fault.fired ()) (Fault.checks ()));
   match st.failed with
   | Some msg -> failwith ("racedet serve: " ^ msg)
   | None -> ()

@@ -46,8 +46,7 @@
     [STATS] snapshots the daemon's telemetry ({!Ft_obs.Registry}): ingest
     counters (batches fed / parked / duplicate / resent, events), per-batch
     ingest-latency histogram (p50/p90/p99/max), per-shard ring occupancy,
-    routed-event throughput, supervisor restore points taken and byte
-    backlog size, connection counts, and the merged detector
+    routed-event throughput, connection counts, and the merged detector
     {!Ft_core.Metrics} — as Prometheus text exposition or as one JSON
     document.  Counters are monotone across successive queries; answering
     [STATS] flushes the shard rings (like [REPORT]) so the merged metrics
@@ -75,15 +74,15 @@
 
     {2 Robustness}
 
-    A [BATCH] session's sharded detector runs {e supervised}
-    ({!Sharded.create}[ ~supervise:true]): a shard worker that dies is
-    rebuilt from its supervisor restore point (a snapshot the worker took
-    on request, or the last checkpoint) and its byte backlog replayed, so
-    verdicts are unaffected; a shard past its restart budget
-    ([max_restarts]) fails the daemon fast with a non-zero exit, leaving
-    the last good checkpoint set on disk for a replacement server to
-    resume from.  A failed [CBATCH] checker fails the daemon fast the same
-    way; its router respawns it from its newest set.  [SIGTERM] and
+    A failed shard ({!Sharded.Shard_failed}) fails the daemon fast: the
+    request that meets it answers [ERR] with the diagnostic, and the daemon
+    exits non-zero without writing another set, so the last good
+    checkpoint set stays on disk.  Recovery is the one path every level
+    shares: a successor started with [resume_dir] restores that set, and
+    the clients' idempotent resend replays the rest, so its [REPORT] is
+    byte-identical to an unfaulted run's.  A failed [CBATCH] checker fails
+    the daemon fast the same way; its router respawns it from its newest
+    set.  [SIGTERM] and
     [SIGINT] trigger the same graceful path as
     a [SHUTDOWN] command — drain the rings, write a final checkpoint set,
     dump [metrics_json] — even when the signal lands inside [accept] or a
@@ -91,8 +90,7 @@
     deterministic fault-injection layer ({!Ft_fault.Fault}) over the
     daemon's injection points ([serve.recv], [shard.step], [spsc.push],
     [checkpoint.write]) and reports fired faults through the
-    [racedet_faults_injected] / [racedet_shard_restarts] counters and a
-    shutdown summary line. *)
+    [racedet_faults_injected] counter and a shutdown summary line. *)
 
 (** {1 Transport addresses} *)
 
@@ -156,8 +154,8 @@ type config = {
       (** write the full telemetry + merged-metrics JSON document (the
           [STATS JSON] payload) to this file on shutdown *)
   max_restarts : int;
-      (** per-shard supervisor restart budget before the daemon fails fast
-          ({!default_max_restarts}) *)
+      (** must be 0 ({!run} rejects anything else): a failed shard fails
+          the daemon fast.  Goes with the next change to the benchmark. *)
   chaos : Ft_fault.Fault.config option;
       (** arm this fault-injection schedule at startup ([--chaos]) *)
 }
@@ -176,9 +174,9 @@ val run : config -> unit
     metrics dump).  Refuses to start when [listen] is a Unix path with a
     live listener; removes the socket file on exit.  Blocking; a [BATCH]
     session spawns the shard domains — call it from a dedicated (child)
-    process.  Raises [Failure] after cleanup if a shard exhausted its
-    restart budget or a cluster checker failed (the CLI turns that into a
-    non-zero exit). *)
+    process.  Raises [Failure] after cleanup if a shard or a cluster
+    checker failed (the CLI turns that into a non-zero exit), and
+    [Invalid_argument] for [shards < 1] or [max_restarts <> 0]. *)
 
 val report_text : events:int -> Ft_core.Detector.result -> string
 (** The analysis report, byte-identical to [racedet analyze]'s output —

@@ -26,9 +26,9 @@ val push : 'a t -> 'a -> unit
 
 val try_push : 'a t -> 'a -> bool
 (** Producer only.  Push without blocking; [false] when the ring is full.
-    The supervisor's push loop uses this so a producer facing a {e dead}
-    consumer (a crashed shard domain no longer draining) can notice the
-    failure instead of spinning in {!push} forever. *)
+    {!Sharded}'s push loop uses this so a producer facing a {e dead}
+    consumer (a failed shard no longer draining) can notice the failure
+    instead of spinning in {!push} forever. *)
 
 val peek : 'a t -> 'a option
 (** Consumer only.  The oldest unconsumed element, without removing it;

@@ -5,19 +5,22 @@
      schedule determinism, pass-through when disarmed or p=0, single-shot
      [arm_exact], io_len/torn_len contracts;
    - the REPORT byte-identity oracle: chaos schedules over shard.step /
-     spsc.push across engines × samplers × K — every supervised run, however
-     many workers crash and heal, must match the fault-free unsharded run
+     spsc.push across engines × samplers × K — a failed shard fails the
+     detector fast, and recovery is the one checkpoint + resume path
+     (restore the newest shard + router snapshots, replay from their event
+     count); every recovered run must match the fault-free unsharded run
      exactly (races, merged metrics, rendered report);
    - a QCheck property: killing one random shard at one random message cut,
-     with a random kind, for a random engine/sampler/K, changes nothing;
-   - bounded restarts: a deterministic always-failing fault exhausts the
-     budget and fails fast with [Sharded.Shard_failed];
+     for a random engine/sampler/K, changes nothing once resumed;
+   - fail-fast: the first injected fault raises [Sharded.Shard_failed], and
+     [stop] joins every domain before raising it again;
    - checkpoint durability: a torn write leaves the previous .ftc intact and
      loadable;
    - the serve daemon: connect backoff against a slow-starting server,
      SIGTERM graceful shutdown (final checkpoint + metrics dump) followed by
-     an exact resume, and a chaos-armed session whose REPORT still matches
-     analyze. *)
+     an exact resume, a shard fault that fails the daemon fast followed by
+     an exact resume, and a chaos-armed session whose REPORT, resumed when
+     a fault killed it, still matches analyze. *)
 
 module Trace = Ft_trace.Trace
 module Trace_gen = Ft_trace.Trace_gen
@@ -32,6 +35,11 @@ module Serve = Ft_shard.Serve
 module Fault = Ft_fault.Fault
 
 let with_disarm f = Fun.protect ~finally:Fault.disarm f
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+  at 0
 
 (* --- the fault layer itself ------------------------------------------------ *)
 
@@ -151,29 +159,51 @@ let run_unsharded id config trace =
   Trace.iteri (fun i e -> D.handle d i e) trace;
   D.result d
 
-(* The result, the restarts and how many of them restored a published
-   snapshot rather than a fresh instance. *)
-let run_supervised ?(max_restarts = 16) id ~shards config trace =
-  let sh = Sharded.create ~engine:id ~shards ~supervise:true ~max_restarts config in
-  Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
-  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-  let result = Sharded.result sh in
-  let snapshot_heals =
-    Array.fold_left
-      (fun acc (s : Sharded.supervision) -> acc + s.Sharded.snapshot_heals)
-      0 (Sharded.supervision sh)
+(* Feed [trace] to a sharded detector, checkpointing (every shard's
+   snapshot plus the router's) every [every] events.  A [Shard_failed]
+   stops the detector, restores the newest checkpoint — or starts fresh
+   when there is none — and replays from its event count: the one
+   recovery path.  Answers the result, the recoveries, and how many of
+   them restored a checkpoint rather than starting fresh.  The fault
+   schedule bounds the faults; [max_recoveries] bounds the loop. *)
+let run_resumed ?(every = 50) ?(max_recoveries = 16) id ~shards config trace =
+  let n = Trace.length trace in
+  let newest = ref None and recoveries = ref 0 and from_ckpt = ref 0 in
+  let rec run sh =
+    match
+      for i = Sharded.events sh to n - 1 do
+        Sharded.handle sh i (Trace.get trace i);
+        if (i + 1) mod every = 0 then begin
+          let snaps = Sharded.shard_snapshots sh in
+          newest := Some (Sharded.router_snapshot sh, snaps)
+        end
+      done;
+      Sharded.result sh
+    with
+    | result ->
+      Sharded.stop sh;
+      (result, !recoveries, !from_ckpt)
+    | exception Sharded.Shard_failed _ when !recoveries < max_recoveries ->
+      (try Sharded.stop sh with Sharded.Shard_failed _ -> ());
+      incr recoveries;
+      run
+        (match !newest with
+        | None -> Sharded.create ~engine:id ~shards config
+        | Some (router, snaps) ->
+          incr from_ckpt;
+          Sharded.restore ~engine:id ~shards config ~router snaps)
   in
-  (result, Sharded.restarts_total sh, snapshot_heals)
+  run (Sharded.create ~engine:id ~shards config)
 
 let same_result ~events a b =
   a.Detector.races = b.Detector.races
   && Metrics.to_array a.Detector.metrics = Metrics.to_array b.Detector.metrics
   && String.equal (Serve.report_text ~events a) (Serve.report_text ~events b)
 
-(* Fault schedules × engines × samplers × K: every chaos run must end with
-   state byte-identical to the fault-free run, and recoveries must exercise
-   the restore-then-replay path, not just full replays from a fresh
-   instance. *)
+(* Fault schedules × engines × samplers × K: every chaos run, resumed
+   after each fault, must end with state byte-identical to the fault-free
+   run, and recoveries must exercise the restore-then-replay path, not just
+   full replays from a fresh instance. *)
 let test_chaos_grid () =
   with_disarm @@ fun () ->
   let trace = Lazy.force chaos_trace in
@@ -186,7 +216,7 @@ let test_chaos_grid () =
       ("adaptive", Sampler.adaptive ~base_rate:4);
     ]
   in
-  let total_fired = ref 0 and total_restarts = ref 0 and total_snapshot_heals = ref 0 in
+  let total_fired = ref 0 and total_recoveries = ref 0 and total_from_ckpt = ref 0 in
   let cell = ref 0 in
   List.iter
     (fun id ->
@@ -204,14 +234,14 @@ let test_chaos_grid () =
                   (Fault.default ~seed:(1000 + !cell)) with
                   Fault.prob = 0.01;
                   points = Some [ "shard.step"; "spsc.push" ];
-                  kinds = Some [ Fault.Exn; Fault.Crash_domain; Fault.Delay ];
+                  kinds = Some [ Fault.Exn; Fault.Delay ];
                   max_fires = Some 8;
                   delay_s = 0.0002;
                 };
-              let got, restarts, snapshot_heals = run_supervised id ~shards:k config trace in
+              let got, recoveries, from_ckpt = run_resumed id ~shards:k config trace in
               total_fired := !total_fired + Fault.fired ();
-              total_restarts := !total_restarts + restarts;
-              total_snapshot_heals := !total_snapshot_heals + snapshot_heals;
+              total_recoveries := !total_recoveries + recoveries;
+              total_from_ckpt := !total_from_ckpt + from_ckpt;
               Fault.disarm ();
               if not (same_result ~events expected got) then
                 Alcotest.failf "chaos diverged: %s/%s K=%d seed=%d" (Engine.name id) sname
@@ -220,15 +250,13 @@ let test_chaos_grid () =
         samplers)
     engines;
   Alcotest.(check bool) "the sweep injected faults" true (!total_fired > 0);
-  Alcotest.(check bool) "some faults killed workers" true (!total_restarts > 0);
-  Alcotest.(check bool) "some heals restored a published snapshot" true
-    (!total_snapshot_heals > 0)
+  Alcotest.(check bool) "some faults killed workers" true (!total_recoveries > 0);
+  Alcotest.(check bool) "some recoveries restored a checkpoint" true (!total_from_ckpt > 0)
 
-(* Satellite property: killing one random shard at one random message cut,
-   for a random engine × sampler × K, yields races and merged metrics
-   identical to the unfaulted run.  The shard's first request lands right
-   behind its first message, so from the second message on every heal
-   restores a published snapshot. *)
+(* Killing one random shard at one random message cut, for a random
+   engine × sampler × K, yields races and merged metrics identical to the
+   unfaulted run once resumed, and each fired fault costs exactly one
+   recovery. *)
 let kill_samplers =
   [
     Sampler.all;
@@ -247,7 +275,6 @@ type kill_case = {
   k : int;
   lane : int;
   cut : int;
-  crash : bool;  (* Crash_domain (domain dies) vs Exn (handler raises) *)
 }
 
 let kill_gen =
@@ -257,14 +284,12 @@ let kill_gen =
     let* k = int_range 1 4 in
     let* lane = int_bound (k - 1) in
     let* cut = int_range 1 400 in
-    let* crash = bool in
-    return { engine_ix; sampler_ix; k; lane; cut; crash })
+    return { engine_ix; sampler_ix; k; lane; cut })
 
 let print_kill c =
-  Printf.sprintf "engine=%s sampler#%d K=%d lane=%d cut=%d kind=%s"
+  Printf.sprintf "engine=%s sampler#%d K=%d lane=%d cut=%d"
     (Engine.name (List.nth kill_engines c.engine_ix))
     c.sampler_ix c.k c.lane c.cut
-    (if c.crash then "crash_domain" else "exn")
 
 let kill_one_shard_test =
   QCheck.Test.make ~count:30 ~name:"killing any shard at any cut changes nothing"
@@ -275,22 +300,28 @@ let kill_one_shard_test =
       let config = config_for trace (List.nth kill_samplers c.sampler_ix) in
       Fault.disarm ();
       let expected = run_unsharded id config trace in
-      Fault.arm_exact ~lane:c.lane ~point:"shard.step" ~hit:c.cut
-        (if c.crash then Fault.Crash_domain else Fault.Exn);
-      let got, restarts, snapshot_heals = run_supervised id ~shards:c.k config trace in
+      Fault.arm_exact ~lane:c.lane ~point:"shard.step" ~hit:c.cut Fault.Exn;
+      let got, recoveries, _ = run_resumed id ~shards:c.k config trace in
+      let fired = Fault.fired () in
       Fault.disarm ();
-      same_result ~events:(Trace.length trace) expected got
-      && (c.cut < 2 || snapshot_heals = restarts))
+      same_result ~events:(Trace.length trace) expected got && recoveries = fired)
 
-(* A resumed detector's first restore points are its checkpoint snapshots:
-   a shard killed at its first message after the resume heals from the
-   checkpoint, not from a fresh instance that never saw the prefix. *)
-let test_resumed_shard_heals_from_checkpoint () =
+(* A detector resumed from a checkpoint whose shard fails at its first
+   message fails fast; resuming again from the same checkpoint reaches the
+   uninterrupted result. *)
+let test_resumed_fails_then_re_resumes () =
   with_disarm @@ fun () ->
   let trace = Lazy.force chaos_trace in
   let n = Trace.length trace in
+  let feed sh =
+    for i = Sharded.events sh to n - 1 do
+      Sharded.handle sh i (Trace.get trace i)
+    done;
+    Sharded.result sh
+  in
   List.iter
     (fun id ->
+      let name = Engine.name id in
       let config = config_for trace (Sampler.bernoulli ~rate:0.3 ~seed:11) in
       let expected = run_unsharded id config trace in
       let first = Sharded.create ~engine:id ~shards:2 config in
@@ -300,23 +331,28 @@ let test_resumed_shard_heals_from_checkpoint () =
       let snaps = Sharded.shard_snapshots first in
       let router = Sharded.router_snapshot first in
       Sharded.stop first;
-      let sh = Sharded.restore ~engine:id ~shards:2 ~supervise:true config ~router snaps in
-      Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
-      Fault.arm_exact ~lane:0 ~point:"shard.step" ~hit:1 Fault.Crash_domain;
-      for i = n / 2 to n - 1 do
-        Sharded.handle sh i (Trace.get trace i)
-      done;
-      let got = Sharded.result sh in
+      let resumed = Sharded.restore ~engine:id ~shards:2 config ~router snaps in
+      Fault.arm_exact ~lane:0 ~point:"shard.step" ~hit:1 Fault.Exn;
+      (match feed resumed with
+      | _ -> Alcotest.failf "%s: a failed shard must fail the resumed detector" name
+      | exception Sharded.Shard_failed _ -> ());
       Fault.disarm ();
-      Alcotest.(check int) (Engine.name id ^ ": one heal") 1 (Sharded.restarts_total sh);
-      Alcotest.(check int)
-        (Engine.name id ^ ": it restored the checkpoint")
-        1 (Sharded.supervision sh).(0).Sharded.snapshot_heals;
+      (match Sharded.stop resumed with
+      | () -> Alcotest.failf "%s: stop must re-raise the failure after joining" name
+      | exception Sharded.Shard_failed _ -> ());
+      let again = Sharded.restore ~engine:id ~shards:2 config ~router snaps in
+      Alcotest.(check int) (name ^ ": resumes at the checkpoint") (n / 2) (Sharded.events again);
+      let got = feed again in
+      Sharded.stop again;
       if not (same_result ~events:n expected got) then
-        Alcotest.failf "%s: resumed shard healed into a different state" (Engine.name id))
+        Alcotest.failf "%s: re-resumed detector reached a different state" name)
     [ Engine.So; Engine.Fasttrack ]
 
-let test_restart_budget_fails_fast () =
+(* Every checker fails at its first message.  The first fault surfaces as
+   [Shard_failed] naming the shard and the fault, every later operation
+   raises it too, and [stop] returns — every domain joined — before raising
+   it once more. *)
+let test_first_fault_fails_fast () =
   with_disarm @@ fun () ->
   let trace = Lazy.force chaos_trace in
   let config = config_for trace Sampler.all in
@@ -327,7 +363,7 @@ let test_restart_budget_fails_fast () =
       points = Some [ "shard.step" ];
       kinds = Some [ Fault.Exn ];
     };
-  let sh = Sharded.create ~engine:Engine.So ~shards:2 ~supervise:true ~max_restarts:2 config in
+  let sh = Sharded.create ~engine:Engine.So ~shards:2 config in
   let outcome =
     try
       Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
@@ -335,19 +371,22 @@ let test_restart_budget_fails_fast () =
       None
     with Sharded.Shard_failed msg -> Some msg
   in
+  let fired = Fault.fired () in
   Fault.disarm ();
-  (try Sharded.stop sh with Sharded.Shard_failed _ -> ());
+  let stop_raised = try Sharded.stop sh; None with Sharded.Shard_failed msg -> Some msg in
   match outcome with
-  | None -> Alcotest.fail "an always-failing shard must exhaust its restart budget"
+  | None -> Alcotest.fail "a failed shard must fail the detector"
   | Some msg ->
-    let contains ~sub s =
-      let n = String.length sub and m = String.length s in
-      let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-      at 0
-    in
     Alcotest.(check bool)
-      "diagnostic names the budget" true
-      (contains ~sub:"restart budget" msg)
+      (Printf.sprintf "diagnostic names the shard and the fault: %s" msg)
+      true
+      (contains ~sub:"failed: " msg && contains ~sub:"point=shard.step" msg);
+    Alcotest.(check bool) "at most one fault per shard" true (fired >= 1 && fired <= 2);
+    Alcotest.(check (option string)) "stop joins, then raises the same failure" (Some msg)
+      stop_raised;
+    Alcotest.(check (option string))
+      "every later operation raises it" (Some msg)
+      (try ignore (Sharded.result sh); None with Sharded.Shard_failed m -> Some m)
 
 (* --- checkpoint durability --------------------------------------------------- *)
 
@@ -436,11 +475,13 @@ let server_config ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ~engine ~shar
     chaos;
   }
 
-let start_server ?(delay_s = 0.0) cfg =
+(* [before] runs in the child, e.g. to arm a single-shot fault. *)
+let start_server ?(delay_s = 0.0) ?(before = ignore) cfg =
   match Unix.fork () with
   | 0 ->
     (try
        if delay_s > 0.0 then Unix.sleepf delay_s;
+       before ();
        Serve.run cfg
      with exn ->
        Printf.eprintf "server died: %s\n%!" (Printexc.to_string exn);
@@ -488,6 +529,54 @@ let slices trace ~batch =
 
 let expected_report ~engine ~sampler trace =
   Serve.report_text ~events:(Trace.length trace) (Engine.run engine ~sampler trace)
+
+(* Send [batches] in order; the first refusal stops the stream (a daemon
+   that failed fast answers [ERR] with its diagnostic, then closes). *)
+let send_until_refused fd batches =
+  let rec go i =
+    if i = Array.length batches then None
+    else
+      let base, sub = batches.(i) in
+      match Serve.send_batch fd ~base sub with Ok _ -> go (i + 1) | Error msg -> Some msg
+  in
+  go 0
+
+(* A successor daemon resumed from [ckpt], fed a blind resend of every
+   batch: the total its first resend answers (the resumed cut, when that
+   batch lies inside it) and its REPORT. *)
+let resume_and_report ~engine ~shards ~sampler ~ckpt socket batches =
+  (try Unix.unlink socket with Unix.Unix_error _ -> ());
+  let pid =
+    start_server
+      (server_config ~engine ~shards ~sampler ~checkpoint_dir:ckpt ~resume_dir:ckpt socket)
+  in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  let fd = Serve.connect (Serve.Unix_path socket) in
+  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+  let totals = Array.map (fun (base, sub) -> get_ok "resend" (Serve.send_batch fd ~base sub)) batches in
+  let report = get_ok "resumed report" (Serve.fetch_report fd) in
+  get_ok "shutdown" (Serve.shutdown fd);
+  reap pid;
+  (totals.(0), report)
+
+(* A daemon that failed fast must exit by itself, non-zero; waiting is
+   bounded so a daemon that keeps running fails the test instead of
+   hanging it. *)
+let check_failed_exit what pid =
+  let until = Unix.gettimeofday () +. 10.0 in
+  let rec status () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () > until ->
+      Alcotest.failf "%s: the failed daemon is still running" what
+    | 0, _ ->
+      Unix.sleepf 0.02;
+      status ()
+    | _, st -> st
+  in
+  match status () with
+  | Unix.WEXITED 0 -> Alcotest.failf "%s: a failed daemon exited 0" what
+  | Unix.WEXITED _ -> ()
+  | _ -> Alcotest.failf "%s: the daemon did not exit normally" what
 
 (* The backoff loop must tolerate a server that takes a while to bind, and
    report how hard it had to try. *)
@@ -542,29 +631,54 @@ let test_sigterm_graceful_then_resume () =
   Alcotest.(check bool)
     "final checkpoint set written on SIGTERM" true
     (Sys.file_exists (Filename.concat ckpt "set.ftc"));
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
   (* successor: resume, blindly resend everything, expect the exact report *)
+  let total, report = resume_and_report ~engine ~shards:3 ~sampler ~ckpt socket batches in
+  Alcotest.(check int) "resumed from the SIGTERM checkpoint" 750 total;
+  Alcotest.(check string) "SIGTERM + resume ≡ analyze" expected report
+
+(* A shard fault fails the daemon fast: the batch that meets it answers
+   [ERR] with the diagnostic and the daemon exits non-zero, leaving its
+   last good set on disk.  A successor resumed from that set, fed a blind
+   resend of the whole trace, reports exactly what analyze does. *)
+let test_shard_fault_fails_fast_then_resume () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:5 in
+  let trace = sample_trace ~seed:41 ~length:1_500 in
+  let n = Trace.length trace in
+  let expected = expected_report ~engine ~sampler trace in
+  let socket = Filename.concat dir "serve.sock" in
+  let ckpt = Filename.concat dir "ckpt" in
+  Unix.mkdir ckpt 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
+  let batches = Array.of_list (slices trace ~batch:100) in
   let pid =
     start_server
-      (server_config ~engine ~shards:3 ~sampler ~checkpoint_dir:ckpt ~resume_dir:ckpt socket)
+      ~before:(fun () -> Fault.arm_exact ~lane:0 ~point:"shard.step" ~hit:40 Fault.Exn)
+      (server_config ~engine ~shards:2 ~sampler ~checkpoint_dir:ckpt socket)
   in
-  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
-  let fd = Serve.connect (Serve.Unix_path socket) in
-  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
-  let base0, sub0 = batches.(0) in
-  let total = get_ok "resend 0" (Serve.send_batch fd ~base:base0 sub0) in
-  Alcotest.(check int) "resumed from the SIGTERM checkpoint" 750 total;
-  Array.iteri
-    (fun i (base, sub) ->
-      if i > 0 then ignore (get_ok "resend" (Serve.send_batch fd ~base sub)))
-    batches;
-  let report = get_ok "post-resume report" (Serve.fetch_report fd) in
-  Alcotest.(check string) "SIGTERM + resume ≡ analyze" expected report;
-  get_ok "shutdown" (Serve.shutdown fd);
-  reap pid
+  (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+   let fd = Serve.connect (Serve.Unix_path socket) in
+   match
+     Fun.protect ~finally:(fun () -> Serve.close fd) (fun () -> send_until_refused fd batches)
+   with
+   | None -> Alcotest.fail "the shard fault must fail the daemon"
+   | Some msg ->
+     Alcotest.(check bool)
+       (Printf.sprintf "ERR names the shard and the fault: %s" msg)
+       true
+       (contains ~sub:"ERR shard 0 failed: " msg && contains ~sub:"point=shard.step" msg);
+     check_failed_exit "shard fault" pid);
+  let cut, report = resume_and_report ~engine ~shards:2 ~sampler ~ckpt socket batches in
+  Alcotest.(check bool)
+    (Printf.sprintf "resumed inside the stream (cut %d of %d)" cut n)
+    true
+    (cut > 100 && cut < n);
+  Alcotest.(check string) "fail fast + resume ≡ analyze" expected report
 
-(* A chaos-armed daemon — worker crashes, ring delays, recv hiccups, torn
-   checkpoint writes — still answers with the exact report. *)
+(* A chaos-armed daemon — shard faults, ring delays, recv hiccups, torn
+   checkpoint writes — still ends with the exact report: directly when no
+   fault killed a shard, else through a successor resumed from the last
+   good set. *)
 let test_serve_with_chaos () =
   with_temp_dir @@ fun dir ->
   let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:5 in
@@ -577,23 +691,43 @@ let test_serve_with_chaos () =
   let chaos =
     match
       Fault.parse
-        "11:p=0.004,points=shard.step+spsc.push+serve.recv+checkpoint.write,kinds=exn+crash_domain+delay+torn_write,delay=0.0002,max=8"
+        "11:p=0.004,points=shard.step+spsc.push+serve.recv+checkpoint.write,kinds=exn+delay+torn_write,delay=0.0002,max=8"
     with
     | Ok c -> c
     | Error msg -> Alcotest.failf "chaos spec rejected: %s" msg
   in
-  let cfg = server_config ~engine ~shards:3 ~sampler ~checkpoint_dir:ckpt ~chaos socket in
-  let pid = start_server cfg in
-  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
-  let fd = Serve.connect (Serve.Unix_path socket) in
-  Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
-  List.iter
-    (fun (base, sub) -> ignore (get_ok "chaos batch" (Serve.send_batch fd ~base sub)))
-    (slices trace ~batch:200);
-  let report = get_ok "chaos report" (Serve.fetch_report fd) in
-  Alcotest.(check string) "chaos serve ≡ analyze" expected report;
-  get_ok "shutdown" (Serve.shutdown fd);
-  reap pid
+  let batches = Array.of_list (slices trace ~batch:200) in
+  let pid =
+    start_server (server_config ~engine ~shards:3 ~sampler ~checkpoint_dir:ckpt ~chaos socket)
+  in
+  let outcome =
+    Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+    let fd = Serve.connect (Serve.Unix_path socket) in
+    let outcome =
+      Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+      match send_until_refused fd batches with
+      | Some msg -> Error msg
+      | None -> (
+        match Serve.fetch_report fd with
+        | Ok report ->
+          get_ok "shutdown" (Serve.shutdown fd);
+          Ok report
+        | Error msg -> Error msg)
+    in
+    (match outcome with
+    | Ok _ -> reap pid
+    | Error msg ->
+      Alcotest.(check bool) ("refusal names a failed shard: " ^ msg) true
+        (contains ~sub:"failed: " msg);
+      check_failed_exit "chaos" pid);
+    outcome
+  in
+  let report =
+    match outcome with
+    | Ok report -> report
+    | Error _ -> snd (resume_and_report ~engine ~shards:3 ~sampler ~ckpt socket batches)
+  in
+  Alcotest.(check string) "chaos serve ≡ analyze" expected report
 
 let () =
   Alcotest.run "fault"
@@ -608,13 +742,15 @@ let () =
         ] );
       (* the serve group forks daemons, and [Unix.fork] is only legal while
          this process has never spawned a domain — so it must run before the
-         oracle group, whose supervised runs spawn shard domains in-process *)
+         oracle group, whose sharded runs spawn shard domains in-process *)
       ( "serve",
         [
           Alcotest.test_case "connect backs off against a slow server" `Quick
             test_connect_backoff;
           Alcotest.test_case "SIGTERM: graceful shutdown then exact resume" `Quick
             test_sigterm_graceful_then_resume;
+          Alcotest.test_case "shard fault fails fast, then an exact resume" `Quick
+            test_shard_fault_fails_fast_then_resume;
           Alcotest.test_case "chaos-armed daemon still reports exactly" `Quick
             test_serve_with_chaos;
         ] );
@@ -623,10 +759,12 @@ let () =
           Alcotest.test_case "chaos grid: schedules × engines × samplers × K" `Quick
             test_chaos_grid;
           QCheck_alcotest.to_alcotest kill_one_shard_test;
-          Alcotest.test_case "resumed shard heals from its checkpoint" `Quick
-            test_resumed_shard_heals_from_checkpoint;
-          Alcotest.test_case "restart budget fails fast" `Quick
-            test_restart_budget_fails_fast;
+          Alcotest.test_case
+            "resumed detector fails at its first message and re-resumes to the same result"
+            `Quick test_resumed_fails_then_re_resumes;
+          Alcotest.test_case
+            "the first injected fault raises Shard_failed and stop joins every domain" `Quick
+            test_first_fault_fails_fast;
         ] );
       ( "durability",
         [

@@ -276,7 +276,7 @@ let stats_documents () =
         ("parked", Json.Int 0);
         ("uptime_s", Json.Float uptime);
         ("ring_occupancy", Json.Arr (List.map (fun n -> Json.Int n) shards));
-        ("restore_points", Json.Arr (List.map (fun n -> Json.Int (n * 3)) shards));
+        ("shard_events", Json.Arr (List.map (fun n -> Json.Int (n * 3)) shards));
         ("telemetry", Registry.to_json reg);
         ("metrics", metrics);
         ("races", if shards = [] then Json.Null else Json.Int 12);

@@ -15,10 +15,8 @@
      fork/join) is on the front while the racy accesses live on specific
      shards, and pending bits are set by accesses on other shards;
    - sharded snapshot/restore mid-trace reproduces the uninterrupted run;
-   - a long supervised run keeps its byte backlog within its restore point
-     plus one ring of messages;
-   - the backlog and cluster batch decoders survive truncation and bit
-     flips at every byte;
+   - the checker message and cluster batch decoders survive truncation
+     and bit flips at every byte;
    - Front.merge (the merge of Sharded and the cluster router): front +
      Σ parts + tally pointwise over the full field array, races from every
      part in declaration order;
@@ -479,53 +477,6 @@ let test_restore_rejects_old_router_layout () =
     Sharded.stop sh';
     Alcotest.fail "restore accepted a router snapshot from before the split"
 
-(* --- supervisor restore points ------------------------------------------------ *)
-
-(* A long supervised run: restore points are requested as the byte backlog
-   grows, the backlog never holds more than its restore point plus one ring
-   of messages, and the report is byte-identical to the plain engine's.
-   Sampling every access ships every access to the checker, which grows the
-   backlog fastest. *)
-let test_supervised_backlog_bound () =
-  let trace =
-    Ft_workloads.Db_sim.generate
-      (Option.get (Ft_workloads.Db_sim.profile "tpcc"))
-      ~seed:5 ~target_events:100_000
-  in
-  let n = Trace.length trace in
-  let sampler = Sampler.all in
-  let expected = Engine.run Engine.So ~sampler trace in
-  let config = config_for trace sampler in
-  let sh = Sharded.create ~engine:Engine.So ~shards:1 ~supervise:true config in
-  Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
-  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-  Sharded.flush sh;
-  let s = (Sharded.supervision sh).(0) in
-  (* the widest message this trace can encode to — an access, or a view
-     changing every entry to a value no timestamp of [n] events exceeds —
-     times the ring's slots *)
-  let widest = ref 0 in
-  let measure f =
-    let enc = Ft_core.Snap.Enc.create () in
-    f enc;
-    widest := Stdlib.max !widest (Ft_core.Snap.Enc.length enc)
-  in
-  Trace.iteri (fun i e -> measure (fun enc -> Ft_shard.Cmsg.encode_ev enc i e)) trace;
-  let vsize = config.Detector.clock_size in
-  measure (fun enc ->
-      Ft_shard.Cmsg.encode_view enc (trace.Trace.nthreads - 1) (Array.init vsize Fun.id)
-        (Array.make vsize n));
-  Alcotest.(check bool) "≥100k events" true (n >= 100_000);
-  Alcotest.(check bool) "restore points were taken" true (s.Sharded.restore_points > 1);
-  Alcotest.(check bool)
-    (Printf.sprintf "backlog %d B ≤ restore point %d B + one ring (%d × %d B)"
-       s.Sharded.backlog_bytes s.Sharded.restore_bytes Sharded.ring_capacity !widest)
-    true
-    (s.Sharded.backlog_bytes <= s.Sharded.restore_bytes + (Sharded.ring_capacity * !widest));
-  Alcotest.(check string) "report ≡ Engine.run"
-    (Serve.report_text ~events:n expected)
-    (Serve.report_text ~events:n (Sharded.result sh))
-
 (* --- metrics merge contract -------------------------------------------------- *)
 
 module Front = Ft_shard.Front
@@ -620,11 +571,11 @@ let each_bit_flip bytes f =
     Bytes.set b i orig
   done
 
-(* A supervisor backlog — accesses, each fourth behind a view change, every
-   eighth of those empty and every eighth wide — attacked at every byte: truncation leaves
-   exactly the messages that fit, a flipped bit never loses a message
-   before it, and no input costs more than a few dozen bytes of allocation
-   per byte, whatever counts it claims. *)
+(* A stream of checker messages — accesses, each fourth behind a view
+   change, every eighth of those empty and every eighth wide — attacked at
+   every byte: truncation leaves exactly the messages that fit, a flipped
+   bit never loses a message before it, and no input costs more than a few
+   dozen bytes of allocation per byte, whatever counts it claims. *)
 let test_backlog_fuzz () =
   let prng = Prng.create ~seed:31 in
   let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 60 } in
@@ -769,8 +720,6 @@ let () =
           Alcotest.test_case "wrong K rejected" `Quick test_restore_rejects_wrong_k;
           Alcotest.test_case "router snapshot from before the split rejected" `Quick
             test_restore_rejects_old_router_layout;
-          Alcotest.test_case "supervised backlog ≤ restore point + one ring" `Quick
-            test_supervised_backlog_bound;
         ] );
       ( "decoders",
         [
