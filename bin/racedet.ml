@@ -19,7 +19,6 @@ module Metrics = Ft_core.Metrics
 module Race = Ft_core.Race
 module Db_sim = Ft_workloads.Db_sim
 module Classic = Ft_workloads.Classic
-module Sharded = Ft_shard.Sharded
 module Serve = Ft_shard.Serve
 module Router = Ft_cluster.Router
 module Loadgen = Ft_cluster.Loadgen
@@ -153,10 +152,10 @@ let load_trace file =
     else Trace_format.parse_file file
   in
   match parsed with
-  | Error msg -> Error ("racedet: " ^ msg)
+  | Error _ as e -> e
   | Ok trace -> (
     match Trace.well_formed trace with
-    | Error msg -> Error ("racedet: ill-formed trace: " ^ msg)
+    | Error msg -> Error ("ill-formed trace: " ^ msg)
     | Ok () -> Ok trace)
 
 
@@ -227,12 +226,6 @@ let analyze_cmd =
   let show_races =
     Arg.(value & flag & info [ "races" ] ~doc:"Print every race declaration.")
   in
-  let racy_fastpath =
-    Arg.(value & flag & info [ "racy-fastpath" ]
-           ~doc:"Stop checking a location after its first reported race. Faster on racy \
-                 workloads, but later races on the same location go unreported — the \
-                 verdict set changes, so this is opt-in.")
-  in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
            ~doc:"Write a resumable .ftc checkpoint to FILE every \
@@ -253,7 +246,7 @@ let analyze_cmd =
            ~doc:"Write the run's full work counters and wall-clock timing as a JSON \
                  document to FILE (stdout stays byte-identical).")
   in
-  let write_metrics_json ~path ~file ~engine ~sampler ~shards ~events ~wall_s
+  let write_metrics_json ~path ~file ~engine ~sampler ~events ~wall_s
       ~(result : Detector.result) =
     let doc =
       Json.Obj
@@ -263,7 +256,6 @@ let analyze_cmd =
           ("engine", Json.Str result.Detector.engine);
           ("engine_requested", Json.Str (Engine.name engine));
           ("sampler", Json.Str (Sampler.name sampler));
-          ("shards", Json.Int shards);
           ("events", Json.Int events);
           ("wall_s", Json.Float wall_s);
           ("races", Json.Int (List.length result.Detector.races));
@@ -284,159 +276,48 @@ let analyze_cmd =
       List.iter (fun race -> Format.printf "%a@." Race.pp race) result.Detector.races;
     if Detector.racy_locations result = [] then 0 else 2
   in
-  let run file engine rate seed clock_size shards show_races racy_fastpath checkpoint
-      checkpoint_every resume metrics_json chaos =
+  let run file engine rate seed clock_size show_races checkpoint checkpoint_every resume
+      metrics_json chaos =
     match Engine.of_name engine with
     | None ->
       prerr_endline ("racedet: unknown engine " ^ engine);
       1
-    | Some id ->
+    | Some id -> (
       with_chaos chaos @@ fun () ->
       let sampler = if rate >= 1.0 then Sampler.all else Sampler.bernoulli ~rate ~seed in
       let t0 = Clock.now_ns () in
-      let finish ~events ~result =
-        let wall_s = Clock.elapsed_s ~since:t0 in
+      (* .ftb traces stream (and record byte offsets for seeking); textual
+         traces are parsed, validated and replayed in memory *)
+      let outcome =
+        if Filename.check_suffix file ".ftb" then
+          Ft_snapshot.Runner.analyze_file ~engine:id ~sampler ?clock_size ?checkpoint
+            ~checkpoint_every ?resume file
+        else
+          Result.bind (load_trace file)
+            (Ft_snapshot.Runner.analyze_trace ~engine:id ~sampler ?clock_size ?checkpoint
+               ~checkpoint_every ?resume)
+      in
+      match outcome with
+      | Error msg ->
+        prerr_endline ("racedet: " ^ msg);
+        1
+      | Ok { Ft_snapshot.Runner.result; resumed_at; _ } ->
+        (* stderr, so stdout stays byte-identical to a straight-through run *)
+        (match resumed_at with
+        | Some k -> Printf.eprintf "resumed at event : %d\n%!" k
+        | None -> ());
+        let events = result.Detector.metrics.Metrics.events in
         (match metrics_json with
         | Some path ->
-          write_metrics_json ~path ~file ~engine:id ~sampler ~shards ~events ~wall_s ~result
+          write_metrics_json ~path ~file ~engine:id ~sampler ~events
+            ~wall_s:(Clock.elapsed_s ~since:t0) ~result
         | None -> ());
-        print_result ~events ~result show_races
-      in
-      if shards > 1 && (checkpoint <> None || resume <> None) then begin
-        prerr_endline
-          "racedet: --shards cannot be combined with --checkpoint/--resume (use \
-           'racedet serve' for resumable sharded ingestion)";
-        1
-      end
-      else if shards > 1 && racy_fastpath then begin
-        prerr_endline "racedet: --racy-fastpath is a single-stream mode (drop --shards)";
-        1
-      end
-      else if shards > 1 then begin
-        (* [feed] routes the whole trace and answers its event count or a
-           read error.  A failed shard fails the run fast: exit 1, no
-           report (recovery is 'racedet serve --resume'). *)
-        let run_sharded config feed =
-          let sh = Sharded.create ~engine:id ~shards config in
-          match
-            let fed = Result.map (fun events -> (events, Sharded.result sh)) (feed sh) in
-            Sharded.stop sh;
-            fed
-          with
-          | Ok (events, result) -> finish ~events ~result
-          | Error msg ->
-            prerr_endline ("racedet: " ^ msg);
-            1
-          | exception Sharded.Shard_failed diag ->
-            (try Sharded.stop sh with Sharded.Shard_failed _ -> ());
-            prerr_endline ("racedet: " ^ diag);
-            1
-        in
-        if Filename.check_suffix file ".ftb" then begin
-          (* stream .ftb straight into the router, batch by batch: the
-             trace is never materialized, so sharded runs scale past RAM *)
-          match (try Ok (open_in_bin file) with Sys_error msg -> Error msg) with
-          | Error msg ->
-            prerr_endline ("racedet: " ^ msg);
-            1
-          | Ok ic ->
-            Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-            (match Ft_trace.Trace_binary.open_channel ic with
-            | Error msg ->
-              prerr_endline ("racedet: " ^ msg);
-              1
-            | Ok reader ->
-              let module Tb = Ft_trace.Trace_binary in
-              let h = Tb.header reader in
-              let nthreads = h.Tb.nthreads in
-              let clock_size =
-                match clock_size with
-                | None -> nthreads
-                | Some s -> s
-              in
-              if clock_size < nthreads then begin
-                prerr_endline "racedet: clock size below thread count";
-                1
-              end
-              else begin
-                let config =
-                  {
-                    Detector.nthreads;
-                    nlocks = h.Tb.nlocks;
-                    nlocs = h.Tb.nlocs;
-                    clock_size;
-                    sampler;
-                  }
-                in
-                let batch = Tb.create_batch () in
-                run_sharded config (fun sh ->
-                    let rec loop () =
-                      match Tb.read_batch reader batch with
-                      | Error msg -> Error msg
-                      | Ok 0 -> Ok (Tb.events_read reader)
-                      | Ok n ->
-                        let start = Tb.events_read reader - n in
-                        for j = 0 to n - 1 do
-                          Sharded.handle sh (start + j) (Tb.batch_event batch j)
-                        done;
-                        loop ()
-                    in
-                    loop ())
-              end)
-        end
-        else begin
-          match load_trace file with
-          | Error msg ->
-            prerr_endline msg;
-            1
-          | Ok trace ->
-            let config = Detector.config_of_trace ~sampler ?clock_size trace in
-            run_sharded config (fun sh ->
-                Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-                Ok (Trace.length trace))
-        end
-      end
-      else if checkpoint <> None || resume <> None then begin
-        (* resumable path: .ftb traces stream (and record byte offsets for
-           seeking); textual traces are replayed in memory *)
-        let outcome =
-          if Filename.check_suffix file ".ftb" then
-            Ft_snapshot.Runner.analyze_file ~engine:id ~racy_fastpath ~sampler ?clock_size
-              ?checkpoint ~checkpoint_every ?resume file
-          else
-            match load_trace file with
-            | Error msg -> Error msg
-            | Ok trace ->
-              Ft_snapshot.Runner.analyze_trace ~engine:id ~racy_fastpath ~sampler
-                ?clock_size ?checkpoint ~checkpoint_every ?resume trace
-        in
-        match outcome with
-        | Error msg ->
-          prerr_endline ("racedet: " ^ msg);
-          1
-        | Ok o ->
-          (* stderr, so stdout stays byte-identical to a straight-through run *)
-          (match o.Ft_snapshot.Runner.resumed_at with
-          | Some k -> Printf.eprintf "resumed at event : %d\n%!" k
-          | None -> ());
-          finish ~events:o.Ft_snapshot.Runner.result.Detector.metrics.Metrics.events
-            ~result:o.Ft_snapshot.Runner.result
-      end
-      else begin
-        match load_trace file with
-        | Error msg ->
-          prerr_endline msg;
-          1
-        | Ok trace ->
-          let result = Engine.run id ~racy_fastpath ~sampler ?clock_size trace in
-          finish ~events:(Trace.length trace) ~result
-      end
+        print_result ~events ~result show_races)
   in
   let term =
     Term.(
-      const run $ file $ engine $ rate_arg $ seed_arg $ clock_size_arg $ shards_arg
-      $ show_races $ racy_fastpath $ checkpoint $ checkpoint_every $ resume $ metrics_json
-      $ chaos_arg)
+      const run $ file $ engine $ rate_arg $ seed_arg $ clock_size_arg $ show_races
+      $ checkpoint $ checkpoint_every $ resume $ metrics_json $ chaos_arg)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -620,11 +501,11 @@ let emit_cmd =
         let fd = ref fd0 in
         let attempts = ref attempts0 in
         let reconnects = ref 0 in
-        (* A dead connection mid-stream (router restarting after a crash,
-           say) is the same situation as a worker respawn seen one level
-           down: reconnect with the same capped backoff — connect_stats
-           already retries ECONNREFUSED/ENOENT — and blind-resend, which
-           the server dedups by base index. *)
+        (* A dead connection mid-stream (EOF, reset or timeout: a router
+           restarting after a crash, say) is the same situation as a worker
+           respawn seen one level down: reconnect with the same capped
+           backoff — connect_stats already retries ECONNREFUSED/ENOENT —
+           and blind-resend, which the server dedups by base index. *)
         let reconnect why =
           Serve.close !fd;
           incr reconnects;
@@ -664,7 +545,10 @@ let emit_cmd =
                        Printf.eprintf "batch %d (base %d): server has %d events\n%!" b
                          base total
                      | Error msg ->
-                       if tries >= 3 then
+                       (* an ERR line is the server's answer (a daemon that
+                          failed fast, a refused batch): give up at once.
+                          Anything else is a lost connection. *)
+                       if tries >= 3 || String.starts_with ~prefix:"ERR" msg then
                          raise (Fail (Printf.sprintf "batch %d: %s" b msg))
                        else begin
                          reconnect msg;
@@ -761,11 +645,6 @@ let route_cmd =
            ~doc:"Workers listen on 127.0.0.1 ephemeral TCP ports instead of \
                  Unix-domain sockets in --dir.")
   in
-  let no_checkpoint =
-    Arg.(value & flag & info [ "no-checkpoint" ]
-           ~doc:"Disable worker and router-state checkpoints. Crash recovery \
-                 then replays the worker's entire routed log — slower, still exact.")
-  in
   let metrics_json =
     Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE"
            ~doc:"On shutdown, write the router's telemetry JSON to FILE.")
@@ -781,11 +660,6 @@ let route_cmd =
                  asynchronously and a full window applies backpressure. 1 \
                  restores lockstep send-then-wait.")
   in
-  let no_wal =
-    Arg.(value & flag & info [ "no-wal" ]
-           ~doc:"Disable the routed-event WAL (and with it --resume): batches \
-                 are acked without being made durable first.")
-  in
   let resume =
     Arg.(value & flag & info [ "resume" ]
            ~doc:"Recover the previous session from --dir's WAL and router-state \
@@ -793,20 +667,12 @@ let route_cmd =
                  respawn workers and align each at its durable SEQ. Clients \
                  blind-resend unacked batches; the report stays byte-identical.")
   in
-  let state_every =
-    Arg.(value & opt int Router.default_state_every & info [ "state-every" ] ~docv:"N"
-           ~doc:"Any positive N turns router-state checkpoints on: one is \
-                 written whenever the WAL has grown by the previous one's size, \
-                 so --resume replays at most about one checkpoint's worth of \
-                 WAL. 0 disables them; --resume then replays the whole WAL.")
-  in
   let heartbeat =
     Arg.(value & opt (some float) None & info [ "heartbeat" ] ~docv:"SECONDS"
            ~doc:"Log a one-line liveness heartbeat to stderr every SECONDS.")
   in
-  let run socket tcp backlog ready_file engine workers dir worker_tcp
-      no_checkpoint rate seed clock_size metrics_json max_respawns window no_wal resume
-      state_every heartbeat chaos =
+  let run socket tcp backlog ready_file engine workers dir worker_tcp rate seed
+      clock_size metrics_json max_respawns window resume heartbeat chaos =
     match Engine.of_name engine with
     | None ->
       prerr_endline ("racedet: unknown engine " ^ engine);
@@ -836,7 +702,7 @@ let route_cmd =
                clock_size;
                dir;
                worker_tcp;
-               checkpoint = not no_checkpoint;
+               checkpoint = true;
                max_parked = Serve.default_max_parked;
                backlog;
                ready_file;
@@ -845,9 +711,9 @@ let route_cmd =
                max_respawns;
                chaos;
                window;
-               wal = not no_wal;
+               wal = true;
                resume;
-               state_every;
+               state_every = Router.default_state_every;
              };
            0
          with
@@ -861,9 +727,8 @@ let route_cmd =
   let term =
     Term.(
       const run $ socket_arg $ tcp_arg $ backlog_arg $ ready_file_arg $ engine
-      $ workers $ dir $ worker_tcp $ no_checkpoint $ rate_arg
-      $ seed_arg $ clock_size_arg $ metrics_json $ max_respawns $ window $ no_wal
-      $ resume $ state_every $ heartbeat $ chaos_arg)
+      $ workers $ dir $ worker_tcp $ rate_arg $ seed_arg $ clock_size_arg $ metrics_json
+      $ max_respawns $ window $ resume $ heartbeat $ chaos_arg)
   in
   Cmd.v
     (Cmd.info "route"
@@ -872,6 +737,7 @@ let route_cmd =
           $(b,racedet serve) checking what the router sends) by consistent hashing, speak \
           the same BATCH protocol to clients, and merge the workers' partial \
           results into a report byte-identical to a single-process analyze. \
+          Every client batch is fsynced to a WAL in --dir before it is acknowledged. \
           Worker death and MIGRATE reuse the .ftc checkpoint/restore machinery.")
     term
 
@@ -947,7 +813,7 @@ let compare_cmd =
   let run file rate seed clock_size =
     match load_trace file with
     | Error msg ->
-      prerr_endline msg;
+      prerr_endline ("racedet: " ^ msg);
       1
     | Ok trace ->
       let sampler =
@@ -989,7 +855,7 @@ let report_cmd =
   let run file =
     match load_trace file with
     | Error msg ->
-      prerr_endline msg;
+      prerr_endline ("racedet: " ^ msg);
       1
     | Ok trace ->
       print_string (Ft_rapid.Trace_report.render (Ft_rapid.Trace_report.analyze trace));
@@ -1011,7 +877,7 @@ let oracle_cmd =
   let run file rate seed pairs =
     match load_trace file with
     | Error msg ->
-      prerr_endline msg;
+      prerr_endline ("racedet: " ^ msg);
       1
     | Ok trace ->
       if Trace.length trace > 20_000 then begin

@@ -58,10 +58,10 @@ module Fault = Ft_fault.Fault
    §6e argument is untouched — the window only overlaps {e waiting}.
 
    Rebuilding a worker's log — for a resize, or when a worker's SEQ fell
-   behind the retained log — replays the event history (the WAL, or the
-   in-memory event log without one) through a scratch front, sampler and
-   shipping state.  The front is ring-independent; the shipping state is
-   not, so the scratch one replaces the live one.
+   behind the retained log — replays the event history, which is the WAL,
+   through a scratch front, sampler and shipping state.  The front is
+   ring-independent; the shipping state is not, so the scratch one
+   replaces the live one.
 
    The router itself never spawns domains (its front is a plain
    single-threaded detector instance): it forks worker processes, and
@@ -76,7 +76,7 @@ type config = {
   clock_size : int option;
   dir : string;  (* run directory: worker sockets, ready/pid files, checkpoints, WAL *)
   worker_tcp : bool;  (* workers listen on 127.0.0.1 ephemeral TCP ports *)
-  checkpoint : bool;  (* size-driven worker and router-state checkpoints *)
+  checkpoint : bool;  (* must be true *)
   max_parked : int;
   backlog : int;
   ready_file : string option;
@@ -85,9 +85,9 @@ type config = {
   max_respawns : int;  (* per-worker respawn budget before failing fast *)
   chaos : Fault.config option;
   window : int;  (* per-worker in-flight CBATCH window *)
-  wal : bool;  (* append+fsync every batch before acking it *)
+  wal : bool;  (* must be true *)
   resume : bool;  (* recover a previous session from dir's WAL *)
-  state_every : int;  (* > 0: size-driven router-state checkpoints; 0 = off *)
+  state_every : int;  (* must be positive *)
 }
 
 let default_max_respawns = 8
@@ -247,7 +247,7 @@ type state = {
   mutable ring : Chash.t;
   mutable workers : worker array;
   mutable epoch : int;  (* bumped on every resize: fresh checkpoint dirs *)
-  mutable wal : Wal.t option;
+  wal : Wal.t;  (* every routed batch, appended and fsynced before its ack *)
   mutable state_off : int;  (* WAL offset the newest state checkpoint is anchored at *)
   mutable state_bytes : int;  (* that checkpoint's snapshot bytes *)
   mutable resizing : bool;  (* counts pump bytes as resize handoff *)
@@ -256,7 +256,6 @@ type state = {
   mutable clock_size : int;
   mutable front : Front.t option;  (* sampler, sync engine, tally *)
   mutable ship : Front.ship option;  (* per (worker, thread): the view it holds *)
-  mutable history : Event.t array;  (* without the WAL: every routed event *)
   mutable admit : Admit.t;  (* next global event index, parked client batches *)
   mutable nevents : int;
   mutable quit : bool;
@@ -300,14 +299,8 @@ let spawn_worker st w ~resume =
   let listen =
     if st.cfg.worker_tcp then Serve.Tcp ("127.0.0.1", 0) else Serve.Unix_path (worker_sock st w)
   in
-  let ckpt =
-    if st.cfg.checkpoint then begin
-      let d = worker_ckpt_dir st w in
-      (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Some d
-    end
-    else None
-  in
+  let ckpt = worker_ckpt_dir st w in
+  (try Unix.mkdir ckpt 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let scfg =
     {
       Serve.listen;
@@ -315,10 +308,10 @@ let spawn_worker st w ~resume =
       shards = 1;
       sampler = st.cfg.sampler;
       clock_size = st.cfg.clock_size;
-      checkpoint_dir = ckpt;
+      checkpoint_dir = Some ckpt;
       (* BATCH-mode only: a CBATCH worker checkpoints by size (Serve) *)
       checkpoint_every = Serve.default_checkpoint_every;
-      resume_dir = (if resume then ckpt else None);
+      resume_dir = (if resume then Some ckpt else None);
       max_parked = Serve.default_max_parked;
       backlog = Serve.default_backlog;
       ready_file = Some addr_file;
@@ -414,7 +407,6 @@ let route st i (e : Event.t) =
       w.llen <- w.llen + 1;
       Registry.incr st.tel.worker_messages.(k))
     i e;
-  if st.wal = None then st.history <- grow_push st.history st.nevents e;
   st.nevents <- st.nevents + 1
 
 (* The admitter's feeder for the client batch [evs] based at [base]. *)
@@ -425,34 +417,30 @@ let route_events st base (evs : Event.t array) first =
 
 (* --- event-history rebuilds ------------------------------------------------ *)
 
-(* The full routed prefix [0, expected) in index order: the WAL's Events
-   records (duplicates harmlessly overwrite), or without the WAL the
-   in-memory event log. *)
+(* The full routed prefix [0, expected) in index order, from the WAL's
+   Events records (duplicates harmlessly overwrite). *)
 let history_events st =
   let n = Admit.expected st.admit in
-  match st.wal with
-  | None -> Array.sub st.history 0 n
-  | Some _ -> (
-    let evs = Array.make n None in
-    (match Wal.replay (Wal.path ~dir:st.cfg.dir) with
-    | Error msg -> fail st ("event-history rebuild: " ^ msg)
-    | Ok (records, _) ->
-      List.iter
-        (fun (r, _) ->
-          match r with
-          | Wal.Events (base, arr) ->
-            Array.iteri
-              (fun j e ->
-                let i = base + j in
-                if i >= 0 && i < n then evs.(i) <- Some e)
-              arr
-          | Wal.Session _ | Wal.Resize _ -> ())
-        records);
-    Array.mapi
-      (fun i -> function
-        | Some e -> e
-        | None -> fail st (Printf.sprintf "event %d missing from the WAL" i))
-      evs)
+  let evs = Array.make n None in
+  (match Wal.replay (Wal.path ~dir:st.cfg.dir) with
+  | Error msg -> fail st ("event-history rebuild: " ^ msg)
+  | Ok (records, _) ->
+    List.iter
+      (fun (r, _) ->
+        match r with
+        | Wal.Events (base, arr) ->
+          Array.iteri
+            (fun j e ->
+              let i = base + j in
+              if i >= 0 && i < n then evs.(i) <- Some e)
+            arr
+        | Wal.Session _ | Wal.Resize _ -> ())
+      records);
+  Array.mapi
+    (fun i -> function
+      | Some e -> e
+      | None -> fail st (Printf.sprintf "event %d missing from the WAL" i))
+    evs
 
 let detector_config st (nthreads, nlocks, nlocs) =
   let clock_size =
@@ -638,9 +626,7 @@ let retire_worker st w ~why =
   try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ()
 
 (* Graceful migration: drain, retire, then hand the [.ftc]s to a fresh
-   process and resume it at the same stream position.  Without
-   checkpointing this degrades to a full-log replay — slower, still
-   exact. *)
+   process and resume it at the same stream position. *)
 let migrate_worker st w =
   pump ~drain:true st w;
   retire_worker st w ~why:"migration";
@@ -678,21 +664,18 @@ exception Wal_failed of string
    [router.wal_write]) rolls the file back to the last record boundary and
    refuses the batch — an un-refused batch MUST be in the log. *)
 let wal_append st record =
-  match st.wal with
-  | None -> ()
-  | Some wal -> (
-    match
-      let n = Wal.append wal record in
-      let t0 = Clock.now_ns () in
-      Wal.sync wal;
-      Histogram.observe st.tel.wal_fsync_ns (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
-      Registry.incr st.tel.wal_appends_total;
-      Registry.add st.tel.wal_bytes_total n
-    with
-    | () -> ()
-    | exception e ->
-      (try Wal.rollback wal with _ -> ());
-      raise (Wal_failed (Printexc.to_string e)))
+  match
+    let n = Wal.append st.wal record in
+    let t0 = Clock.now_ns () in
+    Wal.sync st.wal;
+    Histogram.observe st.tel.wal_fsync_ns (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
+    Registry.incr st.tel.wal_appends_total;
+    Registry.add st.tel.wal_bytes_total n
+  with
+  | () -> ()
+  | exception e ->
+    (try Wal.rollback st.wal with _ -> ());
+    raise (Wal_failed (Printexc.to_string e))
 
 (* [restored]: the front and shipping state a state checkpoint held. *)
 let init_universe st ((nthreads, _, _) as u) ~restored =
@@ -741,9 +724,8 @@ let state_format = -1
    prefix a tail-replay would skip.  Failure is a warning, never an error
    — the WAL alone is always sufficient. *)
 let write_state_checkpoint st =
-  match (st.universe, st.front, st.ship, st.wal) with
-  | Some (nthreads, nlocks, nlocs), Some front, Some ship, Some wal
-    when st.cfg.checkpoint && Admit.parked st.admit = 0 -> (
+  match (st.universe, st.front, st.ship) with
+  | Some (nthreads, nlocks, nlocs), Some front, Some ship when Admit.parked st.admit = 0 -> (
     try
       let enc = Snap.Enc.create () in
       Snap.Enc.int enc state_format;
@@ -771,12 +753,12 @@ let write_state_checkpoint st =
           nlocs;
           clock_size = st.clock_size;
           next_index = Admit.expected st.admit;
-          byte_offset = Wal.offset wal;
+          byte_offset = Wal.offset st.wal;
         }
       in
       let snap = Snap.Enc.to_snap enc in
       Checkpoint.save (state_ckpt_path st.cfg.dir) { Checkpoint.meta; detector = snap };
-      st.state_off <- Wal.offset wal;
+      st.state_off <- Wal.offset st.wal;
       st.state_bytes <- String.length snap;
       Registry.incr st.tel.state_checkpoints_total;
       Registry.add st.tel.state_checkpoint_bytes_total (String.length snap)
@@ -790,10 +772,7 @@ let write_state_checkpoint st =
    amortized O(1) per WAL byte, and a resume replays at most about one
    checkpoint's worth of WAL tail. *)
 let maybe_state_checkpoint st =
-  match st.wal with
-  | Some wal when st.cfg.state_every > 0 && Wal.offset wal - st.state_off >= st.state_bytes ->
-    write_state_checkpoint st
-  | _ -> ()
+  if Wal.offset st.wal - st.state_off >= st.state_bytes then write_state_checkpoint st
 
 (* --- resume ----------------------------------------------------------------- *)
 
@@ -818,7 +797,7 @@ let try_restore_state st ~k_final ~resized_at =
     Printf.eprintf "racedet route: ignoring state checkpoint (%s)\n%!" why;
     None
   in
-  if (not st.cfg.checkpoint) || not (Sys.file_exists path) then None
+  if not (Sys.file_exists path) then None
   else
     match Checkpoint.load path with
     | Error msg -> ignoring msg
@@ -920,18 +899,18 @@ let resume_session st =
   let records, _len =
     match Wal.replay (Wal.path ~dir:st.cfg.dir) with
     | Ok r -> r
-    | Error msg -> failwith ("racedet route --resume: " ^ msg)
+    | Error msg -> failwith ("--resume: " ^ msg)
   in
   match records with
   | [] -> false
   | (Wal.Session { nthreads; nlocks; nlocs; engine; sampler; workers }, _) :: _ ->
     if engine <> Engine.name st.cfg.engine then
       failwith
-        (Printf.sprintf "racedet route --resume: WAL session used engine %s, not %s"
+        (Printf.sprintf "--resume: WAL session used engine %s, not %s"
            engine (Engine.name st.cfg.engine));
     if sampler <> Sampler.name st.cfg.sampler then
       failwith
-        (Printf.sprintf "racedet route --resume: WAL session used sampler %s, not %s"
+        (Printf.sprintf "--resume: WAL session used sampler %s, not %s"
            sampler (Sampler.name st.cfg.sampler));
     let k_final, epoch, resized_at =
       List.fold_left
@@ -957,6 +936,7 @@ let resume_session st =
           | _ -> ())
         records
     | None ->
+      Printf.eprintf "racedet route: no usable state checkpoint; replaying the whole WAL\n%!";
       init_universe st (nthreads, nlocks, nlocs) ~restored:None;
       List.iter
         (fun (r, _) ->
@@ -965,7 +945,7 @@ let resume_session st =
           | Wal.Session _ | Wal.Resize _ -> ())
         records);
     true
-  | _ -> failwith "racedet route --resume: WAL does not start with a session record"
+  | _ -> failwith "--resume: WAL does not start with a session record"
 
 (* --- resize ------------------------------------------------------------------ *)
 
@@ -1068,7 +1048,6 @@ let stats_json st =
       ("workers", Json.Int (Array.length st.workers));
       ("epoch", Json.Int st.epoch);
       ("window", Json.Int st.cfg.window);
-      ("wal", Json.Bool (st.wal <> None));
       ("events", Json.Int st.nevents);
       ("next_index", Json.Int (Admit.expected st.admit));
       ("parked", Json.Int (Admit.parked st.admit));
@@ -1219,8 +1198,10 @@ let run (cfg : config) =
   if cfg.workers < 1 then invalid_arg "Router.run: workers must be positive";
   if cfg.worker_shards <> 1 then
     invalid_arg "Router.run: worker_shards must be 1 (a worker is one inline checker)";
-  if cfg.resume && not cfg.wal then
-    invalid_arg "Router.run: --resume requires the WAL";
+  if not (cfg.wal && cfg.checkpoint && cfg.state_every > 0) then
+    invalid_arg
+      "Router.run: wal and checkpoint must be true and state_every positive (the router \
+       has one durable mode)";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (match cfg.chaos with
   | None -> ()
@@ -1230,6 +1211,7 @@ let run (cfg : config) =
   (try Unix.mkdir cfg.dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   check_ready_file cfg;
   if cfg.resume then kill_stale_workers cfg.dir;
+  let wal = Wal.open_append (Wal.path ~dir:cfg.dir) in
   let st =
     {
       cfg;
@@ -1237,7 +1219,7 @@ let run (cfg : config) =
       ring = Chash.create ~workers:cfg.workers;
       workers = Array.init cfg.workers make_worker;
       epoch = 0;
-      wal = None;
+      wal;
       state_off = 0;
       state_bytes = 0;
       resizing = false;
@@ -1246,7 +1228,6 @@ let run (cfg : config) =
       clock_size = 0;
       front = None;
       ship = None;
-      history = [||];
       admit = Admit.create cfg.max_parked;
       nevents = 0;
       quit = false;
@@ -1254,7 +1235,6 @@ let run (cfg : config) =
       failed = None;
     }
   in
-  if cfg.wal then st.wal <- Some (Wal.open_append (Wal.path ~dir:cfg.dir));
   let resumed = cfg.resume && resume_session st in
   if resumed then
     Printf.eprintf
@@ -1314,9 +1294,7 @@ let run (cfg : config) =
     (* fail-fast path (or a failure during the drain): make sure no worker
        process outlives the router *)
     Array.iter (kill_worker st) st.workers;
-  (match st.wal with
-  | None -> ()
-  | Some wal -> Wal.close wal);
+  Wal.close st.wal;
   write_metrics_json_file st;
   List.iter Evloop.close_conn remaining;
   Unix.close listen_fd;
@@ -1335,5 +1313,5 @@ let run (cfg : config) =
       (Registry.counter_value st.tel.respawns_total)
       (Registry.counter_value st.tel.migrations_total));
   match st.failed with
-  | Some msg -> failwith ("racedet route: " ^ msg)
+  | Some msg -> failwith msg
   | None -> ()

@@ -38,8 +38,7 @@
     stay strictly ordered, so §6e is unaffected.
 
     {b Resizing}: [RESIZE +1]/[RESIZE -1] quiesces, logs the new size in
-    the WAL, replays the event history — the WAL, or without it the
-    router's one in-memory event log — through a scratch front to rebuild
+    the WAL, replays the WAL's events through a scratch front to rebuild
     the per-worker logs and shipping state the new ring would have
     produced from event 0, and streams the logs to a fresh worker epoch —
     reports are byte-identical across a resize at any cut.
@@ -79,9 +78,9 @@ type config = {
           [router.wal] and [router-state.ftc] *)
   worker_tcp : bool;  (** workers listen on 127.0.0.1 ephemeral TCP ports *)
   checkpoint : bool;
-      (** workers write size-driven checkpoint sets, and the router writes
-          size-driven state checkpoints; off, recovery degrades to
-          full-log / full-WAL replays (slower, still exact) *)
+      (** must be [true] ({!run} rejects anything else): workers write
+          size-driven checkpoint sets and the router size-driven state
+          checkpoints.  Goes with the next change to the benchmark. *)
   max_parked : int;
   backlog : int;
   ready_file : string option;
@@ -100,15 +99,18 @@ type config = {
       (** per-worker in-flight CBATCH window ({!default_window}); 1
           restores the lockstep send-then-wait of PR 9 *)
   wal : bool;
-      (** append + fsync every batch to [dir/router.wal] before acking *)
+      (** must be [true] ({!run} rejects anything else): every batch is
+          appended to [dir/router.wal] and fsynced before it is acked.
+          Goes with the next change to the benchmark. *)
   resume : bool;
       (** recover the previous session from [dir]'s WAL (and state
-          checkpoint); requires [wal] *)
+          checkpoint) *)
   state_every : int;
-      (** any positive value ({!default_state_every}) turns router-state
-          checkpoints on — written whenever the WAL has grown by the
-          previous checkpoint's size since it was anchored; 0 disables them
-          (resume replays the whole WAL) *)
+      (** must be positive ({!default_state_every}; {!run} rejects
+          anything else).  The value itself is unused: a router-state
+          checkpoint is written whenever the WAL has grown by the previous
+          checkpoint's size.  Goes with the next change to the
+          benchmark. *)
 }
 
 val default_max_respawns : int
@@ -120,5 +122,6 @@ val run : config -> unit
     windows and tears down workers gracefully (each writes its final
     checkpoint set).  Blocking; forks
     worker processes — call from a process that has spawned no domains.
-    Raises [Failure] after cleanup when a worker exhausted its respawn
-    budget. *)
+    Raises [Failure] with a bare diagnostic (no program-name prefix)
+    after cleanup when a worker exhausted its respawn budget, and
+    [Invalid_argument] on a config outside the one durable mode. *)

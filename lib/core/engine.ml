@@ -29,7 +29,7 @@ let of_name = function
   | "eraser" | "lockset" -> Some Eraser
   | _ -> None
 
-let plain : id -> Detector.packed = function
+let detector : id -> Detector.packed = function
   | Djit -> (module Djitp)
   | Fasttrack -> (module Fasttrack)
   | Fasttrack_tc -> (module Fasttrack_tc)
@@ -42,18 +42,14 @@ let plain : id -> Detector.packed = function
   | O1u -> (module Sampling_o1_uclock)
   | Eraser -> (module Lockset)
 
-let detector ?(racy_fastpath = false) id =
-  let p = plain id in
-  if racy_fastpath then Racy_gate.wrap p else p
-
 let sampling_engines = [ St; Su; So; O1; O1u ]
 
 let honours_sampler = function
   | Djit | Fasttrack | Fasttrack_tc -> false
   | St | Su | So | Sl | Sn | O1 | O1u | Eraser -> true
 
-let run id ?racy_fastpath ?sampler ?clock_size ?limit trace =
-  Detector.run (detector ?racy_fastpath id) ?sampler ?clock_size ?limit trace
+let run id ?sampler ?clock_size ?limit trace =
+  Detector.run (detector id) ?sampler ?clock_size ?limit trace
 
 let run_instrumented id ?sampler ?clock_size trace =
   Detector.run_instrumented (detector id) ?sampler ?clock_size trace

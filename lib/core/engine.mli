@@ -23,10 +23,7 @@ val all : id list
 val name : id -> string
 val of_name : string -> id option
 
-val detector : ?racy_fastpath:bool -> id -> Detector.packed
-(** [racy_fastpath] (default [false]) wraps the engine in {!Racy_gate}:
-    once a location races, later accesses to it are skipped.  Changes the
-    verdict set — keep it off anywhere byte-identity matters. *)
+val detector : id -> Detector.packed
 
 val sampling_engines : id list
 (** [St; Su; So; O1; O1u] — the engines that honour the sampler. *)
@@ -39,7 +36,6 @@ val honours_sampler : id -> bool
 
 val run :
   id ->
-  ?racy_fastpath:bool ->
   ?sampler:Sampler.t ->
   ?clock_size:int ->
   ?limit:int ->

@@ -430,9 +430,16 @@ let decode_set (cfg : config) config set =
       (Sharded.restore ~engine:cfg.engine ~shards:cfg.shards config ~router snaps)
   end
 
+exception Checkpoint_failed of string
+
+(* A failed write leaves the previous set on disk.  A BATCH session acks a
+   batch only once it is durable, so the failure raises [Checkpoint_failed]
+   (the daemon fails fast).  A CBATCH worker's acks report the durable cut,
+   which stays the previous set's: it logs, counts and keeps serving. *)
 let write_checkpoint st =
   match (st.cfg.checkpoint_dir, st.session, st.universe) with
   | Some dir, Some session, Some (nthreads, nlocks, nlocs) -> (
+    let set = encode_set session in
     let meta =
       {
         Checkpoint.engine = st.cfg.engine;
@@ -445,21 +452,20 @@ let write_checkpoint st =
         byte_offset = -1;
       }
     in
-    (* A faulted write leaves the previous set on disk: log it, count it,
-       keep serving (and keep reporting the previous cut). *)
-    try
-      let set = encode_set session in
-      Checkpoint.save (set_file dir) { Checkpoint.meta; detector = set };
+    match Checkpoint.save (set_file dir) { Checkpoint.meta; detector = set } with
+    | () ->
       let bytes = String.length set in
       Registry.incr st.tel.checkpoints_total;
       Registry.add st.tel.checkpoint_bytes_total bytes;
       st.ckpt_bytes <- bytes;
       st.applied_since_ckpt <- 0;
       st.durable <- Admit.expected st.admit
-    with Fault.Injected _ as e ->
+    | exception e -> (
       Registry.incr st.tel.checkpoint_failures;
-      Printf.eprintf "racedet serve: checkpoint write faulted (%s); continuing\n%!"
-        (Printexc.to_string e))
+      let msg = "checkpoint write failed: " ^ Printexc.to_string e in
+      match session with
+      | Batch _ -> raise (Checkpoint_failed msg)
+      | Cluster _ -> Printf.eprintf "racedet serve: %s; continuing\n%!" msg))
   | _ -> ()
 
 (* BATCH mode checkpoints every [checkpoint_every] ingested batches: the
@@ -553,19 +559,20 @@ let cluster_checker st u =
 
 let reply = Evloop.reply
 
-(* A failed shard or checker is unrecoverable within this process: reply
-   with the diagnostic, then fail fast.  The last good checkpoint set stays
-   on disk; a successor resumes from it while clients resend. *)
+(* A failed shard, checker or BATCH checkpoint write is unrecoverable
+   within this process: reply with the diagnostic, then fail fast.  The
+   last good checkpoint set stays on disk; a successor resumes from it
+   while clients resend. *)
 let fail_fast st conn msg =
   st.failed <- Some msg;
-  st.stop_reason <- "shard failure";
+  st.stop_reason <- "failed fast";
   st.quit <- true;
   reply conn (Printf.sprintf "ERR %s\n" msg)
 
 let guard st conn f =
   try f () with
   | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-  | Sharded.Shard_failed msg -> fail_fast st conn msg
+  | Sharded.Shard_failed msg | Checkpoint_failed msg -> fail_fast st conn msg
 
 (* Feed a due batch through the admitter, run [after] on the count of
    units it newly admitted (the checkpoint step), and count the batch. *)
@@ -876,7 +883,7 @@ let run cfg =
     try
       write_checkpoint st;
       write_metrics_json_file st
-    with Sharded.Shard_failed msg -> st.failed <- Some msg));
+    with Sharded.Shard_failed msg | Checkpoint_failed msg -> st.failed <- Some msg));
   (match st.session with
   | Some (Batch det) -> ( try Sharded.stop det with Sharded.Shard_failed _ -> ())
   | Some (Cluster _) | None -> ());
@@ -891,7 +898,7 @@ let run cfg =
     Printf.eprintf "racedet serve: chaos summary: %d faults fired over %d checks\n%!"
       (Fault.fired ()) (Fault.checks ()));
   match st.failed with
-  | Some msg -> failwith ("racedet serve: " ^ msg)
+  | Some msg -> failwith msg
   | None -> ()
 
 (* --- client side ---------------------------------------------------------- *)

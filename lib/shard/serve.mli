@@ -62,12 +62,16 @@
     engine, tally, shipped views), a [CBATCH] set the checked count and the
     checker's one snapshot.  In [BATCH] mode a set is written
     every [checkpoint_every] ingested batches {e before acknowledging}
-    (default 1: an acknowledged batch is durable).  In [CBATCH] mode the
+    (default 1: an acknowledged batch is durable); a failed write answers
+    [ERR checkpoint write failed: ...] and fails the daemon fast, keeping
+    the previous set.  In [CBATCH] mode the
     cadence is size-driven: a set is written once the payload bytes newly
     applied since the last set reach that set's snapshot bytes, so
     snapshot work is amortized O(1) per routed byte and a crash loses at
     most about one set's worth of stream, which the router replays from
-    its log.  Both modes write a final set on shutdown.  A restarted
+    its log, and a failed write is logged and skipped: the ack keeps
+    reporting the previous set's cut.  Both modes write a final set on
+    shutdown.  A restarted
     server pointed at the directory resumes exactly; if the set is missing,
     inconsistent or of an older layout it logs the reason and starts
     fresh, which is still correct because clients resend idempotently.
@@ -174,8 +178,9 @@ val run : config -> unit
     metrics dump).  Refuses to start when [listen] is a Unix path with a
     live listener; removes the socket file on exit.  Blocking; a [BATCH]
     session spawns the shard domains — call it from a dedicated (child)
-    process.  Raises [Failure] after cleanup if a shard or a cluster
-    checker failed (the CLI turns that into a non-zero exit), and
+    process.  Raises [Failure] after cleanup if a shard, a cluster
+    checker or a [BATCH] checkpoint write failed, with the bare
+    diagnostic (the CLI prefixes it and exits non-zero), and
     [Invalid_argument] for [shards < 1] or [max_restarts <> 0]. *)
 
 val report_text : events:int -> Ft_core.Detector.result -> string

@@ -37,7 +37,7 @@ let warn_fallback cp_path msg =
   Printf.eprintf "warning: cannot resume from %s: %s; replaying from the start\n%!" cp_path
     msg
 
-let analyze_file ~engine ?(racy_fastpath = false) ?(sampler = Sampler.all) ?clock_size
+let analyze_file ~engine ?(sampler = Sampler.all) ?clock_size
     ?checkpoint ?(checkpoint_every = 0) ?resume path =
   match (try Ok (open_in_bin path) with Sys_error msg -> Error msg) with
   | Error msg -> Error msg
@@ -55,7 +55,7 @@ let analyze_file ~engine ?(racy_fastpath = false) ?(sampler = Sampler.all) ?cloc
       if clock_size < nthreads then Error "clock size below thread count"
       else begin
         let config = { Detector.nthreads; nlocks; nlocs; clock_size; sampler } in
-        let (module D : Detector.S) = Engine.detector ~racy_fastpath engine in
+        let (module D : Detector.S) = Engine.detector engine in
         let data_start = Tb.byte_pos reader in
         let try_resume cp_path =
           match Checkpoint.load cp_path with
@@ -172,7 +172,7 @@ let analyze_file ~engine ?(racy_fastpath = false) ?(sampler = Sampler.all) ?cloc
               })
       end)
 
-let analyze_trace ~engine ?(racy_fastpath = false) ?(sampler = Sampler.all) ?clock_size
+let analyze_trace ~engine ?(sampler = Sampler.all) ?clock_size
     ?checkpoint ?(checkpoint_every = 0) ?resume trace =
   let nthreads = trace.Trace.nthreads
   and nlocks = trace.Trace.nlocks
@@ -182,7 +182,7 @@ let analyze_trace ~engine ?(racy_fastpath = false) ?(sampler = Sampler.all) ?clo
   if clock_size < nthreads then Error "clock size below thread count"
   else begin
     let config = { Detector.nthreads; nlocks; nlocs; clock_size; sampler } in
-    let (module D : Detector.S) = Engine.detector ~racy_fastpath engine in
+    let (module D : Detector.S) = Engine.detector engine in
     let try_resume cp_path =
       match Checkpoint.load cp_path with
       | Error _ as e -> e

@@ -22,7 +22,6 @@ type outcome = {
 
 val analyze_file :
   engine:Ft_core.Engine.id ->
-  ?racy_fastpath:bool ->
   ?sampler:Ft_core.Sampler.t ->
   ?clock_size:int ->
   ?checkpoint:string ->
@@ -40,7 +39,6 @@ val analyze_file :
 
 val analyze_trace :
   engine:Ft_core.Engine.id ->
-  ?racy_fastpath:bool ->
   ?sampler:Ft_core.Sampler.t ->
   ?clock_size:int ->
   ?checkpoint:string ->

@@ -63,10 +63,8 @@ let with_temp_dir f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let router_config ?(workers = 2) ?(worker_tcp = false)
-    ?(checkpoint = true) ?(window = Router.default_window) ?(wal = true)
-    ?(resume = false) ?(state_every = Router.default_state_every)
-    ?(max_parked = Serve.default_max_parked) ~engine ~sampler ~dir listen =
+let router_config ?(workers = 2) ?(worker_tcp = false) ?(window = Router.default_window)
+    ?(resume = false) ?(max_parked = Serve.default_max_parked) ~engine ~sampler ~dir listen =
   {
     Router.listen;
     workers;
@@ -76,7 +74,7 @@ let router_config ?(workers = 2) ?(worker_tcp = false)
     clock_size = None;
     dir = Filename.concat dir "run";
     worker_tcp;
-    checkpoint;
+    checkpoint = true;
     max_parked;
     backlog = Serve.default_backlog;
     ready_file = None;
@@ -85,9 +83,9 @@ let router_config ?(workers = 2) ?(worker_tcp = false)
     max_respawns = Router.default_max_respawns;
     chaos = None;
     window;
-    wal;
+    wal = true;
     resume;
-    state_every;
+    state_every = Router.default_state_every;
   }
 
 (* [arm] runs in the router child before the router starts — how a test
@@ -149,8 +147,9 @@ let expected_report ~engine ~sampler trace =
 (* Run one cluster session: start a router, stream the batches (already
    (base, sub) pairs, any order), fetch the REPORT and the merged RESULT,
    shut down cleanly.  [mid] runs after [mid_after] sends —
-   kill/migrate/resize hooks. *)
-let cluster_session ?arm ?(mid = fun _fd -> ()) ?(mid_after = max_int) ~cfg ~socket batches =
+   kill/migrate/resize hooks; [last] runs once the RESULT is in. *)
+let cluster_session ?arm ?(mid = fun _fd -> ()) ?(mid_after = max_int)
+    ?(last = fun _fd -> ()) ~cfg ~socket batches =
   let pid = start_router ?arm cfg in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
@@ -162,12 +161,13 @@ let cluster_session ?arm ?(mid = fun _fd -> ()) ?(mid_after = max_int) ~cfg ~soc
     batches;
   let report = get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd) in
   let result = get_ok "fetch_result" (Serve.fetch_result ~deadline_s:60.0 fd) in
+  last fd;
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid;
   (report, result)
 
-let cluster_report ?arm ?mid ?mid_after ~cfg ~socket batches =
-  fst (cluster_session ?arm ?mid ?mid_after ~cfg ~socket batches)
+let cluster_report ?arm ?mid ?mid_after ?last ~cfg ~socket batches =
+  fst (cluster_session ?arm ?mid ?mid_after ?last ~cfg ~socket batches)
 
 (* Every counter and the race list, not just the REPORT's summary: the
    router's RESULT is the merged result, which must be [Engine.run]'s. *)
@@ -275,23 +275,6 @@ let test_tcp_out_of_order_duplicates () =
   reap pid
 
 (* --- worker death mid-ingest -------------------------------------------------- *)
-
-(* Chaos-injected: the router SIGKILLs worker 1 at its 3rd flush, respawns
-   it against its checkpoints, replays the unacknowledged suffix. *)
-let test_chaos_worker_crash ~checkpoint () =
-  with_temp_dir @@ fun dir ->
-  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:17 in
-  let trace = sample_trace ~seed:19 ~length:1_000 () in
-  let socket = Filename.concat dir "route.sock" in
-  let cfg =
-    router_config ~workers:2 ~checkpoint ~engine ~sampler ~dir (Serve.Unix_path socket)
-  in
-  let arm () = Fault.arm_exact ~lane:1 ~point:"cluster.worker_crash" ~hit:3 Fault.Exn in
-  let report = cluster_report ~arm ~cfg ~socket (slices trace ~batch:120) in
-  Alcotest.(check string)
-    (Printf.sprintf "chaos worker kill (checkpoint=%b) ≡ analyze" checkpoint)
-    (expected_report ~engine ~sampler trace)
-    report
 
 (* External SIGKILL via the advertised pid file — the path a CI smoke or an
    operator takes; the router discovers the death at the next send and
@@ -418,9 +401,24 @@ let test_router_kill_resume_grid () =
       List.iter (fun workers -> run ~engine ~sampler:bern ~workers) [ 1; 4 ])
     [ Engine.So; Engine.O1; Engine.O1u ]
 
-(* Property: the router crash can land on ANY batch, with router-state
-   checkpoints on or off (off ⇒ resume degrades to a full WAL replay), and
-   the resumed report still matches the uninterrupted analysis. *)
+(* Route this process's stderr to [log] (run in a forked router). *)
+let stderr_to log () =
+  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd
+
+let logged log sub =
+  let text = In_channel.with_open_bin log In_channel.input_all in
+  let n = String.length sub in
+  let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+  go 0
+
+let whole_wal = "no usable state checkpoint; replaying the whole WAL"
+
+(* Property: the router crash can land on ANY batch, with its router-state
+   checkpoint kept or lost (removed before the resume, which then logs a
+   full WAL replay), and the resumed report still matches the
+   uninterrupted analysis. *)
 let router_kill_property =
   let trace = sample_trace ~seed:53 ~length:600 () in
   let batches = slices trace ~batch:75 in
@@ -430,24 +428,30 @@ let router_kill_property =
   let gen = QCheck.Gen.(pair (int_range 1 nbatches) bool) in
   let arb =
     QCheck.make
-      ~print:(fun (cut, ckpt) -> Printf.sprintf "crash at batch %d, state-ckpt=%b" cut ckpt)
+      ~print:(fun (cut, kept) -> Printf.sprintf "crash at batch %d, state kept=%b" cut kept)
       gen
   in
   QCheck.Test.make ~name:"router SIGKILL at a random batch + resume preserves REPORT"
     ~count:4 arb
-    (fun (cut, ckpt) ->
+    (fun (cut, kept) ->
       let dir = temp_dir () in
       Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
       let socket = Filename.concat dir "route.sock" in
-      let cfg =
-        router_config ~workers:2 ~checkpoint:ckpt
-          ~state_every:(if ckpt then 3 else 0)
-          ~engine ~sampler ~dir (Serve.Unix_path socket)
+      let cfg = router_config ~workers:2 ~engine ~sampler ~dir (Serve.Unix_path socket) in
+      let between () =
+        let state = Filename.concat cfg.Router.dir "router-state.ftc" in
+        if (not kept) && Sys.file_exists state then Sys.remove state
       in
-      let report = killed_router_report ~crash_hit:cut ~cfg ~socket batches in
+      let log = Filename.concat dir "resume.log" in
+      let report =
+        killed_router_report ~crash_hit:cut ~between ~arm2:(stderr_to log) ~cfg ~socket
+          batches
+      in
       if report <> expected then
-        QCheck.Test.fail_reportf "REPORT diverged after crash at batch %d (state-ckpt=%b)"
-          cut ckpt;
+        QCheck.Test.fail_reportf "REPORT diverged after crash at batch %d (state kept=%b)"
+          cut kept;
+      if (not kept) && not (logged log whole_wal) then
+        QCheck.Test.fail_reportf "a lost state checkpoint must replay the whole WAL";
       true)
 
 (* --- RESIZE property ---------------------------------------------------------- *)
@@ -484,10 +488,10 @@ let resize_property =
         QCheck.Test.fail_reportf "REPORT diverged after RESIZE %+d at cut %d" delta cut;
       true)
 
-(* Without the WAL the router's only history is its in-memory event log: a
-   resize replays it through a scratch front.  Grow and shrink at a cut
-   mid-stream; REPORT and RESULT must both be analyze's. *)
-let test_resize_without_wal () =
+(* A resize replays the event history, the WAL, through a scratch front.
+   Grow and shrink at a cut mid-stream; REPORT and RESULT must both be
+   analyze's. *)
+let test_resize_report_and_result () =
   with_temp_dir @@ fun dir ->
   let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.35 ~seed:67 in
   let trace = sample_trace ~seed:61 ~length:600 () in
@@ -498,14 +502,14 @@ let test_resize_without_wal () =
       Unix.mkdir sub 0o700;
       let socket = Filename.concat sub "route.sock" in
       let cfg =
-        router_config ~workers:2 ~wal:false ~engine ~sampler ~dir:sub
+        router_config ~workers:2 ~engine ~sampler ~dir:sub
           (Serve.Unix_path socket)
       in
       let mid fd =
         Alcotest.(check int) "RESIZE echo" (2 + delta)
           (get_ok "resize" (Serve.resize ~deadline_s:60.0 fd delta))
       in
-      let what = Printf.sprintf "RESIZE %+d without the WAL" delta in
+      let what = Printf.sprintf "RESIZE %+d mid-stream" delta in
       let report, result =
         cluster_session ~mid ~mid_after:(List.length batches / 2) ~cfg ~socket batches
       in
@@ -937,6 +941,58 @@ let test_messages_bounded_by_samples () =
     true
     (messages <= 0.2 *. float_of_int n)
 
+(* --- worker death mid-ingest, with and without its set ---------------------------- *)
+
+(* Worker [k]'s SEQ, asked on its own socket, once it equals the router's
+   log length for it: every routed message applied, and any set those
+   messages triggered written. *)
+let await_worker_idle fd ~run ~k =
+  let sock = Filename.concat run (Printf.sprintf "worker-%d-g0.sock" k) in
+  let wfd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path sock) in
+  Fun.protect ~finally:(fun () -> Serve.close wfd) @@ fun () ->
+  let want = List.nth (json_ints (fetch_stats_json fd) "worker_log_lengths") k in
+  let until = Unix.gettimeofday () +. 30.0 in
+  while get_ok "worker SEQ" (Serve.fetch_seq ~deadline_s:60.0 wfd) < want do
+    if Unix.gettimeofday () > until then Alcotest.failf "worker %d never applied its log" k;
+    Unix.sleepf 0.01
+  done
+
+(* Chaos-injected: the router SIGKILLs worker 1 at its 3rd flush, respawns
+   it against its checkpoint directory and replays the suffix since its
+   SEQ.  With [set_lost] the worker's set.ftc is deleted just before the
+   kill, so the respawn starts fresh at SEQ 0 and the router replays the
+   worker's whole log. *)
+let test_chaos_worker_crash ~set_lost () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:17 in
+  let trace = sample_trace ~seed:19 ~length:1_000 () in
+  let socket = Filename.concat dir "route.sock" in
+  let cfg = router_config ~workers:2 ~engine ~sampler ~dir (Serve.Unix_path socket) in
+  let run = cfg.Router.dir in
+  let arm () = Fault.arm_exact ~lane:1 ~point:"cluster.worker_crash" ~hit:3 Fault.Exn in
+  (* two batches flushed (hits 1 and 2); the third batch's flush kills *)
+  let mid fd =
+    await_worker_idle fd ~run ~k:1;
+    if set_lost then Sys.remove (Filename.concat (ckpt_dir run 1) "set.ftc")
+  in
+  let last fd =
+    let j = fetch_stats_json fd in
+    Alcotest.(check (list int)) "worker 1 respawned once" [ 0; 1 ] (json_ints j "worker_respawns");
+    let resumed_at = List.nth (json_ints j "worker_resumed_at") 1 in
+    if set_lost then Alcotest.(check int) "a lost set resumes at SEQ 0" 0 resumed_at
+    else
+      Alcotest.(check bool)
+        (Printf.sprintf "a kept set resumes inside the stream (SEQ %d)" resumed_at)
+        true (resumed_at > 0)
+  in
+  let report =
+    cluster_report ~arm ~mid ~mid_after:2 ~last ~cfg ~socket (slices trace ~batch:120)
+  in
+  Alcotest.(check string)
+    (Printf.sprintf "chaos worker kill (set lost=%b) ≡ analyze" set_lost)
+    (expected_report ~engine ~sampler trace)
+    report
+
 (* --- retained logs ---------------------------------------------------------------- *)
 
 (* The router keeps each worker's log only from the worker's durable cut:
@@ -995,6 +1051,25 @@ let test_refuses_worker_shards () =
   match Router.run { cfg with Router.worker_shards = 2 } with
   | () -> Alcotest.fail "Router.run accepted worker_shards = 2"
   | exception Invalid_argument _ -> ()
+
+(* The router has one durable mode: the WAL, worker checkpoint sets and
+   router-state checkpoints are always on. *)
+let test_refuses_retired_modes () =
+  with_temp_dir @@ fun dir ->
+  let cfg =
+    router_config ~engine:Engine.So ~sampler:Sampler.all ~dir
+      (Serve.Unix_path (Filename.concat dir "route.sock"))
+  in
+  List.iter
+    (fun (what, cfg) ->
+      match Router.run cfg with
+      | () -> Alcotest.failf "Router.run accepted %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("wal = false", { cfg with Router.wal = false });
+      ("checkpoint = false", { cfg with Router.checkpoint = false });
+      ("state_every = 0", { cfg with Router.state_every = 0 });
+    ]
 
 (* --- checkpoints from before the router front ----------------------------------- *)
 
@@ -1103,24 +1178,14 @@ let test_old_checkpoints_fall_back () =
           (old_worker_set ~engine ~sampler))
       [ 0; 1 ]
   in
-  let arm2 () =
-    let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-    Unix.dup2 fd Unix.stderr;
-    Unix.close fd
-  in
   let report =
     reaping_workers run @@ fun () ->
-    killed_router_report ~crash_hit:5 ~between ~arm2 ~cfg ~socket (slices trace ~batch:75)
+    killed_router_report ~crash_hit:5 ~between ~arm2:(stderr_to log) ~cfg ~socket
+      (slices trace ~batch:75)
   in
   Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace) report;
-  let text = In_channel.with_open_bin log In_channel.input_all in
-  let contains sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
-    go 0
-  in
   List.iter
-    (fun line -> Alcotest.(check bool) ("logged: " ^ line) true (contains line))
+    (fun line -> Alcotest.(check bool) ("logged: " ^ line) true (logged log line))
     [
       "ignoring state checkpoint (state checkpoint predates the front)";
       "checkpoint set has an older layout); starting fresh";
@@ -1139,7 +1204,7 @@ let test_pre_resize_checkpoint_ignored () =
   let batches = slices trace ~batch:75 in
   let socket = Filename.concat dir "route.sock" in
   let cfg =
-    router_config ~workers:2 ~state_every:1 ~engine ~sampler ~dir
+    router_config ~workers:2 ~engine ~sampler ~dir
       (Serve.Unix_path socket)
   in
   let run = cfg.Router.dir in
@@ -1171,12 +1236,7 @@ let test_pre_resize_checkpoint_ignored () =
      (* SIGKILL, then put the pre-resize checkpoint back *)
      kill_and_reap pid;
      Out_channel.with_open_bin state (fun oc -> Out_channel.output_string oc saved));
-    let arm () =
-      let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-      Unix.dup2 fd Unix.stderr;
-      Unix.close fd
-    in
-    let pid = start_router ~arm { cfg with Router.resume = true } in
+    let pid = start_router ~arm:(stderr_to log) { cfg with Router.resume = true } in
     Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
     let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
     Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
@@ -1190,11 +1250,8 @@ let test_pre_resize_checkpoint_ignored () =
     report
   in
   Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace) report;
-  let text = In_channel.with_open_bin log In_channel.input_all in
   let line = "ignoring state checkpoint (it predates a resize)" in
-  let n = String.length line in
-  let rec go i = i + n <= String.length text && (String.sub text i n = line || go (i + 1)) in
-  Alcotest.(check bool) ("logged: " ^ line) true (go 0)
+  Alcotest.(check bool) ("logged: " ^ line) true (logged log line)
 
 (* --- ordered admission ---------------------------------------------------------- *)
 
@@ -1242,19 +1299,22 @@ let test_parked_limit () =
 (* Batches 2 and 3 park behind the gap at 1 while batch 0 is ingested; the
    router is SIGKILLed and resumed from its WAL, which re-parks them.  No
    state checkpoint may be written while a batch is parked — a tail replay
-   from it would skip the parked batches' records — so with [state_every]
-   on, the first one follows batch 1 draining the gap. *)
-let test_resume_with_parked ~state_every () =
+   from it would skip the parked batches' records — so the first one
+   follows batch 1 draining the gap.  With [state_lost], batch 0 goes
+   first and is checkpointed before 2 and 3 park; that router-state.ftc is
+   removed before the resume, which must then re-park them from a full
+   WAL replay. *)
+let test_resume_with_parked ~state_lost () =
   with_temp_dir @@ fun dir ->
   let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:113 in
   let trace = sample_trace ~seed:127 ~length:600 () in
   let batches = Array.of_list (slices trace ~batch:100) in
   let socket = Filename.concat dir "route.sock" in
   let cfg =
-    router_config ~workers:2 ~state_every ~engine ~sampler ~dir
-      (Serve.Unix_path socket)
+    router_config ~workers:2 ~engine ~sampler ~dir (Serve.Unix_path socket)
   in
   let run = cfg.Router.dir in
+  let state = Filename.concat run "router-state.ftc" in
   let send fd i =
     let base, sub = batches.(i) in
     get_ok "send_batch" (Serve.send_batch ~deadline_s:60.0 fd ~base sub)
@@ -1265,21 +1325,27 @@ let test_resume_with_parked ~state_every () =
   (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
    let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
    Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
-   Alcotest.(check int) "batch 2 parks" 0 (send fd 2);
-   Alcotest.(check int) "batch 3 parks" 0 (send fd 3);
-   Alcotest.(check int) "batch 0 is ingested" 100 (send fd 0);
+   if state_lost then Alcotest.(check int) "batch 0 is ingested" 100 (send fd 0);
+   Alcotest.(check int) "batch 2 parks" (if state_lost then 100 else 0) (send fd 2);
+   Alcotest.(check int) "batch 3 parks" (if state_lost then 100 else 0) (send fd 3);
+   if not state_lost then Alcotest.(check int) "batch 0 is ingested" 100 (send fd 0);
    let j = fetch_stats_json fd in
    Alcotest.(check (float 0.0)) "two batches parked" 2.0 (json_num j [ "parked" ]);
-   Alcotest.(check (float 0.0)) "no state checkpoint while parked" 0.0 (state_checkpoints j);
-   Alcotest.(check bool) "no router-state.ftc" false
-     (Sys.file_exists (Filename.concat run "router-state.ftc")));
-  let pid = start_router { cfg with Router.resume = true } in
+   Alcotest.(check (float 0.0)) "a state checkpoint only before the parking"
+     (if state_lost then 1.0 else 0.0)
+     (state_checkpoints j);
+   Alcotest.(check bool) "router-state.ftc" state_lost (Sys.file_exists state));
+  if state_lost then Sys.remove state;
+  let log = Filename.concat dir "resume.log" in
+  let pid = start_router ~arm:(stderr_to log) { cfg with Router.resume = true } in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
   let j = fetch_stats_json fd in
   Alcotest.(check (float 0.0)) "resumed with both batches parked" 2.0 (json_num j [ "parked" ]);
   Alcotest.(check (float 0.0)) "resumed at the cursor" 100.0 (json_num j [ "next_index" ]);
+  Alcotest.(check bool) "no state checkpoint to resume from: the whole WAL" true
+    (logged log whole_wal);
   Alcotest.(check int) "batch 1 drains the parked batches" 400 (send fd 1);
   for i = 4 to Array.length batches - 1 do
     ignore (send fd i)
@@ -1287,7 +1353,7 @@ let test_resume_with_parked ~state_every () =
   Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace)
     (get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd));
   let j = fetch_stats_json fd in
-  Alcotest.(check bool) "a state checkpoint once nothing is parked" (state_every > 0)
+  Alcotest.(check bool) "a state checkpoint once nothing is parked" true
     (state_checkpoints j > 0.0);
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
@@ -1366,13 +1432,15 @@ let () =
             test_tcp_out_of_order_duplicates;
           Alcotest.test_case "Router.run refuses worker_shards = 2" `Quick
             test_refuses_worker_shards;
+          Alcotest.test_case "Router.run refuses wal, checkpoint, state_every off" `Quick
+            test_refuses_retired_modes;
         ] );
       ( "recovery",
         [
           Alcotest.test_case "chaos worker kill, checkpointed resume" `Quick
-            (test_chaos_worker_crash ~checkpoint:true);
+            (test_chaos_worker_crash ~set_lost:false);
           Alcotest.test_case "chaos worker kill, full-log replay" `Quick
-            (test_chaos_worker_crash ~checkpoint:false);
+            (test_chaos_worker_crash ~set_lost:true);
           Alcotest.test_case "external SIGKILL via pid file" `Quick test_external_sigkill;
         ] );
       ( "durability",
@@ -1401,8 +1469,8 @@ let () =
       ( "availability",
         [
           QCheck_alcotest.to_alcotest resize_property;
-          Alcotest.test_case "RESIZE ±1 without the WAL ≡ analyze" `Quick
-            test_resize_without_wal;
+          Alcotest.test_case "RESIZE ±1 mid-stream ≡ analyze" `Quick
+            test_resize_report_and_result;
           Alcotest.test_case "window=1/3/16 pipelining identity" `Quick
             test_window_identity;
           Alcotest.test_case "ready-file staleness protocol" `Quick
@@ -1414,9 +1482,9 @@ let () =
           Alcotest.test_case "parked-batch limit: refused before the WAL" `Quick
             test_parked_limit;
           Alcotest.test_case "resume re-parks WAL batches (state checkpoints on)" `Quick
-            (test_resume_with_parked ~state_every:1);
-          Alcotest.test_case "resume re-parks WAL batches (state checkpoints off)" `Quick
-            (test_resume_with_parked ~state_every:0);
+            (test_resume_with_parked ~state_lost:false);
+          Alcotest.test_case "resume re-parks WAL batches (state checkpoint lost)" `Quick
+            (test_resume_with_parked ~state_lost:true);
           Alcotest.test_case "wire parser fuzz, then ≡ analyze" `Quick test_wire_fuzz;
         ] );
       ("chash", [ Alcotest.test_case "determinism, coverage, stability" `Quick test_chash ]);

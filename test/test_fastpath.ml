@@ -18,9 +18,7 @@
      vendored in Ref_engines, across engines × samplers × shard counts, and
      padded clocks for ST/SU/SO — races, reports, and every counter except
      the purely additive same_epoch_hits must match exactly; SO's list pool
-     keeps exact reference counts within its bound;
-   - the --racy-fastpath gate: pinned verdict divergence, the
-     first-race-per-location oracle, and snapshot/restore of the gate. *)
+     keeps exact reference counts within its bound. *)
 
 module Trace = Ft_trace.Trace
 module Event = Ft_trace.Event
@@ -656,87 +654,6 @@ let test_pool_no_allocation () =
           !accesses)
     pooled
 
-(* --- --racy-fastpath -------------------------------------------------------- *)
-
-let first_race_per_loc races =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun r ->
-      if Hashtbl.mem seen r.Race.loc then false
-      else begin
-        Hashtbl.add seen r.Race.loc ();
-        true
-      end)
-    races
-
-(* pinned litmus: location x0 races twice under the seed semantics, x1 once *)
-let litmus_trace =
-  let e t op = Event.mk t op in
-  Trace.make ~nthreads:2 ~nlocks:1 ~nlocs:2
-    [|
-      e 0 (Event.Write 0);
-      e 1 (Event.Write 0);  (* race 1 at x0 *)
-      e 0 (Event.Write 0);  (* race 2 at x0 — gated run must skip this *)
-      e 1 (Event.Write 1);
-      e 0 (Event.Write 1);  (* race at x1 — gated run must still find it *)
-    |]
-
-let test_racy_fastpath_litmus () =
-  let plain = Engine.run Engine.Fasttrack litmus_trace in
-  let gated = Engine.run Engine.Fasttrack ~racy_fastpath:true litmus_trace in
-  Alcotest.(check int) "plain declares three races" 3 (List.length plain.Detector.races);
-  Alcotest.(check int) "gated declares two" 2 (List.length gated.Detector.races);
-  Alcotest.(check (list int)) "gated keeps one per location" [ 0; 1 ]
-    (List.sort compare (Race.locations gated.Detector.races));
-  Alcotest.(check bool) "verdicts pinned divergent" true
-    (plain.Detector.races <> gated.Detector.races);
-  Alcotest.(check bool) "gate does fewer race checks" true
-    (gated.Detector.metrics.Metrics.race_checks
-    < plain.Detector.metrics.Metrics.race_checks)
-
-(* FastTrack's access handlers touch only the accessed location, so gating
-   has a closed-form oracle: the gated race list is exactly the first race
-   per location of the ungated run. *)
-let test_racy_fastpath_oracle () =
-  List.iter
-    (fun seed ->
-      let trace = gen_trace ~seed ~length:1_200 in
-      let plain = Engine.run Engine.Fasttrack trace in
-      let gated = Engine.run Engine.Fasttrack ~racy_fastpath:true trace in
-      Alcotest.(check bool)
-        (Printf.sprintf "first race per location (seed %d)" seed)
-        true
-        (gated.Detector.races = first_race_per_loc plain.Detector.races))
-    [ 3; 4; 5; 6 ]
-
-let test_racy_fastpath_snapshot_roundtrip () =
-  let trace = gen_trace ~seed:9 ~length:1_000 in
-  let config =
-    {
-      Detector.nthreads = trace.Trace.nthreads;
-      nlocks = trace.Trace.nlocks;
-      nlocs = trace.Trace.nlocs;
-      clock_size = trace.Trace.nthreads;
-      sampler = Sampler.all;
-    }
-  in
-  let (module D : Detector.S) = Engine.detector ~racy_fastpath:true Engine.Fasttrack in
-  let straight = D.create config in
-  Trace.iteri (fun i e -> D.handle straight i e) trace;
-  let cut = Trace.length trace / 2 in
-  let d = D.create config in
-  for i = 0 to cut - 1 do
-    D.handle d i (Trace.get trace i)
-  done;
-  let d' = D.restore config (D.snapshot d) in
-  for i = cut to Trace.length trace - 1 do
-    D.handle d' i (Trace.get trace i)
-  done;
-  Alcotest.(check bool) "snapshot/restore mid-run changes nothing" true
-    ((D.result d').Detector.races = (D.result straight).Detector.races
-    && Metrics.to_array (D.result d').Detector.metrics
-       = Metrics.to_array (D.result straight).Detector.metrics)
-
 let () =
   Alcotest.run "fastpath"
     [
@@ -782,14 +699,5 @@ let () =
             test_byte_identity_grid;
           Alcotest.test_case "so list pool: exact counts, bounded, T=256 tpcc" `Slow
             test_so_pool_bounded;
-        ] );
-      ( "racy_fastpath",
-        [
-          Alcotest.test_case "litmus pins the verdict divergence" `Quick
-            test_racy_fastpath_litmus;
-          Alcotest.test_case "first-race-per-location oracle" `Quick
-            test_racy_fastpath_oracle;
-          Alcotest.test_case "gate survives snapshot/restore" `Quick
-            test_racy_fastpath_snapshot_roundtrip;
         ] );
     ]

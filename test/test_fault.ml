@@ -675,10 +675,55 @@ let test_shard_fault_fails_fast_then_resume () =
     (cut > 100 && cut < n);
   Alcotest.(check string) "fail fast + resume ≡ analyze" expected report
 
+(* A BATCH ack means the batch is durable: a torn write of the N-th set —
+   the one that would cover batch N — answers [ERR] for batch N, fails the
+   daemon fast and keeps the previous set.  A successor resumed from that
+   set, fed a blind resend of the whole trace, reports exactly what
+   analyze does. *)
+let test_checkpoint_fault_fails_fast_then_resume () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:5 in
+  let trace = sample_trace ~seed:43 ~length:1_500 in
+  let expected = expected_report ~engine ~sampler trace in
+  let socket = Filename.concat dir "serve.sock" in
+  let ckpt = Filename.concat dir "ckpt" in
+  Unix.mkdir ckpt 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
+  let batches = Array.of_list (slices trace ~batch:100) in
+  let hit = 6 in
+  let pid =
+    start_server
+      ~before:(fun () -> Fault.arm_exact ~point:"checkpoint.write" ~hit Fault.Torn_write)
+      (server_config ~engine ~shards:2 ~sampler ~checkpoint_dir:ckpt socket)
+  in
+  (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+   let fd = Serve.connect (Serve.Unix_path socket) in
+   let rec send i =
+     if i = Array.length batches then None
+     else
+       let base, sub = batches.(i) in
+       match Serve.send_batch fd ~base sub with
+       | Ok _ -> send (i + 1)
+       | Error msg -> Some (i, msg)
+   in
+   match Fun.protect ~finally:(fun () -> Serve.close fd) (fun () -> send 0) with
+   | None -> Alcotest.fail "the torn checkpoint write must fail the daemon"
+   | Some (i, msg) ->
+     Alcotest.(check int) "the batch whose set tore is refused" (hit - 1) i;
+     Alcotest.(check bool)
+       (Printf.sprintf "ERR names the failed write: %s" msg)
+       true
+       (contains ~sub:"ERR checkpoint write failed: " msg
+       && contains ~sub:"point=checkpoint.write" msg);
+     check_failed_exit "torn checkpoint write" pid);
+  let cut, report = resume_and_report ~engine ~shards:2 ~sampler ~ckpt socket batches in
+  Alcotest.(check int) "resumed from the set before the torn one" ((hit - 1) * 100) cut;
+  Alcotest.(check string) "torn write + resume ≡ analyze" expected report
+
 (* A chaos-armed daemon — shard faults, ring delays, recv hiccups, torn
    checkpoint writes — still ends with the exact report: directly when no
-   fault killed a shard, else through a successor resumed from the last
-   good set. *)
+   fault failed it (a shard or a set write), else through a successor
+   resumed from the last good set. *)
 let test_serve_with_chaos () =
   with_temp_dir @@ fun dir ->
   let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:5 in
@@ -753,6 +798,8 @@ let () =
             test_shard_fault_fails_fast_then_resume;
           Alcotest.test_case "chaos-armed daemon still reports exactly" `Quick
             test_serve_with_chaos;
+          Alcotest.test_case "torn checkpoint write: ERR, fail fast, exact resume" `Quick
+            test_checkpoint_fault_fails_fast_then_resume;
         ] );
       ( "oracle",
         [
