@@ -282,18 +282,19 @@ let run_bechamel () =
     rows;
   print_newline ()
 
-(* --- shard scaling ---------------------------------------------------------- *)
+(* --- pipeline vs plain -------------------------------------------------------- *)
 
-(* Wall-clock scaling of the location-sharded online detector over K
-   checker domains, against the plain engine on the same trace: SO at 3%
-   and 10% on a sync-heavy trace (tpcc) and an access-heavy one (hyadapt).
-   One JSON row per (workload, rate, K); every wall is the best of three
-   runs.  Verdict exactness is enforced inline: every K must report the
-   unsharded race count, or the grid aborts. *)
+(* Wall clock of the pipelined online detector — the front (sampler + sync
+   engine) on this domain, one checker on another — against the plain
+   engine on the same trace: SO at 3% and 10% on a sync-heavy trace (tpcc)
+   and an access-heavy one (hyadapt).  One JSON row per (workload, rate);
+   every wall is the best of three runs.  Verdict exactness is enforced
+   inline: the pipeline must report the plain engine's race count, or the
+   figure aborts. *)
 let run_shard_grid ~target_events =
   print_newline ();
-  print_endline "Shard scaling: SO engine, location-sharded across K checker domains";
-  print_endline "===================================================================";
+  print_endline "Pipeline vs plain: SO engine, a front and one checker domain";
+  print_endline "=============================================================";
   let best_of_3 f =
     let run () =
       let t0 = Clock.now_ns () in
@@ -316,42 +317,37 @@ let run_shard_grid ~target_events =
         (fun rate ->
           let sampler = Sampler.bernoulli ~rate ~seed:7 in
           let config = Detector.config_of_trace ~sampler trace in
-          let unsharded_s, plain = best_of_3 (fun () -> Engine.run Engine.So ~sampler trace) in
+          let plain_s, plain = best_of_3 (fun () -> Engine.run Engine.So ~sampler trace) in
           let expected = List.length plain.Ft_core.Detector.races in
-          List.iter
-            (fun shards ->
-              let wall_s, result =
-                best_of_3 (fun () ->
-                    let sh = Sharded.create ~engine:Engine.So ~shards config in
-                    Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-                    let result = Sharded.result sh in
-                    Sharded.stop sh;
-                    result)
-              in
-              let races = List.length result.Ft_core.Detector.races in
-              if races <> expected then
-                failwith
-                  (Printf.sprintf
-                     "shard grid: %s at %g with K=%d reports %d races but the plain \
-                      engine reported %d"
-                     wname rate shards races expected);
-              let events_per_s = float_of_int events /. Float.max wall_s 1e-9 in
-              add_row "shards"
-                [ ("workload", Json.Str wname);
-                  ("engine", Json.Str (Engine.name Engine.So));
-                  ("rate", jf rate);
-                  ("shards", Json.Int shards);
-                  ("events", Json.Int events);
-                  ("wall_s", jf wall_s);
-                  ("events_per_s", jf events_per_s);
-                  ("unsharded_wall_s", jf unsharded_s);
-                  ("races", Json.Int races) ];
-              Printf.printf
-                "{\"figure\": \"shards\", \"workload\": %S, \"rate\": %g, \
-                 \"shards\": %d, \"events\": %d, \"wall_s\": %.6f, \
-                 \"unsharded_wall_s\": %.6f, \"races\": %d}\n%!"
-                wname rate shards events wall_s unsharded_s races)
-            [ 1; 2; 4 ])
+          let wall_s, result =
+            best_of_3 (fun () ->
+                let sh = Sharded.create ~engine:Engine.So config in
+                Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
+                let result = Sharded.result sh in
+                Sharded.stop sh;
+                result)
+          in
+          let races = List.length result.Ft_core.Detector.races in
+          if races <> expected then
+            failwith
+              (Printf.sprintf
+                 "pipeline figure: %s at %g reports %d races but the plain engine \
+                  reported %d"
+                 wname rate races expected);
+          let events_per_s = float_of_int events /. Float.max wall_s 1e-9 in
+          add_row "shards"
+            [ ("workload", Json.Str wname);
+              ("engine", Json.Str (Engine.name Engine.So));
+              ("rate", jf rate);
+              ("events", Json.Int events);
+              ("wall_s", jf wall_s);
+              ("events_per_s", jf events_per_s);
+              ("plain_wall_s", jf plain_s);
+              ("races", Json.Int races) ];
+          Printf.printf
+            "{\"figure\": \"shards\", \"workload\": %S, \"rate\": %g, \"events\": %d, \
+             \"wall_s\": %.6f, \"plain_wall_s\": %.6f, \"races\": %d}\n%!"
+            wname rate events wall_s plain_s races)
         [ 0.03; 0.1 ])
     [ "tpcc"; "hyadapt" ]
 

@@ -54,16 +54,6 @@ let clock_size_arg =
           "Vector-clock width (default: thread count). Use 256 to mimic \
            ThreadSanitizer v3's fixed clocks.")
 
-let shards_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Run the engine location-sharded across K worker domains. Race \
-           reports and metrics are exact: byte-identical to K=1 for every \
-           engine and sampler.")
-
 let socket_arg =
   Arg.(
     value
@@ -123,7 +113,7 @@ let chaos_arg =
            0.01), points=a+b (restrict to named injection points), \
            kinds=exn+delay+partial_io+torn_write, max=N (stop after N faults), \
            delay=FLOAT (base Delay duration). Faults are a pure function of the \
-           seed, so any chaos run replays exactly. A fault that kills a shard \
+           seed, so any chaos run replays exactly. A fault that kills a checker \
            fails the run fast; a run that completes, or a serve daemon resumed \
            from its checkpoint, reports byte-identically to a fault-free run — \
            that invariant is what the chaos suite checks.")
@@ -276,13 +266,24 @@ let analyze_cmd =
       List.iter (fun race -> Format.printf "%a@." Race.pp race) result.Detector.races;
     if Detector.racy_locations result = [] then 0 else 2
   in
+  (* the directory a --checkpoint file would land in, if it does not exist:
+     refused before any event is analysed *)
+  let missing_dir = function
+    | None -> None
+    | Some path ->
+      let dir = Filename.dirname path in
+      if (try Sys.is_directory dir with Sys_error _ -> false) then None else Some dir
+  in
   let run file engine rate seed clock_size show_races checkpoint checkpoint_every resume
       metrics_json chaos =
-    match Engine.of_name engine with
-    | None ->
+    match (Engine.of_name engine, missing_dir checkpoint) with
+    | None, _ ->
       prerr_endline ("racedet: unknown engine " ^ engine);
       1
-    | Some id -> (
+    | Some _, Some dir ->
+      prerr_endline ("racedet: checkpoint directory " ^ dir ^ " does not exist");
+      1
+    | Some id, None -> (
       with_chaos chaos @@ fun () ->
       let sampler = if rate >= 1.0 then Sampler.all else Sampler.bernoulli ~rate ~seed in
       let t0 = Clock.now_ns () in
@@ -332,8 +333,8 @@ let serve_cmd =
   in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR"
-           ~doc:"Persist the checkpoint set (DIR/set.ftc, every shard in one \
-                 atomic file) after every ingested batch and on shutdown.")
+           ~doc:"Persist the checkpoint set (DIR/set.ftc, front and checker in \
+                 one atomic file) after every ingested batch and on shutdown.")
   in
   let resume =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR"
@@ -350,74 +351,66 @@ let serve_cmd =
            ~doc:"On shutdown, write the final telemetry and merged work counters \
                  (the $(b,STATS JSON) payload) to FILE.")
   in
-  let run socket tcp backlog ready_file engine shards rate seed clock_size checkpoint
-      resume heartbeat metrics_json chaos =
+  let run socket tcp backlog ready_file engine rate seed clock_size checkpoint resume
+      heartbeat metrics_json chaos =
     match Engine.of_name engine with
     | None ->
       prerr_endline ("racedet: unknown engine " ^ engine);
       1
-    | Some id ->
-      if shards < 1 then begin
-        prerr_endline "racedet: --shards must be positive";
+    | Some id -> (
+      let chaos_cfg =
+        match chaos with
+        | None -> Ok None
+        | Some spec -> Result.map Option.some (Fault.parse spec)
+      in
+      match (chaos_cfg, resolve_addr ~socket ~tcp) with
+      | Error msg, _ | _, Error msg ->
+        prerr_endline ("racedet: " ^ msg);
         1
-      end
-      else begin
-        let chaos_cfg =
-          match chaos with
-          | None -> Ok None
-          | Some spec -> Result.map Option.some (Fault.parse spec)
-        in
-        match (chaos_cfg, resolve_addr ~socket ~tcp) with
-        | Error msg, _ | _, Error msg ->
-          prerr_endline ("racedet: " ^ msg);
+      | Ok chaos, Ok listen ->
+        let sampler = if rate >= 1.0 then Sampler.all else Sampler.bernoulli ~rate ~seed in
+        (try
+           Serve.run
+             {
+               Serve.listen;
+               engine = id;
+               shards = 1;
+               sampler;
+               clock_size;
+               checkpoint_dir = checkpoint;
+               checkpoint_every = Serve.default_checkpoint_every;
+               resume_dir = resume;
+               max_parked = Serve.default_max_parked;
+               backlog;
+               ready_file;
+               heartbeat_s = (if heartbeat > 0.0 then Some heartbeat else None);
+               metrics_json;
+               max_restarts = Serve.default_max_restarts;
+               chaos;
+             };
+           0
+         with
+        | Unix.Unix_error (err, fn, arg) ->
+          Printf.eprintf "racedet: serve: %s(%s): %s\n" fn arg (Unix.error_message err);
           1
-        | Ok chaos, Ok listen ->
-          let sampler =
-            if rate >= 1.0 then Sampler.all else Sampler.bernoulli ~rate ~seed
-          in
-          (try
-             Serve.run
-               {
-                 Serve.listen;
-                 engine = id;
-                 shards;
-                 sampler;
-                 clock_size;
-                 checkpoint_dir = checkpoint;
-                 checkpoint_every = Serve.default_checkpoint_every;
-                 resume_dir = resume;
-                 max_parked = Serve.default_max_parked;
-                 backlog;
-                 ready_file;
-                 heartbeat_s = (if heartbeat > 0.0 then Some heartbeat else None);
-                 metrics_json;
-                 max_restarts = Serve.default_max_restarts;
-                 chaos;
-               };
-             0
-           with
-          | Unix.Unix_error (err, fn, arg) ->
-            Printf.eprintf "racedet: serve: %s(%s): %s\n" fn arg (Unix.error_message err);
-            1
-          | Failure msg ->
-            prerr_endline ("racedet: serve: " ^ msg);
-            1)
-      end
+        | Failure msg ->
+          prerr_endline ("racedet: serve: " ^ msg);
+          1))
   in
   let term =
     Term.(
-      const run $ socket_arg $ tcp_arg $ backlog_arg $ ready_file_arg $ engine
-      $ shards_arg $ rate_arg $ seed_arg $ clock_size_arg $ checkpoint $ resume
-      $ heartbeat $ metrics_json $ chaos_arg)
+      const run $ socket_arg $ tcp_arg $ backlog_arg $ ready_file_arg $ engine $ rate_arg
+      $ seed_arg $ clock_size_arg $ checkpoint $ resume $ heartbeat $ metrics_json
+      $ chaos_arg)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Ingestion daemon: accept .ftb event batches over a Unix-domain socket \
-          or TCP ($(b,--tcp)), feed a (sharded) online detector, answer REPORT \
-          queries. Runs until a client sends SHUTDOWN, SIGTERM or SIGINT (all \
-          three drain, write a final checkpoint and dump --metrics-json before \
-          exiting).")
+          or TCP ($(b,--tcp)), feed a pipelined online detector (a front and one \
+          checker domain), answer REPORT queries. Runs until a client sends \
+          SHUTDOWN, SIGTERM or SIGINT (all three drain, write a final checkpoint \
+          and dump --metrics-json before exiting).")
     term
 
 (* --- emit ------------------------------------------------------------------ *)

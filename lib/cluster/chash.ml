@@ -7,7 +7,7 @@
 
 let vnodes = 64
 
-(* splitmix-style finalizer, same family as Sharded's owner map *)
+(* splitmix-style finalizer *)
 let mix h =
   let h = h * 0x9E3779B1 in
   let h = (h lxor (h lsr 16)) * 0x85EBCA6B in

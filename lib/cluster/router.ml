@@ -29,8 +29,8 @@ module Fault = Ft_fault.Fault
    - the router is the {!Front}: it runs the sampler and the one sync
      engine, and sends the owner of a location ({!Chash}) only that
      location's sampled accesses, each behind the changes to its thread's
-     view that worker has not seen — the routing of {!Ft_shard.Sharded}
-     one level up; a worker's checker imports each [View] and checks each
+     view that worker has not seen — the shipping of {!Ft_shard.Sharded}
+     across K owners; a worker's checker imports each [View] and checks each
      [Acc], so the checks read exactly what the unsharded engine reads,
      and the merged counters are the front's plus the workers';
    - workers checkpoint by size — once the CBATCH bytes applied since
@@ -384,7 +384,7 @@ let universe_of st =
 
 (* --- routing --------------------------------------------------------------- *)
 
-(* {!Ft_shard.Sharded.handle} one level up: the front takes every event,
+(* {!Ft_shard.Sharded.handle} across K owners: the front takes every event,
    and an access it must check goes to its owner behind the view changes
    that worker has not seen (DESIGN.md §6e).  Live routing, WAL replay and
    log rebuilds share this function: only [append] differs. *)

@@ -61,8 +61,8 @@ module type S = sig
       baseline) it is a no-op.  This is the hook a sync-only instance rests
       on: fed every sync event plus one [note_sampled] per sampled access
       (the bit is idempotent until the next flush), it evolves exactly the
-      clocks of the full run without seeing a single access — the sharded
-      detector's front, and a cluster worker replaying router marks.
+      clocks of the full run without seeing a single access — the front of
+      a pipelined detector or of the cluster router.
       Never called by single-stream runners. *)
 
   (** {2 Views}
@@ -74,8 +74,8 @@ module type S = sig
       of locks it holds.  An access handler reads only the location's
       state and the view, so an instance fed nothing but accesses (with
       {!Sampler.all}) checks them exactly as the full engine would, once
-      it is told each view change.  This is the hook the sharded detector's
-      checkers rest on ([Ft_shard.Sharded]). *)
+      it is told each view change.  This is the hook every checker behind a
+      front rests on ([Ft_shard.Front]). *)
 
   val view_size : config -> int
   (** Entries of a view: [clock_size], or [nlocks] for the lockset

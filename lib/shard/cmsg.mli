@@ -26,7 +26,7 @@ val encode_ev : Ft_core.Snap.Enc.t -> int -> Ft_trace.Event.t -> unit
 (** {1 Checker messages}
 
     What a front sends a checker — in a cluster batch, and through a
-    shard's ring ({!Sharded}): sampled accesses, and the entries of a
+    pipeline's ring ({!Sharded}): sampled accesses, and the entries of a
     thread's view that changed since that checker last saw it. *)
 
 type check =

@@ -1,13 +1,14 @@
-(** The front of a location-sharded detector, and the one module that ships
-    views to checkers.
+(** The front of a detector split into a front and checkers, and the one
+    module that ships views to checkers.
 
     A {e front} runs the sampler and the one real sync engine: the engine
     itself, fed every synchronization event plus one
     {!Ft_core.Detector.S.note_sampled} per sampled access, never an access.
     It tallies the accesses nobody checks.  Every access it {!admit}s goes
-    to a {e checker} that owns the location — a domain of {!Sharded}, or a
-    cluster worker's one inline {!instance} — right behind the changes to
-    the accessing thread's view that checker has not seen yet ({!ship}).
+    to a {e checker} — {!Sharded}'s one checker domain, or the cluster
+    worker that owns the location ({!Ft_cluster.Chash}), each one inline
+    {!instance} — right behind the changes to the accessing thread's view
+    that checker has not seen yet ({!ship}, one destination per checker).
     Domain-free, so a forking process can hold one (DESIGN.md §6a, §6e). *)
 
 type inst = {
@@ -37,7 +38,7 @@ val admit : t -> int -> Ft_trace.Event.t -> bool
     tallied. *)
 
 val merge : t -> Ft_core.Detector.result array -> Ft_core.Detector.result
-(** The unsharded engine's result from the checkers' parts: races sorted by
+(** The plain engine's result from the checkers' parts: races sorted by
     declaration index, metrics the field-wise sum of the front's, the
     parts' and the tally ({!Ft_core.Metrics.add}). *)
 

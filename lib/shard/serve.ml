@@ -136,7 +136,7 @@ let read_addr_file path =
 type config = {
   listen : addr;
   engine : Engine.id;
-  shards : int;
+  shards : int;  (* must be 1: a BATCH session is a front and one checker *)
   sampler : Sampler.t;
   clock_size : int option;
   checkpoint_dir : string option;
@@ -233,10 +233,10 @@ let really_read ~deadline_at fd n =
 (* Counters are bumped only at batch and command boundaries — never inside
    the per-event detection loop — so instrumentation cannot perturb the
    verdict-relevant hot path (DESIGN.md, "Telemetry stays off the hot
-   path").  Per-shard and detector series are mirrors refreshed on demand:
-   the shard counters live with the router, the merged Metrics with the
-   engines, and both are monotone, so copying them into registry counters
-   at STATS time preserves Prometheus counter semantics. *)
+   path").  Checker and detector series are mirrors refreshed on demand:
+   the checker's message count lives with the front, the merged Metrics
+   with the engines, and both are monotone, so copying them into registry
+   counters at STATS time preserves Prometheus counter semantics. *)
 type telemetry = {
   reg : Registry.t;
   batches_total : Registry.counter;
@@ -256,9 +256,9 @@ type telemetry = {
   checkpoint_failures : Registry.counter;
   ingest_ns : Histogram.t;
   started_ns : int64;
-  mutable ring_gauges : Registry.gauge array;    (* one per shard *)
-  mutable shard_events : Registry.counter array; (* one per shard, mirrored *)
-  mutable det_fields : Registry.counter array;   (* Metrics.field_names order *)
+  mutable ring_gauge : Registry.gauge option;  (* BATCH sessions only *)
+  mutable shard_events : Registry.counter option;  (* BATCH sessions only, mirrored *)
+  mutable det_fields : Registry.counter array;  (* Metrics.field_names order *)
 }
 
 let make_telemetry () =
@@ -306,30 +306,30 @@ let make_telemetry () =
       Registry.histogram reg "serve_batch_ingest_ns"
         ~help:"Per-batch ingest latency (feed + drain + checkpoint), nanoseconds";
     started_ns = Clock.now_ns ();
-    ring_gauges = [||];
-    shard_events = [||];
+    ring_gauge = None;
+    shard_events = None;
     det_fields = [||];
   }
 
-(* Per-shard and per-field series exist once the session does (K and the
-   field set are only known then); a cluster session has no shards. *)
-let attach_series tel ~shards =
+(* The checker and per-field series exist once the session does; only a
+   BATCH session has a checker ring. *)
+let attach_series tel ~pipeline =
   if Array.length tel.det_fields = 0 then begin
-    tel.ring_gauges <-
-      Array.init shards (fun k ->
-          Registry.gauge tel.reg "serve_shard_ring_occupancy"
-            ~help:"Unconsumed messages in each shard's ring"
-            ~labels:[ ("shard", string_of_int k) ]);
-    tel.shard_events <-
-      Array.init shards (fun k ->
-          Registry.counter tel.reg "serve_shard_events_total"
-            ~help:"Events routed to each shard (accesses to the owner, sync to all)"
-            ~labels:[ ("shard", string_of_int k) ]);
+    if pipeline then begin
+      tel.ring_gauge <-
+        Some
+          (Registry.gauge tel.reg "serve_shard_ring_occupancy"
+             ~help:"Unconsumed messages in the checker's ring");
+      tel.shard_events <-
+        Some
+          (Registry.counter tel.reg "serve_shard_events_total"
+             ~help:"Messages pushed to the checker (sampled accesses and view changes)")
+    end;
     tel.det_fields <-
       Array.map
         (fun f ->
           Registry.counter tel.reg "racedet_metric"
-            ~help:"Merged detector work counters (front + every shard's checker)"
+            ~help:"Merged detector work counters (front + checker)"
             ~labels:[ ("field", f) ])
         Metrics.field_names
   end
@@ -337,8 +337,8 @@ let attach_series tel ~shards =
 (* --- server state -------------------------------------------------------- *)
 
 (* A cluster worker's checker: one engine instance sampling everything,
-   applied inline.  Its router is the front (DESIGN.md §6e), so nothing is
-   sharded here: the router's respawn is the recovery. *)
+   applied inline.  Its router is the front (DESIGN.md §6e), so there is
+   no pipeline here: the router's respawn is the recovery. *)
 type checker = {
   inst : Front.inst;
   vsize : int;  (* view entries per thread *)
@@ -354,9 +354,9 @@ let checker engine ?snap (config : Detector.config) =
   }
 
 (* The session speaks either plain BATCH streams (units: events) into a
-   sharded detector, or cluster CBATCH streams (units: messages) into one
-   checker; the admitter counts stream units, so mixing the two would
-   silently corrupt the idempotent-resend arithmetic. *)
+   front-and-checker pipeline, or cluster CBATCH streams (units: messages)
+   into one inline checker; the admitter counts stream units, so mixing the
+   two would silently corrupt the idempotent-resend arithmetic. *)
 type session = Batch of Sharded.t | Cluster of checker
 
 type state = {
@@ -385,8 +385,8 @@ let session_events = function Batch det -> Sharded.events det | Cluster c -> c.c
    (write-fsync-rename): a crash or a faulted write mid-set leaves the
    previous set whole, so the durable cut a cluster worker reports never
    moves backwards.  It opens with the session kind: a BATCH set holds the
-   router snapshot and every shard's, a CBATCH set the checked count and
-   the checker's one snapshot. *)
+   router snapshot, a checker count that is always 1 and the checker's
+   snapshot, a CBATCH set the checked count and the checker's snapshot. *)
 let set_file dir = Filename.concat dir "set.ftc"
 
 let batch_set = -1
@@ -396,11 +396,11 @@ let encode_set session =
   let enc = Snap.Enc.create () in
   (match session with
   | Batch det ->
-    let snaps = Sharded.shard_snapshots det in
+    let snap = Sharded.shard_snapshot det in
     Snap.Enc.int enc batch_set;
     Snap.Enc.string enc (Sharded.router_snapshot det);
-    Snap.Enc.int enc (Array.length snaps);
-    Array.iter (Snap.Enc.string enc) snaps
+    Snap.Enc.int enc 1;
+    Snap.Enc.string enc snap
   | Cluster c ->
     Snap.Enc.int enc cluster_set;
     Snap.Enc.int enc c.checked;
@@ -408,7 +408,8 @@ let encode_set session =
   Snap.Enc.to_snap enc
 
 (* A set with an older layout opens with its router snapshot's length
-   instead of a kind, and is refused like any other mismatch. *)
+   instead of a kind, and one written with more than one checker has a
+   count above 1; both are refused like any other mismatch. *)
 let decode_set (cfg : config) config set =
   let dec = Snap.Dec.of_snap set in
   let kind = Snap.Dec.int dec in
@@ -422,12 +423,10 @@ let decode_set (cfg : config) config set =
   else begin
     Snap.expect (kind = batch_set) "checkpoint set has an older layout";
     let router = Snap.Dec.string dec in
-    let k = Snap.Dec.int dec in
-    Snap.expect (k = cfg.shards) "checkpoint shard count differs from --shards";
-    let snaps = Array.init k (fun _ -> Snap.Dec.string dec) in
+    Snap.expect (Snap.Dec.int dec = 1) "checkpoint set has more than one checker";
+    let snap = Snap.Dec.string dec in
     Snap.Dec.finish dec;
-    Batch
-      (Sharded.restore ~engine:cfg.engine ~shards:cfg.shards config ~router snaps)
+    Batch (Sharded.restore ~engine:cfg.engine config ~router snap)
   end
 
 exception Checkpoint_failed of string
@@ -497,9 +496,9 @@ let detector_config (cfg : config) (nthreads, nlocks, nlocs) =
   { Detector.nthreads; nlocks; nlocs; clock_size; sampler = cfg.sampler }
 
 (* Resume from a checkpoint directory.  Any inconsistency (missing file,
-   checksum failure, a shard count other than [cfg.shards], an older
-   layout) degrades to a logged fresh start — clients resend idempotently,
-   so the result is still exact. *)
+   checksum failure, a set with more than one checker, an older layout)
+   degrades to a logged fresh start — clients resend idempotently, so the
+   result is still exact. *)
 let try_resume (cfg : config) =
   match cfg.resume_dir with
   | None -> None
@@ -533,19 +532,19 @@ let open_session st session (config : Detector.config) =
   st.session <- Some session;
   st.universe <- Some (config.Detector.nthreads, config.Detector.nlocks, config.Detector.nlocs);
   st.clock_size <- config.Detector.clock_size;
-  attach_series st.tel ~shards:(match session with Batch _ -> st.cfg.shards | Cluster _ -> 0)
+  attach_series st.tel ~pipeline:(match session with Batch _ -> true | Cluster _ -> false)
 
 let universe_differs = Error "batch universe differs from the session's"
 
-(* The sharded detector a BATCH over universe [u] feeds: the session's, or
-   a fresh one that opens it. *)
+(* The pipeline a BATCH over universe [u] feeds: the session's, or a fresh
+   one that opens it. *)
 let batch_session st u =
   match st.session with
   | Some (Cluster _) -> Error "session already ingests CBATCH streams (cluster worker)"
   | Some (Batch det) -> if st.universe = Some u then Ok det else universe_differs
   | None ->
     let config = detector_config st.cfg u in
-    let det = Sharded.create ~engine:st.cfg.engine ~shards:st.cfg.shards config in
+    let det = Sharded.create ~engine:st.cfg.engine config in
     open_session st (Batch det) config;
     Ok det
 
@@ -559,7 +558,7 @@ let cluster_checker st u =
 
 let reply = Evloop.reply
 
-(* A failed shard, checker or BATCH checkpoint write is unrecoverable
+(* A failed checker or BATCH checkpoint write is unrecoverable
    within this process: reply with the diagnostic, then fail fast.  The
    last good checkpoint set stays on disk; a successor resumes from it
    while clients resend. *)
@@ -680,7 +679,7 @@ let handle_cbatch st conn seq payload =
 (* --- STATS ----------------------------------------------------------------- *)
 
 (* Cheap refresh: registry gauges and router-side mirrors only — safe for
-   the heartbeat, which must not stall ingestion behind a shard flush. *)
+   the heartbeat, which must not stall ingestion behind a ring flush. *)
 let refresh_cheap st =
   let tel = st.tel in
   Registry.set tel.parked_now (Admit.parked st.admit);
@@ -689,16 +688,11 @@ let refresh_cheap st =
   match st.session with
   | None | Some (Cluster _) -> ()
   | Some (Batch det) ->
-    Array.iteri
-      (fun k occ -> if k < Array.length tel.ring_gauges then Registry.set tel.ring_gauges.(k) occ)
-      (Sharded.ring_occupancy det);
-    Array.iteri
-      (fun k c ->
-        if k < Array.length tel.shard_events then Registry.set_counter tel.shard_events.(k) c)
-      (Sharded.shard_event_counts det)
+    Option.iter (fun g -> Registry.set g (Sharded.ring_occupancy det)) tel.ring_gauge;
+    Option.iter (fun c -> Registry.set_counter c (Sharded.shard_events det)) tel.shard_events
 
-(* Full refresh: additionally flush the shards and mirror the merged
-   detector metrics.  [Sharded.result] waits for the rings to drain, so this
+(* Full refresh: additionally flush the checker and mirror the merged
+   detector metrics.  [Sharded.result] waits for the ring to drain, so this
    runs only on explicit STATS queries and at shutdown, never on the
    heartbeat. *)
 let refresh_full st =
@@ -716,22 +710,19 @@ let refresh_full st =
 
 let stats_json st result =
   let events = match st.session with Some s -> session_events s | None -> 0 in
-  let per_shard f =
-    match st.session with
-    | None | Some (Cluster _) -> Json.Arr []
-    | Some (Batch det) -> Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) (f det)))
+  let pipeline f =
+    match st.session with Some (Batch det) -> f det | None | Some (Cluster _) -> 0
   in
   Json.Obj
     [
       ("engine", Json.Str (Engine.name st.cfg.engine));
       ("sampler", Json.Str (Sampler.name st.cfg.sampler));
-      ("shards", Json.Int st.cfg.shards);
       ("events", Json.Int events);
       ("next_index", Json.Int (Admit.expected st.admit));
       ("parked", Json.Int (Admit.parked st.admit));
       ("uptime_s", Json.Float (Clock.elapsed_s ~since:st.tel.started_ns));
-      ("ring_occupancy", per_shard Sharded.ring_occupancy);
-      ("shard_events", per_shard Sharded.shard_event_counts);
+      ("ring_occupancy", Json.Int (pipeline Sharded.ring_occupancy));
+      ("shard_events", Json.Int (pipeline Sharded.shard_events));
       ("telemetry", Registry.to_json st.tel.reg);
       ( "metrics",
         match result with
@@ -809,7 +800,8 @@ let write_metrics_json_file st =
     close_out oc
 
 let run cfg =
-  if cfg.shards < 1 then invalid_arg "Serve.run: shards must be positive";
+  if cfg.shards <> 1 then
+    invalid_arg "Serve.run: shards must be 1 (a BATCH session is a front and one checker)";
   if cfg.max_restarts <> 0 then
     invalid_arg "Serve.run: max_restarts must be 0 (a failed shard fails fast)";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

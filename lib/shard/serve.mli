@@ -1,8 +1,8 @@
 (** The [racedet serve] ingestion daemon and its client side.
 
     A server listens on a Unix-domain socket or a TCP address and feeds a
-    {!Sharded} detector from event batches pushed by any number of client
-    processes.  The wire protocol is line-framed with binary payloads:
+    {!Sharded} pipeline — a front and one checker on two domains — from
+    event batches pushed by any number of client processes.  The wire protocol is line-framed with binary payloads:
 
     {v
     client → server                      server → client
@@ -45,11 +45,11 @@
 
     [STATS] snapshots the daemon's telemetry ({!Ft_obs.Registry}): ingest
     counters (batches fed / parked / duplicate / resent, events), per-batch
-    ingest-latency histogram (p50/p90/p99/max), per-shard ring occupancy,
-    routed-event throughput, connection counts, and the merged detector
+    ingest-latency histogram (p50/p90/p99/max), the checker's ring
+    occupancy and message count, connection counts, and the merged detector
     {!Ft_core.Metrics} — as Prometheus text exposition or as one JSON
     document.  Counters are monotone across successive queries; answering
-    [STATS] flushes the shard rings (like [REPORT]) so the merged metrics
+    [STATS] flushes the checker's ring (like [REPORT]) so the merged metrics
     are a consistent prefix snapshot.  Instrumentation is confined to batch
     and command boundaries and never touches the per-event detection loop,
     so [REPORT] output stays byte-identical to [racedet analyze].
@@ -58,9 +58,11 @@
     file, [set.ftc], in the {!Ft_snapshot.Checkpoint} container —
     checksummed and written atomically, so a crash mid-write leaves the
     previous set whole.  It opens with the session kind: a [BATCH] set
-    holds every checker's snapshot plus the router's (sampler state, front
-    engine, tally, shipped views), a [CBATCH] set the checked count and the
-    checker's one snapshot.  In [BATCH] mode a set is written
+    holds the router snapshot (sampler state, front engine, tally, shipped
+    views), a checker count that is always 1, and the checker's snapshot —
+    the bytes a one-shard set of the K-checker daemon this replaced had, so
+    such a set resumes and one with more shards starts fresh; a [CBATCH]
+    set holds the checked count and the checker's snapshot.  In [BATCH] mode a set is written
     every [checkpoint_every] ingested batches {e before acknowledging}
     (default 1: an acknowledged batch is durable); a failed write answers
     [ERR checkpoint write failed: ...] and fails the daemon fast, keeping
@@ -78,7 +80,7 @@
 
     {2 Robustness}
 
-    A failed shard ({!Sharded.Shard_failed}) fails the daemon fast: the
+    A failed checker ({!Sharded.Shard_failed}) fails the daemon fast: the
     request that meets it answers [ERR] with the diagnostic, and the daemon
     exits non-zero without writing another set, so the last good
     checkpoint set stays on disk.  Recovery is the one path every level
@@ -88,7 +90,7 @@
     the daemon fast the same way; its router respawns it from its newest
     set.  [SIGTERM] and
     [SIGINT] trigger the same graceful path as
-    a [SHUTDOWN] command — drain the rings, write a final checkpoint set,
+    a [SHUTDOWN] command — drain the ring, write a final checkpoint set,
     dump [metrics_json] — even when the signal lands inside [accept] or a
     blocking read (both are EINTR-guarded).  A [chaos] config arms the
     deterministic fault-injection layer ({!Ft_fault.Fault}) over the
@@ -132,7 +134,10 @@ val default_backlog : int
 type config = {
   listen : addr;
   engine : Ft_core.Engine.id;
-  shards : int;  (** [BATCH] sessions only: a [CBATCH] session is one checker *)
+  shards : int;
+      (** must be 1 ({!run} rejects anything else): a [BATCH] session is a
+          front and one checker, and K-way location routing is the cluster
+          router's.  Goes with the next change to the benchmark. *)
   sampler : Ft_core.Sampler.t;
   clock_size : int option;  (** default: the batch universe's thread count *)
   checkpoint_dir : string option;
@@ -153,7 +158,7 @@ type config = {
   heartbeat_s : float option;
       (** period of the one-line stderr telemetry heartbeat; [None] (or a
           non-positive period) disables it.  The heartbeat reads only
-          router-side counters — it never flushes the shard rings. *)
+          front-side counters — it never flushes the checker's ring. *)
   metrics_json : string option;
       (** write the full telemetry + merged-metrics JSON document (the
           [STATS JSON] payload) to this file on shutdown *)
@@ -177,11 +182,11 @@ val run : config -> unit
     [SIGTERM]/[SIGINT] (both shut down gracefully: final checkpoint +
     metrics dump).  Refuses to start when [listen] is a Unix path with a
     live listener; removes the socket file on exit.  Blocking; a [BATCH]
-    session spawns the shard domains — call it from a dedicated (child)
-    process.  Raises [Failure] after cleanup if a shard, a cluster
-    checker or a [BATCH] checkpoint write failed, with the bare
-    diagnostic (the CLI prefixes it and exits non-zero), and
-    [Invalid_argument] for [shards < 1] or [max_restarts <> 0]. *)
+    session spawns the checker's domain — call it from a dedicated (child)
+    process.  Raises [Failure] after cleanup if a checker or a [BATCH]
+    checkpoint write failed, with the bare diagnostic (the CLI prefixes it
+    and exits non-zero), and [Invalid_argument] for [shards <> 1] or
+    [max_restarts <> 0]. *)
 
 val report_text : events:int -> Ft_core.Detector.result -> string
 (** The analysis report, byte-identical to [racedet analyze]'s output —

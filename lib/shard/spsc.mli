@@ -1,7 +1,7 @@
 (** Bounded single-producer single-consumer ring.
 
-    The sharded router owns the producer side of one ring per shard; each
-    shard's worker domain owns the consumer side.  Capacity is fixed at
+    {!Sharded}'s front owns the producer side of its ring; the checker's
+    domain owns the consumer side.  Capacity is fixed at
     creation: a {!push} into a full ring spins until the consumer frees a
     slot, which is the backpressure that keeps a fast producer from
     buffering an unbounded prefix of the trace.
@@ -13,7 +13,7 @@
     producer that observes the freed slot — or a router that observes
     [is_empty] — has a happens-before edge to everything the consumer did
     with the messages so far.  That last property is what makes
-    [is_empty] usable as the router's flush barrier. *)
+    [is_empty] usable as the front's flush barrier. *)
 
 type 'a t
 
@@ -27,7 +27,7 @@ val push : 'a t -> 'a -> unit
 val try_push : 'a t -> 'a -> bool
 (** Producer only.  Push without blocking; [false] when the ring is full.
     {!Sharded}'s push loop uses this so a producer facing a {e dead}
-    consumer (a failed shard no longer draining) can notice the failure
+    consumer (a failed checker no longer draining) can notice the failure
     instead of spinning in {!push} forever. *)
 
 val peek : 'a t -> 'a option

@@ -33,6 +33,32 @@ let validate_meta (m : Checkpoint.meta) ~engine ~sampler ~nthreads ~nlocks ~nloc
     Error "checkpoint lies beyond the end of the trace"
   else Ok ()
 
+(* One checkpoint write, shared by both loops.  A failed write — an
+   injected fault, a missing directory, a full disk — never fails the
+   analysis: [Checkpoint.save] leaves the previous good file in place, so
+   the only cost is a longer replay after a crash.  Answers the number of
+   files written, 0 or 1. *)
+let save_checkpoint cp_path ~engine (config : Detector.config) ~next_index ~byte_offset
+    detector =
+  let meta =
+    {
+      Checkpoint.engine;
+      sampler = Sampler.name config.Detector.sampler;
+      nthreads = config.Detector.nthreads;
+      nlocks = config.Detector.nlocks;
+      nlocs = config.Detector.nlocs;
+      clock_size = config.Detector.clock_size;
+      next_index;
+      byte_offset;
+    }
+  in
+  match Checkpoint.save cp_path { Checkpoint.meta; detector } with
+  | () -> 1
+  | exception ((Ft_fault.Fault.Injected _ | Sys_error _ | Unix.Unix_error _) as e) ->
+    Printf.eprintf "racedet: checkpoint write failed (%s); continuing\n%!"
+      (Printexc.to_string e);
+    0
+
 let warn_fallback cp_path msg =
   Printf.eprintf "warning: cannot resume from %s: %s; replaying from the start\n%!" cp_path
     msg
@@ -115,30 +141,11 @@ let analyze_file ~engine ?(sampler = Sampler.all) ?clock_size
           let write_checkpoint ~next_index ~byte_offset =
             match checkpoint with
             | None -> ()
-            | Some cp_path -> (
-              (* a faulted checkpoint write never fails the analysis:
-                 [Checkpoint.save] left the previous good file in place, so
-                 the only cost is a longer replay after a crash *)
-              try
-                Checkpoint.save cp_path
-                  {
-                    Checkpoint.meta =
-                      {
-                        Checkpoint.engine;
-                        sampler = Sampler.name sampler;
-                        nthreads;
-                        nlocks;
-                        nlocs;
-                        clock_size;
-                        next_index;
-                        byte_offset;
-                      };
-                    detector = D.snapshot state;
-                  };
-                incr written
-              with Ft_fault.Fault.Injected _ as e ->
-                Printf.eprintf "racedet: checkpoint write faulted (%s); continuing\n%!"
-                  (Printexc.to_string e))
+            | Some cp_path ->
+              written :=
+                !written
+                + save_checkpoint cp_path ~engine config ~next_index ~byte_offset
+                    (D.snapshot state)
           in
           (* batch-decoded hot loop: no per-event boxing between the wire
              and [D.handle].  [Tb.batch_end] gives the byte offset after
@@ -215,27 +222,11 @@ let analyze_trace ~engine ?(sampler = Sampler.all) ?clock_size
       D.handle state i (Trace.get trace i);
       match checkpoint with
       | Some cp_path when checkpoint_every > 0 && (i + 1) mod checkpoint_every = 0
-                          && i + 1 < nevents -> (
-        try
-          Checkpoint.save cp_path
-            {
-              Checkpoint.meta =
-                {
-                  Checkpoint.engine;
-                  sampler = Sampler.name sampler;
-                  nthreads;
-                  nlocks;
-                  nlocs;
-                  clock_size;
-                  next_index = i + 1;
-                  byte_offset = -1;
-                };
-              detector = D.snapshot state;
-            };
-          incr written
-        with Ft_fault.Fault.Injected _ as e ->
-          Printf.eprintf "racedet: checkpoint write faulted (%s); continuing\n%!"
-            (Printexc.to_string e))
+                          && i + 1 < nevents ->
+        written :=
+          !written
+          + save_checkpoint cp_path ~engine config ~next_index:(i + 1) ~byte_offset:(-1)
+              (D.snapshot state)
       | Some _ | None -> ()
     done;
     Ok

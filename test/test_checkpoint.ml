@@ -641,6 +641,32 @@ let test_runner_trace_resume () =
   Alcotest.(check bool) "resumed" true (resumed.Runner.resumed_at <> None);
   check_same_outcome "trace resume" straight resumed
 
+(* A checkpoint path in a directory that does not exist: every write fails,
+   and neither loop lets the error escape — both analyses finish with the
+   straight run's result and no checkpoint written. *)
+let test_runner_missing_checkpoint_dir () =
+  with_temp_ftb @@ fun path trace ->
+  let cp =
+    Filename.concat
+      (Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "ftc-missing-%d" (Unix.getpid ())))
+      "x.ftc"
+  in
+  let sampler = Sampler.bernoulli ~rate:0.4 ~seed:9 in
+  let check name straight run =
+    let o = get_ok (run ~checkpoint:cp ~checkpoint_every:500) in
+    Alcotest.(check int) (name ^ ": no checkpoint written") 0 o.Runner.checkpoints_written;
+    check_same_outcome name straight o
+  in
+  check ".ftb"
+    (get_ok (Runner.analyze_file ~engine:Engine.So ~sampler path))
+    (fun ~checkpoint ~checkpoint_every ->
+      Runner.analyze_file ~engine:Engine.So ~sampler ~checkpoint ~checkpoint_every path);
+  check "in-memory"
+    (get_ok (Runner.analyze_trace ~engine:Engine.So ~sampler trace))
+    (fun ~checkpoint ~checkpoint_every ->
+      Runner.analyze_trace ~engine:Engine.So ~sampler ~checkpoint ~checkpoint_every trace)
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -683,5 +709,7 @@ let () =
           Alcotest.test_case "bad checkpoints fall back, never lie" `Quick
             test_runner_fallback_on_bad_checkpoint;
           Alcotest.test_case "in-memory resume" `Quick test_runner_trace_resume;
+          Alcotest.test_case "checkpoint into a missing directory" `Quick
+            test_runner_missing_checkpoint_dir;
         ] );
     ]

@@ -15,7 +15,8 @@
    - the SoA batch decoder: equality with the per-event reader, exact
      per-event byte offsets (the --resume seek contract), hostile input;
    - the byte-identity grid: the rebuilt engines vs the seed engines
-     vendored in Ref_engines, across engines × samplers × shard counts, and
+     vendored in Ref_engines, across engines × samplers × the pipeline and
+     K Chash-routed checkers (Routed), and
      padded clocks for ST/SU/SO — races, reports, and every counter except
      the purely additive same_epoch_hits must match exactly; SO's list pool
      keeps exact reference counts within its bound. *)
@@ -33,7 +34,6 @@ module Race = Ft_core.Race
 module Snap = Ft_core.Snap
 module Read_pool = Ft_core.Read_pool
 module Netbuf = Ft_shard.Netbuf
-module Sharded = Ft_shard.Sharded
 module Serve = Ft_shard.Serve
 
 (* --- Netbuf ---------------------------------------------------------------- *)
@@ -337,12 +337,6 @@ let grid_samplers () =
     ("adaptive", Sampler.adaptive ~base_rate:4);
   ]
 
-let run_sharded id ~shards config trace =
-  let sh = Sharded.create ~engine:id ~shards config in
-  Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
-  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-  Sharded.result sh
-
 (* The sampling engines also run at a padded clock (64 entries for 4
    threads), where SO's lazy copies recycle lists and write only their
    reordered prefix: the untouched padding must behave exactly like the
@@ -364,12 +358,12 @@ let test_byte_identity_grid () =
               List.iter
                 (fun clock_size ->
                   let reference = Ref_engines.run id ~sampler ~clock_size trace in
-                  let what k =
-                    Printf.sprintf "%s × %s × T=%d × K=%d (seed %d)" (Engine.name id) sname
-                      clock_size k seed
+                  let what shape =
+                    Printf.sprintf "%s × %s × T=%d × %s (seed %d)" (Engine.name id) sname
+                      clock_size shape seed
                   in
                   let flat = Engine.run id ~sampler ~clock_size trace in
-                  same_verdict ~events ~what:(what 1) flat reference;
+                  same_verdict ~events ~what:(what "flat") flat reference;
                   hits := !hits + flat.Detector.metrics.Metrics.same_epoch_hits;
                   let config =
                     {
@@ -380,10 +374,14 @@ let test_byte_identity_grid () =
                       sampler;
                     }
                   in
+                  same_verdict ~events ~what:(what "pipeline")
+                    (Routed.run_pipeline id config trace)
+                    reference;
                   List.iter
                     (fun k ->
-                      same_verdict ~events ~what:(what k)
-                        (run_sharded id ~shards:k config trace)
+                      same_verdict ~events
+                        ~what:(what (Printf.sprintf "K=%d" k))
+                        (Routed.run id ~k config trace)
                         reference)
                     [ 2; 4 ])
                 (grid_clock_sizes id ~nthreads:trace.Trace.nthreads))
@@ -549,8 +547,8 @@ let test_pool_churn_identity () =
               let what = Printf.sprintf "%s × %s (seed %d)" (Engine.name id) sname seed in
               let reference = Ref_engines.run id ~sampler trace in
               same_verdict ~events ~what (Engine.run id ~sampler trace) reference;
-              same_verdict ~events ~what:(what ^ ", K=2")
-                (run_sharded id ~shards:2 (churn_config ~sampler trace) trace)
+              same_verdict ~events ~what:(what ^ ", pipeline")
+                (Routed.run_pipeline id (churn_config ~sampler trace) trace)
                 reference)
             [ ("all", Sampler.all); ("bernoulli", Sampler.bernoulli ~rate:0.5 ~seed:3) ])
         churn_engines)

@@ -5,20 +5,21 @@
      schedule determinism, pass-through when disarmed or p=0, single-shot
      [arm_exact], io_len/torn_len contracts;
    - the REPORT byte-identity oracle: chaos schedules over shard.step /
-     spsc.push across engines × samplers × K — a failed shard fails the
-     detector fast, and recovery is the one checkpoint + resume path
-     (restore the newest shard + router snapshots, replay from their event
-     count); every recovered run must match the fault-free unsharded run
-     exactly (races, merged metrics, rendered report);
-   - a QCheck property: killing one random shard at one random message cut,
-     for a random engine/sampler/K, changes nothing once resumed;
+     spsc.push across engines × samplers, three schedules a cell, on the
+     pipelined detector (a front and one checker domain) — a failed
+     checker fails the detector fast, and recovery is the one checkpoint +
+     resume path (restore the newest checker + router snapshots, replay
+     from their event count); every recovered run must match the
+     fault-free plain run exactly (races, merged metrics, rendered report);
+   - a QCheck property: killing the checker at one random message cut, for
+     a random engine/sampler, changes nothing once resumed;
    - fail-fast: the first injected fault raises [Sharded.Shard_failed], and
-     [stop] joins every domain before raising it again;
+     [stop] joins the checker's domain before raising it again;
    - checkpoint durability: a torn write leaves the previous .ftc intact and
      loadable;
    - the serve daemon: connect backoff against a slow-starting server,
      SIGTERM graceful shutdown (final checkpoint + metrics dump) followed by
-     an exact resume, a shard fault that fails the daemon fast followed by
+     an exact resume, a checker fault that fails the daemon fast followed by
      an exact resume, and a chaos-armed session whose REPORT, resumed when
      a fault killed it, still matches analyze. *)
 
@@ -159,14 +160,14 @@ let run_unsharded id config trace =
   Trace.iteri (fun i e -> D.handle d i e) trace;
   D.result d
 
-(* Feed [trace] to a sharded detector, checkpointing (every shard's
+(* Feed [trace] to a pipelined detector, checkpointing (the checker's
    snapshot plus the router's) every [every] events.  A [Shard_failed]
    stops the detector, restores the newest checkpoint — or starts fresh
    when there is none — and replays from its event count: the one
    recovery path.  Answers the result, the recoveries, and how many of
    them restored a checkpoint rather than starting fresh.  The fault
    schedule bounds the faults; [max_recoveries] bounds the loop. *)
-let run_resumed ?(every = 50) ?(max_recoveries = 16) id ~shards config trace =
+let run_resumed ?(every = 50) ?(max_recoveries = 16) id config trace =
   let n = Trace.length trace in
   let newest = ref None and recoveries = ref 0 and from_ckpt = ref 0 in
   let rec run sh =
@@ -174,8 +175,8 @@ let run_resumed ?(every = 50) ?(max_recoveries = 16) id ~shards config trace =
       for i = Sharded.events sh to n - 1 do
         Sharded.handle sh i (Trace.get trace i);
         if (i + 1) mod every = 0 then begin
-          let snaps = Sharded.shard_snapshots sh in
-          newest := Some (Sharded.router_snapshot sh, snaps)
+          let checker = Sharded.shard_snapshot sh in
+          newest := Some (Sharded.router_snapshot sh, checker)
         end
       done;
       Sharded.result sh
@@ -188,22 +189,23 @@ let run_resumed ?(every = 50) ?(max_recoveries = 16) id ~shards config trace =
       incr recoveries;
       run
         (match !newest with
-        | None -> Sharded.create ~engine:id ~shards config
-        | Some (router, snaps) ->
+        | None -> Sharded.create ~engine:id config
+        | Some (router, checker) ->
           incr from_ckpt;
-          Sharded.restore ~engine:id ~shards config ~router snaps)
+          Sharded.restore ~engine:id config ~router checker)
   in
-  run (Sharded.create ~engine:id ~shards config)
+  run (Sharded.create ~engine:id config)
 
 let same_result ~events a b =
   a.Detector.races = b.Detector.races
   && Metrics.to_array a.Detector.metrics = Metrics.to_array b.Detector.metrics
   && String.equal (Serve.report_text ~events a) (Serve.report_text ~events b)
 
-(* Fault schedules × engines × samplers × K: every chaos run, resumed
-   after each fault, must end with state byte-identical to the fault-free
-   run, and recoveries must exercise the restore-then-replay path, not just
-   full replays from a fresh instance. *)
+(* Fault schedules × engines × samplers, three schedules a cell: every
+   chaos run, resumed after each fault, must end with state byte-identical
+   to the fault-free run, and recoveries must exercise the
+   restore-then-replay path, not just full replays from a fresh
+   instance. *)
 let test_chaos_grid () =
   with_disarm @@ fun () ->
   let trace = Lazy.force chaos_trace in
@@ -226,7 +228,7 @@ let test_chaos_grid () =
           Fault.disarm ();
           let expected = run_unsharded id config trace in
           List.iter
-            (fun k ->
+            (fun () ->
               incr cell;
               (* a fresh schedule per cell sweeps seeds too *)
               Fault.arm
@@ -238,25 +240,24 @@ let test_chaos_grid () =
                   max_fires = Some 8;
                   delay_s = 0.0002;
                 };
-              let got, recoveries, from_ckpt = run_resumed id ~shards:k config trace in
+              let got, recoveries, from_ckpt = run_resumed id config trace in
               total_fired := !total_fired + Fault.fired ();
               total_recoveries := !total_recoveries + recoveries;
               total_from_ckpt := !total_from_ckpt + from_ckpt;
               Fault.disarm ();
               if not (same_result ~events expected got) then
-                Alcotest.failf "chaos diverged: %s/%s K=%d seed=%d" (Engine.name id) sname
-                  k (1000 + !cell))
-            [ 1; 2; 4 ])
+                Alcotest.failf "chaos diverged: %s/%s seed=%d" (Engine.name id) sname
+                  (1000 + !cell))
+            [ (); (); () ])
         samplers)
     engines;
   Alcotest.(check bool) "the sweep injected faults" true (!total_fired > 0);
   Alcotest.(check bool) "some faults killed workers" true (!total_recoveries > 0);
   Alcotest.(check bool) "some recoveries restored a checkpoint" true (!total_from_ckpt > 0)
 
-(* Killing one random shard at one random message cut, for a random
-   engine × sampler × K, yields races and merged metrics identical to the
-   unfaulted run once resumed, and each fired fault costs exactly one
-   recovery. *)
+(* Killing the checker at one random message cut, for a random engine ×
+   sampler, yields races and merged metrics identical to the unfaulted run
+   once resumed, and each fired fault costs exactly one recovery. *)
 let kill_samplers =
   [
     Sampler.all;
@@ -272,8 +273,6 @@ let kill_engines = Engine.all @ [ Engine.Eraser ]
 type kill_case = {
   engine_ix : int;
   sampler_ix : int;
-  k : int;
-  lane : int;
   cut : int;
 }
 
@@ -281,15 +280,13 @@ let kill_gen =
   QCheck.Gen.(
     let* engine_ix = int_bound (List.length kill_engines - 1) in
     let* sampler_ix = int_bound (List.length kill_samplers - 1) in
-    let* k = int_range 1 4 in
-    let* lane = int_bound (k - 1) in
     let* cut = int_range 1 400 in
-    return { engine_ix; sampler_ix; k; lane; cut })
+    return { engine_ix; sampler_ix; cut })
 
 let print_kill c =
-  Printf.sprintf "engine=%s sampler#%d K=%d lane=%d cut=%d"
+  Printf.sprintf "engine=%s sampler#%d cut=%d"
     (Engine.name (List.nth kill_engines c.engine_ix))
-    c.sampler_ix c.k c.lane c.cut
+    c.sampler_ix c.cut
 
 let kill_one_shard_test =
   QCheck.Test.make ~count:30 ~name:"killing any shard at any cut changes nothing"
@@ -300,13 +297,13 @@ let kill_one_shard_test =
       let config = config_for trace (List.nth kill_samplers c.sampler_ix) in
       Fault.disarm ();
       let expected = run_unsharded id config trace in
-      Fault.arm_exact ~lane:c.lane ~point:"shard.step" ~hit:c.cut Fault.Exn;
-      let got, recoveries, _ = run_resumed id ~shards:c.k config trace in
+      Fault.arm_exact ~lane:0 ~point:"shard.step" ~hit:c.cut Fault.Exn;
+      let got, recoveries, _ = run_resumed id config trace in
       let fired = Fault.fired () in
       Fault.disarm ();
       same_result ~events:(Trace.length trace) expected got && recoveries = fired)
 
-(* A detector resumed from a checkpoint whose shard fails at its first
+(* A detector resumed from a checkpoint whose checker fails at its first
    message fails fast; resuming again from the same checkpoint reaches the
    uninterrupted result. *)
 let test_resumed_fails_then_re_resumes () =
@@ -324,23 +321,23 @@ let test_resumed_fails_then_re_resumes () =
       let name = Engine.name id in
       let config = config_for trace (Sampler.bernoulli ~rate:0.3 ~seed:11) in
       let expected = run_unsharded id config trace in
-      let first = Sharded.create ~engine:id ~shards:2 config in
+      let first = Sharded.create ~engine:id config in
       for i = 0 to (n / 2) - 1 do
         Sharded.handle first i (Trace.get trace i)
       done;
-      let snaps = Sharded.shard_snapshots first in
+      let checker = Sharded.shard_snapshot first in
       let router = Sharded.router_snapshot first in
       Sharded.stop first;
-      let resumed = Sharded.restore ~engine:id ~shards:2 config ~router snaps in
+      let resumed = Sharded.restore ~engine:id config ~router checker in
       Fault.arm_exact ~lane:0 ~point:"shard.step" ~hit:1 Fault.Exn;
       (match feed resumed with
-      | _ -> Alcotest.failf "%s: a failed shard must fail the resumed detector" name
+      | _ -> Alcotest.failf "%s: a failed checker must fail the resumed detector" name
       | exception Sharded.Shard_failed _ -> ());
       Fault.disarm ();
       (match Sharded.stop resumed with
       | () -> Alcotest.failf "%s: stop must re-raise the failure after joining" name
       | exception Sharded.Shard_failed _ -> ());
-      let again = Sharded.restore ~engine:id ~shards:2 config ~router snaps in
+      let again = Sharded.restore ~engine:id config ~router checker in
       Alcotest.(check int) (name ^ ": resumes at the checkpoint") (n / 2) (Sharded.events again);
       let got = feed again in
       Sharded.stop again;
@@ -348,10 +345,10 @@ let test_resumed_fails_then_re_resumes () =
         Alcotest.failf "%s: re-resumed detector reached a different state" name)
     [ Engine.So; Engine.Fasttrack ]
 
-(* Every checker fails at its first message.  The first fault surfaces as
+(* The checker fails at its first message.  The fault surfaces as
    [Shard_failed] naming the shard and the fault, every later operation
-   raises it too, and [stop] returns — every domain joined — before raising
-   it once more. *)
+   raises it too, and [stop] returns — the checker's domain joined —
+   before raising it once more. *)
 let test_first_fault_fails_fast () =
   with_disarm @@ fun () ->
   let trace = Lazy.force chaos_trace in
@@ -363,7 +360,7 @@ let test_first_fault_fails_fast () =
       points = Some [ "shard.step" ];
       kinds = Some [ Fault.Exn ];
     };
-  let sh = Sharded.create ~engine:Engine.So ~shards:2 config in
+  let sh = Sharded.create ~engine:Engine.So config in
   let outcome =
     try
       Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
@@ -375,13 +372,13 @@ let test_first_fault_fails_fast () =
   Fault.disarm ();
   let stop_raised = try Sharded.stop sh; None with Sharded.Shard_failed msg -> Some msg in
   match outcome with
-  | None -> Alcotest.fail "a failed shard must fail the detector"
+  | None -> Alcotest.fail "a failed checker must fail the detector"
   | Some msg ->
     Alcotest.(check bool)
       (Printf.sprintf "diagnostic names the shard and the fault: %s" msg)
       true
       (contains ~sub:"failed: " msg && contains ~sub:"point=shard.step" msg);
-    Alcotest.(check bool) "at most one fault per shard" true (fired >= 1 && fired <= 2);
+    Alcotest.(check int) "one fault: the checker leaves its loop" 1 fired;
     Alcotest.(check (option string)) "stop joins, then raises the same failure" (Some msg)
       stop_raised;
     Alcotest.(check (option string))
@@ -455,12 +452,11 @@ let with_temp_dir f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let server_config ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ~engine ~shards ~sampler
-    socket =
+let server_config ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ~engine ~sampler socket =
   {
     Serve.listen = Serve.Unix_path socket;
     engine;
-    shards;
+    shards = 1;
     sampler;
     clock_size = None;
     checkpoint_dir;
@@ -544,11 +540,11 @@ let send_until_refused fd batches =
 (* A successor daemon resumed from [ckpt], fed a blind resend of every
    batch: the total its first resend answers (the resumed cut, when that
    batch lies inside it) and its REPORT. *)
-let resume_and_report ~engine ~shards ~sampler ~ckpt socket batches =
+let resume_and_report ~engine ~sampler ~ckpt socket batches =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let pid =
     start_server
-      (server_config ~engine ~shards ~sampler ~checkpoint_dir:ckpt ~resume_dir:ckpt socket)
+      (server_config ~engine ~sampler ~checkpoint_dir:ckpt ~resume_dir:ckpt socket)
   in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
@@ -583,7 +579,7 @@ let check_failed_exit what pid =
 let test_connect_backoff () =
   with_temp_dir @@ fun dir ->
   let socket = Filename.concat dir "serve.sock" in
-  let cfg = server_config ~engine:Engine.So ~shards:1 ~sampler:Sampler.all socket in
+  let cfg = server_config ~engine:Engine.So ~sampler:Sampler.all socket in
   let pid = start_server ~delay_s:0.4 cfg in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd, attempts = Serve.connect_stats ~deadline_s:15.0 ~seed:3 (Serve.Unix_path socket) in
@@ -608,7 +604,7 @@ let test_sigterm_graceful_then_resume () =
   Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
   let batches = Array.of_list (slices trace ~batch:250) in
   let cfg =
-    server_config ~engine ~shards:3 ~sampler ~checkpoint_dir:ckpt ~metrics_json socket
+    server_config ~engine ~sampler ~checkpoint_dir:ckpt ~metrics_json socket
   in
   let pid = start_server cfg in
   let status =
@@ -632,11 +628,11 @@ let test_sigterm_graceful_then_resume () =
     "final checkpoint set written on SIGTERM" true
     (Sys.file_exists (Filename.concat ckpt "set.ftc"));
   (* successor: resume, blindly resend everything, expect the exact report *)
-  let total, report = resume_and_report ~engine ~shards:3 ~sampler ~ckpt socket batches in
+  let total, report = resume_and_report ~engine ~sampler ~ckpt socket batches in
   Alcotest.(check int) "resumed from the SIGTERM checkpoint" 750 total;
   Alcotest.(check string) "SIGTERM + resume ≡ analyze" expected report
 
-(* A shard fault fails the daemon fast: the batch that meets it answers
+(* A checker fault fails the daemon fast: the batch that meets it answers
    [ERR] with the diagnostic and the daemon exits non-zero, leaving its
    last good set on disk.  A successor resumed from that set, fed a blind
    resend of the whole trace, reports exactly what analyze does. *)
@@ -653,22 +649,22 @@ let test_shard_fault_fails_fast_then_resume () =
   let batches = Array.of_list (slices trace ~batch:100) in
   let pid =
     start_server
-      ~before:(fun () -> Fault.arm_exact ~lane:0 ~point:"shard.step" ~hit:40 Fault.Exn)
-      (server_config ~engine ~shards:2 ~sampler ~checkpoint_dir:ckpt socket)
+      ~before:(fun () -> Fault.arm_exact ~lane:0 ~point:"shard.step" ~hit:80 Fault.Exn)
+      (server_config ~engine ~sampler ~checkpoint_dir:ckpt socket)
   in
   (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
    let fd = Serve.connect (Serve.Unix_path socket) in
    match
      Fun.protect ~finally:(fun () -> Serve.close fd) (fun () -> send_until_refused fd batches)
    with
-   | None -> Alcotest.fail "the shard fault must fail the daemon"
+   | None -> Alcotest.fail "the checker fault must fail the daemon"
    | Some msg ->
      Alcotest.(check bool)
        (Printf.sprintf "ERR names the shard and the fault: %s" msg)
        true
        (contains ~sub:"ERR shard 0 failed: " msg && contains ~sub:"point=shard.step" msg);
      check_failed_exit "shard fault" pid);
-  let cut, report = resume_and_report ~engine ~shards:2 ~sampler ~ckpt socket batches in
+  let cut, report = resume_and_report ~engine ~sampler ~ckpt socket batches in
   Alcotest.(check bool)
     (Printf.sprintf "resumed inside the stream (cut %d of %d)" cut n)
     true
@@ -694,7 +690,7 @@ let test_checkpoint_fault_fails_fast_then_resume () =
   let pid =
     start_server
       ~before:(fun () -> Fault.arm_exact ~point:"checkpoint.write" ~hit Fault.Torn_write)
-      (server_config ~engine ~shards:2 ~sampler ~checkpoint_dir:ckpt socket)
+      (server_config ~engine ~sampler ~checkpoint_dir:ckpt socket)
   in
   (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
    let fd = Serve.connect (Serve.Unix_path socket) in
@@ -716,13 +712,13 @@ let test_checkpoint_fault_fails_fast_then_resume () =
        (contains ~sub:"ERR checkpoint write failed: " msg
        && contains ~sub:"point=checkpoint.write" msg);
      check_failed_exit "torn checkpoint write" pid);
-  let cut, report = resume_and_report ~engine ~shards:2 ~sampler ~ckpt socket batches in
+  let cut, report = resume_and_report ~engine ~sampler ~ckpt socket batches in
   Alcotest.(check int) "resumed from the set before the torn one" ((hit - 1) * 100) cut;
   Alcotest.(check string) "torn write + resume ≡ analyze" expected report
 
-(* A chaos-armed daemon — shard faults, ring delays, recv hiccups, torn
+(* A chaos-armed daemon — checker faults, ring delays, recv hiccups, torn
    checkpoint writes — still ends with the exact report: directly when no
-   fault failed it (a shard or a set write), else through a successor
+   fault failed it (the checker or a set write), else through a successor
    resumed from the last good set. *)
 let test_serve_with_chaos () =
   with_temp_dir @@ fun dir ->
@@ -743,7 +739,7 @@ let test_serve_with_chaos () =
   in
   let batches = Array.of_list (slices trace ~batch:200) in
   let pid =
-    start_server (server_config ~engine ~shards:3 ~sampler ~checkpoint_dir:ckpt ~chaos socket)
+    start_server (server_config ~engine ~sampler ~checkpoint_dir:ckpt ~chaos socket)
   in
   let outcome =
     Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
@@ -770,7 +766,7 @@ let test_serve_with_chaos () =
   let report =
     match outcome with
     | Ok report -> report
-    | Error _ -> snd (resume_and_report ~engine ~shards:3 ~sampler ~ckpt socket batches)
+    | Error _ -> snd (resume_and_report ~engine ~sampler ~ckpt socket batches)
   in
   Alcotest.(check string) "chaos serve ≡ analyze" expected report
 
@@ -787,7 +783,7 @@ let () =
         ] );
       (* the serve group forks daemons, and [Unix.fork] is only legal while
          this process has never spawned a domain — so it must run before the
-         oracle group, whose sharded runs spawn shard domains in-process *)
+         oracle group, whose pipelined runs spawn checker domains in-process *)
       ( "serve",
         [
           Alcotest.test_case "connect backs off against a slow server" `Quick
@@ -803,14 +799,14 @@ let () =
         ] );
       ( "oracle",
         [
-          Alcotest.test_case "chaos grid: schedules × engines × samplers × K" `Quick
+          Alcotest.test_case "chaos grid: schedules × engines × samplers" `Quick
             test_chaos_grid;
           QCheck_alcotest.to_alcotest kill_one_shard_test;
           Alcotest.test_case
             "resumed detector fails at its first message and re-resumes to the same result"
             `Quick test_resumed_fails_then_re_resumes;
           Alcotest.test_case
-            "the first injected fault raises Shard_failed and stop joins every domain" `Quick
+            "the first injected fault raises Shard_failed and stop joins the domain" `Quick
             test_first_fault_fails_fast;
         ] );
       ( "durability",

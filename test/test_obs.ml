@@ -247,13 +247,14 @@ let test_json_nonfinite_and_errors () =
   | Ok v -> Alcotest.failf "number parse surprise: %s" (Json.to_string v)
   | Error msg -> Alcotest.failf "number array failed: %s" msg
 
-(* Valid documents shaped like serve's STATS JSON: scalar fields, per-shard
-   arrays, the registry's telemetry object (histograms included) and the
-   detector metrics. *)
+(* Valid documents shaped like serve's STATS JSON — scalar fields, the
+   registry's telemetry object (histograms included) and the detector
+   metrics — and like analyze's --metrics-json, whose racy-location arrays
+   keep arrays in the corpus. *)
 let stats_documents () =
   let reg = Registry.create () in
   Registry.add (Registry.counter reg "serve_batches_ingested_total") 41;
-  Registry.set (Registry.gauge reg ~labels:[ ("shard", "0") ] "ring_occupancy") 7;
+  Registry.set (Registry.gauge reg "serve_shard_ring_occupancy") 7;
   let h = Registry.histogram reg ~labels:[ ("kind", "a\"b") ] "ingest_ns" in
   List.iter (Histogram.observe h) [ 3; 900; 123_456; 5 ];
   let m = Metrics.create () in
@@ -265,29 +266,47 @@ let stats_documents () =
     | Ok v -> v
     | Error msg -> Alcotest.failf "Metrics.to_json does not parse: %s" msg
   in
-  let doc uptime shards =
+  (* the serve daemon's STATS JSON: a BATCH session's checker ring, a
+     cluster worker's (no ring), and one before any session *)
+  let doc uptime ~ring ~messages ~races =
     Json.Obj
       [
         ("engine", Json.Str "so");
         ("sampler", Json.Str "bernoulli(0.1,seed=7)");
-        ("shards", Json.Int (List.length shards));
         ("events", Json.Int 400_000);
         ("next_index", Json.Int 400_000);
         ("parked", Json.Int 0);
         ("uptime_s", Json.Float uptime);
-        ("ring_occupancy", Json.Arr (List.map (fun n -> Json.Int n) shards));
-        ("shard_events", Json.Arr (List.map (fun n -> Json.Int (n * 3)) shards));
+        ("ring_occupancy", Json.Int ring);
+        ("shard_events", Json.Int messages);
         ("telemetry", Registry.to_json reg);
         ("metrics", metrics);
-        ("races", if shards = [] then Json.Null else Json.Int 12);
+        ("races", races);
         ("note", Json.Str "tab\t quote\" é \u{1F600}");
         ("ratio", Json.Float (-2.5e-7));
         ("ok", Json.Bool true);
       ]
   in
+  let analyze_doc locs =
+    Json.Obj
+      [
+        ("tool", Json.Str "racedet analyze");
+        ("engine", Json.Str "so");
+        ("wall_s", Json.Float 0.125);
+        ("races", Json.Int (List.length locs));
+        ("racy_locations", Json.Arr (List.map (fun x -> Json.Int x) locs));
+        ("metrics", metrics);
+      ]
+  in
   List.concat_map
     (fun v -> [ Json.to_string v; Json.to_string_pretty v ])
-    [ doc 12.625 [ 3; 0 ]; doc 0.0015 []; doc 3.0 [ 1 ] ]
+    [
+      doc 12.625 ~ring:3 ~messages:36_214 ~races:(Json.Int 12);
+      doc 0.0015 ~ring:0 ~messages:0 ~races:Json.Null;
+      doc 3.0 ~ring:0 ~messages:0 ~races:(Json.Int 12);
+      analyze_doc [ 3; 17; 40_001 ];
+      analyze_doc [];
+    ]
 
 (* Truncations, byte flips and splices of valid documents: [parse] returns
    [Ok] or [Error] and never raises, and every value it accepts renders

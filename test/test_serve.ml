@@ -7,13 +7,15 @@
      payloads and unknown commands answer without corrupting the session;
    - crash-mid-stream: SIGKILL the daemon between batches, restart it from
      its .ftc checkpoint set, blindly resend everything — the final
-     report still matches the uninterrupted analysis;
+     report still matches the uninterrupted analysis; a set in the layout
+     of the K-checker daemon the pipeline replaced resumes at K = 1 and
+     starts fresh, logged, at K = 2;
    - ordered admission ({!Ft_shard.Admit}) directly, as a QCheck property,
      and through the daemon at its parked-batch limit;
    - seeded fuzzing of the command-line parser.
 
-   The daemon runs in a forked child (it spawns shard domains; the parent
-   forks before ever creating a domain). *)
+   The daemon runs in a forked child (it spawns a checker domain; the
+   parent forks before ever creating a domain). *)
 
 module Trace = Ft_trace.Trace
 module Trace_gen = Ft_trace.Trace_gen
@@ -45,12 +47,17 @@ let with_temp_dir f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let serve_config ?checkpoint_dir ?resume_dir ?metrics_json ?chaos
-    ?(max_parked = Serve.default_max_parked) ~engine ~shards ~sampler socket =
+    ?(max_parked = Serve.default_max_parked) ~engine ~sampler socket =
   {
     Serve.listen = Serve.Unix_path socket;
     engine;
-    shards;
+    shards = 1;
     sampler;
     clock_size = None;
     checkpoint_dir;
@@ -65,14 +72,21 @@ let serve_config ?checkpoint_dir ?resume_dir ?metrics_json ?chaos
     chaos;
   }
 
-let start_server ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ?max_parked ~engine
-    ~shards ~sampler socket =
+(* [log]: the child's stderr goes to this file. *)
+let start_server ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ?max_parked ?log ~engine
+    ~sampler socket =
   match Unix.fork () with
   | 0 ->
+    Option.iter
+      (fun path ->
+        let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+        Unix.dup2 fd Unix.stderr;
+        Unix.close fd)
+      log;
     (try
        Serve.run
          (serve_config ?checkpoint_dir ?resume_dir ?metrics_json ?chaos ?max_parked ~engine
-            ~shards ~sampler socket)
+            ~sampler socket)
      with exn ->
        Printf.eprintf "server died: %s\n%!" (Printexc.to_string exn);
        Unix._exit 1);
@@ -131,7 +145,7 @@ let test_roundtrip_out_of_order () =
   let trace = sample_trace ~seed:1 ~length:2_000 in
   let expected = expected_report ~engine ~sampler trace in
   let socket = Filename.concat dir "serve.sock" in
-  let pid = start_server ~engine ~shards:4 ~sampler socket in
+  let pid = start_server ~engine ~sampler socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
@@ -157,7 +171,7 @@ let test_two_clients_interleaved () =
   let trace = sample_trace ~seed:2 ~length:1_500 in
   let expected = expected_report ~engine ~sampler trace in
   let socket = Filename.concat dir "serve.sock" in
-  let pid = start_server ~engine ~shards:2 ~sampler socket in
+  let pid = start_server ~engine ~sampler socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let a = Serve.connect (Serve.Unix_path socket) in
   let b = Serve.connect (Serve.Unix_path socket) in
@@ -189,7 +203,7 @@ let test_protocol_edges () =
   let engine = Engine.St and sampler = Sampler.all in
   let trace = sample_trace ~seed:3 ~length:600 in
   let socket = Filename.concat dir "serve.sock" in
-  let pid = start_server ~engine ~shards:3 ~sampler socket in
+  let pid = start_server ~engine ~sampler socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
@@ -258,9 +272,8 @@ let test_crash_and_resume () =
   Unix.mkdir ckpt 0o700;
   Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
   let batches = Array.of_list (slices trace ~batch:300) in
-  let shards = 4 in
   (* phase 1: ingest half the stream, checkpointing after every batch *)
-  let pid = start_server ~engine ~shards ~sampler ~checkpoint_dir:ckpt socket in
+  let pid = start_server ~engine ~sampler ~checkpoint_dir:ckpt socket in
   let survived_events =
     Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
     let fd = Serve.connect (Serve.Unix_path socket) in
@@ -279,7 +292,7 @@ let test_crash_and_resume () =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   (* phase 2: restart from the checkpoint directory, blindly resend all *)
   let pid =
-    start_server ~engine ~shards ~sampler ~checkpoint_dir:ckpt ~resume_dir:ckpt socket
+    start_server ~engine ~sampler ~checkpoint_dir:ckpt ~resume_dir:ckpt socket
   in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
@@ -310,7 +323,7 @@ let test_resume_with_corrupt_checkpoint_starts_fresh () =
   Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
   Out_channel.with_open_bin (Filename.concat ckpt "set.ftc") (fun oc ->
       Out_channel.output_string oc "FTCKgarbage");
-  let pid = start_server ~engine ~shards:2 ~sampler ~resume_dir:ckpt socket in
+  let pid = start_server ~engine ~sampler ~resume_dir:ckpt socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
@@ -321,6 +334,77 @@ let test_resume_with_corrupt_checkpoint_starts_fresh () =
   Alcotest.(check string) "fresh start still exact" expected report;
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
+
+(* A set in the layout of the K-checker daemon the pipeline replaced,
+   written over the first 600 events.  At K = 1 its bytes are the
+   pipeline's own, so a daemon resumes from it; at K = 2 it is refused
+   with a logged fresh start.  Either way a blind resend of every batch
+   converges to the exact report. *)
+let test_k_checker_sets () =
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:5 in
+  let trace = sample_trace ~seed:12 ~length:1_200 in
+  let expected = expected_report ~engine ~sampler trace in
+  let n = 600 in
+  let config =
+    {
+      Ft_core.Detector.nthreads = trace.Trace.nthreads;
+      nlocks = trace.Trace.nlocks;
+      nlocs = trace.Trace.nlocs;
+      clock_size = trace.Trace.nthreads;
+      sampler;
+    }
+  in
+  List.iter
+    (fun k ->
+      with_temp_dir @@ fun dir ->
+      let socket = Filename.concat dir "serve.sock" in
+      let log = Filename.concat dir "serve.log" in
+      let ckpt = Filename.concat dir "ckpt" in
+      Unix.mkdir ckpt 0o700;
+      Fun.protect ~finally:(fun () -> rm_rf ckpt) @@ fun () ->
+      Ft_snapshot.Checkpoint.save (Filename.concat ckpt "set.ftc")
+        {
+          Ft_snapshot.Checkpoint.meta =
+            {
+              Ft_snapshot.Checkpoint.engine;
+              sampler = Sampler.name sampler;
+              nthreads = trace.Trace.nthreads;
+              nlocks = trace.Trace.nlocks;
+              nlocs = trace.Trace.nlocs;
+              clock_size = trace.Trace.nthreads;
+              next_index = n;
+              byte_offset = -1;
+            };
+          detector = Routed.k_checker_set (Routed.feed ~n engine ~k config trace) ~n;
+        };
+      let batches = slices trace ~batch:200 in
+      let pid = start_server ~engine ~sampler ~resume_dir:ckpt ~log socket in
+      Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+      let fd = Serve.connect (Serve.Unix_path socket) in
+      let first, report =
+        Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+        let totals =
+          List.map (fun (base, sub) -> get_ok "send" (Serve.send_batch fd ~base sub)) batches
+        in
+        let report = get_ok "report" (Serve.fetch_report fd) in
+        get_ok "shutdown" (Serve.shutdown fd);
+        (List.hd totals, report)
+      in
+      reap pid;
+      let logged = In_channel.with_open_bin log In_channel.input_all in
+      let has sub = contains ~sub logged in
+      let what = Printf.sprintf "K = %d: " k in
+      if k = 1 then begin
+        Alcotest.(check int) (what ^ "resumed at the set's cut") n first;
+        Alcotest.(check bool) (what ^ "resume logged") true (has "resumed at event 600")
+      end
+      else begin
+        Alcotest.(check int) (what ^ "started fresh") 200 first;
+        Alcotest.(check bool) (what ^ "fresh start logged: " ^ logged) true
+          (has "cannot resume from" && has "more than one checker" && has "starting fresh")
+      end;
+      Alcotest.(check string) (what ^ "report ≡ analyze") expected report)
+    [ 1; 2 ]
 
 (* --- slow server: partial reads must not spuriously fail ----------------------- *)
 
@@ -410,7 +494,7 @@ let test_stats_during_ingestion () =
   let expected_result = Engine.run engine ~sampler trace in
   let expected_report = expected_report ~engine ~sampler trace in
   let socket = Filename.concat dir "serve.sock" in
-  let pid = start_server ~engine ~shards:3 ~sampler socket in
+  let pid = start_server ~engine ~sampler socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let a = Serve.connect (Serve.Unix_path socket) in
   let b = Serve.connect (Serve.Unix_path socket) in
@@ -424,18 +508,14 @@ let test_stats_during_ingestion () =
   let query_stats () =
     (* Prometheus first: must expose the ingest counters as text *)
     let prom = get_ok "fetch_stats prom" (Serve.fetch_stats c ~format:`Prometheus) in
-    let exposed series =
-      let nh = String.length prom and nn = String.length series in
-      let rec go i = i + nn <= nh && (String.sub prom i nn = series || go (i + 1)) in
-      go 0
-    in
+    let exposed series = contains ~sub:series prom in
     List.iter
       (fun series -> Alcotest.(check bool) (series ^ " exposed") true (exposed series))
       [
         "# TYPE serve_batches_ingested_total counter";
         "serve_events_ingested_total";
         "serve_batch_ingest_ns_bucket{le=";
-        "serve_shard_ring_occupancy{shard=\"0\"}";
+        "# TYPE serve_shard_ring_occupancy gauge";
       ];
     (* a failed shard fails fast: there is no supervisor to report on *)
     List.iter
@@ -481,16 +561,18 @@ let test_stats_during_ingestion () =
     expected_result.Ft_core.Detector.metrics.Ft_core.Metrics.events
     (member_int [ "metrics"; "events" ] doc);
   Alcotest.(check int) "no batches left parked" 0 (member_int [ "parked" ] doc);
-  let per_shard key =
-    match Json.member key doc with
-    | Some (Json.Arr xs) -> List.map (fun x -> Option.get (Json.to_int x)) xs
-    | _ -> Alcotest.failf "stats JSON is missing the %s array" key
-  in
-  Alcotest.(check int) "one event count per shard" 3 (List.length (per_shard "shard_events"));
+  (* the checker gets sampled accesses and view changes, never a sync
+     event: each message is a sampled access or the view change before one *)
+  let sampled = expected_result.Ft_core.Detector.metrics.Ft_core.Metrics.sampled_accesses in
+  let messages = member_int [ "shard_events" ] doc in
+  Alcotest.(check bool)
+    (Printf.sprintf "sampled %d ≤ checker messages %d ≤ 2 × sampled" sampled messages)
+    true
+    (sampled <= messages && messages <= 2 * sampled);
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " absent") true (Option.is_none (Json.member key doc)))
-    [ "restore_points"; "backlog_bytes" ];
+    [ "shards"; "restore_points"; "backlog_bytes" ];
   (* STATS instrumentation must leave the report byte-identical *)
   let report = get_ok "fetch_report" (Serve.fetch_report c) in
   Alcotest.(check string) "report unchanged by telemetry" expected_report report;
@@ -505,7 +587,7 @@ let test_metrics_json_file () =
   let trace = sample_trace ~seed:11 ~length:600 in
   let socket = Filename.concat dir "serve.sock" in
   let path = Filename.concat dir "metrics.json" in
-  let pid = start_server ~engine ~shards:2 ~sampler ~metrics_json:path socket in
+  let pid = start_server ~engine ~sampler ~metrics_json:path socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
@@ -547,7 +629,7 @@ let test_large_single_batch () =
   let trace = sample_trace ~seed:21 ~length:400_000 in
   let expected = expected_report ~engine ~sampler trace in
   let socket = Filename.concat dir "serve.sock" in
-  let pid = start_server ~engine ~shards:4 ~sampler socket in
+  let pid = start_server ~engine ~sampler socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
@@ -565,26 +647,36 @@ let test_large_single_batch () =
    (probe-with-connect), not blindly unlink the listener out from under it;
    the first server keeps serving.  (Stale socket files of crashed servers
    are still replaced — the crash/resume test exercises that path.) *)
-(* A failed shard fails fast: there is no restart budget to configure. *)
+(* A failed checker fails fast: there is no restart budget to configure. *)
 let test_refuses_max_restarts () =
   with_temp_dir @@ fun dir ->
   let cfg =
-    serve_config ~engine:Engine.So ~shards:1 ~sampler:Sampler.all
+    serve_config ~engine:Engine.So ~sampler:Sampler.all
       (Filename.concat dir "serve.sock")
   in
   match Serve.run { cfg with Serve.max_restarts = 8 } with
   | () -> Alcotest.fail "Serve.run accepted max_restarts = 8"
   | exception Invalid_argument _ -> ()
 
+(* A BATCH session is a front and one checker: there is no K to set. *)
+let test_refuses_shards () =
+  with_temp_dir @@ fun dir ->
+  let cfg =
+    serve_config ~engine:Engine.So ~sampler:Sampler.all (Filename.concat dir "serve.sock")
+  in
+  match Serve.run { cfg with Serve.shards = 2 } with
+  | () -> Alcotest.fail "Serve.run accepted shards = 2"
+  | exception Invalid_argument _ -> ()
+
 let test_refuses_live_listener () =
   with_temp_dir @@ fun dir ->
   let engine = Engine.So and sampler = Sampler.all in
   let socket = Filename.concat dir "serve.sock" in
-  let pid = start_server ~engine ~shards:1 ~sampler socket in
+  let pid = start_server ~engine ~sampler socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
-  let pid2 = start_server ~engine ~shards:1 ~sampler socket in
+  let pid2 = start_server ~engine ~sampler socket in
   let _, status = Unix.waitpid [] pid2 in
   (match status with
   | Unix.WEXITED 1 -> ()
@@ -609,7 +701,7 @@ let test_sigterm_graceful_under_connect_load () =
   let trace = sample_trace ~seed:31 ~length:1_000 in
   let socket = Filename.concat dir "serve.sock" in
   let path = Filename.concat dir "metrics.json" in
-  let pid = start_server ~engine ~shards:2 ~sampler ~metrics_json:path socket in
+  let pid = start_server ~engine ~sampler ~metrics_json:path socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   List.iter
@@ -732,7 +824,7 @@ let test_parked_limit () =
   let trace = sample_trace ~seed:63 ~length:1_000 in
   let batches = Array.of_list (slices trace ~batch:200) in
   let socket = Filename.concat dir "serve.sock" in
-  let pid = start_server ~max_parked:2 ~engine ~shards:2 ~sampler socket in
+  let pid = start_server ~max_parked:2 ~engine ~sampler socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
@@ -780,7 +872,7 @@ let read_reply fd =
 let test_cbatch_all_or_nothing () =
   with_temp_dir @@ fun dir ->
   let socket = Filename.concat dir "serve.sock" in
-  let pid = start_server ~engine:Engine.So ~shards:1 ~sampler:Sampler.all socket in
+  let pid = start_server ~engine:Engine.So ~sampler:Sampler.all socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
@@ -813,7 +905,7 @@ let test_wire_fuzz () =
   let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:71 in
   let trace = sample_trace ~seed:73 ~length:600 in
   let socket = Filename.concat dir "serve.sock" in
-  let pid = start_server ~engine ~shards:2 ~sampler socket in
+  let pid = start_server ~engine ~sampler socket in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
@@ -851,6 +943,7 @@ let () =
             test_cbatch_all_or_nothing;
           Alcotest.test_case "Serve.run refuses max_restarts = 8" `Quick
             test_refuses_max_restarts;
+          Alcotest.test_case "Serve.run refuses shards = 2" `Quick test_refuses_shards;
         ] );
       ("admission", [ QCheck_alcotest.to_alcotest admission_property ]);
       ( "client robustness",
@@ -872,5 +965,7 @@ let () =
             test_crash_and_resume;
           Alcotest.test_case "corrupt checkpoint degrades to fresh start" `Quick
             test_resume_with_corrupt_checkpoint_starts_fresh;
+          Alcotest.test_case "a K = 2 set is refused with a logged fresh start" `Quick
+            test_k_checker_sets;
         ] );
     ]

@@ -1,25 +1,30 @@
-(* Sharded(E, K) ≡ E — the tentpole invariant of the location-sharded
-   parallel detector, a front running the sync engine and K checkers fed
-   sampled accesses plus view changes:
+(* A front plus checkers ≡ the engine — the invariant behind the pipelined
+   detector ({!Ft_shard.Sharded}: a front and one checker domain) and the
+   cluster router (a front and K checkers, the owner of a location chosen
+   by {!Ft_cluster.Chash}).  The K-checker cases run the router's routing
+   algebra on one domain ([Routed.run]); the pipeline runs at its one
+   shape ([Routed.run_pipeline]):
 
    - deterministic grid: every engine × every sampling strategy × K ∈
-     {1,2,4,8} on a mixed trace — race list, merged metrics, and the
-     rendered report must be byte-identical to the unsharded engine;
+     {1,2,4,8}, plus the pipeline, on a mixed trace — race list, merged
+     metrics, and the rendered report must be byte-identical to the plain
+     engine;
    - QCheck properties over random traces/universes/engines/K, one of
      them on lock-heavy traces where sync handlers often move a view
      version without changing the view;
    - a litmus trace whose same-epoch hit depends on a view change with no
-     entries, and a tpcc bound: checkers get sampled accesses and view
+     entries, and a tpcc bound: the checker gets sampled accesses and view
      changes only;
-   - litmus traces that force router edge cases: the HB edge (lock,
+   - litmus traces that force routing edge cases: the HB edge (lock,
      fork/join) is on the front while the racy accesses live on specific
-     shards, and pending bits are set by accesses on other shards;
-   - sharded snapshot/restore mid-trace reproduces the uninterrupted run;
+     checkers, and pending bits are set by accesses on other checkers;
+   - pipeline snapshot/restore mid-trace reproduces the uninterrupted run,
+     and a router snapshot taken with more than one checker is refused;
    - the checker message and cluster batch decoders survive truncation
      and bit flips at every byte;
-   - Front.merge (the merge of Sharded and the cluster router): front +
-     Σ parts + tally pointwise over the full field array, races from every
-     part in declaration order;
+   - Front.merge (the merge of the pipeline and the cluster router): front
+     + Σ parts + tally pointwise over the full field array, races from
+     every part in declaration order;
    - the SPSC ring delivers in order under backpressure. *)
 
 module Event = Ft_trace.Event
@@ -33,6 +38,8 @@ module Metrics = Ft_core.Metrics
 module Spsc = Ft_shard.Spsc
 module Sharded = Ft_shard.Sharded
 module Serve = Ft_shard.Serve
+module Front = Ft_shard.Front
+module Snap = Ft_core.Snap
 
 let engines = Engine.all @ [ Engine.Eraser ]
 let shard_counts = [ 1; 2; 4; 8 ]
@@ -67,25 +74,27 @@ let run_unsharded id config trace =
   Trace.iteri (fun i e -> D.handle d i e) trace;
   D.result d
 
-let run_sharded id ~shards config trace =
-  let sh = Sharded.create ~engine:id ~shards config in
-  Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
-  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-  Sharded.result sh
-
 let same_result ~events a b =
   a.Detector.races = b.Detector.races
   && Metrics.to_array a.Detector.metrics = Metrics.to_array b.Detector.metrics
   && String.equal (Serve.report_text ~events a) (Serve.report_text ~events b)
 
+(* [shape] names the split: ["K=<k>"] for [k] routed checkers, or
+   ["pipeline"]. *)
+let check_split name id ~shape trace full split =
+  if not (same_result ~events:(Trace.length trace) full split) then
+    Alcotest.failf "%s: %s at %s diverges (races %b, metrics %b)" name (Engine.name id) shape
+      (full.Detector.races = split.Detector.races)
+      (Metrics.to_array full.Detector.metrics = Metrics.to_array split.Detector.metrics)
+
 let check_equiv name id config trace ~shards =
-  let full = run_unsharded id config trace in
-  let sharded = run_sharded id ~shards config trace in
-  if not (same_result ~events:(Trace.length trace) full sharded) then
-    Alcotest.failf "%s: Sharded(%s, K=%d) diverges (races %b, metrics %b)" name
-      (Engine.name id) shards
-      (full.Detector.races = sharded.Detector.races)
-      (Metrics.to_array full.Detector.metrics = Metrics.to_array sharded.Detector.metrics)
+  check_split name id ~shape:(Printf.sprintf "K=%d" shards) trace
+    (run_unsharded id config trace)
+    (Routed.run id ~k:shards config trace)
+
+let check_pipeline name id config trace =
+  check_split name id ~shape:"pipeline" trace (run_unsharded id config trace)
+    (Routed.run_pipeline id config trace)
 
 (* --- deterministic grid ---------------------------------------------------- *)
 
@@ -109,11 +118,9 @@ let test_grid () =
     (fun id ->
       List.iter
         (fun (sname, sampler) ->
-          List.iter
-            (fun k ->
-              check_equiv (Printf.sprintf "grid/%s" sname) id (config_for trace sampler)
-                trace ~shards:k)
-            shard_counts)
+          let name = Printf.sprintf "grid/%s" sname and config = config_for trace sampler in
+          check_pipeline name id config trace;
+          List.iter (fun k -> check_equiv name id config trace ~shards:k) shard_counts)
         specs)
     engines
 
@@ -168,29 +175,31 @@ let prop_shard_equivalence s =
   let _, sampler = List.nth (sampler_specs ~trace_len:(Trace.length trace)) s.sampler_ix in
   let config = config_for trace ~pad:s.pad sampler in
   let full = run_unsharded id config trace in
-  let sharded = run_sharded id ~shards:s.k config trace in
-  if not (same_result ~events:(Trace.length trace) full sharded) then
-    QCheck.Test.fail_reportf "Sharded(%s, K=%d) diverges on %s" (Engine.name id) s.k
-      (print_scenario s)
-  else true
+  let diverges shape split =
+    if not (same_result ~events:(Trace.length trace) full split) then
+      QCheck.Test.fail_reportf "%s at %s diverges on %s" (Engine.name id) shape
+        (print_scenario s)
+  in
+  diverges (Printf.sprintf "K=%d" s.k) (Routed.run id ~k:s.k config trace);
+  diverges "pipeline" (Routed.run_pipeline id config trace);
+  true
 
 let shard_equivalence_test =
   QCheck.Test.make ~name:"Sharded(E, K) ≡ E (random traces)" ~count:30
     (QCheck.make ~print:print_scenario scenario_gen)
     prop_shard_equivalence
 
-(* --- litmus: cross-shard sync edges ----------------------------------------- *)
+(* --- litmus: cross-checker sync edges --------------------------------------- *)
 
-(* smallest location ≥ [from] owned by shard [s] under K=4 *)
-let loc_on_shard s ~from =
-  let rec go x = if Sharded.owner_of ~shards:4 x = s then x else go (x + 1) in
-  go from
+(* smallest location ≥ [from] that checker [s] of K=4 owns *)
+let loc_on_shard s ~from = Routed.loc_on ~k:4 s ~from
 
 let litmus_check ?(engines = engines) events ~nthreads ~nlocks ~nlocs ~expect_racy =
   let trace = Trace.validate (Trace.make ~nthreads ~nlocks ~nlocs (Array.of_list events)) in
   List.iter
     (fun id ->
       let config = config_for trace Sampler.all in
+      check_pipeline "litmus" id config trace;
       List.iter (fun k -> check_equiv "litmus" id config trace ~shards:k) shard_counts;
       (* ground truth, from the HB-exact full-detection engine *)
       if id = Engine.Djit then
@@ -203,7 +212,7 @@ let litmus_check ?(engines = engines) events ~nthreads ~nlocks ~nlocs ~expect_ra
 let ev t op = Event.mk t op
 
 (* The HB edge (release→acquire on lock 0) is the front's; the accesses it
-   orders live on two different shards of K=4, which learn it as views. *)
+   orders live on two different checkers of K=4, which learn it as views. *)
 let test_litmus_lock_edge () =
   let a = loc_on_shard 1 ~from:0 and b = loc_on_shard 2 ~from:0 in
   let nlocs = Stdlib.max a b + 1 in
@@ -237,9 +246,9 @@ let test_litmus_fork_join_edge () =
       ev 0 (Event.Write b);
     ]
 
-(* A sampled access on shard-1's location sets thread 0's pending bit; the
-   flush happens at a release only the front sees, and the verdict that
-   depends on the flushed clock concerns shard-2's location.  With atomics,
+(* A sampled access on checker 1's location sets thread 0's pending bit;
+   the flush happens at a release only the front sees, and the verdict
+   that depends on the flushed clock concerns checker 2's location.  With atomics,
    the same through Release_store/Acquire_load. *)
 let test_litmus_pending_mark_crosses_shards () =
   let a = loc_on_shard 1 ~from:0 and b = loc_on_shard 2 ~from:0 in
@@ -268,7 +277,7 @@ let test_litmus_pending_mark_crosses_shards () =
 (* The O(1)-samples engines keep no per-location clocks: the front learns
    of a thread's sampled activity only through [note_sampled].  This trace
    makes it the only driver of the epoch flushes — the accesses live on
-   shard 1 (K=4), while the flush decisions they feed (the o1-u
+   checker 1 (K=4), while the flush decisions they feed (the o1-u
    release-side skip at e4, the re-publish at e6, the re-acquire skip at
    e3) are the front's and must match the unsharded run's, or the merged
    skip/publish counters and the final read-write race on [a] diverge. *)
@@ -360,14 +369,13 @@ let test_unchanged_bump_keeps_hits_exact () =
       let tr = trace ~reacquire in
       List.iter
         (fun id ->
-          List.iter
-            (fun k ->
-              check_equiv "unchanged bump" id (config_for tr Sampler.all) tr ~shards:k)
-            [ 1; 2; 4 ])
+          let config = config_for tr Sampler.all in
+          check_pipeline "unchanged bump" id config tr;
+          List.iter (fun k -> check_equiv "unchanged bump" id config tr ~shards:k) [ 1; 2; 4 ])
         engines)
     [ false; true ]
 
-(* The checkers receive sampled accesses and view changes only — never a
+(* The checker receives sampled accesses and view changes only — never a
    sync event: every message is a sampled access or the view change right
    before one. *)
 let test_messages_bounded_by_samples () =
@@ -378,11 +386,11 @@ let test_messages_bounded_by_samples () =
   in
   let n = Trace.length trace in
   let config = config_for trace (Sampler.bernoulli ~rate:0.1 ~seed:3) in
-  let sh = Sharded.create ~engine:Engine.So ~shards:2 config in
+  let sh = Sharded.create ~engine:Engine.So config in
   Fun.protect ~finally:(fun () -> Sharded.stop sh) @@ fun () ->
   Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
   let sampled = (Sharded.result sh).Detector.metrics.Metrics.sampled_accesses in
-  let messages = Array.fold_left ( + ) 0 (Sharded.shard_event_counts sh) in
+  let messages = Sharded.shard_events sh in
   Alcotest.(check bool)
     (Printf.sprintf "sampled %d ≤ messages %d ≤ 2 × sampled" sampled messages)
     true
@@ -392,7 +400,7 @@ let test_messages_bounded_by_samples () =
     true
     (5 * messages <= n)
 
-(* --- sharded snapshot / restore --------------------------------------------- *)
+(* --- pipeline snapshot / restore -------------------------------------------- *)
 
 let test_sharded_snapshot_restore () =
   let prng = Prng.create ~seed:7 in
@@ -412,15 +420,14 @@ let test_sharded_snapshot_restore () =
     (fun (id, sampler) ->
       let config = config_for trace sampler in
       let full = run_unsharded id config trace in
-      let k = 4 in
-      let sh = Sharded.create ~engine:id ~shards:k config in
+      let sh = Sharded.create ~engine:id config in
       for i = 0 to (n / 2) - 1 do
         Sharded.handle sh i (Trace.get trace i)
       done;
-      let shards_snap = Sharded.shard_snapshots sh in
+      let checker_snap = Sharded.shard_snapshot sh in
       let router_snap = Sharded.router_snapshot sh in
       Sharded.stop sh;
-      let sh' = Sharded.restore ~engine:id ~shards:k config ~router:router_snap shards_snap in
+      let sh' = Sharded.restore ~engine:id config ~router:router_snap checker_snap in
       Fun.protect ~finally:(fun () -> Sharded.stop sh') @@ fun () ->
       Alcotest.(check int) "event count restored" (n / 2) (Sharded.events sh');
       for i = n / 2 to n - 1 do
@@ -428,7 +435,7 @@ let test_sharded_snapshot_restore () =
       done;
       let resumed = Sharded.result sh' in
       if not (same_result ~events:n full resumed) then
-        Alcotest.failf "%s: sharded restore diverges" (Engine.name id))
+        Alcotest.failf "%s: pipeline restore diverges" (Engine.name id))
     [
       (Engine.So, Sampler.cold_region ~threshold:2);
       (Engine.Su, Sampler.adaptive ~base_rate:3);
@@ -436,20 +443,31 @@ let test_sharded_snapshot_restore () =
       (Engine.Fasttrack, Sampler.all);
     ]
 
+(* A router snapshot in the layout of the K-checker detector the pipeline
+   replaced restores at K = 1, since that is the pipeline's own layout; at
+   K = 2 it is refused, so a daemon resuming from such a set falls back to
+   its logged fresh start. *)
 let test_restore_rejects_wrong_k () =
   let prng = Prng.create ~seed:8 in
   let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 100 } in
   let config = config_for trace Sampler.all in
-  let sh = Sharded.create ~engine:Engine.So ~shards:2 config in
-  Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-  let snaps = Sharded.shard_snapshots sh in
-  let router = Sharded.router_snapshot sh in
+  let n = Trace.length trace in
+  let restore k =
+    let split = Routed.feed Engine.So ~k config trace in
+    Sharded.restore ~engine:Engine.So config
+      ~router:(Routed.k_checker_router split ~n)
+      (split.Routed.checkers.(0).Front.i_snapshot ())
+  in
+  let sh = restore 1 in
+  Alcotest.(check int) "K = 1 restores at its event count" n (Sharded.events sh);
+  Alcotest.(check bool) "K = 1 restores the plain engine's result" true
+    (same_result ~events:n (run_unsharded Engine.So config trace) (Sharded.result sh));
   Sharded.stop sh;
-  (match Sharded.restore ~engine:Engine.So ~shards:4 config ~router snaps with
-  | exception Ft_core.Snap.Corrupt _ -> ()
+  match restore 2 with
+  | exception Snap.Corrupt _ -> ()
   | sh' ->
     Sharded.stop sh';
-    Alcotest.fail "restore accepted a mismatched shard count")
+    Alcotest.fail "restore accepted a router snapshot taken with K = 2"
 
 (* A router snapshot in the layout written before the front/checker split
    (shard count first, then the event count, the pending mirror, the
@@ -459,19 +477,19 @@ let test_restore_rejects_old_router_layout () =
   let prng = Prng.create ~seed:8 in
   let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 100 } in
   let config = config_for trace Sampler.all in
-  let sh = Sharded.create ~engine:Engine.So ~shards:1 config in
+  let sh = Sharded.create ~engine:Engine.So config in
   Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-  let snaps = Sharded.shard_snapshots sh in
+  let checker = Sharded.shard_snapshot sh in
   Sharded.stop sh;
   let (module D : Detector.S) = Engine.detector Engine.So in
-  let enc = Ft_core.Snap.Enc.create () in
-  Ft_core.Snap.Enc.int enc 1;
-  Ft_core.Snap.Enc.int enc (Trace.length trace);
-  Ft_core.Snap.Enc.bool_array enc (Array.make trace.Trace.nthreads false);
+  let enc = Snap.Enc.create () in
+  Snap.Enc.int enc 1;
+  Snap.Enc.int enc (Trace.length trace);
+  Snap.Enc.bool_array enc (Array.make trace.Trace.nthreads false);
   (Ft_core.Sampler.fresh Sampler.all).Ft_core.Sampler.save enc;
-  Ft_core.Snap.Enc.string enc (D.snapshot (D.create config));
-  let router = Ft_core.Snap.Enc.to_snap enc in
-  match Sharded.restore ~engine:Engine.So ~shards:1 config ~router snaps with
+  Snap.Enc.string enc (D.snapshot (D.create config));
+  let router = Snap.Enc.to_snap enc in
+  match Sharded.restore ~engine:Engine.So config ~router checker with
   | exception Ft_core.Snap.Corrupt _ -> ()
   | sh' ->
     Sharded.stop sh';
@@ -479,7 +497,6 @@ let test_restore_rejects_old_router_layout () =
 
 (* --- metrics merge contract -------------------------------------------------- *)
 
-module Front = Ft_shard.Front
 module Race = Ft_core.Race
 
 let merge_front () =
@@ -536,7 +553,6 @@ let test_front_merge_races () =
 (* --- decoder fuzzing ------------------------------------------------------------ *)
 
 module Cmsg = Ft_shard.Cmsg
-module Snap = Ft_core.Snap
 
 (* Decode a backlog message by message, as a heal does; [Snap.Corrupt] ends
    it.  Any other exception escapes and fails the test. *)
@@ -680,16 +696,6 @@ let test_spsc_order_under_backpressure () =
   let got = Domain.join consumer in
   Alcotest.(check (array int)) "FIFO through a 4-slot ring" (Array.init n Fun.id) got
 
-let test_owner_of_is_total_and_stable () =
-  List.iter
-    (fun k ->
-      for x = 0 to 999 do
-        let o = Sharded.owner_of ~shards:k x in
-        Alcotest.(check bool) "in range" true (o >= 0 && o < k);
-        Alcotest.(check int) "deterministic" o (Sharded.owner_of ~shards:k x)
-      done)
-    shard_counts
-
 let () =
   Alcotest.run "shard"
     [
@@ -739,7 +745,5 @@ let () =
         [
           Alcotest.test_case "spsc order under backpressure" `Quick
             test_spsc_order_under_backpressure;
-          Alcotest.test_case "owner_of total and stable" `Quick
-            test_owner_of_is_total_and_stable;
         ] );
     ]
