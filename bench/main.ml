@@ -20,6 +20,7 @@ module Ol = Ft_core.Ordered_list
 module Trace = Ft_trace.Trace
 module Sharded = Ft_shard.Sharded
 module Clock = Ft_support.Clock
+module Stats = Ft_support.Stats
 module Db_sim = Ft_workloads.Db_sim
 module Classic = Ft_workloads.Classic
 module Harness = Ft_tsan.Harness
@@ -287,24 +288,28 @@ let run_bechamel () =
 (* Wall clock of the pipelined online detector — the front (sampler + sync
    engine) on this domain, one checker on another — against the plain
    engine on the same trace: SO at 3% and 10% on a sync-heavy trace (tpcc)
-   and an access-heavy one (hyadapt).  One JSON row per (workload, rate);
-   every wall is the best of three runs.  Verdict exactness is enforced
-   inline: the pipeline must report the plain engine's race count, or the
-   figure aborts. *)
+   and an access-heavy one (hyadapt).  One JSON row per (workload, rate).
+   The two are timed in [shard_repeats] alternating rounds (plain first in
+   odd rounds, the pipeline first in even ones), so drift on a shared host
+   hits both alike; each row holds the median wall of each with its first
+   and third quartiles.  Verdict exactness is enforced inline: every
+   pipeline run must report the plain engine's race count, or the figure
+   aborts. *)
+let shard_repeats = 7
+
 let run_shard_grid ~target_events =
   print_newline ();
   print_endline "Pipeline vs plain: SO engine, a front and one checker domain";
   print_endline "=============================================================";
-  let best_of_3 f =
-    let run () =
-      let t0 = Clock.now_ns () in
-      let r = f () in
-      (Clock.elapsed_s ~since:t0, r)
-    in
-    let w1, r = run () in
-    let w2, _ = run () in
-    let w3, _ = run () in
-    (Float.min w1 (Float.min w2 w3), r)
+  (* Time [f] into [walls.(i)] and answer its race count. *)
+  let time_into walls i f =
+    let t0 = Clock.now_ns () in
+    let r = f () in
+    walls.(i) <- Clock.elapsed_s ~since:t0;
+    List.length r.Ft_core.Detector.races
+  in
+  let quartiles walls =
+    (Stats.percentile walls 25.0, Stats.median walls, Stats.percentile walls 75.0)
   in
   List.iter
     (fun profile ->
@@ -317,37 +322,57 @@ let run_shard_grid ~target_events =
         (fun rate ->
           let sampler = Sampler.bernoulli ~rate ~seed:7 in
           let config = Detector.config_of_trace ~sampler trace in
-          let plain_s, plain = best_of_3 (fun () -> Engine.run Engine.So ~sampler trace) in
-          let expected = List.length plain.Ft_core.Detector.races in
-          let wall_s, result =
-            best_of_3 (fun () ->
-                let sh = Sharded.create ~engine:Engine.So config in
-                Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-                let result = Sharded.result sh in
-                Sharded.stop sh;
-                result)
+          let plain () = Engine.run Engine.So ~sampler trace in
+          let pipeline () =
+            let sh = Sharded.create ~engine:Engine.So config in
+            Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
+            let result = Sharded.result sh in
+            Sharded.stop sh;
+            result
           in
-          let races = List.length result.Ft_core.Detector.races in
-          if races <> expected then
-            failwith
-              (Printf.sprintf
-                 "pipeline figure: %s at %g reports %d races but the plain engine \
-                  reported %d"
-                 wname rate races expected);
+          let plain_walls = Array.make shard_repeats 0.0
+          and walls = Array.make shard_repeats 0.0 in
+          let races = ref 0 in
+          for i = 0 to shard_repeats - 1 do
+            let expected, got =
+              if i mod 2 = 0 then
+                let expected = time_into plain_walls i plain in
+                (expected, time_into walls i pipeline)
+              else
+                let got = time_into walls i pipeline in
+                (time_into plain_walls i plain, got)
+            in
+            if got <> expected then
+              failwith
+                (Printf.sprintf
+                   "pipeline figure: %s at %g reports %d races but the plain engine \
+                    reported %d"
+                   wname rate got expected);
+            races := got
+          done;
+          let q1, wall_s, q3 = quartiles walls in
+          let plain_q1, plain_s, plain_q3 = quartiles plain_walls in
           let events_per_s = float_of_int events /. Float.max wall_s 1e-9 in
           add_row "shards"
             [ ("workload", Json.Str wname);
               ("engine", Json.Str (Engine.name Engine.So));
               ("rate", jf rate);
               ("events", Json.Int events);
+              ("repeats", Json.Int shard_repeats);
               ("wall_s", jf wall_s);
+              ("wall_s_q1", jf q1);
+              ("wall_s_q3", jf q3);
               ("events_per_s", jf events_per_s);
               ("plain_wall_s", jf plain_s);
-              ("races", Json.Int races) ];
+              ("plain_wall_s_q1", jf plain_q1);
+              ("plain_wall_s_q3", jf plain_q3);
+              ("races", Json.Int !races) ];
           Printf.printf
             "{\"figure\": \"shards\", \"workload\": %S, \"rate\": %g, \"events\": %d, \
-             \"wall_s\": %.6f, \"plain_wall_s\": %.6f, \"races\": %d}\n%!"
-            wname rate events wall_s plain_s races)
+             \"wall_s\": %.6f, \"wall_s_q1\": %.6f, \"wall_s_q3\": %.6f, \
+             \"plain_wall_s\": %.6f, \"plain_wall_s_q1\": %.6f, \"plain_wall_s_q3\": %.6f, \
+             \"races\": %d}\n%!"
+            wname rate events wall_s q1 q3 plain_s plain_q1 plain_q3 !races)
         [ 0.03; 0.1 ])
     [ "tpcc"; "hyadapt" ]
 

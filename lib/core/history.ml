@@ -101,10 +101,13 @@ let grow t x =
 let write_of t x = if x < capacity t then t.write.(x) else [||]
 let read_of t x = if x < capacity t then t.read.(x) else [||]
 
-let bump t tid = t.tver.(tid) <- t.tver.(tid) + 1
+(* [bump] runs at every processed acquire, [read_hit]/[write_hit] at every
+   sampled access; bounds checks make them too big for ocamlopt to inline
+   across modules unasked. *)
+let[@inline] bump t tid = t.tver.(tid) <- t.tver.(tid) + 1
 let version t tid = t.tver.(tid)
 
-let read_hit t x ~tid ~epoch ~index =
+let[@inline] read_hit t x ~tid ~epoch ~index =
   x < capacity t
   && t.rcache.(x) = skey ~tid ~epoch
   && t.rcache_ver.(x) = t.tver.(tid)
@@ -112,7 +115,7 @@ let read_hit t x ~tid ~epoch ~index =
   (t.rindex.(x).(tid) <- index;
    true)
 
-let write_hit t x ~tid ~epoch ~index =
+let[@inline] write_hit t x ~tid ~epoch ~index =
   x < capacity t
   && t.wcache.(x) = skey ~tid ~epoch
   && t.wcache_ver.(x) = t.tver.(tid)

@@ -65,11 +65,13 @@ let release p s =
   p.free.(p.nfree) <- s;
   p.nfree <- p.nfree + 1
 
-let time p s i =
+(* [time] and [set] are the shared-read check and update of every sampled
+   read of a shared location; inlined into the engines' access handlers. *)
+let[@inline] time p s i =
   Array.unsafe_get p.chunks.(s lsr chunk_bits)
     (((s land (chunk_slots - 1)) * p.width) + (2 * i))
 
-let set p s i ~time ~index =
+let[@inline] set p s i ~time ~index =
   let chunk = p.chunks.(s lsr chunk_bits) in
   let off = ((s land (chunk_slots - 1)) * p.width) + (2 * i) in
   Array.unsafe_set chunk off time;

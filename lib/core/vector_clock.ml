@@ -4,7 +4,7 @@ let create n = Array.make n 0
 let size = Array.length
 let get (c : t) i = Array.unsafe_get c i
 let set (c : t) i v = Array.unsafe_set c i v
-let inc (c : t) i = c.(i) <- c.(i) + 1
+let[@inline] inc (c : t) i = c.(i) <- c.(i) + 1
 
 let join ~into src =
   assert (Array.length into = Array.length src);
