@@ -656,9 +656,10 @@ let route_cmd =
   let resume =
     Arg.(value & flag & info [ "resume" ]
            ~doc:"Recover the previous session from --dir's WAL and router-state \
-                 checkpoint: kill stale workers, replay the routed history, \
-                 respawn workers and align each at its durable SEQ. Clients \
-                 blind-resend unacked batches; the report stays byte-identical.")
+                 checkpoint: kill stale workers, respawn them, and replay the WAL \
+                 once to rebuild the router and each worker's stream from its \
+                 durable SEQ. Clients blind-resend unacked batches; the report \
+                 stays byte-identical.")
   in
   let heartbeat =
     Arg.(value & opt (some float) None & info [ "heartbeat" ] ~docv:"SECONDS"

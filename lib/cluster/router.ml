@@ -36,17 +36,22 @@ module Fault = Ft_fault.Fault
    - workers checkpoint by size — once the CBATCH bytes applied since
      their last set reach that set's snapshot bytes — and report the set's
      cut in every ack ([OK <total> <durable>]), so a crashed worker is
-     recovered by respawn → [SEQ] (= that cut) → replay of the log suffix
-     since it, about one set's worth of bytes: O(state);
+     recovered by respawn → [SEQ] (= that cut) → resend from there;
    - the router appends every client batch to a {!Wal} and fsyncs it
-     {e before} acking, so a SIGKILLed router is recovered by
-     [--resume]: replay the WAL (or a router-state checkpoint plus the
-     WAL tail) through the same routing function, which deterministically
-     rebuilds the front, the shipping state and every worker's log — then
-     align each worker at its own durable [SEQ].  The state checkpoint
-     follows the same size rule against WAL growth and keeps each worker's
-     log from its durable cut, so that [SEQ] lands inside the retained
-     log, and the live logs are trimmed to that cut as acks advance it;
+     {e before} acking.  A worker's stream is a deterministic function of
+     the WAL, so the router keeps none of it: per worker only the messages
+     routed since its last pump (dropped once pushed) and its routed,
+     pushed and acked counts.  Whenever a worker needs messages it has not
+     durably applied — a respawn, a resume, a resize — {!replay}, the one
+     function that re-derives streams, folds the WAL through a scratch
+     front, shipping state and admitter and keeps that worker's messages
+     from its cut.  It starts at the newest router-state checkpoint (the
+     front, the shipping state and each worker's routed total, written by
+     a size rule against WAL growth) when every cut is at or past the
+     totals stored there, and at the WAL's first record otherwise;
+   - a SIGKILLed router is recovered by [--resume]: respawn the workers,
+     ask each its durable [SEQ], and let one fold rebuild the live front
+     and every worker's stream from its [SEQ];
    - a respawn is a worker's only recovery: a failed checker answers ERR
      and exits without writing a checkpoint.
 
@@ -57,11 +62,9 @@ module Fault = Ft_fault.Fault
    graceful shutdown).  Per-worker streams stay strictly ordered, so the
    §6e argument is untouched — the window only overlaps {e waiting}.
 
-   Rebuilding a worker's log — for a resize, or when a worker's SEQ fell
-   behind the retained log — replays the event history, which is the WAL,
-   through a scratch front, sampler and shipping state.  The front is
-   ring-independent; the shipping state is not, so the scratch one
-   replaces the live one.
+   The front is ring-independent; the shipping state is not, so a resize
+   folds under the new ring and its scratch shipping state replaces the
+   live one.
 
    The router itself never spawns domains (its front is a plain
    single-threaded detector instance): it forks worker processes, and
@@ -104,18 +107,15 @@ type worker = {
   mutable pid : int;
   mutable fd : Unix.file_descr;
   mutable conn : Evloop.conn option;  (* the same fd, framed for async acks *)
-  mutable acked : int;  (* messages the worker has durably acknowledged *)
+  mutable routed : int;  (* messages routed to the worker's stream *)
+  mutable acked : int;  (* messages the worker has acknowledged *)
   mutable pushed : int;  (* messages written to the socket (≥ acked) *)
-  mutable durable : int;  (* cut of the worker's newest checkpoint set, as its acks report *)
   mutable resumed_at : int;  (* SEQ at the latest respawn/resume alignment *)
   inflight : int Queue.t;  (* end-seq of each unacked CBATCH, send order *)
-  mutable log : Cmsg.check array;  (* retained routed history: [lbase, lbase+llen) *)
-  mutable llen : int;
-  mutable lbase : int;  (* messages before the retained window (a durable cut) *)
+  mutable unsent : Cmsg.check array;  (* stream positions [routed - nunsent, routed) *)
+  mutable nunsent : int;
   mutable respawns : int;
 }
-
-let total w = w.lbase + w.llen
 
 let make_worker id =
   {
@@ -124,14 +124,13 @@ let make_worker id =
     pid = -1;
     fd = Unix.stdin;
     conn = None;
+    routed = 0;
     acked = 0;
     pushed = 0;
-    durable = 0;
     resumed_at = 0;
     inflight = Queue.create ();
-    log = [||];
-    llen = 0;
-    lbase = 0;
+    unsent = [||];
+    nunsent = 0;
     respawns = 0;
   }
 
@@ -161,7 +160,6 @@ type telemetry = {
   wal_appends_total : Registry.counter;
   wal_bytes_total : Registry.counter;
   replayed_total : Registry.counter;  (* messages re-sent after crash/resume *)
-  log_rebuilds_total : Registry.counter;  (* expand_logs calls *)
   state_checkpoints_total : Registry.counter;
   state_checkpoint_bytes_total : Registry.counter;
   resizes_total : Registry.counter;
@@ -211,10 +209,7 @@ let make_telemetry ~workers =
       Registry.counter reg "router_wal_bytes_total" ~help:"Bytes appended to the WAL";
     replayed_total =
       Registry.counter reg "router_replayed_messages_total"
-        ~help:"Log messages re-sent to workers after a crash, migration or resume";
-    log_rebuilds_total =
-      Registry.counter reg "router_log_rebuilds_total"
-        ~help:"Full per-worker log rebuilds because a worker's SEQ fell behind the retained log";
+        ~help:"Messages re-sent to workers after a crash, migration or resume";
     state_checkpoints_total =
       Registry.counter reg "router_state_checkpoints_total"
         ~help:"Router-state checkpoints written";
@@ -257,7 +252,6 @@ type state = {
   mutable front : Front.t option;  (* sampler, sync engine, tally *)
   mutable ship : Front.ship option;  (* per (worker, thread): the view it holds *)
   mutable admit : Admit.t;  (* next global event index, parked client batches *)
-  mutable nevents : int;
   mutable quit : bool;
   mutable stop_reason : string;
   mutable failed : string option;
@@ -291,8 +285,8 @@ let write_pid_file path pid =
 
 (* Fork one worker process running the serve daemon.  [resume]
    points it at its checkpoint directory; a missing or torn checkpoint set
-   degrades to a fresh start there, which the router covers by replaying
-   the full log (SEQ comes back 0). *)
+   degrades to a fresh start there, which the router covers by resending
+   the worker's whole stream (SEQ comes back 0). *)
 let spawn_worker st w ~resume =
   let addr_file = worker_addr_file st w in
   (try Sys.remove addr_file with Sys_error _ -> ());
@@ -386,8 +380,8 @@ let universe_of st =
 
 (* {!Ft_shard.Sharded.handle} across K owners: the front takes every event,
    and an access it must check goes to its owner behind the view changes
-   that worker has not seen (DESIGN.md §6e).  Live routing, WAL replay and
-   log rebuilds share this function: only [append] differs. *)
+   that worker has not seen (DESIGN.md §6e).  Live routing and {!replay}
+   share this function: only [append] differs. *)
 let route_core ~ring ~front ~ship ~append i (e : Event.t) =
   if Front.admit front i e then
     match e.Event.op with
@@ -403,44 +397,17 @@ let route st i (e : Event.t) =
   route_core ~ring:st.ring ~front:(Option.get st.front) ~ship:(Option.get st.ship)
     ~append:(fun k m ->
       let w = st.workers.(k) in
-      w.log <- grow_push w.log w.llen m;
-      w.llen <- w.llen + 1;
+      w.unsent <- grow_push w.unsent w.nunsent m;
+      w.nunsent <- w.nunsent + 1;
+      w.routed <- w.routed + 1;
       Registry.incr st.tel.worker_messages.(k))
-    i e;
-  st.nevents <- st.nevents + 1
+    i e
 
 (* The admitter's feeder for the client batch [evs] based at [base]. *)
-let route_events st base (evs : Event.t array) first =
+let feeder route base (evs : Event.t array) first =
   for i = first to Array.length evs - 1 do
-    route st (base + i) evs.(i)
+    route (base + i) evs.(i)
   done
-
-(* --- event-history rebuilds ------------------------------------------------ *)
-
-(* The full routed prefix [0, expected) in index order, from the WAL's
-   Events records (duplicates harmlessly overwrite). *)
-let history_events st =
-  let n = Admit.expected st.admit in
-  let evs = Array.make n None in
-  (match Wal.replay (Wal.path ~dir:st.cfg.dir) with
-  | Error msg -> fail st ("event-history rebuild: " ^ msg)
-  | Ok (records, _) ->
-    List.iter
-      (fun (r, _) ->
-        match r with
-        | Wal.Events (base, arr) ->
-          Array.iteri
-            (fun j e ->
-              let i = base + j in
-              if i >= 0 && i < n then evs.(i) <- Some e)
-            arr
-        | Wal.Session _ | Wal.Resize _ -> ())
-      records);
-  Array.mapi
-    (fun i -> function
-      | Some e -> e
-      | None -> fail st (Printf.sprintf "event %d missing from the WAL" i))
-    evs
 
 let detector_config st (nthreads, nlocks, nlocs) =
   let clock_size =
@@ -449,71 +416,249 @@ let detector_config st (nthreads, nlocks, nlocs) =
   st.clock_size <- clock_size;
   { Detector.nthreads; nlocks; nlocs; clock_size; sampler = st.cfg.sampler }
 
-(* Re-route the whole history against [ring] through a scratch front:
-   same strategy, same queries, same order, so it makes the live front's
-   decisions and reaches its state.  The result is the per-worker logs
-   this ring would have produced had it been in place from event 0, and
-   the shipping state that goes with them. *)
-let rebuild_logs st ~ring ~nworkers =
-  let history = history_events st in
-  let config = detector_config st (universe_of st) in
-  let front = Front.create ~engine:st.cfg.engine config in
-  let ship = Front.ship_create front ~dests:nworkers ~nthreads:config.Detector.nthreads in
-  let logs = Array.make nworkers [||] in
-  let lens = Array.make nworkers 0 in
-  let append k m =
-    logs.(k) <- grow_push logs.(k) lens.(k) m;
-    lens.(k) <- lens.(k) + 1
+(* --- WAL and router-state checkpoints -------------------------------------- *)
+
+exception Wal_failed of string
+
+(* Append + fsync one record; the ack a client is waiting on rides on this
+   durability point.  Any failure (including an injected torn write at
+   [router.wal_write]) rolls the file back to the last record boundary and
+   refuses the batch — an un-refused batch MUST be in the log. *)
+let wal_append st record =
+  match
+    let n = Wal.append st.wal record in
+    let t0 = Clock.now_ns () in
+    Wal.sync st.wal;
+    Histogram.observe st.tel.wal_fsync_ns (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
+    Registry.incr st.tel.wal_appends_total;
+    Registry.add st.tel.wal_bytes_total n
+  with
+  | () -> ()
+  | exception e ->
+    (try Wal.rollback st.wal with _ -> ());
+    raise (Wal_failed (Printexc.to_string e))
+
+let init_universe st ((nthreads, _, _) as u) =
+  let front = Front.create ~engine:st.cfg.engine (detector_config st u) in
+  st.front <- Some front;
+  st.ship <- Some (Front.ship_create front ~dests:(Array.length st.workers) ~nthreads);
+  st.universe <- Some u
+
+let ensure_cluster st ((nthreads, nlocks, nlocs) as u) =
+  match st.universe with
+  | Some u' ->
+    if u' = u then Ok () else Error "batch universe differs from the session's"
+  | None ->
+    (* the Session record goes in first: if its append fails the universe
+       stays unset and the client's retry re-runs this initialization *)
+    wal_append st
+      (Wal.Session
+         {
+           nthreads;
+           nlocks;
+           nlocs;
+           engine = Engine.name st.cfg.engine;
+           sampler = Sampler.name st.cfg.sampler;
+           workers = Array.length st.workers;
+         });
+    init_universe st u;
+    Ok ()
+
+(* Router-state checkpoints open with a format tag below any worker count.
+   The layout before the front (worker count first) and the one with
+   per-worker log suffixes (−1) fail to decode, and a fold starts at the
+   WAL's first record instead of misreading them. *)
+let state_format = -2
+
+(* Router-state checkpoint: what a fold would otherwise recompute from the
+   WAL's first record — each worker's routed total, the front (sampler,
+   sync engine, tally) and the shipping state — anchored at the current
+   WAL offset, so a fold whose cuts are all at or past those totals reads
+   only the tail.  Only taken when nothing is parked: a parked batch lives
+   in the WAL prefix a tail fold would skip.  Failure is a warning, never
+   an error — the WAL alone is always sufficient. *)
+let write_state_checkpoint st =
+  match (st.universe, st.front, st.ship) with
+  | Some (nthreads, nlocks, nlocs), Some front, Some ship when Admit.parked st.admit = 0 -> (
+    try
+      let enc = Snap.Enc.create () in
+      Snap.Enc.int enc state_format;
+      Snap.Enc.int enc (Array.length st.workers);
+      Snap.Enc.int enc st.epoch;
+      Array.iter (fun w -> Snap.Enc.int enc w.routed) st.workers;
+      Front.save enc front;
+      Front.ship_save enc ship;
+      let meta =
+        {
+          Checkpoint.engine = st.cfg.engine;
+          sampler = Sampler.name st.cfg.sampler;
+          nthreads;
+          nlocks;
+          nlocs;
+          clock_size = st.clock_size;
+          next_index = Admit.expected st.admit;
+          byte_offset = Wal.offset st.wal;
+        }
+      in
+      let snap = Snap.Enc.to_snap enc in
+      Checkpoint.save (state_ckpt_path st.cfg.dir) { Checkpoint.meta; detector = snap };
+      st.state_off <- Wal.offset st.wal;
+      st.state_bytes <- String.length snap;
+      Registry.incr st.tel.state_checkpoints_total;
+      Registry.add st.tel.state_checkpoint_bytes_total (String.length snap)
+    with e ->
+      Printf.eprintf "racedet route: state checkpoint failed (%s); WAL still authoritative\n%!"
+        (Printexc.to_string e))
+  | _ -> ()
+
+(* Size-driven cadence: checkpoint once the WAL has grown by at least twice
+   the newest checkpoint's size since it was anchored, so checkpoint work
+   is at most half a byte per WAL byte.  Twice, because a checkpoint holds
+   no worker messages: on tpcc at 10% it is ≈386 KB against ≈1.6 MB of WAL
+   per 400k events, and at once its size the route workload wrote five per
+   session, whose writes are its slowest batches. *)
+let maybe_state_checkpoint st =
+  if Wal.offset st.wal - st.state_off >= 2 * st.state_bytes then write_state_checkpoint st
+
+(* The newest router-state checkpoint as the start of a fold for [cuts]
+   under the live ring: its WAL anchor, front, shipping state, admitter and
+   per-worker totals, if it is usable and every cut is at or past the total
+   it stores.  Why a fold starts at the WAL's first record instead is
+   logged. *)
+let load_state st ~cuts =
+  let path = state_ckpt_path st.cfg.dir in
+  let whole why =
+    Printf.eprintf "racedet route: %s; replaying the whole WAL\n%!" why;
+    None
   in
-  Array.iteri (route_core ~ring ~front ~ship ~append) history;
-  (logs, lens, ship)
+  let ignoring why =
+    Printf.eprintf "racedet route: ignoring state checkpoint (%s)\n%!" why;
+    whole "no usable state checkpoint"
+  in
+  if not (Sys.file_exists path) then whole "no usable state checkpoint"
+  else
+    match Checkpoint.load path with
+    | Error msg -> ignoring msg
+    | Ok { Checkpoint.meta; detector = payload } -> (
+      try
+        let u = (meta.Checkpoint.nthreads, meta.Checkpoint.nlocks, meta.Checkpoint.nlocs) in
+        let dec = Snap.Dec.of_snap payload in
+        let tag = Snap.Dec.int dec in
+        Snap.expect (tag = state_format)
+          (if tag >= 0 then "state checkpoint predates the front"
+           else "state checkpoint has an older layout");
+        let k = Snap.Dec.int dec in
+        Snap.expect (Snap.Dec.int dec = st.epoch) "it predates a resize";
+        Snap.expect
+          (meta.Checkpoint.engine = st.cfg.engine
+          && meta.Checkpoint.sampler = Sampler.name st.cfg.sampler
+          && st.universe = Some u && k = Array.length cuts)
+          "engine, sampler, universe or worker count mismatch";
+        let totals = Array.init k (fun _ -> Snap.Dec.int dec) in
+        if not (Array.for_all2 ( <= ) totals cuts) then
+          whole "a worker's SEQ precedes the state checkpoint"
+        else begin
+          let front = Front.load dec ~engine:st.cfg.engine (detector_config st u) in
+          let ship = Front.ship_load dec front ~dests:k ~nthreads:meta.Checkpoint.nthreads in
+          Snap.Dec.finish dec;
+          let admit = Admit.create ~expected:meta.Checkpoint.next_index st.cfg.max_parked in
+          Some (meta.Checkpoint.byte_offset, front, ship, admit, totals)
+        end
+      with Snap.Corrupt msg -> ignoring msg)
 
-(* Re-materialize full logs (lbase = 0) for the current ring — the escape
-   hatch when a worker's durable SEQ fell behind the retained suffix. *)
-let expand_logs st =
-  Registry.incr st.tel.log_rebuilds_total;
-  let nworkers = Array.length st.workers in
-  let logs, lens, ship = rebuild_logs st ~ring:st.ring ~nworkers in
-  Array.iteri
-    (fun k w ->
-      if lens.(k) <> total w then
-        fail st
-          (Printf.sprintf "worker %d: rebuilt log has %d messages, retained state says %d"
-             w.id lens.(k) (total w));
-      w.log <- logs.(k);
-      w.llen <- lens.(k);
-      w.lbase <- 0)
-    st.workers;
-  st.ship <- Some ship
+(* --- the one replay ---------------------------------------------------------- *)
 
-(* A (re)spawned worker resumed from its newest checkpoint set (or started
-   fresh), so its SEQ is both its stream position and its durable cut:
-   replay the log from there.  A SEQ behind even the retained log suffix
-   re-materializes full logs out of the WAL. *)
+(* Admission of live ingestion, minus the WAL append and the ack —
+   replaying a WAL record must route exactly what routing the original
+   batch routed.  A record ahead of the cursor was a parked batch, acked,
+   so it parks again whatever the bound. *)
+let readmit admit route base evs =
+  let len = Array.length evs and f = feeder route base evs in
+  match Admit.verdict admit base with
+  | Admit.Due -> Admit.feed admit ~base ~len f
+  | Admit.Park | Admit.Refuse -> Admit.park admit ~base ~len f
+
+(* The one function that re-derives worker streams.  Fold the WAL's
+   Events records, in file order, through a scratch front, shipping state
+   and admitter under [ring] — same strategy, same queries, same order, so
+   it makes the live front's decisions — and keep worker k's messages at
+   stream positions ≥ [cuts.(k)] ([max_int]: none).  The fold starts at the
+   newest usable state checkpoint when [ring] is the live one and every
+   cut is at or past its totals, at the WAL's first record otherwise.
+   Returns the scratch front, shipping state and admitter (whose parked
+   batches route live), and per worker its routed total and its messages
+   from its cut.  Live ingestion never reads the WAL: only a worker that
+   needs its stream again pays. *)
+let replay st ~ring ~cuts =
+  let t0 = Clock.now_ns () in
+  let k = Array.length cuts in
+  let ((nthreads, _, _) as u) = universe_of st in
+  let anchor, front, ship, admit, routed =
+    match if ring == st.ring then load_state st ~cuts else None with
+    | Some start -> start
+    | None ->
+      let front = Front.create ~engine:st.cfg.engine (detector_config st u) in
+      ( 0,
+        front,
+        Front.ship_create front ~dests:k ~nthreads,
+        Admit.create st.cfg.max_parked,
+        Array.make k 0 )
+  in
+  let kept = Array.make k [||] and lens = Array.make k 0 in
+  let append o m =
+    if routed.(o) >= cuts.(o) then begin
+      kept.(o) <- grow_push kept.(o) lens.(o) m;
+      lens.(o) <- lens.(o) + 1
+    end;
+    routed.(o) <- routed.(o) + 1
+  in
+  let target = ref (route_core ~ring ~front ~ship ~append) in
+  let via_target i e = !target i e in
+  (match
+     Wal.fold (Wal.path ~dir:st.cfg.dir) ~init:() (fun () r off ->
+         match r with
+         | Wal.Events (base, evs) when off > anchor -> readmit admit via_target base evs
+         | Wal.Events _ | Wal.Session _ | Wal.Resize _ -> ())
+   with
+  | Ok () -> ()
+  | Error msg -> fail st ("replay: " ^ msg));
+  (* a batch still parked is fed live, once a resumed router drains it *)
+  target := route st;
+  Printf.eprintf "racedet route: replayed the WAL from byte %d to event %d in %.3f s\n%!" anchor
+    (Admit.expected admit) (Clock.elapsed_s ~since:t0);
+  (front, ship, admit, Array.init k (fun o -> (routed.(o), Array.sub kept.(o) 0 lens.(o))))
+
+(* A worker's stream from a fold: its routed total and its unsent messages. *)
+let install w (total, msgs) =
+  w.routed <- total;
+  w.unsent <- msgs;
+  w.nunsent <- Array.length msgs
+
+(* A worker resumed from its newest set (or started fresh) reports its
+   SEQ — both its stream position and its durable cut.  Resend from there:
+   out of the unsent messages if the SEQ is among them, else out of a
+   fold. *)
 let realign st w seq =
+  if seq < w.routed - w.nunsent then begin
+    let cuts = Array.make (Array.length st.workers) max_int in
+    cuts.(w.id) <- seq;
+    let _, _, _, streams = replay st ~ring:st.ring ~cuts in
+    let total, _ = streams.(w.id) in
+    if total <> w.routed then
+      fail st
+        (Printf.sprintf "worker %d: the WAL replays %d messages, the router routed %d" w.id
+           total w.routed);
+    install w streams.(w.id)
+  end;
+  let pos = Stdlib.min seq w.routed in
   w.resumed_at <- seq;
-  if seq < w.lbase then expand_logs st;
-  let pos = Stdlib.min seq (total w) in
-  Registry.add st.tel.replayed_total (total w - pos);
+  Registry.add st.tel.replayed_total (w.routed - pos);
   w.acked <- pos;
-  w.pushed <- pos;
-  w.durable <- pos
+  w.pushed <- pos
 
 (* --- pipelined sends, recovery and migration ------------------------------- *)
 
 exception Worker_suspect of string
-
-(* Drop the log below the worker's durable cut: a respawned worker's SEQ
-   lands there or later, and the state checkpoint keeps the log from there
-   too.  Shifting only once the dead prefix is half the array keeps the
-   copying amortized O(1) per message. *)
-let trim_log w =
-  let dead = Stdlib.min w.durable w.acked - w.lbase in
-  if dead > 0 && 2 * dead >= Array.length w.log then begin
-    w.log <- Array.sub w.log dead (w.llen - dead);
-    w.llen <- w.llen - dead;
-    w.lbase <- w.lbase + dead
-  end
 
 (* One "OK <total> <durable>" per in-flight CBATCH, in send order; anything
    else — an ERR, an unsolicited line, a reply regressing below the window
@@ -523,9 +668,7 @@ let ack_line w line =
   | [ "OK"; t; d ] -> (
     match (int_of_string_opt t, int_of_string_opt d, Queue.take_opt w.inflight) with
     | Some v, Some dur, Some endseq when v >= endseq && dur >= 0 && dur <= v ->
-      w.acked <- endseq;
-      w.durable <- dur;
-      trim_log w
+      w.acked <- endseq
     | _ -> raise (Worker_suspect (Printf.sprintf "worker %d: unexpected ack %S" w.id line)))
   | _ -> raise (Worker_suspect (Printf.sprintf "worker %d: %S instead of an ack" w.id line))
 
@@ -551,25 +694,56 @@ let wait_for_ack w =
     done
   end
 
+(* Send the next chunk of unsent messages; once all are pushed they are
+   dropped — a worker that needs them again gets them from {!replay}. *)
 let push_chunk st w =
   let nthreads, nlocks, nlocs = universe_of st in
-  let len = Stdlib.min cbatch_chunk (total w - w.pushed) in
-  let payload = Cmsg.encode ~nthreads ~nlocks ~nlocs w.log ~off:(w.pushed - w.lbase) ~len in
+  let len = Stdlib.min cbatch_chunk (w.routed - w.pushed) in
+  let off = w.pushed - (w.routed - w.nunsent) in
+  let payload = Cmsg.encode ~nthreads ~nlocks ~nlocs w.unsent ~off ~len in
   Fault.point ~lane:w.id ~supports:[ Fault.Exn; Fault.Delay ] "router.send";
   Serve.send_cbatch_nowait w.fd ~seq:w.pushed payload;
   w.pushed <- w.pushed + len;
+  if w.pushed = w.routed then begin
+    w.unsent <- [||];
+    w.nunsent <- 0
+  end;
   Queue.add w.pushed w.inflight;
   Histogram.observe st.tel.window_occupancy (Queue.length w.inflight);
   if st.resizing then Registry.add st.tel.handoff_bytes_total (String.length payload)
 
-(* Stream the worker's unsent log suffix through the in-flight window;
-   with [drain], additionally wait until every message is acked (the
-   barrier before RESULT/SHUTDOWN/migration).  Any failure — send error,
-   ack protocol violation, injected fault — recovers the worker. *)
+(* Respawn a worker against its checkpoint directory and return its SEQ. *)
+let rec respawn st w =
+  kill_worker st w;
+  w.respawns <- w.respawns + 1;
+  Registry.incr st.tel.respawns_total;
+  if w.respawns > st.cfg.max_respawns then
+    fail st
+      (Printf.sprintf "worker %d exceeded its respawn budget (%d)" w.id st.cfg.max_respawns);
+  w.gen <- w.gen + 1;
+  Queue.clear w.inflight;
+  Printf.eprintf "racedet route: recovering worker %d (respawn %d, gen %d)\n%!" w.id
+    w.respawns w.gen;
+  spawn_worker st w ~resume:true;
+  fetch_seq st w ~after:"after respawn"
+
+(* A (re)spawned worker is asked where its durable stream stands; one that
+   cannot say is respawned. *)
+and fetch_seq st w ~after =
+  match Serve.fetch_seq w.fd with
+  | Ok seq -> seq
+  | Error msg ->
+    Printf.eprintf "racedet route: worker %d SEQ %s failed (%s)\n%!" w.id after msg;
+    respawn st w
+
+(* Stream the worker's unsent messages through the in-flight window; with
+   [drain], additionally wait until every message is acked (the barrier
+   before RESULT/SHUTDOWN/migration).  Any failure — send error, ack
+   protocol violation, injected fault — recovers the worker. *)
 let rec pump ?(drain = false) st w =
   match
     service_acks w ~timeout_s:0.0;
-    while w.pushed < total w do
+    while w.pushed < w.routed do
       if Queue.length w.inflight >= Stdlib.max 1 st.cfg.window then wait_for_ack w
       else push_chunk st w
     done;
@@ -588,32 +762,12 @@ let rec pump ?(drain = false) st w =
     recover_worker ~drain st w
 
 (* Crash recovery: whatever state the worker is in, kill it, respawn it
-   against its checkpoint directory, ask where its durable stream stands
-   and replay the rest of the log.  The worker's size-driven cadence
-   bounds that replay to about one checkpoint set's worth of bytes. *)
+   against its checkpoint directory and resend from its SEQ.  The worker's
+   size-driven cadence bounds that resend to about one checkpoint set's
+   worth of bytes. *)
 and recover_worker ?(drain = false) st w =
-  kill_worker st w;
-  w.respawns <- w.respawns + 1;
-  Registry.incr st.tel.respawns_total;
-  if w.respawns > st.cfg.max_respawns then
-    fail st
-      (Printf.sprintf "worker %d exceeded its respawn budget (%d)" w.id st.cfg.max_respawns);
-  w.gen <- w.gen + 1;
-  Queue.clear w.inflight;
-  Printf.eprintf "racedet route: recovering worker %d (respawn %d, gen %d)\n%!" w.id
-    w.respawns w.gen;
-  spawn_worker st w ~resume:true;
-  align_worker ~drain st w ~after:"after respawn";
+  realign st w (respawn st w);
   pump ~drain st w
-
-(* A (re)spawned worker is asked where its durable stream stands, and the
-   log is replayed from there; a worker that cannot say is recovered. *)
-and align_worker ?(drain = false) st w ~after =
-  match Serve.fetch_seq w.fd with
-  | Ok seq -> realign st w seq
-  | Error msg ->
-    Printf.eprintf "racedet route: worker %d SEQ %s failed (%s)\n%!" w.id after msg;
-    recover_worker ~drain st w
 
 (* SHUTDOWN (the worker writes its final checkpoint set), then close and
    reap it. *)
@@ -635,7 +789,7 @@ let migrate_worker st w =
   Registry.incr st.tel.migrations_total;
   Printf.eprintf "racedet route: migrating worker %d to gen %d\n%!" w.id w.gen;
   spawn_worker st w ~resume:true;
-  align_worker ~drain:true st w ~after:"after migration";
+  realign st w (fetch_seq st w ~after:"after migration");
   pump ~drain:true st w
 
 (* Pump every worker, visiting the chaos points first so a schedule can
@@ -655,202 +809,7 @@ let flush_workers ?(drain = false) st =
       pump ~drain st w)
     st.workers
 
-(* --- WAL and router-state checkpoints -------------------------------------- *)
-
-exception Wal_failed of string
-
-(* Append + fsync one record; the ack a client is waiting on rides on this
-   durability point.  Any failure (including an injected torn write at
-   [router.wal_write]) rolls the file back to the last record boundary and
-   refuses the batch — an un-refused batch MUST be in the log. *)
-let wal_append st record =
-  match
-    let n = Wal.append st.wal record in
-    let t0 = Clock.now_ns () in
-    Wal.sync st.wal;
-    Histogram.observe st.tel.wal_fsync_ns (Int64.to_int (Int64.sub (Clock.now_ns ()) t0));
-    Registry.incr st.tel.wal_appends_total;
-    Registry.add st.tel.wal_bytes_total n
-  with
-  | () -> ()
-  | exception e ->
-    (try Wal.rollback st.wal with _ -> ());
-    raise (Wal_failed (Printexc.to_string e))
-
-(* [restored]: the front and shipping state a state checkpoint held. *)
-let init_universe st ((nthreads, _, _) as u) ~restored =
-  let front, ship =
-    match restored with
-    | Some fs -> fs
-    | None ->
-      let front = Front.create ~engine:st.cfg.engine (detector_config st u) in
-      (front, Front.ship_create front ~dests:(Array.length st.workers) ~nthreads)
-  in
-  st.front <- Some front;
-  st.ship <- Some ship;
-  st.universe <- Some u
-
-let ensure_cluster st ((nthreads, nlocks, nlocs) as u) =
-  match st.universe with
-  | Some u' ->
-    if u' = u then Ok () else Error "batch universe differs from the session's"
-  | None ->
-    (* the Session record goes in first: if its append fails the universe
-       stays unset and the client's retry re-runs this initialization *)
-    wal_append st
-      (Wal.Session
-         {
-           nthreads;
-           nlocks;
-           nlocs;
-           engine = Engine.name st.cfg.engine;
-           sampler = Sampler.name st.cfg.sampler;
-           workers = Array.length st.workers;
-         });
-    init_universe st u ~restored:None;
-    Ok ()
-
-(* Router-state checkpoints open with a format tag below any worker count:
-   the layout before the front (worker count first) fails to decode and
-   resume replays the whole WAL instead of misreading it. *)
-let state_format = -1
-
-(* Router-state checkpoint: everything replay would otherwise recompute
-   from the whole WAL — the front (sampler, sync engine, tally), the
-   shipping state, and each worker's log suffix from its durable cut (its
-   newest checkpoint set, which is where a resumed worker's SEQ lands) —
-   anchored at the current WAL offset so resume only replays the tail.
-   Only taken when nothing is parked: a parked batch lives in the WAL
-   prefix a tail-replay would skip.  Failure is a warning, never an error
-   — the WAL alone is always sufficient. *)
-let write_state_checkpoint st =
-  match (st.universe, st.front, st.ship) with
-  | Some (nthreads, nlocks, nlocs), Some front, Some ship when Admit.parked st.admit = 0 -> (
-    try
-      let enc = Snap.Enc.create () in
-      Snap.Enc.int enc state_format;
-      Snap.Enc.int enc (Array.length st.workers);
-      Snap.Enc.int enc st.epoch;
-      Snap.Enc.int enc st.nevents;
-      Front.save enc front;
-      Front.ship_save enc ship;
-      Array.iter
-        (fun w ->
-          (* [lbase] is itself an older durable cut of this worker *)
-          let cut = Stdlib.max w.lbase w.durable in
-          Snap.Enc.int enc cut;
-          Snap.Enc.int enc (total w);
-          Snap.Enc.string enc
-            (Cmsg.encode ~nthreads ~nlocks ~nlocs w.log ~off:(cut - w.lbase)
-               ~len:(total w - cut)))
-        st.workers;
-      let meta =
-        {
-          Checkpoint.engine = st.cfg.engine;
-          sampler = Sampler.name st.cfg.sampler;
-          nthreads;
-          nlocks;
-          nlocs;
-          clock_size = st.clock_size;
-          next_index = Admit.expected st.admit;
-          byte_offset = Wal.offset st.wal;
-        }
-      in
-      let snap = Snap.Enc.to_snap enc in
-      Checkpoint.save (state_ckpt_path st.cfg.dir) { Checkpoint.meta; detector = snap };
-      st.state_off <- Wal.offset st.wal;
-      st.state_bytes <- String.length snap;
-      Registry.incr st.tel.state_checkpoints_total;
-      Registry.add st.tel.state_checkpoint_bytes_total (String.length snap)
-    with e ->
-      Printf.eprintf "racedet route: state checkpoint failed (%s); WAL still authoritative\n%!"
-        (Printexc.to_string e))
-  | _ -> ()
-
-(* Size-driven cadence: checkpoint once the WAL has grown by at least the
-   newest checkpoint's size since it was anchored.  Checkpoint work is then
-   amortized O(1) per WAL byte, and a resume replays at most about one
-   checkpoint's worth of WAL tail. *)
-let maybe_state_checkpoint st =
-  if Wal.offset st.wal - st.state_off >= st.state_bytes then write_state_checkpoint st
-
 (* --- resume ----------------------------------------------------------------- *)
-
-(* Admission of live ingestion, minus the WAL append and the ack —
-   replaying a WAL record must route exactly what routing the original
-   batch routed.  A record ahead of the cursor was a parked batch, acked,
-   so it parks again whatever the bound. *)
-let ingest_replay st base evs =
-  let len = Array.length evs and f = route_events st base evs in
-  match Admit.verdict st.admit base with
-  | Admit.Due -> Admit.feed st.admit ~base ~len f
-  | Admit.Park | Admit.Refuse -> Admit.park st.admit ~base ~len f
-
-(* Try to restore the front, the shipping state and the worker suffixes
-   from the router-state checkpoint.  Returns the WAL byte offset it was
-   anchored at; any mismatch or corruption — or a Resize record past that
-   anchor, at [resized_at], which invalidates the per-worker logs —
-   degrades to full WAL replay. *)
-let try_restore_state st ~k_final ~resized_at =
-  let path = state_ckpt_path st.cfg.dir in
-  let ignoring why =
-    Printf.eprintf "racedet route: ignoring state checkpoint (%s)\n%!" why;
-    None
-  in
-  if not (Sys.file_exists path) then None
-  else
-    match Checkpoint.load path with
-    | Error msg -> ignoring msg
-    | Ok { Checkpoint.meta; detector = payload } -> (
-      if meta.Checkpoint.engine <> st.cfg.engine
-         || meta.Checkpoint.sampler <> Sampler.name st.cfg.sampler
-      then ignoring "engine/sampler mismatch"
-      else if meta.Checkpoint.byte_offset < resized_at then ignoring "it predates a resize"
-      else
-        try
-          let u = (meta.Checkpoint.nthreads, meta.Checkpoint.nlocks, meta.Checkpoint.nlocs) in
-          let dec = Snap.Dec.of_snap payload in
-          Snap.expect (Snap.Dec.int dec = state_format) "state checkpoint predates the front";
-          let k = Snap.Dec.int dec in
-          Snap.expect (k = k_final) "state checkpoint worker count";
-          let epoch = Snap.Dec.int dec in
-          let nevents = Snap.Dec.int dec in
-          let config = detector_config st u in
-          let front = Front.load dec ~engine:st.cfg.engine config in
-          let ship = Front.ship_load dec front ~dests:k ~nthreads:meta.Checkpoint.nthreads in
-          let per_worker =
-            Array.init k (fun _ ->
-                let cut = Snap.Dec.int dec in
-                let tot = Snap.Dec.int dec in
-                let blob = Snap.Dec.string dec in
-                match Cmsg.decode blob with
-                | Ok (u', msgs) ->
-                  Snap.expect (u' = u) "state checkpoint worker universe";
-                  Snap.expect (Array.length msgs = tot - cut)
-                    "state checkpoint worker suffix length";
-                  (cut, tot, msgs)
-                | Error msg -> raise (Snap.Corrupt msg))
-          in
-          Snap.Dec.finish dec;
-          (* commit *)
-          init_universe st u ~restored:(Some (front, ship));
-          st.epoch <- epoch;
-          st.nevents <- nevents;
-          st.admit <- Admit.create ~expected:meta.Checkpoint.next_index st.cfg.max_parked;
-          Array.iteri
-            (fun i w ->
-              let cut, tot, msgs = per_worker.(i) in
-              w.lbase <- cut;
-              w.log <- msgs;
-              w.llen <- tot - cut;
-              w.acked <- cut;
-              w.pushed <- cut;
-              w.durable <- cut)
-            st.workers;
-          st.state_off <- meta.Checkpoint.byte_offset;
-          st.state_bytes <- String.length payload;
-          Some meta.Checkpoint.byte_offset
-        with Snap.Corrupt msg -> ignoring msg)
 
 (* A previous router was SIGKILLed: its workers are orphans still holding
    their sockets and checkpoint directories.  Kill them by pid file before
@@ -890,20 +849,29 @@ let kill_stale_workers dir =
       Unix.sleepf 0.05
     end
 
-(* Rebuild the pre-crash router state from the run directory: prefer the
-   state checkpoint + WAL tail, fall back to replaying the whole WAL.  The
-   final ring size is the Session's worker count overridden by the last
-   Resize record.  Workers are spawned by the caller afterwards and
-   aligned at their own durable SEQs. *)
+(* The previous session's shape from the WAL: its universe, and the ring
+   size — the Session's worker count overridden by the last Resize record,
+   one epoch per Resize.  The front and the worker streams come from one
+   fold once the workers are spawned ({!resume_workers}). *)
 let resume_session st =
-  let records, _len =
-    match Wal.replay (Wal.path ~dir:st.cfg.dir) with
-    | Ok r -> r
+  let header =
+    match
+      Wal.fold (Wal.path ~dir:st.cfg.dir) ~init:None (fun acc r _ ->
+          match (acc, r) with
+          | None, Wal.Session { nthreads; nlocks; nlocs; engine; sampler; workers } ->
+            Some ((nthreads, nlocks, nlocs), engine, sampler, workers, 0)
+          | None, (Wal.Events _ | Wal.Resize _) ->
+            failwith "--resume: WAL does not start with a session record"
+          | Some (u, engine, sampler, _, epoch), Wal.Resize k ->
+            Some (u, engine, sampler, k, epoch + 1)
+          | Some _, (Wal.Session _ | Wal.Events _) -> acc)
+    with
+    | Ok h -> h
     | Error msg -> failwith ("--resume: " ^ msg)
   in
-  match records with
-  | [] -> false
-  | (Wal.Session { nthreads; nlocks; nlocs; engine; sampler; workers }, _) :: _ ->
+  match header with
+  | None -> false
+  | Some (u, engine, sampler, k_final, epoch) ->
     if engine <> Engine.name st.cfg.engine then
       failwith
         (Printf.sprintf "--resume: WAL session used engine %s, not %s"
@@ -912,12 +880,6 @@ let resume_session st =
       failwith
         (Printf.sprintf "--resume: WAL session used sampler %s, not %s"
            sampler (Sampler.name st.cfg.sampler));
-    let k_final, epoch, resized_at =
-      List.fold_left
-        (fun (k, ep, at) (r, e) ->
-          match r with Wal.Resize k' -> (k', ep + 1, e) | _ -> (k, ep, at))
-        (workers, 0, 0) records
-    in
     if st.cfg.workers <> k_final then
       Printf.eprintf
         "racedet route: resuming with %d worker(s) from the WAL (ignoring --workers %d)\n%!"
@@ -926,35 +888,36 @@ let resume_session st =
     st.ring <- Chash.create ~workers:k_final;
     st.workers <- Array.init k_final make_worker;
     ensure_worker_counters st k_final;
-    (match try_restore_state st ~k_final ~resized_at with
-    | Some off ->
-      (* tail replay: records fully past the checkpoint's anchor *)
-      List.iter
-        (fun (r, e) ->
-          match r with
-          | Wal.Events (base, evs) when e > off -> ingest_replay st base evs
-          | _ -> ())
-        records
-    | None ->
-      Printf.eprintf "racedet route: no usable state checkpoint; replaying the whole WAL\n%!";
-      init_universe st (nthreads, nlocks, nlocs) ~restored:None;
-      List.iter
-        (fun (r, _) ->
-          match r with
-          | Wal.Events (base, evs) -> ingest_replay st base evs
-          | Wal.Session _ | Wal.Resize _ -> ())
-        records);
+    st.universe <- Some u;
     true
-  | _ -> failwith "--resume: WAL does not start with a session record"
+
+(* The respawned workers of a resumed session each report their durable
+   SEQ; one fold at those cuts rebuilds the live front, shipping state and
+   admitter (parked batches included) and every worker's stream. *)
+let resume_workers st =
+  let seqs = Array.map (fun w -> fetch_seq st w ~after:"at resume") st.workers in
+  let front, ship, admit, streams = replay st ~ring:st.ring ~cuts:seqs in
+  st.front <- Some front;
+  st.ship <- Some ship;
+  st.admit <- admit;
+  Array.iteri
+    (fun k w ->
+      install w streams.(k);
+      realign st w seqs.(k))
+    st.workers;
+  Printf.eprintf
+    "racedet route: resumed session: %d events, %d parked batch(es), %d worker(s), epoch %d\n%!"
+    (Admit.expected admit) (Admit.parked admit) (Array.length st.workers) st.epoch;
+  flush_workers st
 
 (* --- resize ------------------------------------------------------------------ *)
 
 (* Grow or shrink the ring by one worker.  Instead of moving per-location
    engine state between processes (one surgical path per engine family),
    resizing replays: quiesce so every routed message is durable, log the
-   new size in the WAL, rebuild the per-worker logs and shipping state the
-   new ring would have produced from event 0 (the live front is
-   ring-independent and stays untouched), and stream the logs to a fresh
+   new size in the WAL, fold the WAL under the new ring with every cut at 0
+   (the live front is ring-independent and stays; the scratch shipping
+   state replaces the live one), and stream the folded streams to a fresh
    worker epoch through the normal pipelined pump.  Byte-identity of the
    final report is then just §6e applied to the new ring. *)
 let resize_cluster st delta =
@@ -969,9 +932,9 @@ let resize_cluster st delta =
       (* quiesce: every routed message durable on its current owner *)
       if st.universe <> None then flush_workers ~drain:true st;
       wal_append st (Wal.Resize k_new);
+      let ring = Chash.create ~workers:k_new in
       let rebuilt =
-        if st.universe = None then None
-        else Some (rebuild_logs st ~ring:(Chash.create ~workers:k_new) ~nworkers:k_new)
+        if st.universe = None then None else Some (replay st ~ring ~cuts:(Array.make k_new 0))
       in
       (* retire the old epoch *)
       Array.iter
@@ -980,17 +943,13 @@ let resize_cluster st delta =
           try Sys.remove (worker_pid_file st w) with Sys_error _ -> ())
         st.workers;
       st.epoch <- st.epoch + 1;
-      st.ring <- Chash.create ~workers:k_new;
+      st.ring <- ring;
       st.workers <- Array.init k_new make_worker;
       ensure_worker_counters st k_new;
       (match rebuilt with
       | None -> ()
-      | Some (logs, lens, ship) ->
-        Array.iteri
-          (fun k w ->
-            w.log <- logs.(k);
-            w.llen <- lens.(k))
-          st.workers;
+      | Some (_, ship, _, streams) ->
+        Array.iteri (fun k w -> install w streams.(k)) st.workers;
         st.ship <- Some ship);
       Array.iter (fun w -> spawn_worker st w ~resume:false) st.workers;
       st.resizing <- true;
@@ -1000,7 +959,7 @@ let resize_cluster st delta =
         st.resizing <- false;
         raise e);
       Registry.incr st.tel.resizes_total;
-      (* a Resize record past the anchor forces a full replay: re-anchor *)
+      (* a checkpoint from the old epoch starts no fold: re-anchor *)
       write_state_checkpoint st;
       Ok k_new
 
@@ -1030,7 +989,7 @@ let fetch_results st =
     st.workers
 
 let result st =
-  if st.nevents = 0 then Error "no events ingested"
+  if Admit.expected st.admit = 0 then Error "no events ingested"
   else Ok (merge_results st (fetch_results st))
 
 (* --- protocol --------------------------------------------------------------- *)
@@ -1048,12 +1007,12 @@ let stats_json st =
       ("workers", Json.Int (Array.length st.workers));
       ("epoch", Json.Int st.epoch);
       ("window", Json.Int st.cfg.window);
-      ("events", Json.Int st.nevents);
+      ("events", Json.Int (Admit.expected st.admit));
       ("next_index", Json.Int (Admit.expected st.admit));
       ("parked", Json.Int (Admit.parked st.admit));
       ("uptime_s", Json.Float (Clock.elapsed_s ~since:st.tel.started_ns));
-      ("worker_log_lengths", per_worker total);
-      ("worker_log_retained", per_worker (fun w -> w.llen));
+      ("worker_log_lengths", per_worker (fun w -> w.routed));
+      ("worker_log_retained", per_worker (fun w -> w.nunsent));
       ("worker_acked", per_worker (fun w -> w.acked));
       ("worker_pushed", per_worker (fun w -> w.pushed));
       ("worker_respawns", per_worker (fun w -> w.respawns));
@@ -1075,7 +1034,7 @@ let handle_batch st conn base payload =
         | Error msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
         | Ok () -> (
           let evs = Array.init (Trace.length trace) (Trace.get trace) in
-          let len = Array.length evs and f = route_events st base evs in
+          let len = Array.length evs and f = feeder (route st) base evs in
           let ok () = reply conn (Printf.sprintf "OK %d\n" (Admit.expected st.admit)) in
           match Admit.verdict st.admit base with
           | Admit.Refuse -> reply conn "ERR parked batch limit exceeded\n"
@@ -1128,7 +1087,7 @@ let handle_line st conn line =
     | Ok r ->
       (* RESULT: the merged result, as a worker answers with its partial one *)
       Evloop.reply_blob conn verb
-        (if verb = "REPORT" then Serve.report_text ~events:st.nevents r
+        (if verb = "REPORT" then Serve.report_text ~events:(Admit.expected st.admit) r
          else Cmsg.encode_result r)
     | Error msg | (exception Router_failed msg) -> reply conn (Printf.sprintf "ERR %s\n" msg))
   | [ "SEQ" ] -> reply conn (Printf.sprintf "SEQ %d\n" (Admit.expected st.admit))
@@ -1229,24 +1188,14 @@ let run (cfg : config) =
       front = None;
       ship = None;
       admit = Admit.create cfg.max_parked;
-      nevents = 0;
       quit = false;
       stop_reason = "";
       failed = None;
     }
   in
   let resumed = cfg.resume && resume_session st in
-  if resumed then
-    Printf.eprintf
-      "racedet route: resumed session: %d events, %d parked batch(es), %d worker(s), epoch %d\n%!"
-      st.nevents (Admit.parked st.admit) (Array.length st.workers) st.epoch;
   Array.iter (fun w -> spawn_worker st w ~resume:resumed) st.workers;
-  (try
-     if resumed then begin
-       Array.iter (fun w -> align_worker st w ~after:"at resume") st.workers;
-       flush_workers st
-     end
-   with Router_failed _ -> ());
+  (try if resumed then resume_workers st with Router_failed _ -> ());
   let listen_fd, actual = Serve.listen_socket ~backlog:cfg.backlog cfg.listen in
   st.parent_fds <- listen_fd :: st.parent_fds;
   (match cfg.ready_file with
@@ -1266,7 +1215,7 @@ let run (cfg : config) =
     | Some hb when Clock.now_s () -. !last_beat >= hb ->
       last_beat := Clock.now_s ();
       Printf.eprintf "racedet route: alive: %d events, %d parked, %d worker(s)\n%!"
-        st.nevents (Admit.parked st.admit) (Array.length st.workers)
+        (Admit.expected st.admit) (Admit.parked st.admit) (Array.length st.workers)
     | _ -> ()
   in
   let remaining =

@@ -17,19 +17,23 @@
     are skipped, and WAL replay admits through it too.
 
     {b Durability} (DESIGN.md §6f): every client batch is appended to a
-    routed-event {!Wal} and fsynced {e before} it is acknowledged, and the
-    router checkpoints its own state (the front, the shipping state, each
-    worker's log suffix from its reported durable cut) into
-    [dir/router-state.ftc] whenever the WAL has grown by the previous
-    checkpoint's size — amortized O(1) work per WAL byte, and a resume
-    replays at most about one checkpoint's worth of WAL tail.  A router
-    SIGKILLed mid-ingest is recovered by [--resume]: replay the checkpoint
-    + WAL tail (or the whole WAL) through the same routing function,
-    respawn the workers against their own checkpoint directories, align
-    each at its durable [SEQ] and replay only what it is missing.  Batches
-    whose ack never reached the client are simply not in the WAL — the
-    client's blind resend re-ingests them idempotently, so the final
-    report is byte-identical to an uninterrupted run.
+    routed-event {!Wal} and fsynced {e before} it is acknowledged.  A
+    worker's message stream is a deterministic function of the WAL, so the
+    router keeps no routed history: per worker only the messages routed
+    since its last pump (dropped once pushed) and its routed, pushed and
+    acked counts.  One function re-derives any worker's stream from a cut
+    by folding the WAL through a scratch front, shipping state and
+    admitter; it starts at [dir/router-state.ftc] (the front, the shipping
+    state and each worker's routed total, written whenever the WAL has
+    grown by twice the previous checkpoint's size — at most half a byte
+    of checkpoint per WAL byte) when every requested cut is at or past the totals stored there,
+    and at the WAL's first record otherwise.  A router SIGKILLed
+    mid-ingest is recovered by [--resume]: respawn the workers against
+    their own checkpoint directories, ask each its durable [SEQ], and let
+    one fold rebuild the live front and every worker's stream from its
+    [SEQ].  Batches whose ack never reached the client are simply not in
+    the WAL — the client's blind resend re-ingests them idempotently, so
+    the final report is byte-identical to an uninterrupted run.
 
     {b Pipelining}: CBATCH sends stream through a per-worker in-flight
     window ([config.window]) with acks drained asynchronously; the router
@@ -38,18 +42,20 @@
     stay strictly ordered, so §6e is unaffected.
 
     {b Resizing}: [RESIZE +1]/[RESIZE -1] quiesces, logs the new size in
-    the WAL, replays the WAL's events through a scratch front to rebuild
-    the per-worker logs and shipping state the new ring would have
-    produced from event 0, and streams the logs to a fresh worker epoch —
-    reports are byte-identical across a resize at any cut.
+    the WAL, folds the WAL under the new ring with every cut at 0 — the
+    streams and shipping state the new ring would have produced from
+    event 0; the scratch shipping state replaces the live one — and
+    streams them to a fresh worker epoch.  Reports are byte-identical
+    across a resize at any cut.
 
     Worker death and migration reuse the [.ftc] checkpoint machinery
     end-to-end: workers checkpoint by size (once the CBATCH bytes applied
     since their last set reach that set's size) and report the set's cut
-    in every ack, the router keeps each worker's routed-message log from
-    that cut (trimmed as acks advance it), and recovery — a worker's only
-    one — is respawn → resume from checkpoint → [SEQ] → replay of the
-    suffix since that checkpoint, bounded by about one set's bytes.
+    in every ack ([OK <total> <durable>], validated), and recovery — a
+    worker's only one — is respawn → resume from checkpoint → [SEQ] →
+    resend from it, bounded by about one set's bytes: out of the unsent
+    messages when the [SEQ] is among them, else out of the same fold
+    (a migration's drained worker needs none).
     Chaos points [cluster.worker_crash], [cluster.migrate], [router.send]
     (per worker, [lane] = worker id), [router.wal_write], [router.crash]
     (simulates a router SIGKILL on the durability edge) and
@@ -108,8 +114,8 @@ type config = {
   state_every : int;
       (** must be positive ({!default_state_every}; {!run} rejects
           anything else).  The value itself is unused: a router-state
-          checkpoint is written whenever the WAL has grown by the previous
-          checkpoint's size.  Goes with the next change to the
+          checkpoint is written whenever the WAL has grown by twice the
+          previous checkpoint's size.  Goes with the next change to the
           benchmark. *)
 }
 

@@ -85,13 +85,13 @@ let frame payload =
   Bytes.blit_string payload 0 b 12 n;
   Bytes.unsafe_to_string b
 
-let decode_all raw =
+let fold_raw raw ~init f =
   let n = String.length raw in
   let rec go off acc =
-    if off + 12 > n then (List.rev acc, off)
+    if off + 12 > n then (acc, off)
     else
       let len = Int32.to_int (String.get_int32_le raw off) in
-      if len < 0 || off + 12 + len > n then (List.rev acc, off)
+      if len < 0 || off + 12 + len > n then (acc, off)
       else
         let payload = String.sub raw (off + 12) len in
         if
@@ -99,15 +99,19 @@ let decode_all raw =
             (Int64.equal
                (String.get_int64_le raw (off + 4))
                (Ft_snapshot.Checkpoint.fnv64 payload))
-        then (List.rev acc, off)
+        then (acc, off)
         else
           match decode_record payload with
           | r ->
               let off' = off + 12 + len in
-              go off' ((r, off') :: acc)
-          | exception Snap.Corrupt _ -> (List.rev acc, off)
+              go off' (f acc r off')
+          | exception Snap.Corrupt _ -> (acc, off)
   in
-  go 0 []
+  go 0 init
+
+let decode_all raw =
+  let rev, good = fold_raw raw ~init:[] (fun acc r off -> (r, off) :: acc) in
+  (List.rev rev, good)
 
 let read_file p =
   let ic = open_in_bin p in
@@ -115,11 +119,14 @@ let read_file p =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let replay p =
+let with_file p k =
   match read_file p with
-  | raw -> Ok (decode_all raw)
+  | raw -> Ok (k raw)
   | exception (Sys_error _ | Unix.Unix_error _) ->
       Error (Printf.sprintf "wal: cannot read %s" p)
+
+let replay p = with_file p decode_all
+let fold p ~init f = with_file p (fun raw -> fst (fold_raw raw ~init f))
 
 let open_append p =
   let fd = Unix.openfile p [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in

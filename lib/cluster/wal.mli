@@ -2,11 +2,13 @@
 
     An append-only file of checksummed records, fsynced before any client
     [BATCH] is acknowledged, so a router SIGKILLed mid-ingest can be
-    resumed ([racedet route --resume]) with its exact pre-crash state: the
-    event stream is replayed through the same routing algebra, which
-    deterministically rebuilds the sampler mirror, the pending bits, the
-    sync-only baseline and every worker's routed-message log (DESIGN.md
-    §6f).
+    resumed ([racedet route --resume]) with its exact pre-crash state.
+    Every worker's routed-message stream is a deterministic function of
+    the log: the router's one replay folds the [Events] records through a
+    scratch front, shipping state and admitter, which rebuilds the front
+    (sampler, sync engine, tally) and any worker's stream from a given
+    cut — for a resume, a respawned worker and a resize alike
+    (DESIGN.md §6f).
 
     Framing reuses the [.ftc] container's primitives: each record is a
     4-byte little-endian payload length, the payload's
@@ -77,3 +79,8 @@ val replay : string -> ((record * int) list * int, string) result
 (** {!decode_all} over a file's contents; [Error] only if the file cannot
     be read at all (a missing file is an error — test with
     [Sys.file_exists] first). *)
+
+val fold : string -> init:'a -> ('a -> record -> int -> 'a) -> ('a, string) result
+(** Fold the valid prefix of a file's records in file order, each with
+    its end offset, decoding one record at a time (no record list is
+    built); [Error] as for {!replay}. *)

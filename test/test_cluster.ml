@@ -7,7 +7,8 @@
    - out-of-order and duplicate client batches over TCP transport;
    - worker death mid-ingest (chaos-injected SIGKILL and a real external
      SIGKILL via the pid file), recovered through .ftc checkpoint resume +
-     SEQ + log replay — with checkpointing on and off;
+     SEQ + a resend re-derived from the WAL — with the worker's set kept
+     and lost, and as a QCheck property over the flush, K and a resize;
    - QCheck property: a single MIGRATE at a random cut point, of a random
      worker, preserves REPORT bytes;
    - the size-driven checkpoint cadence: checkpoint bytes amortize against
@@ -829,9 +830,9 @@ let test_checkpoint_amortization () =
    Phase 1 kills worker 1 two thirds of the way in: it must come back from
    a mid-session set (SEQ > 0) and replay no more messages than that set
    has bytes.  Phase 2 SIGKILLs the router itself and resumes it: every
-   worker's SEQ lands inside the log the state checkpoint retained (no
-   rebuild from the WAL), the replay is again bounded by the workers'
-   sets, and the REPORT is byte-identical.  Sampling every access ships
+   worker comes back from a mid-session set (SEQ > 0), the replay from
+   those SEQs is again bounded by the workers' sets, and the REPORT is
+   byte-identical.  Sampling every access ships
    every access to its worker, so the streams are long enough for several
    sets. *)
 let test_recovery_bound () =
@@ -882,8 +883,6 @@ let test_recovery_bound () =
   let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
   let j = fetch_stats_json fd in
-  Alcotest.(check (float 0.0)) "no full-log rebuild on resume" 0.0
-    (json_num j [ "telemetry"; "router_log_rebuilds_total" ]);
   List.iteri
     (fun k seq ->
       Alcotest.(check bool) (Printf.sprintf "worker %d resumed at SEQ %d > 0" k seq) true (seq > 0))
@@ -993,14 +992,87 @@ let test_chaos_worker_crash ~set_lost () =
     (expected_report ~engine ~sampler trace)
     report
 
-(* --- retained logs ---------------------------------------------------------------- *)
+(* Property: worker [w] is killed at a random flush — its set kept, or
+   deleted just before — for K ∈ {1, 2, 3}, some cases after a RESIZE +1
+   (where shipping depends on the ring).  The respawn resends exactly the
+   messages routed to the worker past its SEQ, re-derived from the WAL when
+   they are no longer unsent, and the REPORT is analyze's. *)
+let worker_kill_property =
+  let trace = sample_trace ~seed:139 ~length:600 () in
+  let batches = slices trace ~batch:75 in
+  let nb = List.length batches in
+  let resize_at = nb / 2 in
+  let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.35 ~seed:149 in
+  let expected = expected_report ~engine ~sampler trace in
+  let gen =
+    QCheck.Gen.(quad (int_range 1 3) bool (int_range 0 3) (pair (int_range 0 (nb - 1)) bool))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (k, resized, w, (b, lost)) ->
+        Printf.sprintf "K=%d resized=%b worker=%d batch=%d set lost=%b" k resized w b lost)
+      gen
+  in
+  QCheck.Test.make ~name:"worker kill at a random flush: replay = routed − SEQ, REPORT kept"
+    ~count:6 arb
+    (fun (k, resized, w, (b, lost)) ->
+      let w = w mod (if resized then k + 1 else k) in
+      let b = if resized then resize_at + (b mod (nb - resize_at)) else b in
+      (* lane [w]'s hit at batch [b]'s flush: one per batch, and one per
+         flush of the resize (before it on the old ring, after it on the new) *)
+      let hit = if not resized then b + 1 else if w < k then b + 3 else b - resize_at + 2 in
+      let dir = temp_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let socket = Filename.concat dir "route.sock" in
+      let cfg = router_config ~workers:k ~engine ~sampler ~dir (Serve.Unix_path socket) in
+      let run = cfg.Router.dir in
+      let set =
+        Filename.concat
+          (if resized then Filename.concat run (Printf.sprintf "ckpt-%d-e1" w) else ckpt_dir run w)
+          "set.ftc"
+      in
+      let arm () = Fault.arm_exact ~lane:w ~point:"cluster.worker_crash" ~hit Fault.Exn in
+      reaping_workers run @@ fun () ->
+      let pid = start_router ~arm cfg in
+      Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+      let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+      Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+      List.iteri
+        (fun i (base, sub) ->
+          if resized && i = resize_at then
+            ignore (get_ok "resize" (Serve.resize ~deadline_s:60.0 fd 1));
+          if i = b && lost then begin
+            await_worker_idle fd ~run ~k:w;
+            try Sys.remove set with Sys_error _ -> ()
+          end;
+          ignore (get_ok "send_batch" (Serve.send_batch ~deadline_s:60.0 fd ~base sub));
+          if i = b then begin
+            let j = fetch_stats_json fd in
+            let of_w key = List.nth (json_ints j key) w in
+            let seq = of_w "worker_resumed_at" and routed = of_w "worker_log_lengths" in
+            let replayed = json_num j [ "telemetry"; "router_replayed_messages_total" ] in
+            if of_w "worker_respawns" <> 1 then
+              QCheck.Test.fail_reportf "worker %d was not respawned" w;
+            if lost && seq <> 0 then QCheck.Test.fail_reportf "a lost set resumed at SEQ %d" seq;
+            if int_of_float replayed <> routed - seq then
+              QCheck.Test.fail_reportf "replayed %.0f messages, routed %d − SEQ %d" replayed routed
+                seq
+          end)
+        batches;
+      let report = get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd) in
+      get_ok "shutdown" (Serve.shutdown fd);
+      reap pid;
+      if report <> expected then QCheck.Test.fail_reportf "REPORT diverged";
+      true)
 
-(* The router keeps each worker's log only from the worker's durable cut:
-   with checkpoints on, a worker's retained log is shorter than its
-   stream.  Losing a worker's set then puts its SEQ 0 below the retained
-   log, and the live router rebuilds full logs from the WAL once — still
+(* --- unsent messages ------------------------------------------------------------ *)
+
+(* The router keeps no routed history: a worker's messages are dropped
+   once pushed, so after RESULT (which drains every window) nothing is
+   retained.  Losing a worker's set then puts its SEQ at 0, and the live
+   router re-derives the worker's whole stream from the WAL — still
    exact. *)
-let test_logs_trimmed () =
+let test_logs_drained () =
   with_temp_dir @@ fun dir ->
   let engine = Engine.So and sampler = Sampler.all in
   let trace = db_trace "smallbank" ~events:60_000 in
@@ -1023,21 +1095,22 @@ let test_logs_trimmed () =
   List.iteri
     (fun k (retained, total) ->
       Printf.printf "worker %d: %d of %d messages retained\n%!" k retained total;
-      Alcotest.(check bool)
-        (Printf.sprintf "worker %d retains %d < %d messages" k retained total)
-        true (retained < total))
+      Alcotest.(check int) (Printf.sprintf "worker %d retains none of %d messages" k total) 0
+        retained)
     (List.combine (json_ints j "worker_log_retained") (json_ints j "worker_log_lengths"));
   Sys.remove (Filename.concat (ckpt_dir run 1) "set.ftc");
   let pidfile = Filename.concat run "worker-1.pid" in
   Unix.kill (int_of_string (String.trim (In_channel.with_open_bin pidfile In_channel.input_all)))
     Sys.sigkill;
   List.iteri (fun i b -> if i >= half then send fd b) batches;
-  Alcotest.(check string) "a lost set below the retained log ≡ analyze"
+  Alcotest.(check string) "a lost set replayed from the WAL ≡ analyze"
     (expected_report ~engine ~sampler trace)
     (get_ok "fetch_report" (Serve.fetch_report ~deadline_s:60.0 fd));
   let j = fetch_stats_json fd in
-  Alcotest.(check (float 0.0)) "one full-log rebuild" 1.0
-    (json_num j [ "telemetry"; "router_log_rebuilds_total" ]);
+  Alcotest.(check (list int)) "worker 1 respawned once" [ 0; 1 ] (json_ints j "worker_respawns");
+  Alcotest.(check int) "a lost set resumes at SEQ 0" 0 (List.nth (json_ints j "worker_resumed_at") 1);
+  Alcotest.(check (list int)) "every message acked" (json_ints j "worker_log_lengths")
+    (json_ints j "worker_acked");
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
 
@@ -1128,9 +1201,42 @@ let old_worker_set ~engine ~sampler (meta : Checkpoint.meta) set =
   Snap.Enc.string out snap;
   Snap.Enc.to_snap out
 
+(* A router-state checkpoint in the layout that kept per-worker log
+   suffixes (format −1): worker count, epoch, events, the front, the
+   shipping state, then per worker its durable cut, its total and the
+   messages between them (here every total durable, every suffix empty).
+   Built from the live layout (−2): worker count, epoch, per-worker totals,
+   the front and the shipping state. *)
+let suffix_router_state ~sampler (meta : Checkpoint.meta) payload =
+  let dec = Snap.Dec.of_snap payload in
+  Alcotest.(check int) "router-state format" (-2) (Snap.Dec.int dec);
+  let k = Snap.Dec.int dec in
+  let epoch = Snap.Dec.int dec in
+  let totals = Array.init k (fun _ -> Snap.Dec.int dec) in
+  let enc = Snap.Enc.create () in
+  Snap.Enc.int enc (-1);
+  Snap.Enc.int enc k;
+  Snap.Enc.int enc epoch;
+  Snap.Enc.int enc meta.Checkpoint.next_index;
+  copy_front ~sampler dec enc;
+  for _ = 1 to k * meta.Checkpoint.nthreads do
+    Snap.Enc.int enc (Snap.Dec.int dec);
+    Snap.Enc.int_array enc (Snap.Dec.int_array dec)
+  done;
+  Snap.Dec.finish dec;
+  Array.iter
+    (fun total ->
+      Snap.Enc.int enc total;
+      Snap.Enc.int enc total;
+      Snap.Enc.string enc
+        (Cmsg.encode ~nthreads:meta.Checkpoint.nthreads ~nlocks:meta.Checkpoint.nlocks
+           ~nlocs:meta.Checkpoint.nlocs [||] ~off:0 ~len:0))
+    totals;
+  Snap.Enc.to_snap enc
+
 (* A router-state checkpoint in the layout before the front: worker count
    first, then epoch, events, pending bits, sampler, baseline snapshot and
-   the per-worker log suffixes. *)
+   the per-worker log suffixes.  Built from the −1 layout. *)
 let old_router_state ~sampler (meta : Checkpoint.meta) payload =
   let dec = Snap.Dec.of_snap payload in
   Alcotest.(check int) "router-state format" (-1) (Snap.Dec.int dec);
@@ -1154,46 +1260,58 @@ let old_router_state ~sampler (meta : Checkpoint.meta) payload =
   done;
   Snap.Enc.to_snap enc
 
-(* A run directory with older layouts — a router-state checkpoint from
-   before the router became the front, worker sets from before workers
-   were inline checkers: the resumed router ignores its state checkpoint
-   and replays the whole WAL, each worker ignores its set and starts
-   fresh — both logged — and the REPORT is still analyze's. *)
+(* Run directories with older layouts, each SIGKILLed mid-stream and
+   resumed: a router-state checkpoint from before the router became the
+   front with worker sets from before workers were inline checkers, and a
+   router-state checkpoint that still holds per-worker log suffixes.  The
+   resumed router ignores its state checkpoint and replays the whole WAL,
+   each worker ignores an old set and starts fresh — all logged — and the
+   REPORT is still analyze's. *)
 let test_old_checkpoints_fall_back () =
   with_temp_dir @@ fun dir ->
   let engine = Engine.So and sampler = Sampler.bernoulli ~rate:0.3 ~seed:89 in
   let trace = sample_trace ~seed:97 ~length:600 () in
-  let socket = Filename.concat dir "route.sock" in
-  let cfg =
-    router_config ~workers:2 ~engine ~sampler ~dir (Serve.Unix_path socket)
-  in
-  let run = cfg.Router.dir in
-  let log = Filename.concat dir "resume.log" in
-  let between () =
-    rewrite_checkpoint (Filename.concat run "router-state.ftc") (old_router_state ~sampler);
+  let resume_from name ~between ~lines =
+    let sub = Filename.concat dir name in
+    Unix.mkdir sub 0o700;
+    let socket = Filename.concat sub "route.sock" in
+    let cfg = router_config ~workers:2 ~engine ~sampler ~dir:sub (Serve.Unix_path socket) in
+    let run = cfg.Router.dir in
+    let log = Filename.concat sub "resume.log" in
+    let report =
+      reaping_workers run @@ fun () ->
+      killed_router_report ~crash_hit:5 ~between:(fun () -> between run) ~arm2:(stderr_to log)
+        ~cfg ~socket (slices trace ~batch:75)
+    in
+    Alcotest.(check string) (name ^ ": REPORT ≡ analyze")
+      (expected_report ~engine ~sampler trace)
+      report;
     List.iter
-      (fun k ->
-        rewrite_checkpoint
-          (Filename.concat (ckpt_dir run k) "set.ftc")
-          (old_worker_set ~engine ~sampler))
-      [ 0; 1 ]
+      (fun line -> Alcotest.(check bool) (name ^ " logged: " ^ line) true (logged log line))
+      (whole_wal :: lines)
   in
-  let report =
-    reaping_workers run @@ fun () ->
-    killed_router_report ~crash_hit:5 ~between ~arm2:(stderr_to log) ~cfg ~socket
-      (slices trace ~batch:75)
-  in
-  Alcotest.(check string) "REPORT ≡ analyze" (expected_report ~engine ~sampler trace) report;
-  List.iter
-    (fun line -> Alcotest.(check bool) ("logged: " ^ line) true (logged log line))
-    [
-      "ignoring state checkpoint (state checkpoint predates the front)";
-      "checkpoint set has an older layout); starting fresh";
-    ]
+  let state run = Filename.concat run "router-state.ftc" in
+  resume_from "before the front"
+    ~between:(fun run ->
+      rewrite_checkpoint (state run) (fun meta payload ->
+          old_router_state ~sampler meta (suffix_router_state ~sampler meta payload));
+      List.iter
+        (fun k ->
+          rewrite_checkpoint
+            (Filename.concat (ckpt_dir run k) "set.ftc")
+            (old_worker_set ~engine ~sampler))
+        [ 0; 1 ])
+    ~lines:
+      [
+        "ignoring state checkpoint (state checkpoint predates the front)";
+        "checkpoint set has an older layout); starting fresh";
+      ];
+  resume_from "with log suffixes"
+    ~between:(fun run -> rewrite_checkpoint (state run) (suffix_router_state ~sampler))
+    ~lines:[ "ignoring state checkpoint (state checkpoint has an older layout)" ]
 
-(* A state checkpoint anchored before a RESIZE holds the old epoch's
-   worker logs: resume must ignore it before committing any of it and
-   replay the whole WAL.  The router re-anchors a checkpoint right after
+(* A state checkpoint anchored before a RESIZE holds the old ring's
+   shipping state: resume must ignore it and replay the whole WAL.  The router re-anchors a checkpoint right after
    each resize, so put the pre-resize one back by hand (as if that write
    had failed), grow and shrink back so the worker count matches, then
    SIGKILL the router and resume. *)
@@ -1442,6 +1560,7 @@ let () =
           Alcotest.test_case "chaos worker kill, full-log replay" `Quick
             (test_chaos_worker_crash ~set_lost:true);
           Alcotest.test_case "external SIGKILL via pid file" `Quick test_external_sigkill;
+          QCheck_alcotest.to_alcotest worker_kill_property;
         ] );
       ( "durability",
         [
@@ -1463,8 +1582,8 @@ let () =
             test_recovery_bound;
           Alcotest.test_case "worker messages bounded by sampled accesses (tpcc)" `Quick
             test_messages_bounded_by_samples;
-          Alcotest.test_case "worker logs trimmed to the durable cut; a lost set rebuilds" `Quick
-            test_logs_trimmed;
+          Alcotest.test_case "worker logs drained after RESULT; a lost set replays" `Quick
+            test_logs_drained;
         ] );
       ( "availability",
         [
