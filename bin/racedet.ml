@@ -135,13 +135,13 @@ let with_chaos chaos k =
         (Fault.fired ()) (Fault.checks ());
       code)
 
-(* binary (.ftb) or textual, by extension *)
+(* binary (.ftb) or textual, by extension; [load_trace] also checks §2 *)
+let parse_trace file =
+  if Filename.check_suffix file ".ftb" then Ft_trace.Trace_binary.of_file file
+  else Trace_format.parse_file file
+
 let load_trace file =
-  let parsed =
-    if Filename.check_suffix file ".ftb" then Ft_trace.Trace_binary.of_file file
-    else Trace_format.parse_file file
-  in
-  match parsed with
+  match parse_trace file with
   | Error _ as e -> e
   | Ok trace -> (
     match Trace.well_formed trace with
@@ -288,13 +288,14 @@ let analyze_cmd =
       let sampler = if rate >= 1.0 then Sampler.all else Sampler.bernoulli ~rate ~seed in
       let t0 = Clock.now_ns () in
       (* .ftb traces stream (and record byte offsets for seeking); textual
-         traces are parsed, validated and replayed in memory *)
+         traces are parsed and replayed in memory.  Either way the runner
+         checks §2 as it goes, so both fail alike on an ill-formed trace *)
       let outcome =
         if Filename.check_suffix file ".ftb" then
           Ft_snapshot.Runner.analyze_file ~engine:id ~sampler ?clock_size ?checkpoint
             ~checkpoint_every ?resume file
         else
-          Result.bind (load_trace file)
+          Result.bind (parse_trace file)
             (Ft_snapshot.Runner.analyze_trace ~engine:id ~sampler ?clock_size ?checkpoint
                ~checkpoint_every ?resume)
       in

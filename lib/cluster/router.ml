@@ -1,6 +1,7 @@
 module Trace = Ft_trace.Trace
 module Trace_binary = Ft_trace.Trace_binary
 module Event = Ft_trace.Event
+module Validator = Ft_trace.Validator
 module Detector = Ft_core.Detector
 module Engine = Ft_core.Engine
 module Sampler = Ft_core.Sampler
@@ -367,7 +368,7 @@ exception Router_failed of string
 
 let fail st msg =
   st.failed <- Some msg;
-  st.stop_reason <- "worker failure";
+  st.stop_reason <- "failed fast";
   st.quit <- true;
   raise (Router_failed msg)
 
@@ -465,10 +466,11 @@ let ensure_cluster st ((nthreads, nlocks, nlocs) as u) =
     Ok ()
 
 (* Router-state checkpoints open with a format tag below any worker count.
-   The layout before the front (worker count first) and the one with
-   per-worker log suffixes (−1) fail to decode, and a fold starts at the
-   WAL's first record instead of misreading them. *)
-let state_format = -2
+   The layout before the front (worker count first), the one with
+   per-worker log suffixes (−1) and the front without its validator (−2)
+   fail to decode, and a fold starts at the WAL's first record instead of
+   misreading them. *)
+let state_format = -3
 
 (* Router-state checkpoint: what a fold would otherwise recompute from the
    WAL's first record — each worker's routed total, the front (sampler,
@@ -621,7 +623,8 @@ let replay st ~ring ~cuts =
          | Wal.Events _ | Wal.Session _ | Wal.Resize _ -> ())
    with
   | Ok () -> ()
-  | Error msg -> fail st ("replay: " ^ msg));
+  | Error msg -> fail st ("replay: " ^ msg)
+  | exception Validator.Ill_formed msg -> fail st ("ill-formed trace: " ^ msg));
   (* a batch still parked is fed live, once a resumed router drains it *)
   target := route st;
   Printf.eprintf "racedet route: replayed the WAL from byte %d to event %d in %.3f s\n%!" anchor
@@ -1073,7 +1076,11 @@ let handle_batch st conn base payload =
             ok ())
       with
       | Router_failed msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
-      | Wal_failed msg -> reply conn (Printf.sprintf "ERR wal append failed: %s\n" msg))
+      | Wal_failed msg -> reply conn (Printf.sprintf "ERR wal append failed: %s\n" msg)
+      | Validator.Ill_formed msg -> (
+        (* the batch is in the WAL already, so a resume fails the same way *)
+        try fail st ("ill-formed trace: " ^ msg)
+        with Router_failed msg -> reply conn (Printf.sprintf "ERR %s\n" msg)))
 
 let handle_line st conn line =
   match String.split_on_char ' ' (String.trim line) with

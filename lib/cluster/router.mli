@@ -35,6 +35,15 @@
     the WAL — the client's blind resend re-ingests them idempotently, so
     the final report is byte-identical to an uninterrupted run.
 
+    {b Ill-formed streams}: the front steps {!Ft_trace.Validator} on every
+    event before routing it, so no worker ever sees an event that breaks
+    §2.  The first such event answers the batch that feeds it — the batch
+    that carries it, or the one whose arrival drains it from the parked
+    set — with [ERR ill-formed trace: event <i>: <why>], and the router
+    fails fast: no REPORT follows.  A batch is appended to the WAL before
+    it is fed, so a [--resume] that folds the same WAL meets the same event
+    and fails the same way.
+
     {b Pipelining}: CBATCH sends stream through a per-worker in-flight
     window ([config.window]) with acks drained asynchronously; the router
     blocks only on a full window (client backpressure) or at explicit

@@ -47,8 +47,8 @@ module type S = sig
   val result : t -> result
 
   val races_rev : t -> Race.t list
-  (** Races declared so far, newest first, without copying — O(1).  The
-      online monitor peels freshly declared races off the head instead of
+  (** Races declared so far, newest first, without copying — O(1).  A live
+      monitor peels freshly declared races off the head instead of
       re-walking the full (reversed) list of {!result}. *)
 
   val note_sampled : t -> Ft_trace.Event.tid -> unit

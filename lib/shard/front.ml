@@ -5,6 +5,7 @@ module Sampler = Ft_core.Sampler
 module Metrics = Ft_core.Metrics
 module Race = Ft_core.Race
 module Snap = Ft_core.Snap
+module Validator = Ft_trace.Validator
 
 (* One engine instance behind closures, so callers can hold it without
    knowing the engine's state type. *)
@@ -31,6 +32,7 @@ let instance (module D : Detector.S) ?snap config =
   }
 
 type t = {
+  valid : Validator.t;  (* every event meets §2 before anything else *)
   inst : inst;  (* the engine, fed sync events plus note_sampled *)
   samples : bool;  (* the engine checks only sampled accesses *)
   sampler : Sampler.instance;
@@ -38,11 +40,12 @@ type t = {
   vsize : int;
 }
 
-let make ~engine ?snap ~sampler ~tally (config : Detector.config) =
+let make ~engine ?snap ~valid ~sampler ~tally (config : Detector.config) =
   let packed = Engine.detector engine in
   let (module D : Detector.S) = packed in
   let inst = instance packed ?snap config in
   {
+    valid;
     inst;
     samples = Engine.honours_sampler engine;
     sampler;
@@ -51,11 +54,14 @@ let make ~engine ?snap ~sampler ~tally (config : Detector.config) =
   }
 
 let create ~engine (config : Detector.config) =
-  make ~engine ~sampler:(Sampler.fresh config.Detector.sampler) ~tally:(Metrics.create ())
-    config
+  make ~engine
+    ~valid:
+      (Validator.create ~nthreads:config.Detector.nthreads ~nlocks:config.Detector.nlocks)
+    ~sampler:(Sampler.fresh config.Detector.sampler) ~tally:(Metrics.create ()) config
 
 (* The sampler sees every access, exactly once, in trace order. *)
 let admit t i (e : Event.t) =
+  Validator.step t.valid i e;
   match e.Event.op with
   | Event.Read _ | Event.Write _ ->
     if (not t.samples) || Sampler.query t.sampler i e then begin
@@ -93,15 +99,24 @@ let merge t (parts : Detector.result array) =
   { Detector.engine = front.Detector.engine; races; metrics }
 
 let save enc t =
+  Snap.Enc.int_array enc (Validator.to_ints t.valid);
   t.sampler.Sampler.save enc;
   Snap.Enc.string enc (t.inst.i_snapshot ());
   Metrics.encode enc t.tally
 
 let load dec ~engine (config : Detector.config) =
+  let valid =
+    match
+      Validator.of_ints ~nthreads:config.Detector.nthreads ~nlocks:config.Detector.nlocks
+        (Snap.Dec.int_array dec)
+    with
+    | Ok v -> v
+    | Error msg -> raise (Snap.Corrupt msg)
+  in
   let sampler = Sampler.fresh config.Detector.sampler in
   sampler.Sampler.load dec;
   let snap = Snap.Dec.string dec in
-  make ~engine ~snap ~sampler ~tally:(Metrics.decode dec) config
+  make ~engine ~snap ~valid ~sampler ~tally:(Metrics.decode dec) config
 
 (* --- shipping views ------------------------------------------------------- *)
 

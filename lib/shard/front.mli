@@ -31,11 +31,13 @@ type t
 val create : engine:Ft_core.Engine.id -> Ft_core.Detector.config -> t
 
 val admit : t -> int -> Ft_trace.Event.t -> bool
-(** Feed event [i].  A sync event goes to the engine; an access the engine
-    must check (a sampled one, or any for the engines that ignore the
-    sampler — {!Ft_core.Engine.honours_sampler}) is noted and answers
-    [true]: the caller ships it to its owner.  Any other access is
-    tallied. *)
+(** Feed event [i].  It first meets the front's {!Ft_trace.Validator},
+    which raises {!Ft_trace.Validator.Ill_formed} if it breaks §2: neither
+    the engine nor a checker ever sees such an event.  A sync event goes to
+    the engine; an access the engine must check (a sampled one, or any for
+    the engines that ignore the sampler — {!Ft_core.Engine.honours_sampler})
+    is noted and answers [true]: the caller ships it to its owner.  Any
+    other access is tallied. *)
 
 val merge : t -> Ft_core.Detector.result array -> Ft_core.Detector.result
 (** The plain engine's result from the checkers' parts: races sorted by
@@ -43,7 +45,7 @@ val merge : t -> Ft_core.Detector.result array -> Ft_core.Detector.result
     parts' and the tally ({!Ft_core.Metrics.add}). *)
 
 val save : Ft_core.Snap.Enc.t -> t -> unit
-(** Sampler state, engine snapshot, tally. *)
+(** Validator state, sampler state, engine snapshot, tally. *)
 
 val load : Ft_core.Snap.Dec.t -> engine:Ft_core.Engine.id -> Ft_core.Detector.config -> t
 

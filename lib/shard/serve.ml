@@ -1,6 +1,7 @@
 module Trace = Ft_trace.Trace
 module Event = Ft_trace.Event
 module Trace_binary = Ft_trace.Trace_binary
+module Validator = Ft_trace.Validator
 module Detector = Ft_core.Detector
 module Engine = Ft_core.Engine
 module Sampler = Ft_core.Sampler
@@ -572,6 +573,7 @@ let guard st conn f =
   try f () with
   | Failure msg -> reply conn (Printf.sprintf "ERR %s\n" msg)
   | Sharded.Shard_failed msg | Checkpoint_failed msg -> fail_fast st conn msg
+  | Validator.Ill_formed msg -> fail_fast st conn ("ill-formed trace: " ^ msg)
 
 (* Feed a due batch through the admitter, run [after] on the count of
    units it newly admitted (the checkpoint step), and count the batch. *)

@@ -80,6 +80,14 @@
 
     {2 Robustness}
 
+    Every [BATCH] event meets the front's {!Ft_trace.Validator} before the
+    engine or the checker sees it.  The first event that breaks §2 (two
+    holders of a lock, a thread acting before its fork or after its join,
+    a sync object used both ways) answers
+    [ERR ill-formed trace: event <i>: <why>] and fails the daemon fast like
+    a failed checker: no REPORT follows, and a successor that resumes from
+    the last set meets the same event in the clients' resend.
+
     A failed checker ({!Sharded.Shard_failed}) fails the daemon fast: the
     request that meets it answers [ERR] with the diagnostic, and the daemon
     exits non-zero without writing another set, so the last good

@@ -149,11 +149,11 @@ let shard_snapshot t =
   t.inst.Front.i_snapshot ()
 
 (* Router snapshots open with a format tag below any checker count, so one
-   with an older layout — with the imported view table of cluster workers
-   (−3), before it (−2), or before the front/checker split — fails to
-   decode (a logged fresh start) instead of misreading.  The checker count
-   that follows is always 1. *)
-let router_format = -4
+   with an older layout — a front without the validator (−4), the imported
+   view table of cluster workers (−3), before it (−2), or before the
+   front/checker split — fails to decode (a logged fresh start) instead of
+   misreading.  The checker count that follows is always 1. *)
+let router_format = -5
 
 let router_snapshot t =
   flush t;

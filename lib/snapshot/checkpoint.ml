@@ -15,7 +15,7 @@ type meta = {
 type t = { meta : meta; detector : Snap.t }
 
 let magic = "FTCK"
-let version = 1
+let version = 2
 
 (* magic + version byte + 8-byte little-endian FNV-1a 64 checksum *)
 let header_len = String.length magic + 1 + 8

@@ -12,7 +12,11 @@
     "FTCK"  version-byte  checksum(8 bytes, LE FNV-1a 64 of payload)  payload
     v}
     The payload is a {!Ft_core.Snap} encoding of the metadata followed by
-    the engine snapshot.  Decoding never raises: bit flips are caught by the
+    the caller's snapshot ([detector]): for {!Runner}, the
+    {!Ft_trace.Validator} state and the engine snapshot; for serve and the
+    router, their own tagged layouts.  Version 2 is the first whose
+    snapshots carry the validator; a version-1 file is refused, and every
+    caller falls back as for any other unusable checkpoint.  Decoding never raises: bit flips are caught by the
     checksum, truncation by the checksum or the length-checked decoders, and
     format drift by the version byte — each yields [Error] with a
     description. *)

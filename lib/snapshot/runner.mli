@@ -10,7 +10,13 @@
     A checkpoint that fails to load or validate (corrupt bytes, wrong
     engine/sampler/universe, truncation) is reported on stderr and the
     analysis {e falls back to a full replay}; the failure reason is surfaced
-    in [resume_error].  The result is correct either way. *)
+    in [resume_error].  The result is correct either way.
+
+    Every event meets {!Ft_trace.Validator} before the engine: the first
+    one that breaks §2 ends the analysis with
+    [Error "ill-formed trace: event <i>: <why>"].  A checkpoint carries the
+    validator's state next to the engine's, so a resumed run checks the
+    suffix exactly as a straight one does. *)
 
 type outcome = {
   result : Ft_core.Detector.result;
@@ -35,7 +41,8 @@ val analyze_file :
     byte offset so [resume] can seek directly to the suffix.  [sampler]
     must be the same strategy the checkpoint was taken with (validated by
     name).  [Error] is reserved for unusable inputs: unreadable or corrupt
-    trace files, or a clock size below the thread count. *)
+    trace files, an ill-formed trace, or a clock size below the thread
+    count. *)
 
 val analyze_trace :
   engine:Ft_core.Engine.id ->

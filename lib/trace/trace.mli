@@ -25,15 +25,8 @@ val get : t -> int -> Event.t
 val iteri : (int -> Event.t -> unit) -> t -> unit
 
 val well_formed : t -> (unit, string) result
-(** Checks the semantics of §2:
-    - lock events per lock form a prefix of [(acq^t rel^t)*] — at most one
-      holder, releases by the holder, no double acquire (re-entrancy is not
-      modelled);
-    - a forked thread performs no event before the fork and is forked at most
-      once; threads that are never forked may act freely (initial threads);
-    - a joined thread performs no event after the join;
-    - atomic sync variables ([Release_store]/[Acquire_load]) are disjoint
-      from mutex ids — a sync object must not mix the two styles. *)
+(** Checks the semantics of §2 ({!Validator}) over the whole trace: [Error]
+    carries the first violation, ["event <i>: <why>"]. *)
 
 val validate : t -> t
 (** [validate t] is [t] if well-formed, otherwise raises [Invalid_argument]

@@ -5,7 +5,11 @@
    quadratic lock-sharing encoders, the reference the linear
    [Snap.Enc.shared] is checked against (test_checkpoint); the vendored code
    is kept whole to avoid editing what it is meant to witness.  Do not "modernize"
-   this file — its value is that it does NOT track lib/core. *)
+   this file — its value is that it does NOT track lib/core.
+
+   [Well_formed.check] is the whole-trace §2 check as it stood before
+   [Ft_trace.Validator] replaced it: the reference the validator's
+   rejections (index and message) are compared against (test_validator). *)
 
 module Vector_clock = Ft_core.Vector_clock
 module Epoch = Ft_core.Epoch
@@ -1929,3 +1933,71 @@ let run id ?sampler ?clock_size trace =
   match detector id with
   | None -> invalid_arg "Ref_engines.run: engine not vendored"
   | Some p -> Detector.run p ?sampler ?clock_size trace
+
+module Well_formed = struct
+  module Event = Ft_trace.Event
+  module Trace = Ft_trace.Trace
+
+  type lock_style = Unused | Mutex | Atomic
+
+  let check (t : Trace.t) =
+    let exception Bad of string in
+    (* [holder.(l)] is the thread currently holding lock l, or -1. *)
+    let holder = Array.make (Stdlib.max 1 t.nlocks) (-1) in
+    let style = Array.make (Stdlib.max 1 t.nlocks) Unused in
+    (* lifecycle: 0 = not yet started (needs fork unless thread 0),
+       1 = runnable, 2 = joined. *)
+    let started = Array.make t.nthreads false in
+    let joined = Array.make t.nthreads false in
+    let forked = Array.make t.nthreads false in
+    started.(0) <- true;
+    let check_style l want i =
+      match (style.(l), want) with
+      | Unused, _ -> style.(l) <- want
+      | Mutex, Mutex | Atomic, Atomic -> ()
+      | Mutex, Atomic | Atomic, Mutex | _, Unused ->
+        raise (Bad (Printf.sprintf "event %d: sync object %d mixes mutex and atomic use" i l))
+    in
+    try
+      Array.iteri
+        (fun i (e : Event.t) ->
+          let tid = e.thread in
+          if joined.(tid) then
+            raise (Bad (Printf.sprintf "event %d: thread %d acts after being joined" i tid));
+          started.(tid) <- true;
+          match e.op with
+          | Event.Read _ | Event.Write _ -> ()
+          | Event.Acquire l ->
+            check_style l Mutex i;
+            if holder.(l) >= 0 then
+              raise
+                (Bad
+                   (Printf.sprintf "event %d: thread %d acquires lock %d held by thread %d" i tid
+                      l holder.(l)));
+            holder.(l) <- tid
+          | Event.Release l ->
+            check_style l Mutex i;
+            if holder.(l) <> tid then
+              raise
+                (Bad
+                   (Printf.sprintf "event %d: thread %d releases lock %d it does not hold" i tid l));
+            holder.(l) <- -1
+          | Event.Release_store l | Event.Acquire_load l -> check_style l Atomic i
+          | Event.Fork u ->
+            if u = tid then raise (Bad (Printf.sprintf "event %d: thread %d forks itself" i tid));
+            if forked.(u) || started.(u) then
+              raise (Bad (Printf.sprintf "event %d: thread %d forked twice or already running" i u));
+            forked.(u) <- true
+          | Event.Join u ->
+            if u = tid then raise (Bad (Printf.sprintf "event %d: thread %d joins itself" i tid));
+            if joined.(u) then
+              raise (Bad (Printf.sprintf "event %d: thread %d joined twice" i u));
+            if not (forked.(u) || started.(u)) then
+              raise
+                (Bad
+                   (Printf.sprintf "event %d: thread %d joined before being forked or started" i u));
+            joined.(u) <- true)
+        t.events;
+      Ok ()
+    with Bad msg -> Error msg
+end

@@ -54,10 +54,11 @@ let run id ~k config trace =
 
 (* A router snapshot in the layout of the K-checker detector the pipeline
    replaced, after [n] events: format tag, K, event count, front, and the
-   views shipped to each checker. *)
+   views shipped to each checker — with today's format tag and front, so
+   that at K = 1 it is the pipeline's own layout. *)
 let k_checker_router s ~n =
   let enc = Snap.Enc.create () in
-  Snap.Enc.int enc (-4);
+  Snap.Enc.int enc (-5);
   Snap.Enc.int enc (Array.length s.checkers);
   Snap.Enc.int enc n;
   Front.save enc s.front;

@@ -10,7 +10,9 @@
    - Ordered_list deep copies and snapshot roundtrips preserve the recency
      order that Alg 4's d-prefix traversals depend on;
    - the Metrics record's serialization arity is guarded against field drift;
-   - Online monitors roundtrip through snapshot/restore, validator included. *)
+   - the runner's checkpoints carry the §2 validator's state: a cut inside a
+     held lock resumes exactly, and version-1 files or a corrupt validator
+     state fall back, logged. *)
 
 module Event = Ft_trace.Event
 module Trace = Ft_trace.Trace
@@ -24,7 +26,6 @@ module Race = Ft_core.Race
 module Metrics = Ft_core.Metrics
 module Snap = Ft_core.Snap
 module Ol = Ft_core.Ordered_list
-module Online = Ft_core.Online
 module Checkpoint = Ft_snapshot.Checkpoint
 module Runner = Ft_snapshot.Runner
 
@@ -160,43 +161,25 @@ let prefix_equivalence_test =
 
 (* --- .ftc loader fuzzing -------------------------------------------------- *)
 
-(* A small but real checkpoint: SO with a stateful sampler over a random
-   trace, snapshotted midway. *)
+(* A small but real checkpoint, as the runner writes it: SO with a stateful
+   sampler over a random trace, cut midway — metadata, the validator's
+   state and the engine snapshot, so the fuzz covers every byte of each. *)
 let sample_checkpoint_string =
   lazy
     (let prng = Prng.create ~seed:99 in
      let trace =
        Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 200 }
      in
-     let config =
-       {
-         Detector.nthreads = trace.Trace.nthreads;
-         nlocks = trace.Trace.nlocks;
-         nlocs = trace.Trace.nlocs;
-         clock_size = trace.Trace.nthreads;
-         sampler = Sampler.cold_region ~threshold:2;
-       }
-     in
-     let (module D : Detector.S) = Engine.detector Engine.So in
-     let d = D.create config in
-     for i = 0 to (Trace.length trace / 2) - 1 do
-       D.handle d i (Trace.get trace i)
-     done;
-     Checkpoint.to_string
-       {
-         Checkpoint.meta =
-           {
-             Checkpoint.engine = Engine.So;
-             sampler = Sampler.name config.Detector.sampler;
-             nthreads = config.Detector.nthreads;
-             nlocks = config.Detector.nlocks;
-             nlocs = config.Detector.nlocs;
-             clock_size = config.Detector.clock_size;
-             next_index = Trace.length trace / 2;
-             byte_offset = -1;
-           };
-         detector = D.snapshot d;
-       })
+     let cp = Filename.temp_file "ftc_sample" ".ftc" in
+     Fun.protect ~finally:(fun () -> Sys.remove cp) @@ fun () ->
+     match
+       Runner.analyze_trace ~engine:Engine.So ~sampler:(Sampler.cold_region ~threshold:2)
+         ~checkpoint:cp ~checkpoint_every:(Trace.length trace / 2) trace
+     with
+     | Ok o when o.Runner.checkpoints_written > 0 ->
+       In_channel.with_open_bin cp In_channel.input_all
+     | Ok _ -> Alcotest.fail "no checkpoint written"
+     | Error msg -> Alcotest.failf "sample run failed: %s" msg)
 
 let expect_error what = function
   | Error _ -> ()
@@ -239,7 +222,7 @@ let test_fuzz_version () =
           true
           (String.length msg > 0)
       | Ok _ -> Alcotest.failf "version byte %d accepted" v)
-    [ 0; 2; 3; 127; 255 ]
+    [ 0; 1; 3; 127; 255 ]
 
 let test_fuzz_random_bytes () =
   let prng = Prng.create ~seed:4242 in
@@ -252,7 +235,7 @@ let test_fuzz_random_bytes () =
   for _ = 1 to 500 do
     let len = Prng.int prng 96 in
     let b = Bytes.init (5 + len) (fun _ -> Char.chr (Prng.int prng 256)) in
-    Bytes.blit_string "FTCK\001" 0 b 0 5;
+    Bytes.blit_string "FTCK\002" 0 b 0 5;
     expect_error "random payload" (Checkpoint.of_string (Bytes.to_string b))
   done
 
@@ -470,70 +453,6 @@ let test_metrics_of_array () =
   | None -> Alcotest.fail "of_array rejected a correct arity");
   Alcotest.(check bool) "wrong arity rejected" true (Metrics.of_array [| 1; 2 |] = None)
 
-(* --- online monitor roundtrip --------------------------------------------- *)
-
-let online_trace =
-  lazy
-    (let prng = Prng.create ~seed:17 in
-     Trace_gen.random prng
-       { Trace_gen.default with Trace_gen.length = 600; nthreads = 4; forkjoin = true })
-
-let feed_range monitor trace lo hi =
-  for i = lo to hi - 1 do
-    match Online.feed monitor (Trace.get trace i) with
-    | Ok () -> ()
-    | Error { Online.reason; _ } -> Alcotest.failf "event %d rejected: %s" i reason
-  done
-
-let test_online_snapshot_roundtrip () =
-  let trace = Lazy.force online_trace in
-  let n = Trace.length trace in
-  let sampler = Sampler.cold_region ~threshold:2 in
-  let dims t = (t.Trace.nthreads, t.Trace.nlocks, t.Trace.nlocs) in
-  let nthreads, nlocks, nlocs = dims trace in
-  let straight = Online.create ~engine:Engine.So ~sampler ~nthreads ~nlocks ~nlocs () in
-  feed_range straight trace 0 n;
-  let first = Online.create ~engine:Engine.So ~sampler ~nthreads ~nlocks ~nlocs () in
-  feed_range first trace 0 (n / 3);
-  let resumed =
-    Online.restore ~engine:Engine.So ~sampler ~nthreads ~nlocks ~nlocs
-      (Online.snapshot first)
-  in
-  Alcotest.(check int) "events_seen restored" (n / 3) (Online.events_seen resumed);
-  feed_range resumed trace (n / 3) n;
-  Alcotest.(check bool) "same races" true (Online.races straight = Online.races resumed);
-  Alcotest.(check (array int)) "same metrics"
-    (Metrics.to_array (Online.metrics straight))
-    (Metrics.to_array (Online.metrics resumed))
-
-let test_online_checkpoint_callback () =
-  let trace = Lazy.force online_trace in
-  let count = ref 0 in
-  let monitor =
-    Online.create ~engine:Engine.Su ~checkpoint_every:50
-      ~on_checkpoint:(fun t -> incr count; ignore (Online.snapshot t))
-      ~nthreads:trace.Trace.nthreads ~nlocks:trace.Trace.nlocks ~nlocs:trace.Trace.nlocs ()
-  in
-  let n = Trace.length trace in
-  feed_range monitor trace 0 n;
-  Alcotest.(check int) "one callback per interval" (n / 50) !count
-
-let test_online_rejects_corrupt_snapshot () =
-  let trace = Lazy.force online_trace in
-  let monitor =
-    Online.create ~engine:Engine.So ~nthreads:trace.Trace.nthreads
-      ~nlocks:trace.Trace.nlocks ~nlocs:trace.Trace.nlocs ()
-  in
-  feed_range monitor trace 0 100;
-  let s = Online.snapshot monitor in
-  let truncated = String.sub s 0 (String.length s / 2) in
-  match
-    Online.restore ~engine:Engine.So ~nthreads:trace.Trace.nthreads
-      ~nlocks:trace.Trace.nlocks ~nlocs:trace.Trace.nlocs truncated
-  with
-  | exception Snap.Corrupt _ -> ()
-  | _ -> Alcotest.fail "truncated online snapshot accepted"
-
 (* --- resumable .ftb analyses ---------------------------------------------- *)
 
 let with_temp_ftb f =
@@ -667,6 +586,130 @@ let test_runner_missing_checkpoint_dir () =
     (fun ~checkpoint ~checkpoint_every ->
       Runner.analyze_trace ~engine:Engine.So ~sampler ~checkpoint ~checkpoint_every trace)
 
+(* --- the validator's state ---------------------------------------------------- *)
+
+(* Thread 0 holds L0 across event 4, where the only checkpoint is cut
+   (every 4 events, none at the end), and releases it after: a resume that
+   did not restore the validator would reject that release. *)
+let held_lock_trace =
+  Trace.of_events
+    (Array.map
+       (fun (t, op) -> Event.mk t op)
+       [|
+         (0, Event.Acquire 0); (0, Event.Write 0); (1, Event.Write 1); (0, Event.Read 0);
+         (0, Event.Release 0); (1, Event.Acquire 0); (1, Event.Write 0); (1, Event.Release 0);
+       |])
+
+(* Run [f] with this process's stderr sent to a file; answers [f]'s result
+   and what it wrote there. *)
+let capturing_stderr f =
+  let log = Filename.temp_file "ftc_test" ".log" in
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Format.pp_print_flush Format.err_formatter ();
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_bin log In_channel.input_all in
+  Sys.remove log;
+  (r, text)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Both runner loops — the .ftb stream and the in-memory trace — over
+   [trace] for [engine]: the straight run, and a resume from a checkpoint
+   cut every [every] events and passed through [tamper]. *)
+let straight_and_resumed ?(tamper = fun _ -> ()) ~engine ~every trace =
+  let ftb = Filename.temp_file "ftc_test" ".ftb" in
+  let cp = Filename.temp_file "ftc_test" ".ftc" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ ftb; cp ]) @@ fun () ->
+  Trace_binary.to_file ftb trace;
+  let sampler = Sampler.all in
+  List.map
+    (fun (name, (run : ?checkpoint:string -> ?resume:string -> unit -> _)) ->
+      let straight = get_ok (run ~checkpoint:cp ()) in
+      Alcotest.(check int) (name ^ ": one checkpoint") 1 straight.Runner.checkpoints_written;
+      tamper cp;
+      let resumed, log = capturing_stderr (fun () -> get_ok (run ~resume:cp ())) in
+      (name, straight, resumed, log))
+    [
+      ( ".ftb",
+        fun ?checkpoint ?resume () ->
+          Runner.analyze_file ~engine ~sampler ?checkpoint ~checkpoint_every:every ?resume ftb );
+      ( "in-memory",
+        fun ?checkpoint ?resume () ->
+          Runner.analyze_trace ~engine ~sampler ?checkpoint ~checkpoint_every:every ?resume trace
+      );
+    ]
+
+let test_resume_inside_held_lock () =
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun (name, straight, resumed, _) ->
+          let name = Printf.sprintf "%s, %s" (Engine.name engine) name in
+          Alcotest.(check (option int)) (name ^ ": resumed inside the lock") (Some 4)
+            resumed.Runner.resumed_at;
+          check_same_outcome name straight resumed)
+        (straight_and_resumed ~engine ~every:4 held_lock_trace))
+    engines
+
+(* The checksum covers the payload only, so rewriting the version byte
+   makes a well-formed version-1 file. *)
+let test_version_1_falls_back () =
+  let to_version_1 cp =
+    let b = Bytes.of_string (In_channel.with_open_bin cp In_channel.input_all) in
+    Bytes.set b 4 '\001';
+    Out_channel.with_open_bin cp (fun oc -> Out_channel.output_bytes oc b)
+  in
+  List.iter
+    (fun (name, straight, resumed, log) ->
+      Alcotest.(check (option int)) (name ^ ": not resumed") None resumed.Runner.resumed_at;
+      Alcotest.(check (option string)) (name ^ ": why")
+        (Some "unsupported checkpoint version 1") resumed.Runner.resume_error;
+      Alcotest.(check bool) (name ^ ": fallback logged: " ^ log) true
+        (contains ~sub:"cannot resume from" log
+        && contains ~sub:"unsupported checkpoint version 1; replaying from the start" log);
+      check_same_outcome name straight resumed)
+    (straight_and_resumed ~tamper:to_version_1 ~engine:Engine.So ~every:4 held_lock_trace)
+
+(* A checkpoint whose checksum holds but whose validator state does not:
+   the one range check in [Validator.of_ints] refuses it. *)
+let test_bad_validator_state_falls_back () =
+  List.iter
+    (fun (tweak, why) ->
+      let tamper cp =
+        let c = Result.get_ok (Checkpoint.load cp) in
+        let dec = Snap.Dec.of_snap c.Checkpoint.detector in
+        let ints = Snap.Dec.int_array dec in
+        let snap = Snap.Dec.string dec in
+        let enc = Snap.Enc.create () in
+        Snap.Enc.int_array enc (tweak ints);
+        Snap.Enc.string enc snap;
+        Checkpoint.save cp { c with Checkpoint.detector = Snap.Enc.to_snap enc }
+      in
+      List.iter
+        (fun (name, straight, resumed, log) ->
+          Alcotest.(check (option string)) (name ^ ": why") (Some why)
+            resumed.Runner.resume_error;
+          Alcotest.(check bool) (name ^ ": fallback logged") true (contains ~sub:why log);
+          check_same_outcome name straight resumed)
+        (straight_and_resumed ~tamper ~engine:Engine.So ~every:4 held_lock_trace))
+    [
+      ((fun a -> Array.append a [| 0 |]), "validator state has the wrong size");
+      ((fun a -> Array.mapi (fun k x -> if k = 2 then 2 else x) a), "lock holder out of range");
+      ((fun a -> Array.mapi (fun k x -> if k = 0 then 9 else x) a), "thread lifecycle out of range");
+    ]
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -695,12 +738,12 @@ let () =
             test_metrics_copy_add_cover_all_fields;
           Alcotest.test_case "of_array" `Quick test_metrics_of_array;
         ] );
-      ( "online",
+      ( "validator state",
         [
-          Alcotest.test_case "snapshot roundtrip" `Quick test_online_snapshot_roundtrip;
-          Alcotest.test_case "checkpoint callback" `Quick test_online_checkpoint_callback;
-          Alcotest.test_case "corrupt snapshot rejected" `Quick
-            test_online_rejects_corrupt_snapshot;
+          Alcotest.test_case "resume inside a held lock" `Quick test_resume_inside_held_lock;
+          Alcotest.test_case "version-1 .ftc falls back" `Quick test_version_1_falls_back;
+          Alcotest.test_case "bad validator state falls back" `Quick
+            test_bad_validator_state_falls_back;
         ] );
       ( "resumable analyses",
         [

@@ -145,12 +145,34 @@ let slices trace ~batch =
 let expected_report ~engine ~sampler trace =
   Serve.report_text ~events:(Trace.length trace) (Engine.run engine ~sampler trace)
 
+(* A router that fails or is SIGKILLed orphans its workers, which keep the
+   runner's stdout open; a test that fails before a router reaps them kills
+   them by pid file instead. *)
+let reaping_workers run f =
+  try f ()
+  with e ->
+    (try
+       Array.iter
+         (fun name ->
+           if Filename.check_suffix name ".pid" then
+             match
+               int_of_string_opt
+                 (String.trim
+                    (In_channel.with_open_bin (Filename.concat run name) In_channel.input_all))
+             with
+             | Some wpid -> ( try Unix.kill wpid Sys.sigkill with Unix.Unix_error _ -> ())
+             | None -> ())
+         (Sys.readdir run)
+     with Sys_error _ -> ());
+    raise e
+
 (* Run one cluster session: start a router, stream the batches (already
    (base, sub) pairs, any order), fetch the REPORT and the merged RESULT,
    shut down cleanly.  [mid] runs after [mid_after] sends —
    kill/migrate/resize hooks; [last] runs once the RESULT is in. *)
 let cluster_session ?arm ?(mid = fun _fd -> ()) ?(mid_after = max_int)
     ?(last = fun _fd -> ()) ~cfg ~socket batches =
+  reaping_workers cfg.Router.dir @@ fun () ->
   let pid = start_router ?arm cfg in
   Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
   let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
@@ -344,6 +366,7 @@ let migrate_property =
    worker kill, so recovery-under-recovery is exercised too. *)
 let killed_router_report ?(crash_hit = 3) ?(between = fun () -> ()) ?(arm2 = fun () -> ()) ~cfg
     ~socket batches =
+  reaping_workers cfg.Router.dir @@ fun () ->
   let arm () = Fault.arm_exact ~point:"router.crash" ~hit:crash_hit Fault.Exn in
   let pid = start_router ~arm cfg in
   (try
@@ -745,26 +768,6 @@ let set_bytes dir =
     0 (Sys.readdir dir)
 
 let ckpt_dir run k = Filename.concat run (Printf.sprintf "ckpt-%d" k)
-
-(* SIGKILLing a router orphans its workers; a test that fails before a
-   resumed router reaps them kills them by pid file instead. *)
-let reaping_workers run f =
-  try f ()
-  with e ->
-    (try
-       Array.iter
-         (fun name ->
-           if Filename.check_suffix name ".pid" then
-             match
-               int_of_string_opt
-                 (String.trim
-                    (In_channel.with_open_bin (Filename.concat run name) In_channel.input_all))
-             with
-             | Some wpid -> ( try Unix.kill wpid Sys.sigkill with Unix.Unix_error _ -> ())
-             | None -> ())
-         (Sys.readdir run)
-     with Sys_error _ -> ());
-    raise e
 
 (* Checkpoint work is amortized O(1) per routed byte.  A worker writes a
    set once the CBATCH bytes applied since its last set reach that set's
@@ -1205,11 +1208,11 @@ let old_worker_set ~engine ~sampler (meta : Checkpoint.meta) set =
    suffixes (format −1): worker count, epoch, events, the front, the
    shipping state, then per worker its durable cut, its total and the
    messages between them (here every total durable, every suffix empty).
-   Built from the live layout (−2): worker count, epoch, per-worker totals,
+   Built from the live layout (−3): worker count, epoch, per-worker totals,
    the front and the shipping state. *)
 let suffix_router_state ~sampler (meta : Checkpoint.meta) payload =
   let dec = Snap.Dec.of_snap payload in
-  Alcotest.(check int) "router-state format" (-2) (Snap.Dec.int dec);
+  Alcotest.(check int) "router-state format" (-3) (Snap.Dec.int dec);
   let k = Snap.Dec.int dec in
   let epoch = Snap.Dec.int dec in
   let totals = Array.init k (fun _ -> Snap.Dec.int dec) in
@@ -1218,6 +1221,8 @@ let suffix_router_state ~sampler (meta : Checkpoint.meta) payload =
   Snap.Enc.int enc k;
   Snap.Enc.int enc epoch;
   Snap.Enc.int enc meta.Checkpoint.next_index;
+  (* the front before it held the validator's state *)
+  ignore (Snap.Dec.int_array dec);
   copy_front ~sampler dec enc;
   for _ = 1 to k * meta.Checkpoint.nthreads do
     Snap.Enc.int enc (Snap.Dec.int dec);
@@ -1262,9 +1267,11 @@ let old_router_state ~sampler (meta : Checkpoint.meta) payload =
 
 (* Run directories with older layouts, each SIGKILLed mid-stream and
    resumed: a router-state checkpoint from before the router became the
-   front with worker sets from before workers were inline checkers, and a
-   router-state checkpoint that still holds per-worker log suffixes.  The
-   resumed router ignores its state checkpoint and replays the whole WAL,
+   front with worker sets from before workers were inline checkers, a
+   router-state checkpoint that still holds per-worker log suffixes, and
+   both files in the version-1 container written before fronts held the
+   §2 validator.  The resumed router ignores its state checkpoint and
+   replays the whole WAL,
    each worker ignores an old set and starts fresh — all logged — and the
    REPORT is still analyze's. *)
 let test_old_checkpoints_fall_back () =
@@ -1308,7 +1315,23 @@ let test_old_checkpoints_fall_back () =
       ];
   resume_from "with log suffixes"
     ~between:(fun run -> rewrite_checkpoint (state run) (suffix_router_state ~sampler))
-    ~lines:[ "ignoring state checkpoint (state checkpoint has an older layout)" ]
+    ~lines:[ "ignoring state checkpoint (state checkpoint has an older layout)" ];
+  (* the checksum covers the payload only: a rewritten version byte makes a
+     well-formed version-1 file *)
+  let to_version_1 path =
+    let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+    Bytes.set b 4 '\001';
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+  in
+  resume_from "version 1"
+    ~between:(fun run ->
+      to_version_1 (state run);
+      List.iter (fun k -> to_version_1 (Filename.concat (ckpt_dir run k) "set.ftc")) [ 0; 1 ])
+    ~lines:
+      [
+        "ignoring state checkpoint (unsupported checkpoint version 1)";
+        "(unsupported checkpoint version 1); starting fresh";
+      ]
 
 (* A state checkpoint anchored before a RESIZE holds the old ring's
    shipping state: resume must ignore it and replay the whole WAL.  The router re-anchors a checkpoint right after
@@ -1476,6 +1499,55 @@ let test_resume_with_parked ~state_lost () =
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
 
+(* --- an ill-formed stream ------------------------------------------------------ *)
+
+(* Threads 0 and 1 both acquire L0: the second acquire breaks §2.  A raw
+   BATCH, since the client-side pre-check of [racedet emit] would refuse it
+   before sending. *)
+let ill_formed_trace =
+  Trace.make ~nthreads:2 ~nlocks:1 ~nlocs:1
+    (Array.map
+       (fun (t, op) -> Ft_trace.Event.mk t op)
+       Ft_trace.Event.
+         [|
+           (0, Acquire 0); (1, Acquire 0); (0, Write 0); (1, Write 0); (1, Release 0);
+           (0, Release 0);
+         |])
+
+let ill_formed = "ill-formed trace: event 1: thread 1 acquires lock 0 held by thread 0"
+
+(* The router's front rejects the event before any worker sees it: the
+   client gets ERR with the reason, no REPORT, and the router fails fast
+   (exit 1).  The batch went into the WAL before it was fed, so a resume
+   that folds the same WAL fails the same way. *)
+let test_ill_formed_batch () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.all in
+  let socket = Filename.concat dir "route.sock" in
+  let cfg = router_config ~workers:2 ~engine ~sampler ~dir (Serve.Unix_path socket) in
+  let exits_1 what pid =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED 1 -> ()
+    | Unix.WEXITED n -> Alcotest.failf "%s exited %d, wanted 1" what n
+    | _ -> Alcotest.failf "%s was killed by a signal" what
+  in
+  reaping_workers cfg.Router.dir @@ fun () ->
+  let pid = start_router cfg in
+  (Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+   (let fd = Serve.connect ~deadline_s:60.0 (Serve.Unix_path socket) in
+    Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+    Alcotest.(check (result int string)) "ERR with the reason" (Error ("ERR " ^ ill_formed))
+      (Serve.send_batch ~deadline_s:60.0 fd ~base:0 ill_formed_trace);
+    match Serve.fetch_report ~deadline_s:5.0 fd with
+    | Ok report -> Alcotest.failf "a REPORT after the ERR: %s" report
+    | Error _ -> ());
+   exits_1 "router" pid);
+  let log = Filename.concat dir "resume.log" in
+  let pid = start_router ~arm:(stderr_to log) { cfg with Router.resume = true } in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  exits_1 "resumed router" pid;
+  Alcotest.(check bool) "the resume fails with the same reason" true (logged log ill_formed)
+
 (* --- wire fuzz ----------------------------------------------------------------- *)
 
 let test_wire_fuzz () =
@@ -1605,6 +1677,8 @@ let () =
           Alcotest.test_case "resume re-parks WAL batches (state checkpoint lost)" `Quick
             (test_resume_with_parked ~state_lost:true);
           Alcotest.test_case "wire parser fuzz, then ≡ analyze" `Quick test_wire_fuzz;
+          Alcotest.test_case "ill-formed BATCH: ERR; a resume fails too" `Quick
+            test_ill_formed_batch;
         ] );
       ("chash", [ Alcotest.test_case "determinism, coverage, stability" `Quick test_chash ]);
     ]

@@ -921,6 +921,48 @@ let test_wire_fuzz () =
   get_ok "shutdown" (Serve.shutdown fd);
   reap pid
 
+(* --- an ill-formed stream ------------------------------------------------------- *)
+
+(* Threads 0 and 1 both acquire L0: the second acquire breaks §2.  A raw
+   BATCH, since the client-side pre-check of [racedet emit] would refuse it
+   before sending. *)
+let ill_formed_trace =
+  Trace.make ~nthreads:2 ~nlocks:1 ~nlocs:1
+    (Array.map
+       (fun (t, op) -> Ft_trace.Event.mk t op)
+       Ft_trace.Event.
+         [|
+           (0, Acquire 0); (1, Acquire 0); (0, Write 0); (1, Write 0); (1, Release 0);
+           (0, Release 0);
+         |])
+
+let ill_formed_err = "ERR ill-formed trace: event 1: thread 1 acquires lock 0 held by thread 0"
+
+(* The front rejects the event before the engine sees it; the daemon
+   answers ERR with the reason, fails fast and exits 1, and no REPORT is
+   ever answered. *)
+let test_ill_formed_batch () =
+  with_temp_dir @@ fun dir ->
+  let engine = Engine.So and sampler = Sampler.all in
+  let socket = Filename.concat dir "serve.sock" in
+  let log = Filename.concat dir "serve.log" in
+  let pid = start_server ~engine ~sampler ~log socket in
+  Fun.protect ~finally:(fun () -> kill_and_reap pid) @@ fun () ->
+  (let fd = Serve.connect (Serve.Unix_path socket) in
+   Fun.protect ~finally:(fun () -> Serve.close fd) @@ fun () ->
+   Alcotest.(check (result int string)) "ERR with the reason" (Error ill_formed_err)
+     (Serve.send_batch fd ~base:0 ill_formed_trace);
+   match Serve.fetch_report ~deadline_s:5.0 fd with
+   | Ok report -> Alcotest.failf "a REPORT after the ERR: %s" report
+   | Error _ -> ());
+  (match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED 1 -> ()
+  | Unix.WEXITED n -> Alcotest.failf "server exited %d, wanted 1" n
+  | _ -> Alcotest.fail "server was killed by a signal");
+  let logged = In_channel.with_open_bin log In_channel.input_all in
+  Alcotest.(check bool) ("the reason is logged: " ^ logged) true
+    (contains ~sub:"ill-formed trace: event 1: thread 1 acquires lock 0 held by thread 0" logged)
+
 let () =
   Alcotest.run "serve"
     [
@@ -944,6 +986,7 @@ let () =
           Alcotest.test_case "Serve.run refuses max_restarts = 8" `Quick
             test_refuses_max_restarts;
           Alcotest.test_case "Serve.run refuses shards = 2" `Quick test_refuses_shards;
+          Alcotest.test_case "ill-formed BATCH: ERR, fail fast" `Quick test_ill_formed_batch;
         ] );
       ("admission", [ QCheck_alcotest.to_alcotest admission_property ]);
       ( "client robustness",

@@ -1,9 +1,10 @@
-(* Tests for ft_trace: events, trace building/validation, the textual format,
-   the litmus executions and the random generator. *)
+(* Tests for ft_trace: events, trace building/validation, the textual and
+   binary formats, the litmus executions and the random generator. *)
 
 module Event = Ft_trace.Event
 module Trace = Ft_trace.Trace
 module Trace_format = Ft_trace.Trace_format
+module Trace_binary = Ft_trace.Trace_binary
 module Trace_gen = Ft_trace.Trace_gen
 module Litmus = Ft_trace.Litmus
 module Prng = Ft_support.Prng
@@ -275,6 +276,84 @@ let qcheck_roundtrip =
             Trace.iteri (fun i e -> if not (Event.equal e (Trace.get t' i)) then ok := false) t;
             !ok))
 
+(* --- binary format ------------------------------------------------------ *)
+
+let test_binary_roundtrip () =
+  let prng = Prng.create ~seed:7 in
+  for i = 0 to 20 do
+    let params = { Trace_gen.default with Trace_gen.atomics = i mod 2 = 0; length = 100 } in
+    let trace = Trace_gen.random prng params in
+    match Trace_binary.of_bytes (Trace_binary.to_bytes trace) with
+    | Error msg -> Alcotest.failf "roundtrip failed: %s" msg
+    | Ok trace' ->
+      Alcotest.(check int) "length" (Trace.length trace) (Trace.length trace');
+      Alcotest.(check int) "threads" trace.Trace.nthreads trace'.Trace.nthreads;
+      Trace.iteri
+        (fun j e ->
+          if not (Event.equal e (Trace.get trace' j)) then Alcotest.failf "event %d differs" j)
+        trace
+  done
+
+let test_binary_file_roundtrip () =
+  let prng = Prng.create ~seed:8 in
+  let trace = Trace_gen.random prng Trace_gen.default in
+  let path = Filename.temp_file "fttrace" ".ftb" in
+  Trace_binary.to_file path trace;
+  (match Trace_binary.of_file path with
+  | Error msg -> Alcotest.fail msg
+  | Ok trace' -> Alcotest.(check int) "length" (Trace.length trace) (Trace.length trace'));
+  Sys.remove path
+
+let test_binary_compact () =
+  let prng = Prng.create ~seed:9 in
+  let trace = Trace_gen.random prng { Trace_gen.default with Trace_gen.length = 1000 } in
+  let binary = Bytes.length (Trace_binary.to_bytes trace) in
+  let text = String.length (Ft_trace.Trace_format.to_string trace) in
+  Alcotest.(check bool)
+    (Printf.sprintf "binary (%d) ≤ half of text (%d)" binary text)
+    true
+    (2 * binary <= text)
+
+let test_binary_bad_inputs () =
+  let check_err msg data =
+    match Trace_binary.of_bytes data with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail msg
+  in
+  check_err "empty" (Bytes.create 0);
+  check_err "bad magic" (Bytes.of_string "NOPE\x01\x01\x00\x00\x00");
+  check_err "bad version" (Bytes.of_string "FTRB\x63\x01\x00\x00\x00");
+  (* truncated: header promises one event, none present *)
+  check_err "truncated" (Bytes.of_string "FTRB\x01\x02\x00\x01\x01")
+
+(* The daemons decode every client batch through [of_bytes]: a small
+   payload must cost a small allocation, not a full-width decode batch. *)
+let test_binary_small_decode_allocates_little () =
+  let trace =
+    Trace.make ~nthreads:2 ~nlocks:1 ~nlocs:4
+      (Array.init 10 (fun i ->
+           Event.mk (i mod 2) (if i mod 3 = 0 then Event.Write (i mod 4) else Event.Read (i mod 4))))
+  in
+  let data = Trace_binary.to_bytes trace in
+  (* a collection inside the window would credit it with counters the
+     runtime flushes late *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let decoded = Trace_binary.of_bytes data in
+  let bytes = Gc.allocated_bytes () -. before in
+  (match decoded with
+  | Ok t -> Alcotest.(check int) "decoded length" 10 (Trace.length t)
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check bool)
+    (Printf.sprintf "decoding 10 events allocated %.0f B < 8 KB" bytes)
+    true (bytes < 8192.)
+
+let qcheck_binary_fuzz =
+  QCheck.Test.make ~name:"binary decoder total on random bytes" ~count:500
+    QCheck.(string_of_size (QCheck.Gen.int_bound 64))
+    (fun s ->
+      match Trace_binary.of_bytes (Bytes.of_string s) with Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "trace"
     [
@@ -327,4 +406,14 @@ let () =
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_parser_total; qcheck_parser_structured; qcheck_roundtrip ] );
+      ( "binary",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_binary_roundtrip;
+          Alcotest.test_case "file roundtrip" `Quick test_binary_file_roundtrip;
+          Alcotest.test_case "compactness" `Quick test_binary_compact;
+          Alcotest.test_case "bad inputs" `Quick test_binary_bad_inputs;
+          Alcotest.test_case "small decode allocates little" `Quick
+            test_binary_small_decode_allocates_little;
+          QCheck_alcotest.to_alcotest qcheck_binary_fuzz;
+        ] );
     ]
