@@ -5,8 +5,16 @@
    matching and no closure allocation (the stale loops are specialized over
    the two clock representations), and the write/read histories are plain
    int arrays scanned with unsafe accesses.  A zero-length array is the
-   "no history yet" sentinel — real histories always have [clock_size]
-   entries.
+   "no history yet" sentinel.
+
+   A history is as wide as the threads that ran, not [clock_size]: entries
+   past an array's end read as 0 in [write]/[read] and as -1 in [rindex].
+   A 0 entry is never above a bound, so the stale loops stop at
+   [Array.length].  A write history spans the recorded clock's nonzero
+   prefix and the writer; a read history grows when a higher thread reads.
+   With TSan's 256-entry clocks and a dozen live threads, that is a
+   dozen words per array, not 256.  The codec pads every array back to
+   [clock_size], so snapshots are the bytes a full-width history writes.
 
    On top sits the same-epoch fast-path cache.  Per location we remember the
    key of the last access whose race check came back clean, as
@@ -180,17 +188,18 @@ let stale_both_plain t x clock =
   if Array.length hr = 0 then (-1, stale_write_plain t x clock)
   else if Array.length hw = 0 then (stale_read_plain t x clock, -1)
   else begin
-    let n = Array.length hr in
+    let nr = Array.length hr and nw = Array.length hw in
+    let n = Stdlib.max nr nw in
     let ri = t.rindex.(x) and wi = t.windex.(x) in
     let rec loop i pr pw =
       if (pr >= 0 && pw >= 0) || i >= n then (pr, pw)
       else begin
         let b = Vector_clock.get clock i in
         let pr =
-          if pr < 0 && Array.unsafe_get hr i > b then Array.unsafe_get ri i
+          if pr < 0 && i < nr && Array.unsafe_get hr i > b then Array.unsafe_get ri i
           else pr
         in
-        let pw = if pw < 0 && Array.unsafe_get hw i > b then wi else pw in
+        let pw = if pw < 0 && i < nw && Array.unsafe_get hw i > b then wi else pw in
         loop (i + 1) pr pw
       end
     in
@@ -202,23 +211,25 @@ let stale_both_plain t x clock =
    instead of once per loop.  Returns [(pr, pw)] exactly as the two
    separate loops would: [pr] is the per-thread index behind the {e first}
    stale read entry, [pw] the location's write index if {e any} write entry
-   is stale.  Early-exits once both are resolved. *)
+   is stale.  Early-exits once both are resolved; the two histories may
+   differ in width, and each is read only within its own. *)
 let stale_both t x clock ~tid ~epoch =
   let hr = read_of t x and hw = write_of t x in
   if Array.length hr = 0 then (-1, stale_write t x clock ~tid ~epoch)
   else if Array.length hw = 0 then (stale_read t x clock ~tid ~epoch, -1)
   else begin
-    let n = Array.length hr in
+    let nr = Array.length hr and nw = Array.length hw in
+    let n = Stdlib.max nr nw in
     let ri = t.rindex.(x) and wi = t.windex.(x) in
     let rec loop i pr pw =
       if (pr >= 0 && pw >= 0) || i >= n then (pr, pw)
       else begin
         let b = if i = tid then epoch else Vector_clock.get clock i in
         let pr =
-          if pr < 0 && Array.unsafe_get hr i > b then Array.unsafe_get ri i
+          if pr < 0 && i < nr && Array.unsafe_get hr i > b then Array.unsafe_get ri i
           else pr
         in
-        let pw = if pw < 0 && Array.unsafe_get hw i > b then wi else pw in
+        let pw = if pw < 0 && i < nw && Array.unsafe_get hw i > b then wi else pw in
         loop (i + 1) pr pw
       end
     in
@@ -252,36 +263,48 @@ let ol_stale_both t x olist ~tid ~epoch =
   if Array.length hr = 0 then (-1, ol_stale_write t x olist ~tid ~epoch)
   else if Array.length hw = 0 then (ol_stale_read t x olist ~tid ~epoch, -1)
   else begin
-    let n = Array.length hr in
+    let nr = Array.length hr and nw = Array.length hw in
+    let n = Stdlib.max nr nw in
     let ri = t.rindex.(x) and wi = t.windex.(x) in
     let rec loop i pr pw =
       if (pr >= 0 && pw >= 0) || i >= n then (pr, pw)
       else begin
         let b = if i = tid then epoch else Ordered_list.get olist i in
         let pr =
-          if pr < 0 && Array.unsafe_get hr i > b then Array.unsafe_get ri i
+          if pr < 0 && i < nr && Array.unsafe_get hr i > b then Array.unsafe_get ri i
           else pr
         in
-        let pw = if pw < 0 && Array.unsafe_get hw i > b then wi else pw in
+        let pw = if pw < 0 && i < nw && Array.unsafe_get hw i > b then wi else pw in
         loop (i + 1) pr pw
       end
     in
     loop 0 (-1) (-1)
   end
 
-let write_clock t x =
+(* The location's write history, at least [width] entries wide.  The
+   caller overwrites every entry, so a narrower one is replaced, not
+   copied; a wider one keeps its width and takes the new clock's zeros. *)
+let write_clock t x width =
   grow t x;
   let h = t.write.(x) in
-  if Array.length h > 0 then h
+  if Array.length h >= width then h
   else begin
-    let h = Array.make t.clock_size 0 in
+    let h = Array.make width 0 in
     t.write.(x) <- h;
     h
   end
 
+(* One past the last nonzero entry of [clock] below [i]. *)
+let rec clock_width clock i =
+  if i > 0 && Vector_clock.get clock (i - 1) = 0 then clock_width clock (i - 1) else i
+
+(* The write history takes the clock's nonzero prefix, and zeros as far
+   as an earlier, wider clock reached. *)
 let record_write_vc t x clock ~tid ~epoch ~index ~clean =
-  let h = write_clock t x in
-  Vector_clock.blit_into clock h;
+  let h = write_clock t x (Stdlib.max (tid + 1) (clock_width clock (Vector_clock.size clock))) in
+  for i = 0 to Array.length h - 1 do
+    Array.unsafe_set h i (Vector_clock.get clock i)
+  done;
   Array.unsafe_set h tid epoch;
   t.windex.(x) <- index;
   let k = skey ~tid ~epoch in
@@ -299,8 +322,10 @@ let record_write_vc t x clock ~tid ~epoch ~index ~clean =
   end
 
 let record_write_ol t x olist ~tid ~epoch ~index ~clean =
-  let h = write_clock t x in
-  Ordered_list.values_into olist h;
+  let h = write_clock t x (Stdlib.max (tid + 1) (Ordered_list.watermark olist)) in
+  for i = 0 to Array.length h - 1 do
+    Array.unsafe_set h i (Ordered_list.get olist i)
+  done;
   Array.unsafe_set h tid epoch;
   t.windex.(x) <- index;
   let k = skey ~tid ~epoch in
@@ -318,12 +343,15 @@ let record_read t x ~tid ~epoch ~index ~clean =
   grow t x;
   let r =
     let r = t.read.(x) in
-    if Array.length r > 0 then r
+    if Array.length r > tid then r
     else begin
-      let r = Array.make t.clock_size 0 in
-      t.read.(x) <- r;
-      t.rindex.(x) <- Array.make t.clock_size (-1);
-      r
+      let n = Array.length r in
+      let r' = Array.make (tid + 1) 0 and ri = Array.make (tid + 1) (-1) in
+      Array.blit r 0 r' 0 n;
+      Array.blit t.rindex.(x) 0 ri 0 n;
+      t.read.(x) <- r';
+      t.rindex.(x) <- ri;
+      r'
     end
   in
   if Array.unsafe_get r tid <> epoch then begin
@@ -342,8 +370,16 @@ let record_read t x ~tid ~epoch ~index ~clean =
    must count same_epoch_hits (and skip exactly the same work) as the
    uninterrupted run — the checkpoint-equivalence suite diffs the full
    metrics JSON, not just verdicts.  It always spells out all [nlocs]
-   locations, whatever the current capacity, so the bytes do not depend on
+   locations, whatever the current capacity, and every history at
+   [clock_size] entries, whatever its width, so the bytes do not depend on
    how far the arrays have grown. *)
+let padded enc t a fill =
+  Snap.Enc.int enc t.clock_size;
+  Array.iter (Snap.Enc.int enc) a;
+  for _ = Array.length a to t.clock_size - 1 do
+    Snap.Enc.int enc fill
+  done
+
 let encode enc t =
   let n = t.nlocs in
   Snap.Enc.int enc n;
@@ -352,14 +388,14 @@ let encode enc t =
     (if Array.length w = 0 then Snap.Enc.int enc 0
      else begin
        Snap.Enc.int enc 1;
-       Snap.Enc.int_array enc w
+       padded enc t w 0
      end);
     Snap.Enc.int enc (if x < capacity t then t.windex.(x) else -1);
     if Array.length r = 0 then Snap.Enc.int enc 0
     else begin
       Snap.Enc.int enc 1;
-      Snap.Enc.int_array enc r;
-      Snap.Enc.int_array enc t.rindex.(x)
+      padded enc t r 0;
+      padded enc t t.rindex.(x) (-1)
     end
   done;
   Snap.Enc.int_array enc t.tver;
@@ -383,12 +419,19 @@ let decode dec ~nlocs ~clock_size =
     Array.iter (fun v -> Snap.expect (v >= 0) "negative history entry") a;
     a
   in
+  (* back to the width a straight run keeps: one past the last entry that
+     differs from the padding, and never empty, which would mean "none" *)
+  let width differs =
+    let rec loop i = if i > 1 && not (differs (i - 1)) then loop (i - 1) else i in
+    loop clock_size
+  in
   for x = 0 to stored - 1 do
     (match Snap.Dec.int dec with
     | 0 -> ()
     | 1 ->
       grow t x;
-      t.write.(x) <- clock_entries (Snap.Dec.int_array dec)
+      let w = clock_entries (Snap.Dec.int_array dec) in
+      t.write.(x) <- Array.sub w 0 (width (fun i -> w.(i) <> 0))
     | n -> raise (Snap.Corrupt (Printf.sprintf "bad history tag %d" n)));
     (match Snap.Dec.int dec with
     | -1 -> ()
@@ -399,8 +442,11 @@ let decode dec ~nlocs ~clock_size =
     | 0 -> ()
     | 1 ->
       grow t x;
-      t.read.(x) <- clock_entries (Snap.Dec.int_array dec);
-      t.rindex.(x) <- Snap.Dec.int_array_n dec clock_size
+      let r = clock_entries (Snap.Dec.int_array dec) in
+      let ri = Snap.Dec.int_array_n dec clock_size in
+      let n = width (fun i -> r.(i) <> 0 || ri.(i) <> -1) in
+      t.read.(x) <- Array.sub r 0 n;
+      t.rindex.(x) <- Array.sub ri 0 n
     | n -> raise (Snap.Corrupt (Printf.sprintf "bad history tag %d" n))
   done;
   let tver = Snap.Dec.int_array_n dec clock_size in
@@ -425,4 +471,12 @@ let decode dec ~nlocs ~clock_size =
   into rcache_ver t.rcache_ver;
   into wcache t.wcache;
   into wcache_ver t.wcache_ver;
+  (* a read hit moves the cached thread's index, which a trimmed history
+     must still hold *)
+  Array.iteri
+    (fun x k ->
+      Snap.expect
+        (k = 0 || k land 0xFFFF < Array.length t.rindex.(x))
+        "read cache names an unrecorded read")
+    t.rcache;
   t

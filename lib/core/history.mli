@@ -6,9 +6,15 @@
     last recorded write) and the read history [C_x^r] (per-thread local time
     of the last recorded read), lazily allocated on first touch, together
     with the trace indices of the events behind the entries so that race
-    reports can name the concrete earlier access.  The per-location tables
-    themselves grow by doubling up to the highest location recorded, so
-    {!create} costs O(clock_size), not O(nlocs).
+    reports can name the concrete earlier access.  Each history is as wide
+    as the threads that ran, not [clock_size]: a write history spans the
+    recorded clock's nonzero prefix (or the ordered list's watermark) and
+    the writer, a read history grows when a higher thread reads, and
+    entries past the end read as 0.  With TSan's 256-entry clocks and a
+    dozen live threads a location's three arrays take a few dozen words,
+    not 771.  The per-location tables themselves grow by doubling up to
+    the highest location recorded, so {!create} costs O(clock_size), not
+    O(nlocs).
 
     The race checks compare a history against the *current event's*
     timestamp, which for the sampling detectors is the thread clock with its
@@ -105,8 +111,12 @@ val record_read :
     [clean] as for {!record_write_vc}, arming the read cache. *)
 
 val encode : Snap.Enc.t -> t -> unit
+(** Every history is written padded to [clock_size] entries, so the bytes
+    do not depend on how wide the arrays have grown. *)
 
 val decode : Snap.Dec.t -> nlocs:int -> clock_size:int -> t
 (** Raises [Snap.Corrupt] on dimension mismatch against the stated
     universe.  The payload includes the fast-path cache state, so a restored
-    run skips (and counts) exactly what the uninterrupted run would. *)
+    run skips (and counts) exactly what the uninterrupted run would.  Each
+    history is trimmed of its padding, so a restored run keeps no more
+    state than an uninterrupted one. *)

@@ -85,6 +85,8 @@ let copy_into ~into src =
   into.tail <- src.tail;
   into.hi <- src.hi
 
+let watermark o = o.hi
+
 let values_into o dst =
   let t = o.time in
   for i = 0 to Array.length t - 1 do

@@ -47,6 +47,10 @@ val copy_into : into:t -> t -> unit
     at the higher of them.  Allocates nothing.  Both lists must have the
     same size.  The reference count of [into] is left alone. *)
 
+val watermark : t -> int
+(** One past the highest node ever moved to the head: every thread at or
+    above it has time 0.  O(1). *)
+
 val values_into : t -> int array -> unit
 (** [values_into o dst] writes thread [i]'s value to [dst.(i)] for every
     [i], in index order.  [dst] must be at least [size o] long.  O(T). *)

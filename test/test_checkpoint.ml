@@ -9,6 +9,9 @@
      falls back to full replay);
    - Ordered_list deep copies and snapshot roundtrips preserve the recency
      order that Alg 4's d-prefix traversals depend on;
+   - at TSan's 256-entry clocks the history engines' snapshot bytes are
+     pinned, and a restored run keeps no more live state than a straight
+     one;
    - the Metrics record's serialization arity is guarded against field drift;
    - the runner's checkpoints carry the §2 validator's state: a cut inside a
      held lock resumes exactly, and version-1 files or a corrupt validator
@@ -80,11 +83,12 @@ let print_scenario s =
 
 let scenario_arb = QCheck.make ~print:print_scenario scenario_gen
 
+(* Each run also returns the words its detector keeps live at the end. *)
 let run_full id config trace =
   let (module D : Detector.S) = Engine.detector id in
   let d = D.create config in
   Trace.iteri (fun i e -> D.handle d i e) trace;
-  D.result d
+  (D.result d, Obj.reachable_words (Obj.repr d))
 
 (* Run the prefix, snapshot, push the snapshot through the .ftc container,
    restore, run the suffix.  Also checks snapshot determinism: the restored
@@ -123,7 +127,7 @@ let run_cut id config trace ~cut =
   for i = cut to Trace.length trace - 1 do
     D.handle d' i (Trace.get trace i)
   done;
-  D.result d'
+  (D.result d', Obj.reachable_words (Obj.repr d'))
 
 let prop_prefix_equivalence s =
   let prng = Prng.create ~seed:s.seed in
@@ -143,8 +147,8 @@ let prop_prefix_equivalence s =
           sampler;
         }
       in
-      let full = run_full id config trace in
-      let interrupted = run_cut id config trace ~cut in
+      let full, _ = run_full id config trace in
+      let interrupted, _ = run_cut id config trace ~cut in
       let same_races = full.Detector.races = interrupted.Detector.races in
       let same_metrics =
         Metrics.to_array full.Detector.metrics = Metrics.to_array interrupted.Detector.metrics
@@ -294,9 +298,12 @@ let test_ol_snapshot_roundtrip_order () =
 
 (* At TSan's 256-entry clocks SO recycles its lists and copies only their
    reordered prefix; a restore recomputes the watermarks and rebuilds the
-   reference counts from the decoded sharing.  A run snapshotted at random
-   cuts of a server trace and continued must still match the uninterrupted
-   one: same REPORT bytes, same metrics. *)
+   reference counts from the decoded sharing.  Every history engine keeps
+   its access histories as wide as the threads that ran, and a restore
+   trims the padded arrays of the snapshot back to that width.  A run
+   snapshotted at random cuts of a server trace and continued must still
+   match the uninterrupted one: same REPORT bytes, same metrics, and live
+   state within 10% of the uninterrupted run's. *)
 let test_padded_cut_equivalence () =
   let trace =
     Ft_workloads.Db_sim.generate
@@ -316,11 +323,14 @@ let test_padded_cut_equivalence () =
           sampler = Sampler.bernoulli ~rate:0.1 ~seed:5;
         }
       in
-      let full = run_full id config trace in
+      let full, full_words = run_full id config trace in
       for _ = 1 to 2 do
         let cut = 1 + Prng.int prng (events - 1) in
         let what = Printf.sprintf "%s T=256 cut %d" (Engine.name id) cut in
-        let resumed = run_cut id config trace ~cut in
+        let resumed, words = run_cut id config trace ~cut in
+        if abs (words - full_words) * 10 > full_words then
+          Alcotest.failf "%s: %d live words after the resume, %d uninterrupted" what words
+            full_words;
         Alcotest.(check string) (what ^ ": REPORT")
           (Ft_shard.Serve.report_text ~events full)
           (Ft_shard.Serve.report_text ~events resumed);
@@ -328,7 +338,57 @@ let test_padded_cut_equivalence () =
           (Metrics.to_array full.Detector.metrics)
           (Metrics.to_array resumed.Detector.metrics)
       done)
-    [ Engine.St; Engine.Su; Engine.So ]
+    [ Engine.Djit; Engine.St; Engine.Su; Engine.So; Engine.Sl ]
+
+(* --- pinned snapshot bytes ------------------------------------------------- *)
+
+(* The snapshot payload is a function of the detector's state, not of how
+   that state is held in memory: a history array as wide as the threads
+   that ran encodes padded to [clock_size], exactly as a full-width one.
+   These digests were taken from the full-width histories on a fixed tpcc
+   trace at TSan's 256-entry clocks, at the midpoint and at the end; a
+   change to the .ftc layout, or to the snapshot size that drives the
+   cluster's checkpoint cadence, shows up here. *)
+let pinned_snapshot_digests =
+  [
+    (Engine.Djit, "1ea602a640003d66451fa9b9edcf6e79", "d04cf99f2750b6957214d85137174037");
+    (Engine.St, "fd34f08761f93db5e64e86f3925fe171", "57204dc231dd3056d4928c581b76a1de");
+    (Engine.Su, "82aeb4c7518e5f415540757bdda1b0bd", "661aefecb1ce629f534bedebd7fba8fe");
+    (Engine.So, "7cb97d0ac37ee938345dd2ede4a4c1d9", "d38d0558fb5d6432022bfb2e208737d7");
+    (Engine.Sl, "52be37f02c5efff0dff7f9b4c85d131a", "89cd9123db6abf362430c2ef544d64b6");
+  ]
+
+let test_snapshot_digests_pinned () =
+  let trace =
+    Ft_workloads.Db_sim.generate
+      (Option.get (Ft_workloads.Db_sim.profile "tpcc"))
+      ~seed:11 ~target_events:20_000
+  in
+  let events = Trace.length trace in
+  List.iter
+    (fun (id, mid, last) ->
+      let config =
+        {
+          Detector.nthreads = trace.Trace.nthreads;
+          nlocks = trace.Trace.nlocks;
+          nlocs = trace.Trace.nlocs;
+          clock_size = 256;
+          sampler = Sampler.bernoulli ~rate:0.1 ~seed:5;
+        }
+      in
+      let (module D : Detector.S) = Engine.detector id in
+      let d = D.create config in
+      let digest () = Digest.to_hex (Digest.string (D.snapshot d)) in
+      for i = 0 to (events / 2) - 1 do
+        D.handle d i (Trace.get trace i)
+      done;
+      let at_mid = digest () in
+      for i = events / 2 to events - 1 do
+        D.handle d i (Trace.get trace i)
+      done;
+      Alcotest.(check string) (Engine.name id ^ ": snapshot digest at the midpoint") mid at_mid;
+      Alcotest.(check string) (Engine.name id ^ ": snapshot digest at the end") last (digest ()))
+    pinned_snapshot_digests
 
 (* --- lock-sharing encoding ------------------------------------------------- *)
 
@@ -728,6 +788,8 @@ let () =
           Alcotest.test_case "snapshot restores order" `Quick test_ol_snapshot_roundtrip_order;
           Alcotest.test_case "T=256 tpcc: random cuts ≡ straight run" `Slow
             test_padded_cut_equivalence;
+          Alcotest.test_case "T=256 tpcc: snapshot bytes pinned" `Quick
+            test_snapshot_digests_pinned;
           Alcotest.test_case "lock sharing: linear encoder ≡ reference, ≥2000 locks" `Quick
             test_lock_sharing_encoding;
         ] );

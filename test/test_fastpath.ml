@@ -17,9 +17,12 @@
    - the byte-identity grid: the rebuilt engines vs the seed engines
      vendored in Ref_engines, across engines × samplers × the pipeline and
      K Chash-routed checkers (Routed), and
-     padded clocks for ST/SU/SO — races, reports, and every counter except
-     the purely additive same_epoch_hits must match exactly; SO's list pool
-     keeps exact reference counts within its bound. *)
+     padded clocks for the five history engines — races, reports, and every
+     counter except the purely additive same_epoch_hits must match exactly;
+     SO's list pool keeps exact reference counts within its bound;
+   - History width: at a 256-entry clock, a history written and read by
+     four threads keeps a few words per array, not 256, and decode refuses
+     a read cache that its trimmed read history cannot hold. *)
 
 module Trace = Ft_trace.Trace
 module Event = Ft_trace.Event
@@ -337,12 +340,15 @@ let grid_samplers () =
     ("adaptive", Sampler.adaptive ~base_rate:4);
   ]
 
-(* The sampling engines also run at a padded clock (64 entries for 4
-   threads), where SO's lazy copies recycle lists and write only their
-   reordered prefix: the untouched padding must behave exactly like the
-   seed engines' full copies. *)
+(* The history engines also run at padded clocks (64 and TSan's 256 entries
+   for 4 threads).  There SO's lazy copies recycle lists and write only
+   their reordered prefix, and every history is only as wide as the threads
+   that ran: the untouched padding must behave exactly like the seed
+   engines' full-width copies and histories. *)
 let grid_clock_sizes id ~nthreads =
-  match id with Engine.St | Engine.Su | Engine.So -> [ nthreads; 64 ] | _ -> [ nthreads ]
+  match id with
+  | Engine.Djit | Engine.St | Engine.Su | Engine.So | Engine.Sl -> [ nthreads; 64; 256 ]
+  | _ -> [ nthreads ]
 
 let test_byte_identity_grid () =
   let hits = ref 0 in
@@ -389,6 +395,74 @@ let test_byte_identity_grid () =
         grid_engines)
     [ 77; 1234 ];
   Alcotest.(check bool) "the fast path actually fired across the grid" true (!hits > 0)
+
+(* --- History width ---------------------------------------------------------- *)
+
+(* At TSan's 256-entry clocks, four threads read and write 1,000 locations
+   through both record paths.  Every write, read and read-index array must
+   stay a few words wide: a full-width one is 257 words with its header.
+   The per-location tables and the version counters are fixed costs of
+   [create]'s universe, counted exactly and set aside. *)
+let test_history_width_bound () =
+  let module H = Ft_core.History in
+  let module Vc = Ft_core.Vector_clock in
+  let module Ol = Ft_core.Ordered_list in
+  let nlocs = 1_000 and clock_size = 256 and threads = 4 in
+  let h = H.create ~nlocs ~clock_size in
+  let clock = Vc.create clock_size and olist = Ol.create clock_size in
+  let index = ref 0 in
+  for x = 0 to nlocs - 1 do
+    for tid = 0 to threads - 1 do
+      let epoch = x + tid + 1 in
+      Vc.set clock tid epoch;
+      Ol.set olist tid epoch;
+      incr index;
+      H.record_read h x ~tid ~epoch ~index:!index ~clean:true;
+      incr index;
+      if x mod 2 = 0 then H.record_write_vc h x clock ~tid ~epoch ~index:!index ~clean:true
+      else H.record_write_ol h x olist ~tid ~epoch ~index:!index ~clean:true
+    done
+  done;
+  let arrays = 3 * nlocs in
+  let tables = (8 * (nlocs + 1)) + (clock_size + 1) + (Obj.size (Obj.repr h) + 1) in
+  let per_array = (Obj.reachable_words (Obj.repr h) - tables) / arrays in
+  if per_array >= 16 then
+    Alcotest.failf "%d words per history array at clock_size %d, %d threads" per_array
+      clock_size threads;
+  let last = nlocs - 1 in
+  Alcotest.(check bool) "the narrow write history is above ⊥" true
+    (H.stale_write h last (Vc.create clock_size) ~tid:0 ~epoch:0 >= 0);
+  Alcotest.(check (pair int int)) "and ordered before the clock that wrote it" (-1, -1)
+    (H.stale_both h last clock ~tid:(threads - 1) ~epoch:(last + threads))
+
+(* Decoding trims each history to the threads that ran, so a read cache
+   naming a thread past the trimmed read history would send a later hit
+   out of bounds.  Decode refuses it; the same bytes naming thread 0 load. *)
+let test_history_decode_checks_read_cache () =
+  let module H = Ft_core.History in
+  let clock_size = 4 in
+  let snapshot ~cached_tid =
+    let enc = Snap.Enc.create () in
+    let per_loc v = Snap.Enc.int_array enc [| v |] in
+    Snap.Enc.int enc 1;
+    (* location 0: no write, a read by thread 0 at epoch 7, event 5 *)
+    Snap.Enc.int enc 0;
+    Snap.Enc.int enc (-1);
+    Snap.Enc.int enc 1;
+    Snap.Enc.int_array enc [| 7; 0; 0; 0 |];
+    Snap.Enc.int_array enc [| 5; -1; -1; -1 |];
+    Snap.Enc.int_array enc (Array.make clock_size 1);
+    per_loc ((7 lsl 16) lor cached_tid);
+    per_loc 1;
+    per_loc 0;
+    per_loc 0;
+    Snap.Dec.of_snap (Snap.Enc.to_snap enc)
+  in
+  ignore (H.decode (snapshot ~cached_tid:0) ~nlocs:1 ~clock_size);
+  match H.decode (snapshot ~cached_tid:3) ~nlocs:1 ~clock_size with
+  | _ -> Alcotest.fail "a read cache past the recorded reads was accepted"
+  | exception Snap.Corrupt msg ->
+    Alcotest.(check string) "refused" "read cache names an unrecorded read" msg
 
 (* SO's list recycling keeps exact reference counts and a bounded pool:
    after every event of small random traces, where few locks make the
@@ -697,5 +771,12 @@ let () =
             test_byte_identity_grid;
           Alcotest.test_case "so list pool: exact counts, bounded, T=256 tpcc" `Slow
             test_so_pool_bounded;
+        ] );
+      ( "history_width",
+        [
+          Alcotest.test_case "T=256, four threads: a few words per array" `Quick
+            test_history_width_bound;
+          Alcotest.test_case "decode refuses a read cache past the reads" `Quick
+            test_history_decode_checks_read_cache;
         ] );
     ]

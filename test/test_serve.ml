@@ -25,6 +25,11 @@ module Sampler = Ft_core.Sampler
 module Serve = Ft_shard.Serve
 module Json = Ft_obs.Json
 
+(* A daemon that fails fast closes its socket, and a request written after
+   that must come back as [Error EPIPE]: without this the default SIGPIPE
+   disposition kills the test runner instead. *)
+let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
 let dir_counter = ref 0
 
 let temp_dir () =
