@@ -1,22 +1,19 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation and times the core operations with Bechamel.
+(* Benchmark driver: regenerates every table and figure of the paper's
+   evaluation, prints the tables on stdout and writes one BENCH_<figure>.json
+   per figure.
 
-     dune exec bench/main.exe                 (moderate sizes, all figures)
-     dune exec bench/main.exe -- --full       (paper-scale sizes, slower)
-     dune exec bench/main.exe -- --figure 5b  (one figure)
-     dune exec bench/main.exe -- --no-bechamel
+     dune exec bench/main.exe                     (moderate sizes, all figures)
+     dune exec bench/main.exe -- --full           (paper-scale sizes, slower)
+     dune exec bench/main.exe -- --figure 7 -j 2  (one figure, two domains)
 
-   One [Test.make] per table/figure: the Bechamel section times the
-   computation underlying each figure on a small fixed instance (engine
-   analysis runs for Figs 5–6, metric-counting runs for Figs 7–9) plus
-   data-structure ablations; the tables themselves are then printed by the
-   harnesses in [ft_tsan] and [ft_rapid]. *)
+   Every wall clock it reports is timed by [Ft_tsan.Timing]: the thunks
+   compared in a figure run in alternating rounds and each wall is a median
+   with its quartiles.  The tables themselves are printed by the harnesses
+   in [ft_tsan] and [ft_rapid]. *)
 
 module Engine = Ft_core.Engine
 module Detector = Ft_core.Detector
 module Sampler = Ft_core.Sampler
-module Vc = Ft_core.Vector_clock
-module Ol = Ft_core.Ordered_list
 module Trace = Ft_trace.Trace
 module Sharded = Ft_shard.Sharded
 module Clock = Ft_support.Clock
@@ -24,6 +21,7 @@ module Stats = Ft_support.Stats
 module Db_sim = Ft_workloads.Db_sim
 module Classic = Ft_workloads.Classic
 module Harness = Ft_tsan.Harness
+module Timing = Ft_tsan.Timing
 module Experiment = Ft_rapid.Experiment
 module Json = Ft_obs.Json
 module Metrics = Ft_core.Metrics
@@ -36,7 +34,6 @@ module Loadgen = Ft_cluster.Loadgen
 type options = {
   mutable figure : string;
   mutable full : bool;
-  mutable bechamel : bool;
   mutable events : int option;
   mutable runs : int option;
   mutable jobs : int;
@@ -44,17 +41,19 @@ type options = {
 }
 
 let options =
-  { figure = "all"; full = false; bechamel = true; events = None; runs = None; jobs = 1;
-    phase = "current" }
+  { figure = "all"; full = false; events = None; runs = None; jobs = 1; phase = "current" }
+
+let figures =
+  [ "all"; "5a"; "5b"; "6a"; "6b"; "6c"; "7"; "8"; "9"; "ablation"; "shards"; "fig7";
+    "cluster" ]
 
 let parse_args () =
   let spec =
     [
       ( "--figure",
         Arg.String (fun s -> options.figure <- s),
-        "FIG  only this figure (5a..9, ablation, shards, cluster)" );
+        "FIG  only this figure (" ^ String.concat ", " figures ^ ")" );
       ("--full", Arg.Unit (fun () -> options.full <- true), "  paper-scale sizes");
-      ("--no-bechamel", Arg.Unit (fun () -> options.bechamel <- false), "  skip micro-timings");
       ("--events", Arg.Int (fun n -> options.events <- Some n), "N  events per DB trace");
       ("--runs", Arg.Int (fun n -> options.runs <- Some n), "K  offline repetitions");
       ( "-j",
@@ -67,7 +66,14 @@ let parse_args () =
         "NAME  label stamped on fig7 throughput rows (e.g. seed/flat)" );
     ]
   in
-  Arg.parse spec (fun _ -> ()) "bench/main.exe [options]"
+  Arg.parse spec (fun _ -> ()) "bench/main.exe [options]";
+  (* A typo must not run nothing and exit 0: CI would then gate the
+     committed BENCH file against itself. *)
+  if not (List.mem options.figure figures) then begin
+    Printf.eprintf "bench: unknown figure %S (valid: %s)\n" options.figure
+      (String.concat ", " figures);
+    exit 2
+  end
 
 (* Runner statistics go to stderr so stdout — the tables — stays
    byte-comparable across [-j] values. *)
@@ -111,6 +117,12 @@ let write_bench_files () =
 
 let jf x = Json.Float x
 
+(* A timed wall as three fields: the median and its quartiles. *)
+let wall name (t : Timing.t) =
+  [ (name, jf t.Timing.median);
+    (name ^ "_q1", jf t.Timing.q1);
+    (name ^ "_q3", jf t.Timing.q3) ]
+
 let add_tsan_rows (ms : Harness.measurement list) =
   List.iter
     (fun (m : Harness.measurement) ->
@@ -119,31 +131,40 @@ let add_tsan_rows (ms : Harness.measurement list) =
         :: ("events", Json.Int m.Harness.events)
         :: extra
       in
-      let rel t = t /. Float.max m.Harness.nt 1e-12 in
+      (* Figs 5a/5b divide by NT or subtract ET; both ride along, with ET
+         per event, so a drifting denominator shows in the row. *)
+      let nt = m.Harness.nt.Timing.median and et = m.Harness.et.Timing.median in
+      let baselines =
+        wall "nt_s" m.Harness.nt
+        @ wall "et_s" m.Harness.et
+        @ [ ("et_ns_per_event", jf (1e9 *. et /. float_of_int (max 1 m.Harness.events))) ]
+      in
+      let rel (t : Timing.t) = t.Timing.median /. Float.max nt 1e-12 in
       if wants "5a" then begin
-        add_row "5a"
-          (base [ ("engine", Json.Str "ET"); ("rate", jf 1.0); ("wall_s", jf m.et);
-                  ("rel_nt", jf (rel m.et)) ]);
-        add_row "5a"
-          (base [ ("engine", Json.Str "FT"); ("rate", jf 1.0); ("wall_s", jf m.ft);
-                  ("rel_nt", jf (rel m.ft)) ]);
-        List.iter
-          (fun (r : Harness.rate_result) ->
-            add_row "5a"
-              (base [ ("engine", Json.Str "ST"); ("rate", jf r.rate);
-                      ("wall_s", jf r.st_time); ("rel_nt", jf (rel r.st_time)) ]))
-          m.per_rate
+        let row eng rate t =
+          add_row "5a"
+            (base
+               ([ ("engine", Json.Str eng); ("rate", jf rate) ]
+               @ wall "wall_s" t
+               @ [ ("rel_nt", jf (rel t)) ]
+               @ baselines))
+        in
+        row "ET" 1.0 m.Harness.et;
+        row "FT" 1.0 m.Harness.ft;
+        List.iter (fun (r : Harness.rate_result) -> row "ST" r.rate r.st_time) m.per_rate
       end;
       if wants "5b" then
         List.iter
           (fun (r : Harness.rate_result) ->
-            let ao_st = Harness.ao m ~time:r.st_time in
-            let row eng time =
-              let ao = Harness.ao m ~time in
+            let ao_st = Harness.ao m ~time:r.st_time.Timing.median in
+            let row eng (t : Timing.t) =
+              let ao = Harness.ao m ~time:t.Timing.median in
               base
-                [ ("engine", Json.Str eng); ("rate", jf r.rate); ("wall_s", jf time);
-                  ("ao_s", jf ao); ("ao_st_s", jf ao_st);
-                  ("improvement", jf (1.0 -. (ao /. Float.max ao_st 1e-12))) ]
+                ([ ("engine", Json.Str eng); ("rate", jf r.rate) ]
+                @ wall "wall_s" t
+                @ [ ("ao_s", jf ao); ("ao_st_s", jf ao_st);
+                    ("improvement", jf (1.0 -. (ao /. Float.max ao_st 1e-12))) ]
+                @ baselines)
             in
             add_row "5b" (row "SU" r.su_time);
             add_row "5b" (row "SO" r.so_time))
@@ -169,18 +190,23 @@ let add_tsan_rows (ms : Harness.measurement list) =
         List.iter
           (fun (r : Harness.rate_result) ->
             add_row "6b"
-              (base [ ("engine", Json.Str "SU"); ("rate", jf r.rate);
-                      ("wall_s", jf r.su_time);
-                      ("sync_full_work_ratio", jf (Metrics.sync_full_work_ratio r.su_metrics)) ]))
+              (base
+                 ([ ("engine", Json.Str "SU"); ("rate", jf r.rate) ]
+                 @ wall "wall_s" r.su_time
+                 @ [ ("sync_full_work_ratio",
+                      jf (Metrics.sync_full_work_ratio r.su_metrics)) ])))
           m.per_rate;
       if wants "6c" then
         List.iter
           (fun (r : Harness.rate_result) ->
             add_row "6c"
-              (base [ ("engine", Json.Str "SO"); ("rate", jf r.rate);
-                      ("wall_s", jf r.so_time);
-                      ("mean_entries_per_acquire", jf (Metrics.mean_entries_per_acquire r.so_metrics));
-                      ("saved_traversal_ratio", jf (Metrics.saved_traversal_ratio r.so_metrics)) ]))
+              (base
+                 ([ ("engine", Json.Str "SO"); ("rate", jf r.rate) ]
+                 @ wall "wall_s" r.so_time
+                 @ [ ("mean_entries_per_acquire",
+                      jf (Metrics.mean_entries_per_acquire r.so_metrics));
+                     ("saved_traversal_ratio",
+                      jf (Metrics.saved_traversal_ratio r.so_metrics)) ])))
           m.per_rate)
     ms
 
@@ -194,6 +220,9 @@ let add_rapid_rows ~grid_wall_s (rows : Experiment.row list) =
         :: ("runs", Json.Int r.Experiment.runs)
         :: ("events", Json.Int m.Metrics.events)
         :: ("grid_wall_s", jf grid_wall_s)
+        :: ("racy_locations", jf r.Experiment.racy_locations)
+        :: ("peak_sampled", Json.Int r.Experiment.peak_sampled)
+        :: ("metrics", Result.get_ok (Json.parse (Metrics.to_json m)))
         :: extra
       in
       if wants "7" then
@@ -206,111 +235,22 @@ let add_rapid_rows ~grid_wall_s (rows : Experiment.row list) =
         add_row "9" (base [ ("saved_traversal_ratio", jf (Metrics.saved_traversal_ratio m)) ]))
     rows
 
-(* --- bechamel section ------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let tpcc = Option.get (Db_sim.profile "tpcc") in
-  let trace = Db_sim.generate tpcc ~seed:3 ~target_events:20_000 in
-  let sampler = Sampler.bernoulli ~rate:0.03 ~seed:3 in
-  let clock_size = 64 in
-  let engine_run id () = Engine.run_instrumented id ~sampler ~clock_size trace in
-  let pc = Option.get (Classic.find "producerconsumer") in
-  let pc_trace = pc.Classic.generate ~seed:3 ~scale:4 in
-  let offline id rate () =
-    let s = if rate >= 1.0 then Sampler.all else Sampler.bernoulli ~rate ~seed:3 in
-    Engine.run id ~sampler:s pc_trace
-  in
-  (* ablation micro-benches: the data-structure operations the figures hinge
-     on — a full vector-clock join versus ordered-list prefix absorption *)
-  let vc_a = Vc.create 64 and vc_b = Vc.create 64 in
-  Vc.set vc_b 7 1_000_000;
-  let ol = Ol.create 64 in
-  Ol.set ol 7 1_000_000;
-  [
-    Test.make ~name:"fig5a: NT replay" (Staged.stage (fun () -> Detector.replay_only trace));
-    Test.make ~name:"fig5a: ET instrumented replay"
-      (Staged.stage (fun () -> Detector.replay_instrumented trace));
-    Test.make ~name:"fig5a: FT full detection" (Staged.stage (engine_run Engine.Fasttrack));
-    Test.make ~name:"fig5a: ST 3% analysis" (Staged.stage (engine_run Engine.St));
-    Test.make ~name:"fig5b: SU 3% analysis" (Staged.stage (engine_run Engine.Su));
-    Test.make ~name:"fig5b: SO 3% analysis" (Staged.stage (engine_run Engine.So));
-    Test.make ~name:"fig6: SU metrics run" (Staged.stage (offline Engine.Su 0.03));
-    Test.make ~name:"fig6: SO metrics run" (Staged.stage (offline Engine.So 0.03));
-    Test.make ~name:"fig7-9: SU-(100%) offline" (Staged.stage (offline Engine.Su 1.0));
-    Test.make ~name:"fig7-9: SO-(100%) offline" (Staged.stage (offline Engine.So 1.0));
-    Test.make ~name:"ablation: vector-clock join (T=64)"
-      (Staged.stage (fun () -> Vc.join ~into:vc_a vc_b));
-    Test.make ~name:"ablation: ordered-list 1-entry absorb (T=64)"
-      (Staged.stage (fun () ->
-           let stale = ref 0 in
-           Ol.iter_prefix ol 1 (fun _ v -> stale := v);
-           !stale));
-    Test.make ~name:"ablation: ordered-list deep copy (T=64)"
-      (Staged.stage (fun () -> Ol.deep_copy ol));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "Bechamel micro-timings (one test per table/figure)";
-  print_endline "==================================================";
-  let cfg = Benchmark.cfg ~limit:1200 ~quota:(Time.second 0.4) ~kde:None () in
-  let instances = [ Instance.monotonic_clock ] in
-  let tests = Test.make_grouped ~name:"freshtrack" (bechamel_tests ()) in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (t :: _) -> t
-        | Some [] | None -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-        else Printf.sprintf "%8.1f ns" ns
-      in
-      Printf.printf "  %-45s %s/run\n" name pretty)
-    rows;
-  print_newline ()
-
 (* --- pipeline vs plain -------------------------------------------------------- *)
 
 (* Wall clock of the pipelined online detector — the front (sampler + sync
    engine) on this domain, one checker on another — against the plain
    engine on the same trace: SO at 3% and 10% on a sync-heavy trace (tpcc)
-   and an access-heavy one (hyadapt).  One JSON row per (workload, rate).
-   The two are timed in [shard_repeats] alternating rounds (plain first in
-   odd rounds, the pipeline first in even ones), so drift on a shared host
-   hits both alike; each row holds the median wall of each with its first
-   and third quartiles.  Verdict exactness is enforced inline: every
-   pipeline run must report the plain engine's race count, or the figure
-   aborts. *)
+   and an access-heavy one (hyadapt).  One JSON row per (workload, rate):
+   the median wall of each over [shard_repeats] alternating rounds, with
+   its first and third quartiles.  Verdict exactness is enforced inline:
+   every pipeline run must report the plain engine's race count, or the
+   figure aborts. *)
 let shard_repeats = 7
 
 let run_shard_grid ~target_events =
   print_newline ();
   print_endline "Pipeline vs plain: SO engine, a front and one checker domain";
   print_endline "=============================================================";
-  (* Time [f] into [walls.(i)] and answer its race count. *)
-  let time_into walls i f =
-    let t0 = Clock.now_ns () in
-    let r = f () in
-    walls.(i) <- Clock.elapsed_s ~since:t0;
-    List.length r.Ft_core.Detector.races
-  in
-  let quartiles walls =
-    (Stats.percentile walls 25.0, Stats.median walls, Stats.percentile walls 75.0)
-  in
   List.iter
     (fun profile ->
       let trace =
@@ -323,56 +263,41 @@ let run_shard_grid ~target_events =
           let sampler = Sampler.bernoulli ~rate ~seed:7 in
           let config = Detector.config_of_trace ~sampler trace in
           let plain () = Engine.run Engine.So ~sampler trace in
+          let races = List.length (plain ()).Detector.races in
           let pipeline () =
             let sh = Sharded.create ~engine:Engine.So config in
             Trace.iteri (fun i e -> Sharded.handle sh i e) trace;
-            let result = Sharded.result sh in
+            let got = List.length (Sharded.result sh).Detector.races in
             Sharded.stop sh;
-            result
-          in
-          let plain_walls = Array.make shard_repeats 0.0
-          and walls = Array.make shard_repeats 0.0 in
-          let races = ref 0 in
-          for i = 0 to shard_repeats - 1 do
-            let expected, got =
-              if i mod 2 = 0 then
-                let expected = time_into plain_walls i plain in
-                (expected, time_into walls i pipeline)
-              else
-                let got = time_into walls i pipeline in
-                (time_into plain_walls i plain, got)
-            in
-            if got <> expected then
+            if got <> races then
               failwith
                 (Printf.sprintf
                    "pipeline figure: %s at %g reports %d races but the plain engine \
                     reported %d"
-                   wname rate got expected);
-            races := got
-          done;
-          let q1, wall_s, q3 = quartiles walls in
-          let plain_q1, plain_s, plain_q3 = quartiles plain_walls in
-          let events_per_s = float_of_int events /. Float.max wall_s 1e-9 in
+                   wname rate got races)
+          in
+          let t =
+            Timing.run ~rounds:shard_repeats [| (fun () -> ignore (plain ())); pipeline |]
+          in
+          let plain_t = t.(0) and pipe_t = t.(1) in
+          let events_per_s = float_of_int events /. Float.max pipe_t.Timing.median 1e-9 in
           add_row "shards"
-            [ ("workload", Json.Str wname);
-              ("engine", Json.Str (Engine.name Engine.So));
-              ("rate", jf rate);
-              ("events", Json.Int events);
-              ("repeats", Json.Int shard_repeats);
-              ("wall_s", jf wall_s);
-              ("wall_s_q1", jf q1);
-              ("wall_s_q3", jf q3);
-              ("events_per_s", jf events_per_s);
-              ("plain_wall_s", jf plain_s);
-              ("plain_wall_s_q1", jf plain_q1);
-              ("plain_wall_s_q3", jf plain_q3);
-              ("races", Json.Int !races) ];
+            ([ ("workload", Json.Str wname);
+               ("engine", Json.Str (Engine.name Engine.So));
+               ("rate", jf rate);
+               ("events", Json.Int events);
+               ("repeats", Json.Int shard_repeats) ]
+            @ wall "wall_s" pipe_t
+            @ [ ("events_per_s", jf events_per_s) ]
+            @ wall "plain_wall_s" plain_t
+            @ [ ("races", Json.Int races) ]);
           Printf.printf
             "{\"figure\": \"shards\", \"workload\": %S, \"rate\": %g, \"events\": %d, \
              \"wall_s\": %.6f, \"wall_s_q1\": %.6f, \"wall_s_q3\": %.6f, \
              \"plain_wall_s\": %.6f, \"plain_wall_s_q1\": %.6f, \"plain_wall_s_q3\": %.6f, \
              \"races\": %d}\n%!"
-            wname rate events wall_s q1 q3 plain_s plain_q1 plain_q3 !races)
+            wname rate events pipe_t.Timing.median pipe_t.Timing.q1 pipe_t.Timing.q3
+            plain_t.Timing.median plain_t.Timing.q1 plain_t.Timing.q3 races)
         [ 0.03; 0.1 ])
     [ "tpcc"; "hyadapt" ]
 
@@ -488,11 +413,12 @@ let run_cluster_grid ~target_events =
 
 (* Events/sec over the Fig 7 grid (classic benchmarks × engine × sampling
    rate).  One JSON row per cell, stamped with [options.phase] so before/after
-   rows of an optimization land in the same BENCH_fig7.json; [rel_nt]
-   normalizes by the NT replay speed of the same trace on the same machine,
-   which is what the CI regression gate compares — raw events/sec are not
-   portable across runners. *)
-let run_fig7_throughput ~target_events ~clock_size ~repeats =
+   rows of an optimization land in the same BENCH_fig7.json.  NT and the
+   benchmark's cells are timed in one alternating call, and [rel_nt] is the
+   median over rounds of NT's wall over the cell's — the NT-relative speed
+   the CI regression gate compares, since raw events/sec are not portable
+   across runners. *)
+let run_fig7_throughput ~target_events ~clock_size ~rounds =
   print_newline ();
   print_endline "Fig 7 grid: analysis throughput (events/sec)";
   print_endline "============================================";
@@ -513,16 +439,6 @@ let run_fig7_throughput ~target_events ~clock_size ~repeats =
       (Engine.O1u, 1.0);
     ]
   in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to repeats do
-      let t0 = Clock.now_ns () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Clock.elapsed_s ~since:t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   List.iter
     (fun bname ->
       let b = Option.get (Classic.find bname) in
@@ -535,29 +451,35 @@ let run_fig7_throughput ~target_events ~clock_size ~repeats =
       in
       let scale, trace = pick 6 in
       let events = Trace.length trace in
-      let nt_wall = time (fun () -> Detector.replay_only trace) in
-      let nt_eps = float_of_int events /. Float.max nt_wall 1e-9 in
-      List.iter
-        (fun (id, rate) ->
-          let sampler =
-            if rate >= 1.0 then Sampler.all else Sampler.bernoulli ~rate ~seed:11
-          in
-          let wall_s = time (fun () -> Engine.run id ~sampler ~clock_size trace) in
-          let eps = float_of_int events /. Float.max wall_s 1e-9 in
+      let run (id, rate) =
+        let sampler = if rate >= 1.0 then Sampler.all else Sampler.bernoulli ~rate ~seed:11 in
+        fun () -> ignore (Engine.run id ~sampler ~clock_size trace)
+      in
+      let t =
+        Timing.run ~rounds
+          (Array.of_list ((fun () -> ignore (Detector.replay_only trace)) :: List.map run cells))
+      in
+      let nt = t.(0) in
+      let nt_eps = float_of_int events /. Float.max nt.Timing.median 1e-9 in
+      List.iteri
+        (fun i (id, rate) ->
+          let cell = t.(i + 1) in
+          let eps = float_of_int events /. Float.max cell.Timing.median 1e-9 in
+          let rel_nt = Stats.median (Array.map2 ( /. ) nt.Timing.walls cell.Timing.walls) in
           add_row "fig7"
-            [ ("phase", Json.Str options.phase);
-              ("benchmark", Json.Str bname);
-              ("engine", Json.Str (Engine.name id));
-              ("rate", jf rate);
-              ("scale", Json.Int scale);
-              ("clock_size", Json.Int clock_size);
-              ("events", Json.Int events);
-              ("wall_s", jf wall_s);
-              ("events_per_s", jf eps);
-              ("nt_events_per_s", jf nt_eps);
-              ("rel_nt", jf (eps /. Float.max nt_eps 1e-9)) ];
+            ([ ("phase", Json.Str options.phase);
+               ("benchmark", Json.Str bname);
+               ("engine", Json.Str (Engine.name id));
+               ("rate", jf rate);
+               ("scale", Json.Int scale);
+               ("clock_size", Json.Int clock_size);
+               ("events", Json.Int events) ]
+            @ wall "wall_s" cell
+            @ [ ("events_per_s", jf eps);
+                ("nt_events_per_s", jf nt_eps);
+                ("rel_nt", jf rel_nt) ]);
           Printf.printf "  %-18s %-10s rate %4.0f%%  %9.0f ev/s  (%.3f of NT)\n%!" bname
-            (Engine.name id) (rate *. 100.0) eps (eps /. Float.max nt_eps 1e-9))
+            (Engine.name id) (rate *. 100.0) eps rel_nt)
         cells)
     benchmarks
 
@@ -641,11 +563,5 @@ let () =
   if wants "fig7" then
     run_fig7_throughput
       ~target_events:(if options.full then 1_000_000 else 200_000)
-      ~clock_size ~repeats:5;
-  (* Bechamel last: its GC stabilization (per-sample compactions) perturbs
-     the wall-clock comparisons above if run first. *)
-  if options.bechamel then begin
-    print_newline ();
-    run_bechamel ()
-  end;
+      ~clock_size ~rounds:5;
   write_bench_files ()

@@ -6,7 +6,6 @@
      compare      run every engine over a trace and tabulate
      report       describe a trace (sync mix, contention, hot locations)
      oracle       brute-force ground truth for small traces
-     experiments  regenerate the paper's tables and figures
      list         show available workloads and engines *)
 
 module Trace = Ft_trace.Trace
@@ -906,121 +905,6 @@ let oracle_cmd =
        ~doc:"Brute-force ground truth (quadratic; small traces only, exit 2 if races).")
     term
 
-(* --- experiments ---------------------------------------------------------- *)
-
-let experiments_cmd =
-  let figure =
-    Arg.(value & opt string "all" & info [ "figure" ] ~docv:"FIG"
-           ~doc:"Which figure to regenerate: 5a, 5b, 6a, 6b, 6c, 7, 8, 9 or all.")
-  in
-  let events =
-    Arg.(value & opt int 200_000 & info [ "events" ] ~docv:"N"
-           ~doc:"Events per DB benchmark trace (figures 5–6).")
-  in
-  let runs =
-    Arg.(value & opt int 30 & info [ "runs" ] ~docv:"K"
-           ~doc:"Seeded repetitions for the offline experiment (figures 7–9).")
-  in
-  let scale =
-    Arg.(value & opt int 4 & info [ "scale" ] ~docv:"K"
-           ~doc:"Classic benchmark scale (figures 7–9).")
-  in
-  let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR"
-           ~doc:"Also write raw data as CSV files into this directory.")
-  in
-  let jobs_arg =
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domains for experiment cells (default 1 = sequential). Tables and CSV \
-                 stay byte-identical for any N; wall-clock timing columns contend for \
-                 cores, so keep N=1 when the milliseconds matter. Runner statistics go \
-                 to stderr.")
-  in
-  let run figure events runs scale seed clock_size csv jobs =
-    let clock_size = Option.value clock_size ~default:Ft_tsan.Harness.default_clock_size in
-    let jobs = Stdlib.max 1 jobs in
-    let report label stats = Format.eprintf "[%s] %a@." label Ft_par.pp_stats stats in
-    let need_tsan = List.mem figure [ "5a"; "5b"; "6a"; "6b"; "6c"; "all" ] in
-    let need_rapid = List.mem figure [ "7"; "8"; "9"; "all" ] in
-    let need_ablation = List.mem figure [ "ablation"; "all" ] in
-    let write_csv name contents =
-      match csv with
-      | None -> ()
-      | Some dir ->
-        let path = Filename.concat dir name in
-        let oc = open_out path in
-        output_string oc contents;
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-    in
-    if not (need_tsan || need_rapid || need_ablation) then begin
-      prerr_endline ("racedet: unknown figure " ^ figure);
-      1
-    end
-    else begin
-      if need_tsan then begin
-        let ms =
-          Ft_tsan.Harness.run_all ~seed ~clock_size ~jobs ~report:(report "figs 5-6")
-            ~target_events:events ()
-        in
-        let show title body = Printf.printf "\n%s\n%s\n%s" title (String.make (String.length title) '=') body in
-        if figure = "5a" || figure = "all" then
-          show "Fig 5a: latency relative to NT" (Ft_tsan.Harness.fig5a ms);
-        if figure = "5b" || figure = "all" then
-          show "Fig 5b: algorithmic-overhead improvement" (Ft_tsan.Harness.fig5b ms);
-        if figure = "6a" || figure = "all" then
-          show "Fig 6a: racy locations relative to FT (fixed time budget)"
-            (Ft_tsan.Harness.fig6a ms);
-        if figure = "6b" || figure = "all" then
-          show "Fig 6b: SU full-traversal share of sync events" (Ft_tsan.Harness.fig6b ms);
-        if figure = "6c" || figure = "all" then
-          show "Fig 6c: SO ordered-list entries per acquire" (Ft_tsan.Harness.fig6c ms);
-        print_newline ();
-        print_string (Ft_tsan.Harness.summary ms);
-        write_csv "tsan_latency.csv" (Ft_tsan.Harness.to_csv ms)
-      end;
-      if need_rapid then begin
-        let rows =
-          Ft_rapid.Experiment.run ~runs ~scale ~base_seed:seed ~jobs
-            ~report:(report "figs 7-9") ()
-        in
-        let show title body = Printf.printf "\n%s\n%s\n%s" title (String.make (String.length title) '=') body in
-        if figure = "7" || figure = "all" then
-          show "Fig 7: acquires skipped / total acquires" (Ft_rapid.Experiment.fig7 rows);
-        if figure = "8" || figure = "all" then
-          show "Fig 8: releases processed (SU) and deep copies (SO) / total releases"
-            (Ft_rapid.Experiment.fig8 rows);
-        if figure = "9" || figure = "all" then
-          show "Fig 9: ordered-list saving ratio" (Ft_rapid.Experiment.fig9 rows);
-        print_newline ();
-        print_string (Ft_rapid.Experiment.summary rows);
-        write_csv "rapid_metrics.csv" (Ft_rapid.Experiment.to_csv rows)
-      end;
-      if need_ablation then begin
-        let show title body = Printf.printf "\n%s\n%s\n%s" title (String.make (String.length title) '=') body in
-        show "Ablation: all engines"
-          (Ft_tsan.Ablation.engines_table ~clock_size ~jobs ~target_events:events ());
-        show "Ablation: clock-width sweep"
-          (Ft_tsan.Ablation.clock_sweep ~jobs ~target_events:events ());
-        show "Ablation: many-locks microbenchmark"
-          (Ft_tsan.Ablation.lock_sweep ~jobs ~target_events:events ());
-        show "Extension: sampling strategies"
-          (Ft_tsan.Ablation.sampler_table ~clock_size ~jobs ~target_events:events ());
-        show "Extension: Eraser lockset baseline vs ground truth"
-          (Ft_rapid.Experiment.eraser_comparison ())
-      end;
-      0
-    end
-  in
-  let term =
-    Term.(
-      const run $ figure $ events $ runs $ scale $ seed_arg $ clock_size_arg $ csv
-      $ jobs_arg)
-  in
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Regenerate the paper's evaluation tables and figures.")
-    term
-
 (* --- list ------------------------------------------------------------------ *)
 
 let list_cmd =
@@ -1046,7 +930,7 @@ let main_cmd =
   Cmd.group info
     [
       generate_cmd; analyze_cmd; serve_cmd; emit_cmd; route_cmd; loadgen_cmd;
-      compare_cmd; report_cmd; oracle_cmd; experiments_cmd; list_cmd;
+      compare_cmd; report_cmd; oracle_cmd; list_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

@@ -135,25 +135,6 @@ let fig9 rows =
   in
   table so_rows ~quantity:(fun r -> Metrics.saved_traversal_ratio r.metrics)
 
-let to_csv rows =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "benchmark,engine,runs,events,sampled,peak_sampled,acquires,acquires_skipped,releases,\
-     releases_processed,deep_copies,shallow_copies,entries_traversed,entries_saved,\
-     races,racy_locations_mean\n";
-  List.iter
-    (fun r ->
-      let m = r.metrics in
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f\n" r.benchmark
-           r.label r.runs m.Metrics.events m.Metrics.sampled_accesses r.peak_sampled
-           m.Metrics.acquires m.Metrics.acquires_skipped m.Metrics.releases
-           m.Metrics.releases_processed m.Metrics.deep_copies m.Metrics.shallow_copies
-           m.Metrics.entries_traversed m.Metrics.entries_saved m.Metrics.races
-           r.racy_locations))
-    rows;
-  Buffer.contents buf
-
 let eraser_comparison ?(benchmarks = Classic.all) ?(scale = 2) ?(seed = 5) () =
   let header =
     [| "benchmark"; "truth"; "SO (HB)"; "eraser"; "false pos"; "false neg" |]

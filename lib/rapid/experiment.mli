@@ -66,10 +66,6 @@ val summary : row list -> string
 (** Aggregate means of the three figures' quantities per engine — the
     headline numbers quoted in §A.1.2. *)
 
-val to_csv : row list -> string
-(** Raw per-row data (benchmark, engine, runs, all counters, racy
-    locations) as CSV, for external plotting. *)
-
 val eraser_comparison :
   ?benchmarks:Ft_workloads.Classic.benchmark list ->
   ?scale:int ->

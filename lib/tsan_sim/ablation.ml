@@ -5,19 +5,6 @@ module Metrics = Ft_core.Metrics
 module Db_sim = Ft_workloads.Db_sim
 module Trace = Ft_trace.Trace
 module Tabulate = Ft_support.Tabulate
-module Clock = Ft_support.Clock
-
-(* Monotonic clock, not wall time: an NTP step mid-run must not be able to
-   produce a negative or skewed latency sample. *)
-let time_best ~repeats f =
-  let best = ref infinity in
-  for _ = 1 to repeats do
-    let t0 = Clock.now_ns () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = Clock.elapsed_s ~since:t0 in
-    if dt < !best then best := dt
-  done;
-  !best
 
 let tpcc () = Option.get (Db_sim.profile "tpcc")
 
@@ -33,57 +20,55 @@ let all_engines =
 let par_cells ?jobs f tasks =
   List.map Ft_par.get_exn (Ft_par.map_list ?jobs f tasks)
 
+let ms (t : Timing.t) = Printf.sprintf "%.1f ms" (1000.0 *. t.Timing.median)
+
 let engines_table ?(repeats = 3) ?(seed = 1) ?(rate = 0.03) ?(clock_size = 64) ?jobs
     ~target_events () =
   let trace = Db_sim.generate (tpcc ()) ~seed ~target_events in
   let sampler = Sampler.bernoulli ~rate ~seed in
+  let run engine = Engine.run_instrumented engine ~sampler ~clock_size trace in
+  let times =
+    Timing.run ~rounds:repeats
+      (Array.of_list (List.map (fun engine () -> ignore (run engine)) all_engines))
+  in
   let rows =
     par_cells ?jobs
-      (fun engine ->
-        let result = Engine.run_instrumented engine ~sampler ~clock_size trace in
-        let t =
-          time_best ~repeats (fun () ->
-              Engine.run_instrumented engine ~sampler ~clock_size trace)
-        in
+      (fun (i, engine) ->
+        let result = run engine in
         let m = result.Detector.metrics in
         [|
           Engine.name engine;
-          Printf.sprintf "%.1f ms" (1000.0 *. t);
+          ms times.(i);
           string_of_int m.Metrics.vc_full_ops;
           Tabulate.pct (Metrics.acquires_skipped_ratio m);
           string_of_int m.Metrics.deep_copies;
           string_of_int (List.length (Detector.racy_locations result));
         |])
-      all_engines
+      (List.mapi (fun i engine -> (i, engine)) all_engines)
   in
   Tabulate.render
     ~header:[| "engine"; "time"; "O(T) clock ops"; "acq skipped"; "deep copies"; "racy locs" |]
     rows
 
+(* One alternating call per width: the engines of a row share its rounds. *)
 let clock_sweep ?(repeats = 3) ?(seed = 1) ?(rate = 0.03) ?(sizes = [ 16; 64; 256; 1024 ])
     ?jobs ~target_events () =
   let trace = Db_sim.generate (tpcc ()) ~seed ~target_events in
   let sampler = Sampler.bernoulli ~rate ~seed in
   let engines = [ Engine.St; Engine.Su; Engine.Sl; Engine.So ] in
-  let grid = List.concat_map (fun s -> List.map (fun e -> (s, e)) engines) sizes in
-  let cells =
-    par_cells ?jobs
-      (fun (clock_size, engine) ->
-        let clock_size = Stdlib.max clock_size trace.Trace.nthreads in
-        let t =
-          time_best ~repeats (fun () ->
-              Engine.run_instrumented engine ~sampler ~clock_size trace)
-        in
-        Printf.sprintf "%.1f ms" (1000.0 *. t))
-      grid
-  in
-  let ncols = List.length engines in
   let rows =
-    List.mapi
-      (fun i clock_size ->
-        let row = List.filteri (fun j _ -> j / ncols = i) cells in
-        Array.of_list
-          (string_of_int (Stdlib.max clock_size trace.Trace.nthreads) :: row))
+    par_cells ?jobs
+      (fun clock_size ->
+        let clock_size = Stdlib.max clock_size trace.Trace.nthreads in
+        let times =
+          Timing.run ~rounds:repeats
+            (Array.of_list
+               (List.map
+                  (fun engine () ->
+                    ignore (Engine.run_instrumented engine ~sampler ~clock_size trace))
+                  engines))
+        in
+        Array.of_list (string_of_int clock_size :: List.map ms (Array.to_list times)))
       sizes
   in
   Tabulate.render

@@ -15,9 +15,12 @@
     Every table accepts [?jobs] (default 1 = inline sequential): its
     independent cells fan out over that many domains, and rows are
     reassembled by task index, so non-timing columns are identical for any
-    [jobs].  Timing columns contend for cores under [jobs > 1] — keep
-    [jobs = 1] when the milliseconds matter.  A crashed cell raises
-    [Failure] (an incomplete ablation table would be misleading). *)
+    [jobs].  Timing columns are medians of [repeats] alternating
+    {!Timing.run} rounds: one call over all engines in {!engines_table},
+    one per width in {!clock_sweep}.  The widths contend for cores under
+    [jobs > 1] — keep [jobs = 1] when the milliseconds matter.  A crashed
+    cell raises [Failure] (an incomplete ablation table would be
+    misleading). *)
 
 val engines_table :
   ?repeats:int -> ?seed:int -> ?rate:float -> ?clock_size:int -> ?jobs:int ->

@@ -6,13 +6,12 @@ module Db_sim = Ft_workloads.Db_sim
 module Trace = Ft_trace.Trace
 module Tabulate = Ft_support.Tabulate
 module Stats = Ft_support.Stats
-module Clock = Ft_support.Clock
 
 type rate_result = {
   rate : float;
-  st_time : float;
-  su_time : float;
-  so_time : float;
+  st_time : Timing.t;
+  su_time : Timing.t;
+  so_time : Timing.t;
   st_locs : int;
   su_locs : int;
   so_locs : int;
@@ -23,26 +22,14 @@ type rate_result = {
 type measurement = {
   benchmark : string;
   events : int;
-  nt : float;
-  et : float;
-  ft : float;
+  nt : Timing.t;
+  et : Timing.t;
+  ft : Timing.t;
   ft_locs : int;
   per_rate : rate_result list;
 }
 
 let default_rates = [ 0.003; 0.03; 0.10 ]
-
-(* Monotonic clock, not wall time: an NTP step mid-run must not be able to
-   produce a negative or skewed latency sample. *)
-let time_best ~repeats f =
-  let best = ref infinity in
-  for _ = 1 to repeats do
-    let t0 = Clock.now_ns () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = Clock.elapsed_s ~since:t0 in
-    if dt < !best then best := dt
-  done;
-  !best
 
 let default_clock_size = 64
 
@@ -50,33 +37,46 @@ let measure_one ?(repeats = 3) ?(rates = default_rates) ?(seed = 1)
     ?(clock_size = default_clock_size) ~target_events (p : Db_sim.profile) =
   let trace = Db_sim.generate p ~seed ~target_events in
   let clock_size = Stdlib.max clock_size trace.Trace.nthreads in
-  let nt = time_best ~repeats (fun () -> Detector.replay_only trace) in
-  let et = time_best ~repeats (fun () -> Detector.replay_instrumented trace) in
   let run engine sampler = Engine.run_instrumented engine ?sampler ~clock_size trace in
+  let samplers = List.map (fun rate -> Some (Sampler.bernoulli ~rate ~seed)) rates in
+  (* One alternating call per trace: NT, ET, FT, then ST/SU/SO at each
+     rate, so every AO subtracts an ET timed in the same rounds. *)
+  let walls =
+    Timing.run ~rounds:repeats
+      (Array.of_list
+         ((fun () -> ignore (Detector.replay_only trace))
+         :: (fun () -> ignore (Detector.replay_instrumented trace))
+         :: (fun () -> ignore (run Engine.Fasttrack None))
+         :: List.concat_map
+              (fun sampler ->
+                List.map
+                  (fun engine () -> ignore (run engine sampler))
+                  [ Engine.St; Engine.Su; Engine.So ])
+              samplers))
+  in
+  let nt = walls.(0) and et = walls.(1) and ft = walls.(2) in
   (* Fixed-time-budget model (§6.2.5): in the paper every configuration runs
      for the same wall-clock hour, so a configuration [k×] slower than the
      uninstrumented server only gets through [1/k] of the requests.  Racy
      locations are therefore counted over the prefix each configuration can
      afford. *)
   let events = Trace.length trace in
-  let budget_locs engine sampler ~time =
+  let budget_locs engine sampler ~(time : Timing.t) =
     let limit =
       Stdlib.max 1
-        (int_of_float (float_of_int events *. nt /. Stdlib.max nt time))
+        (int_of_float
+           (float_of_int events *. nt.Timing.median
+           /. Stdlib.max nt.Timing.median time.Timing.median))
     in
     let result = Engine.run engine ?sampler ~clock_size ~limit trace in
     List.length (Detector.racy_locations result)
   in
-  let ft = time_best ~repeats (fun () -> run Engine.Fasttrack None) in
   let per_rate =
-    List.map
-      (fun rate ->
-        let sampler = Some (Sampler.bernoulli ~rate ~seed) in
-        let su_res = run Engine.Su sampler in
-        let so_res = run Engine.So sampler in
-        let st_time = time_best ~repeats (fun () -> run Engine.St sampler) in
-        let su_time = time_best ~repeats (fun () -> run Engine.Su sampler) in
-        let so_time = time_best ~repeats (fun () -> run Engine.So sampler) in
+    List.mapi
+      (fun i (rate, sampler) ->
+        let st_time = walls.(3 + (3 * i))
+        and su_time = walls.(4 + (3 * i))
+        and so_time = walls.(5 + (3 * i)) in
         {
           rate;
           st_time;
@@ -85,10 +85,10 @@ let measure_one ?(repeats = 3) ?(rates = default_rates) ?(seed = 1)
           st_locs = budget_locs Engine.St sampler ~time:st_time;
           su_locs = budget_locs Engine.Su sampler ~time:su_time;
           so_locs = budget_locs Engine.So sampler ~time:so_time;
-          su_metrics = su_res.Detector.metrics;
-          so_metrics = so_res.Detector.metrics;
+          su_metrics = (run Engine.Su sampler).Detector.metrics;
+          so_metrics = (run Engine.So sampler).Detector.metrics;
         })
-      rates
+      (List.combine rates samplers)
   in
   {
     benchmark = p.Db_sim.name;
@@ -100,15 +100,21 @@ let measure_one ?(repeats = 3) ?(rates = default_rates) ?(seed = 1)
     per_rate;
   }
 
-(* Average timings over [nseeds] independently generated traces; detection
-   counts and metrics come from the first completed seed (they are already
-   averaged in structure, and Fig 6a's budget prefixes depend on that seed's
-   times). *)
+(* Average timings over [nseeds] independently generated traces, round by
+   round, so each averaged wall still pairs with the others of its round;
+   detection counts and metrics come from the first completed seed (they
+   are already averaged in structure, and Fig 6a's budget prefixes depend
+   on that seed's times). *)
 let aggregate runs =
   match runs with
   | [] -> None
   | first :: _ ->
-    let mean f = Stats.mean (Array.of_list (List.map f runs)) in
+    let mean (f : measurement -> Timing.t) =
+      let walls = List.map (fun m -> (f m).Timing.walls) runs in
+      Timing.of_walls
+        (Array.init (Array.length (f first).Timing.walls) (fun r ->
+             Stats.mean (Array.of_list (List.map (fun w -> w.(r)) walls))))
+    in
     Some
       {
         first with
@@ -126,15 +132,6 @@ let aggregate runs =
               })
             first.per_rate;
       }
-
-let measure ?repeats ?rates ?seed ?clock_size ?(nseeds = 1) ~target_events
-    (p : Db_sim.profile) =
-  let base = Option.value seed ~default:1 in
-  let runs =
-    List.init (Stdlib.max 1 nseeds) (fun k ->
-        measure_one ?repeats ?rates ~seed:(base + k) ?clock_size ~target_events p)
-  in
-  Option.get (aggregate runs)
 
 (* The (profile × seed) grid is embarrassingly parallel: one pool over all
    cells, merged back per profile in seed order.  Caveat for [jobs > 1]:
@@ -167,7 +164,9 @@ let run_all ?repeats ?rates ?seed ?clock_size ?(nseeds = 1) ?(jobs = 1)
          match aggregate !runs with None -> [] | Some m -> [ m ])
        (Array.to_list profs))
 
-let ao m ~time = Stdlib.max 1e-9 (time -. m.et)
+let ao m ~time = Stdlib.max 1e-9 (time -. m.et.Timing.median)
+
+let rel_nt m (t : Timing.t) = t.Timing.median /. m.nt.Timing.median
 
 let rate_label r = Printf.sprintf "%g%%" (100.0 *. r.rate)
 
@@ -182,14 +181,15 @@ let fig5a ms =
     List.map
       (fun m ->
         Array.of_list
-          ([ m.benchmark; string_of_int m.events; Tabulate.fl1 (m.et /. m.nt);
-             Tabulate.fl1 (m.ft /. m.nt) ]
-          @ List.map (fun r -> Tabulate.fl1 (r.st_time /. m.nt)) m.per_rate))
+          ([ m.benchmark; string_of_int m.events; Tabulate.fl1 (rel_nt m m.et);
+             Tabulate.fl1 (rel_nt m m.ft) ]
+          @ List.map (fun r -> Tabulate.fl1 (rel_nt m r.st_time)) m.per_rate))
       ms
   in
   Tabulate.render ~header body
 
-let improvement m ~st ~time = 1.0 -. (ao m ~time /. ao m ~time:st)
+let improvement m ~(st : Timing.t) ~(time : Timing.t) =
+  1.0 -. (ao m ~time:time.Timing.median /. ao m ~time:st.Timing.median)
 
 let fig5b ms =
   let rates = match ms with [] -> [] | m :: _ -> m.per_rate in
@@ -277,22 +277,6 @@ let fig6c ms =
   in
   Tabulate.render ~header body
 
-let to_csv ms =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "benchmark,events,nt_s,et_s,ft_s,ft_locs,rate,st_s,su_s,so_s,st_locs,su_locs,so_locs\n";
-  List.iter
-    (fun m ->
-      List.iter
-        (fun r ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s,%d,%.6f,%.6f,%.6f,%d,%g,%.6f,%.6f,%.6f,%d,%d,%d\n" m.benchmark
-               m.events m.nt m.et m.ft m.ft_locs r.rate r.st_time r.su_time r.so_time
-               r.st_locs r.su_locs r.so_locs))
-        m.per_rate)
-    ms;
-  Buffer.contents buf
-
 let summary ms =
   match ms with
   | [] -> "(no measurements)\n"
@@ -300,15 +284,15 @@ let summary ms =
     let mean f = Stats.mean (Array.of_list (List.map f ms)) in
     let buf = Buffer.create 512 in
     Buffer.add_string buf
-      (Printf.sprintf "mean ET/NT = %.1fx   mean FT/NT = %.1fx\n" (mean (fun m -> m.et /. m.nt))
-         (mean (fun m -> m.ft /. m.nt)));
+      (Printf.sprintf "mean ET/NT = %.1fx   mean FT/NT = %.1fx\n" (mean (fun m -> rel_nt m m.et))
+         (mean (fun m -> rel_nt m m.ft)));
     List.iteri
       (fun i r0 ->
         Buffer.add_string buf
           (Printf.sprintf
              "rate %-5s  ST/NT = %.1fx   AO improvement: SU %s  SO %s\n"
              (rate_label r0)
-             (mean (fun m -> (List.nth m.per_rate i).st_time /. m.nt))
+             (mean (fun m -> rel_nt m (List.nth m.per_rate i).st_time))
              (Tabulate.pct
                 (mean (fun m ->
                      let r = List.nth m.per_rate i in

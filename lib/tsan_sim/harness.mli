@@ -11,13 +11,15 @@
     replay the {e same} trace (one per benchmark and seed), so differences
     are purely algorithmic.  [AO(S) = latency(S) − latency(ET)] exactly as
     in the paper; latency here is wall-clock analysis time for the trace
-    (the workload volume is fixed, so per-request latency is proportional). *)
+    (the workload volume is fixed, so per-request latency is proportional).
+    Every configuration of one trace is timed in one {!Timing.run} call, so
+    each AO subtracts an ET measured in the same rounds. *)
 
 type rate_result = {
   rate : float;
-  st_time : float;
-  su_time : float;
-  so_time : float;
+  st_time : Timing.t;
+  su_time : Timing.t;
+  so_time : Timing.t;
   st_locs : int;   (** racy locations exposed *)
   su_locs : int;
   so_locs : int;
@@ -28,9 +30,9 @@ type rate_result = {
 type measurement = {
   benchmark : string;
   events : int;
-  nt : float;
-  et : float;
-  ft : float;
+  nt : Timing.t;
+  et : Timing.t;
+  ft : Timing.t;
   ft_locs : int;
   per_rate : rate_result list;
 }
@@ -41,21 +43,6 @@ val default_rates : float list
 val default_clock_size : int
 (** 64 — the machine width of §6.2.2; use 256 to match TSan v3's fixed
     vector-clock size exactly (slower). *)
-
-val measure :
-  ?repeats:int ->
-  ?rates:float list ->
-  ?seed:int ->
-  ?clock_size:int ->
-  ?nseeds:int ->
-  target_events:int ->
-  Ft_workloads.Db_sim.profile ->
-  measurement
-(** Generates the benchmark trace and times every configuration on it,
-    keeping the fastest of [repeats] (default 3) runs per configuration;
-    with [nseeds > 1] (default 1) the timings are additionally averaged over
-    that many independently generated traces (seeds [seed .. seed+nseeds−1])
-    while detection counts come from the first. *)
 
 val run_all :
   ?repeats:int ->
@@ -70,14 +57,18 @@ val run_all :
   target_events:int ->
   unit ->
   measurement list
-(** Measures every profile.  The (profile × seed) grid fans out over [jobs]
-    domains (default 1 = inline sequential); cells are merged back per
-    profile in seed order, so detection counts and work metrics are
-    identical for any [jobs].  Wall-clock timings are {e not}: concurrent
-    cells contend for cores, so use [jobs = 1] for publishable latency
-    numbers and [jobs > 1] for quick iterations.  A crashed cell goes to
-    [on_error] (default: one line on stderr) and is dropped from its
-    profile's average; a profile with no surviving cell is omitted.
+(** Measures every profile: generates each benchmark trace and times every
+    configuration on it in [repeats] alternating rounds (default 3).  With
+    [nseeds > 1] (default 1) each round's walls are averaged over that many
+    independently generated traces (seeds [seed .. seed+nseeds−1]), while
+    detection counts come from the first.  The (profile × seed) grid fans
+    out over [jobs] domains (default 1 = inline sequential); cells are
+    merged back per profile in seed order, so detection counts and work
+    metrics are identical for any [jobs].  Wall-clock timings are {e not}:
+    concurrent cells contend for cores, so use [jobs = 1] for publishable
+    latency numbers and [jobs > 1] for quick iterations.  A crashed cell
+    goes to [on_error] (default: one line on stderr) and is dropped from
+    its profile's average; a profile with no surviving cell is omitted.
     [report] receives the runner's wall/busy-time statistics. *)
 
 (** {1 Figure tables} — rendered tables matching the paper's plots. *)
@@ -103,7 +94,5 @@ val summary : measurement list -> string
     the headline numbers of §6.2.3–6.2.4. *)
 
 val ao : measurement -> time:float -> float
-(** [ao m ~time = time − m.et], clamped at a small positive epsilon. *)
-
-val to_csv : measurement list -> string
-(** Raw per-benchmark timings and detection counts as CSV. *)
+(** [ao m ~time = time − m.et.median], clamped at a small positive
+    epsilon. *)

@@ -13,6 +13,7 @@ module Race = Ft_core.Race
 module Metrics = Ft_core.Metrics
 module Experiment = Ft_rapid.Experiment
 module Harness = Ft_tsan.Harness
+module Timing = Ft_tsan.Timing
 module Db_sim = Ft_workloads.Db_sim
 module Classic = Ft_workloads.Classic
 
@@ -187,20 +188,23 @@ let test_tsan_measurement_sanity () =
   List.iter
     (fun (m : Harness.measurement) ->
       Alcotest.(check bool) "events reached" true (m.Harness.events >= 8000);
+      let positive (t : Timing.t) = t.Timing.median > 0.0 in
       Alcotest.(check bool) "positive times" true
-        (m.Harness.nt > 0.0 && m.Harness.et > 0.0 && m.Harness.ft > 0.0);
+        (positive m.Harness.nt && positive m.Harness.et && positive m.Harness.ft);
       Alcotest.(check int) "three rates" 3 (List.length m.Harness.per_rate);
       List.iter
         (fun (r : Harness.rate_result) ->
           Alcotest.(check bool) "positive engine times" true
-            (r.Harness.st_time > 0.0 && r.Harness.su_time > 0.0 && r.Harness.so_time > 0.0))
+            (positive r.Harness.st_time && positive r.Harness.su_time
+            && positive r.Harness.so_time))
         m.Harness.per_rate)
     ms
 
 let test_tsan_ao () =
   let ms = tiny_measurements () in
   let m = List.hd ms in
-  Alcotest.(check bool) "ao positive" true (Harness.ao m ~time:(m.Harness.et +. 1.0) > 0.99);
+  Alcotest.(check bool) "ao positive" true
+    (Harness.ao m ~time:(m.Harness.et.Timing.median +. 1.0) > 0.99);
   Alcotest.(check bool) "ao clamped" true (Harness.ao m ~time:0.0 > 0.0)
 
 let test_tsan_tables_render () =
@@ -210,6 +214,59 @@ let test_tsan_tables_render () =
       Alcotest.(check bool) "non-empty" true (String.length (table ms) > 40))
     [ Harness.fig5a; Harness.fig5b; Harness.fig6a; Harness.fig6b; Harness.fig6c ];
   Alcotest.(check bool) "summary" true (String.length (Harness.summary ms) > 40)
+
+(* --- Timing ----------------------------------------------------------------- *)
+
+(* Three thunks that log their own index: the log is the run order. *)
+let logged_run ~rounds =
+  let log = ref [] in
+  let ts = Timing.run ~rounds (Array.init 3 (fun i () -> log := i :: !log)) in
+  (ts, List.rev !log)
+
+let test_timing_runs_each_thunk_rounds_times () =
+  let ts, log = logged_run ~rounds:5 in
+  Alcotest.(check int) "one result per thunk" 3 (Array.length ts);
+  List.iter
+    (fun i ->
+      Alcotest.(check int) "ran R times" 5 (List.length (List.filter (( = ) i) log)))
+    [ 0; 1; 2 ];
+  Array.iter
+    (fun (t : Timing.t) -> Alcotest.(check int) "R walls" 5 (Array.length t.Timing.walls))
+    ts
+
+let test_timing_alternates () =
+  let _, log = logged_run ~rounds:4 in
+  Alcotest.(check (list int)) "forward on even rounds, reversed on odd"
+    [ 0; 1; 2; 2; 1; 0; 0; 1; 2; 2; 1; 0 ] log
+
+let test_timing_quartiles () =
+  let ts, _ = logged_run ~rounds:7 in
+  Array.iter
+    (fun (t : Timing.t) ->
+      Alcotest.(check bool) "q1 <= median <= q3" true
+        (t.Timing.q1 <= t.Timing.median && t.Timing.median <= t.Timing.q3))
+    ts;
+  let t = Timing.of_walls [| 4.0; 1.0; 3.0; 2.0; 5.0 |] in
+  Alcotest.(check (float 1e-12)) "median" 3.0 t.Timing.median;
+  Alcotest.(check (float 1e-12)) "q1" 2.0 t.Timing.q1;
+  Alcotest.(check (float 1e-12)) "q3" 4.0 t.Timing.q3
+
+let test_timing_one_round () =
+  let ts, log = logged_run ~rounds:1 in
+  Alcotest.(check (list int)) "forward" [ 0; 1; 2 ] log;
+  Array.iter
+    (fun (t : Timing.t) ->
+      Alcotest.(check bool) "q1 = median = q3" true
+        (t.Timing.q1 = t.Timing.median && t.Timing.median = t.Timing.q3))
+    ts
+
+let test_timing_rejects_no_rounds () =
+  List.iter
+    (fun rounds ->
+      match Timing.run ~rounds [| (fun () -> ()) |] with
+      | _ -> Alcotest.failf "rounds = %d accepted" rounds
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 let () =
   Alcotest.run "experiments"
@@ -234,6 +291,15 @@ let () =
           Alcotest.test_case "engine order" `Quick test_rapid_engine_order;
           Alcotest.test_case "SU skips ≥ SO" `Quick test_rapid_su_skips_geq_so;
           Alcotest.test_case "tables render" `Quick test_rapid_tables_render;
+        ] );
+      ( "timing",
+        [
+          Alcotest.test_case "each thunk runs R times" `Quick
+            test_timing_runs_each_thunk_rounds_times;
+          Alcotest.test_case "order alternates by round" `Quick test_timing_alternates;
+          Alcotest.test_case "q1 <= median <= q3" `Quick test_timing_quartiles;
+          Alcotest.test_case "one round" `Quick test_timing_one_round;
+          Alcotest.test_case "R <= 0 rejected" `Quick test_timing_rejects_no_rounds;
         ] );
       ( "tsan harness",
         [
